@@ -36,6 +36,7 @@ from .ivf import (
     RestrictedIvf,
     convexity_check,
     dir_derivative,
+    dir_derivatives,
     eval_ivf,
     gh_gradient,
     lipschitz_estimate,

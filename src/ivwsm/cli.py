@@ -1,8 +1,10 @@
 """Command-line front end: run checkers on problem files, print reports.
 
 Exit codes: 0 when every checker run holds, 1 when any fails, 2 on input
-errors.  Besides the human-readable blocks, each checker emits one
-machine-readable line::
+errors and on objectives that cannot be evaluated or differentiated at
+some point (division by zero, overflow, a non-finite value, a kink inside
+the derivative probe range); the message names the point.  Besides the
+human-readable blocks, each checker emits one machine-readable line::
 
     #DATA checker=<name> verdict=<holds|fails> margin=<float> witness=<floats> samples=<int>
 
@@ -16,8 +18,10 @@ import sys
 
 import numpy as np
 
+from .expr import EvalError
 from .intervals import is_finite
 from .ivectors import IVector
+from .ivf import NonsmoothUncertainError
 from .problems import ProblemFileError, build_problem, load_problem_file
 from .subdiff import (
     ExplicitBoxSubdiff,
@@ -97,15 +101,7 @@ def _cmd_modulus(args) -> int:
     )
     value = estimate_modulus(problem)
     if value > 0:
-        probe = build_problem(
-            spec,
-            alpha=value + 2e-3,
-            grid=args.grid,
-            seed=args.seed,
-            n_dirs=args.dirs,
-            margin_tol=args.tol,
-        )
-        report = run_checker(probe, "definition")
+        report = run_checker(problem.with_alpha(value + 2e-3), "definition")
         if report.witness is not None and not report.holds:
             a, b = report.witness
             print(
@@ -224,7 +220,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFileError, GuardError, ValueError) as exc:
+    except (
+        ProblemFileError,
+        GuardError,
+        ValueError,
+        EvalError,
+        OverflowError,
+        NonsmoothUncertainError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

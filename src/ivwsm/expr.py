@@ -16,13 +16,20 @@ are first class so piecewise-linear convex endpoints can be written
 without a dedicated piecewise syntax.
 
 Parse errors carry the byte offset of the offending input.
+
+Evaluation compiles the AST once into NumPy closures over the rows of an
+``(m, n)`` array of points (:attr:`ExprAst.rows`); :func:`evaluate` is a
+one-row call of that closure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import cached_property
+from typing import Callable, Sequence, Union
+
+import numpy as np
 
 Node = Union["Const", "Var", "Neg", "Abs", "Bin", "Pow", "MinMax"]
 
@@ -81,6 +88,23 @@ class ExprAst:
                 raise ValueError(
                     f"variable x{index} outside dimension 1..{self.dimension}"
                 )
+
+    def __call__(self, point: Sequence[float]) -> float:
+        """The value at one point, so the AST itself is an endpoint function."""
+        return evaluate(self, point)
+
+    @cached_property
+    def rows(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The expression compiled once into a function of the rows of an
+        (m, n) array, returning the m values."""
+        compiled = _compile(self.root)
+
+        def rows(points: np.ndarray) -> np.ndarray:
+            # inf and NaN propagate silently, as in Python float arithmetic
+            with np.errstate(all="ignore"):
+                return compiled(points)
+
+        return rows
 
 
 def _variable_indices(node: Node):
@@ -260,42 +284,96 @@ def parse(source: str, dimension: int) -> ExprAst:
     return ExprAst(root, dimension)
 
 
-def _eval_node(node: Node, point: Sequence[float]) -> float:
+def _compile(node: Node) -> Callable[[np.ndarray], np.ndarray]:
+    """Closure evaluating ``node`` at every row of an (m, n) float array.
+
+    Each node applies, elementwise, the float64 operation Python applies to
+    one point, so every row matches a scalar evaluation bit for bit: ``^``
+    is ``np.float_power`` (``np.power`` rounds small integer powers
+    differently), and ``min``/``max`` keep the first of equal or NaN
+    arguments, as Python's builtins do.  Where Python raises, the closure
+    raises for the first offending row and names it.
+    """
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return lambda rows: np.full(len(rows), value)
     if isinstance(node, Var):
-        return float(point[node.index - 1])
+        i = node.index - 1
+        return lambda rows: rows[:, i].copy()
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, point)
+        operand = _compile(node.operand)
+        return lambda rows: -operand(rows)
     if isinstance(node, Abs):
-        return abs(_eval_node(node.operand, point))
+        operand = _compile(node.operand)
+        return lambda rows: np.abs(operand(rows))
     if isinstance(node, Pow):
-        return _eval_node(node.base, point) ** node.exponent
+        return _compile_pow(_compile(node.base), node.exponent)
     if isinstance(node, MinMax):
-        values = [_eval_node(a, point) for a in node.args]
-        return min(values) if node.op == "min" else max(values)
+        return _compile_minmax(node.op, [_compile(a) for a in node.args])
     if isinstance(node, Bin):
-        left = _eval_node(node.left, point)
-        right = _eval_node(node.right, point)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0.0:
-            raise EvalError("division by zero")
-        return left / right
+        return _compile_bin(node.op, _compile(node.left), _compile(node.right))
     raise TypeError(f"unknown node {node!r}")
 
 
+def _compile_pow(base, exponent: int):
+    def power(rows):
+        b = base(rows)
+        out = np.float_power(b, float(exponent))
+        # Python's float ** int raises where a finite base overflows
+        overflow = np.isinf(out) & np.isfinite(b)
+        if overflow.any():
+            raise OverflowError(
+                f"'^{exponent}' overflows at x={rows[np.argmax(overflow)]}"
+            )
+        return out
+
+    return power
+
+
+def _compile_minmax(op: str, args):
+    first, rest = args[0], args[1:]
+    beats = np.less if op == "min" else np.greater
+
+    def minmax(rows):
+        best = first(rows)
+        for arg in rest:
+            value = arg(rows)
+            best = np.where(beats(value, best), value, best)
+        return best
+
+    return minmax
+
+
+def _compile_bin(op: str, left, right):
+    if op == "+":
+        return lambda rows: left(rows) + right(rows)
+    if op == "-":
+        return lambda rows: left(rows) - right(rows)
+    if op == "*":
+        return lambda rows: left(rows) * right(rows)
+
+    def divide(rows):
+        numerator = left(rows)
+        denominator = right(rows)
+        zero = denominator == 0.0
+        if zero.any():
+            raise EvalError(f"division by zero at x={rows[np.argmax(zero)]}")
+        return numerator / denominator
+
+    return divide
+
+
 def evaluate(ast: ExprAst, point: Sequence[float]) -> float:
-    """Evaluate the expression at ``point`` (length must match the dimension)."""
-    if len(point) != ast.dimension:
+    """Evaluate the expression at ``point`` (length must match the dimension).
+
+    A one-row call of the compiled expression :attr:`ExprAst.rows`.
+    """
+    x = np.asarray(point, dtype=float)
+    if x.shape != (ast.dimension,):
         raise ValueError(
             f"point has length {len(point)}, expression dimension is {ast.dimension}"
         )
-    return _eval_node(ast.root, point)
+    return float(ast.rows(x[None, :])[0])
 
 
 # Precedence levels used by the printer: a child is parenthesized whenever

@@ -5,12 +5,16 @@ point boxes and point-segment products) keeps every geometric primitive in
 closed form: projection is a per-axis clamp, the tangent and normal cones
 at any member point are axis-wise products of rays, lines and the origin,
 and distances to those cones are again per-axis clamps.
+
+Cone projection, membership and distance accept one vector or an (m, n)
+array of them, one result per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +32,33 @@ class Tag(Enum):
 
 
 _POLAR = {Tag.FREE: Tag.ZERO, Tag.ZERO: Tag.FREE, Tag.NONNEG: Tag.NONPOS, Tag.NONPOS: Tag.NONNEG}
+#: Per-axis (lower, upper) bound of each tag's ray, line or origin.
+_BOUNDS = {
+    Tag.FREE: (-np.inf, np.inf),
+    Tag.NONNEG: (0.0, np.inf),
+    Tag.NONPOS: (-np.inf, 0.0),
+    Tag.ZERO: (0.0, 0.0),
+}
+
+
+@lru_cache(maxsize=None)
+def _cone_bounds(tags: tuple[Tag, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis lower and upper bounds of the cone with these tags, and its
+    mask of zero axes (cached: cones are rebuilt at every grid point)."""
+    lo = np.array([_BOUNDS[t][0] for t in tags])
+    hi = np.array([_BOUNDS[t][1] for t in tags])
+    return lo, hi, np.array([t is Tag.ZERO for t in tags])
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, n) array, or of one vector.
+
+    Each row is one dot product, so the result equals ``np.linalg.norm`` of
+    that row bit for bit (``np.linalg.norm(rows, axis=1)`` sums in another
+    order and can differ in the last bit).
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -44,27 +75,21 @@ class OrthantCone:
         return OrthantCone(tuple(_POLAR[t] for t in self.tags))
 
     def project(self, d: Sequence[float]) -> np.ndarray:
+        """Per-axis clamp onto the cone, of one vector or of each row of an
+        (m, n) array."""
         d = np.asarray(d, dtype=float)
-        out = d.copy()
-        for i, tag in enumerate(self.tags):
-            if tag is Tag.NONNEG:
-                out[i] = max(out[i], 0.0)
-            elif tag is Tag.NONPOS:
-                out[i] = min(out[i], 0.0)
-            elif tag is Tag.ZERO:
-                out[i] = 0.0
-        return out
+        lo, hi, zero = _cone_bounds(self.tags)
+        # max(d, 0) / min(d, 0) with Python's first-wins semantics, and 0.0
+        # on zero axes whatever d holds there
+        return np.where(zero | (d < lo), lo, np.where(d > hi, hi, d))
 
-    def contains(self, d: Sequence[float], tol: float = MEMBER_TOL) -> bool:
+    def contains(self, d: Sequence[float], tol: float = MEMBER_TOL):
+        """Membership of one vector (a bool) or of each row of an (m, n)
+        array (a bool array)."""
         d = np.asarray(d, dtype=float)
-        for i, tag in enumerate(self.tags):
-            if tag is Tag.NONNEG and d[i] < -tol:
-                return False
-            if tag is Tag.NONPOS and d[i] > tol:
-                return False
-            if tag is Tag.ZERO and abs(d[i]) > tol:
-                return False
-        return True
+        lo, hi, _ = _cone_bounds(self.tags)
+        outside = ((d < lo - tol) | (d > hi + tol)).any(axis=-1)
+        return ~outside if d.ndim == 2 else not outside
 
     def intersect(self, other: "OrthantCone") -> "OrthantCone":
         if self.dimension != other.dimension:
@@ -102,10 +127,12 @@ class OrthantCone:
         return rays
 
 
-def dist_to_cone(d: Sequence[float], k: OrthantCone) -> float:
-    """Euclidean distance from d to the cone (via the per-axis clamp)."""
+def dist_to_cone(d: Sequence[float], k: OrthantCone):
+    """Euclidean distance from d, or from each row of d, to the cone (via
+    the per-axis clamp)."""
     d = np.asarray(d, dtype=float)
-    return float(np.linalg.norm(d - k.project(d)))
+    dist = row_norms(d - k.project(d))
+    return dist if d.ndim == 2 else float(dist)
 
 
 @dataclass(frozen=True)
@@ -135,7 +162,7 @@ class BoxSet:
 
     def contains(self, x: Sequence[float], tol: float = MEMBER_TOL) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
 
     def contains_box(self, other: "BoxSet", tol: float = MEMBER_TOL) -> bool:
         return bool(
@@ -155,7 +182,8 @@ class BoxSet:
         if not self.contains(x, tol):
             raise ValueError(f"{x} is not a member of the box")
         tags = []
-        for xi, lo, hi in zip(x, self.lo, self.hi):
+        # Python floats compare faster than NumPy scalars, with the same result
+        for xi, lo, hi in zip(x.tolist(), self.lo.tolist(), self.hi.tolist()):
             at_lo = xi <= lo + tol
             at_hi = xi >= hi - tol
             if at_lo and at_hi:
@@ -212,8 +240,9 @@ def normal_cone(c: BoxSet, x: Sequence[float]) -> OrthantCone:
     return c.normal_cone(x)
 
 
-def cone_ball_support(k_normal: OrthantCone, alpha: float, d: Sequence[float]) -> float:
-    """Support value over d of the radius-alpha ball intersected with the cone.
+def cone_ball_support(k_normal: OrthantCone, alpha: float, d: Sequence[float]):
+    """Support value over d (or each row of d) of the radius-alpha ball
+    intersected with the cone.
 
     Equals alpha times the distance from d to the polar cone; by Moreau's
     decomposition this is also alpha * ||projection of d onto k_normal||.
@@ -243,22 +272,19 @@ def cone_ball_support_sampled(
     rng = np.random.default_rng(seed)
 
     def feasible(z: np.ndarray) -> np.ndarray:
+        """Clamp onto the cone, then truncate into the ball (z one vector
+        or rows; a scale of alpha / alpha is exactly 1)."""
         z = k_normal.project(z)
-        norm = np.linalg.norm(z)
-        if norm > alpha:
-            z = z * (alpha / norm)
-        return z
+        return z * (alpha / np.maximum(row_norms(z), alpha))[..., None]
 
-    best = np.zeros(len(d))
-    best_val = 0.0
-    for u in rng.normal(size=(samples, len(d))):
-        z = feasible(u)
-        norm = np.linalg.norm(z)
-        if norm > 0:
-            z = z * (alpha / norm)
-        val = float(z @ d)
-        if val > best_val:
-            best, best_val = z, val
+    seeds = feasible(rng.normal(size=(samples, len(d))))
+    norms = row_norms(seeds)
+    seeds = seeds * (alpha / np.where(norms > 0, norms, alpha))[:, None]
+    vals = seeds @ d
+    best, best_val = np.zeros(len(d)), 0.0
+    i = int(np.argmax(vals))  # the first best seed
+    if vals[i] > best_val:
+        best, best_val = seeds[i], float(vals[i])
     step = alpha / (np.linalg.norm(d) + 1e-30)
     z = best
     for _ in range(polish_iters):

@@ -11,6 +11,12 @@ Numeric directional derivatives use three decreasing steps and first-order
 extrapolation.  Two successive extrapolations must agree; disagreement is
 reported as "nonsmooth-uncertain" rather than guessed through, since it
 means a kink sits inside the probe range.
+
+The kernels work on ``(m, n)`` arrays of points and directions:
+:func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
+call when the endpoints carry batched forms (expression objectives always
+do), and loop over the rows otherwise.  The one-point functions are one-row
+calls of the same kernels, so each numeric rule exists once.
 """
 
 from __future__ import annotations
@@ -20,12 +26,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import ExprAst, evaluate, parse
-from .geometry import BoxSet
-from .intervals import PLUS_INF, ExtInterval, Interval, gh_difference, interval_norm
+from .expr import parse
+from .geometry import BoxSet, row_norms
+from .intervals import PLUS_INF, ExtInterval, Interval
 from .ivectors import IVector
 
 Endpoint = Callable[[np.ndarray], float]
+#: Batched endpoint: the values at each row of an (m, n) array of points.
+RowEndpoint = Callable[[np.ndarray], np.ndarray]
 
 #: Decreasing probe steps for one-sided difference quotients.
 STEP_SCHEDULE = (1e-3, 1e-4, 1e-5)
@@ -72,8 +80,11 @@ class Ivf:
     """Interval-valued function [lower, upper] over a box domain.
 
     ``lower``/``upper`` are scalar callables; use :meth:`from_expressions`
-    to build them from expression text.  ``analytic_dir_deriv``, when
-    supplied, short-circuits the numeric directional derivative.
+    to build them from expression text.  An endpoint with a ``rows``
+    attribute (a parsed :class:`ExprAst` has one) is evaluated at every row
+    of an (m, n) array in one call; other endpoints are called once per
+    row.  ``analytic_dir_deriv``, when supplied, short-circuits the numeric
+    directional derivative.
     """
 
     dimension: int
@@ -97,12 +108,10 @@ class Ivf:
         analytic_dir_deriv=None,
     ) -> "Ivf":
         n = domain.dimension
-        lower_ast = parse(lower_source, n)
-        upper_ast = parse(upper_source, n)
         return cls(
             dimension=n,
-            lower=lambda x, _ast=lower_ast: evaluate(_ast, x),
-            upper=lambda x, _ast=upper_ast: evaluate(_ast, x),
+            lower=parse(lower_source, n),
+            upper=parse(upper_source, n),
             domain=domain,
             analytic_dir_deriv=analytic_dir_deriv,
             lower_source=lower_source,
@@ -114,6 +123,10 @@ class Ivf:
 
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> Interval:
         return dir_derivative(self, x, d)
+
+    def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays of :meth:`dir_deriv` at x along each row of dirs."""
+        return dir_derivatives(self, x, dirs)
 
 
 @dataclass(frozen=True)
@@ -149,75 +162,173 @@ class RestrictedIvf:
             return PLUS_INF
         return self.base.dir_deriv(x, d)
 
+    def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays of :meth:`dir_deriv` at x along each row of dirs;
+        both endpoints are +inf along rows that leave the feasible set."""
+        if not self.feasible.contains(x):
+            raise DomainError(f"{np.asarray(x)} is outside the feasible set")
+        dirs = np.asarray(dirs, dtype=float)
+        inside = self.feasible.tangent_cone(x).contains(dirs)
+        lo = np.full(len(dirs), np.inf)
+        hi = np.full(len(dirs), np.inf)
+        lo[inside], hi[inside] = dir_derivatives(self.base, x, dirs[inside])
+        return lo, hi
+
+
+def _per_row(g: Endpoint) -> RowEndpoint:
+    return lambda points: np.array([float(g(x)) for x in points], dtype=float)
+
+
+def _rows(g: Endpoint) -> RowEndpoint:
+    rows = getattr(g, "rows", None)
+    return rows if rows is not None else _per_row(g)
+
+
+def _row_endpoints(f: Ivf) -> tuple[RowEndpoint, RowEndpoint]:
+    return _rows(f.lower), _rows(f.upper)
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True entry, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def endpoint_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lower and upper at each row of an (m, n) array of points.
+
+    A non-finite value raises ValueError naming its point, as the
+    ``Interval`` constructor does for one point.
+    """
+    points = np.asarray(points, dtype=float)
+    lower, upper = _row_endpoints(f)
+    values = lower(points), upper(points)
+    for name, vals in zip(("lower", "upper"), values):
+        i = _first(~np.isfinite(vals))
+        if i is not None:
+            raise ValueError(f"{name}({points[i]}) = {vals[i]} is not finite")
+    return values
+
+
+def _value_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of F at each row, validating their order."""
+    lo, hi = endpoint_rows(f, points)
+    i = _first(lo > hi + ENDPOINT_ORDER_TOL)
+    if i is not None:
+        x = points[i]
+        raise ModelError(f"lower({x}) = {lo[i]} exceeds upper({x}) = {hi[i]}")
+    tied = lo > hi  # round-off at coinciding endpoints
+    mid = 0.5 * (lo + hi)
+    return np.where(tied, mid, lo), np.where(tied, mid, hi)
+
 
 def eval_ivf(f: Ivf, x: Sequence[float]) -> Interval:
     """[lower(x), upper(x)], validating domain membership and endpoint order."""
     x = np.asarray(x, dtype=float)
     if not f.domain.contains(x):
         raise DomainError(f"{x} is outside the domain box")
-    lo = float(f.lower(x))
-    hi = float(f.upper(x))
-    if lo > hi + ENDPOINT_ORDER_TOL:
-        raise ModelError(f"lower({x}) = {lo} exceeds upper({x}) = {hi}")
-    if lo > hi:  # round-off at coinciding endpoints
-        lo = hi = 0.5 * (lo + hi)
-    return Interval(lo, hi)
+    lo, hi = _value_rows(f, x[None, :])
+    return Interval(lo[0], hi[0])
 
 
-def _exit_step(domain: BoxSet, x: np.ndarray, d: np.ndarray) -> float:
-    """Largest t with x + t*d still inside the domain box (may be inf)."""
-    t_exit = np.inf
-    for xi, di, lo, hi in zip(x, d, domain.lo, domain.hi):
-        if di > 0:
-            t_exit = min(t_exit, (hi - xi) / di)
-        elif di < 0:
-            t_exit = min(t_exit, (lo - xi) / di)
-    return t_exit
+def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Per row, the largest t with x + t*d still inside the domain box (may be inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_hi = np.where(dirs > 0, (domain.hi - points) / dirs, np.inf)
+        to_lo = np.where(dirs < 0, (domain.lo - points) / dirs, np.inf)
+    return np.minimum(to_hi, to_lo).min(axis=1)
 
 
-def _richardson(qa: float, qb: float, ta: float, tb: float) -> float:
+def _richardson(qa, qb, ta, tb):
     return (ta * qb - tb * qa) / (ta - tb)
 
 
-def one_sided_derivative(
-    g: Endpoint, x: Sequence[float], d: Sequence[float], domain: BoxSet
-) -> float:
-    """Right directional derivative of a scalar function along d at x.
+def _one_sided_rows(
+    g: RowEndpoint, points: np.ndarray, dirs: np.ndarray, domain: BoxSet
+) -> np.ndarray:
+    """Right directional derivative of g at each row pair of points and dirs.
 
     Evaluates (g(x + t d) - g(x)) / t on three decreasing steps, removes the
     first-order error by extrapolation, and demands the last two
     extrapolations agree.  Steps shrink proportionally when the domain box
     is exited closer than the largest scheduled step.
     """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    t_exit = _exit_step(domain, x, d)
-    if t_exit <= 0:
+    t_exit = _exit_steps(domain, points, dirs)
+    i = _first(t_exit <= 0)
+    if i is not None:
         raise InfeasibleDirectionError(
-            "no small-t feasibility: the direction exits the domain immediately"
+            f"no small-t feasibility: the direction {dirs[i]} exits the domain "
+            f"immediately at {points[i]}"
         )
-    scale = min(1.0, 0.5 * t_exit / STEP_SCHEDULE[0])
+    ratio = 0.5 * t_exit / STEP_SCHEDULE[0]
+    scale = np.where(ratio < 1.0, ratio, 1.0)
     steps = [t * scale for t in STEP_SCHEDULE]
-    g0 = float(g(x))
-    quotients = [(float(g(x + t * d)) - g0) / t for t in steps]
+    g0 = g(points)
+    quotients = [(g(points + t[:, None] * dirs) - g0) / t for t in steps]
     e1 = _richardson(quotients[0], quotients[1], steps[0], steps[1])
     e2 = _richardson(quotients[1], quotients[2], steps[1], steps[2])
-    if abs(e1 - e2) > AGREEMENT_RTOL * max(1.0, abs(e1), abs(e2)):
+    # max(1.0, |e1|, |e2|) with Python's first-wins semantics
+    size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
+    size = np.where(np.abs(e2) > size, np.abs(e2), size)
+    i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
+    if i is not None:
         raise NonsmoothUncertainError(
-            f"nonsmooth-uncertain: extrapolations {e1} and {e2} disagree"
+            f"nonsmooth-uncertain at x={points[i]} along d={dirs[i]}: "
+            f"extrapolations {e1[i]} and {e2[i]} disagree"
+        )
+    i = _first(~np.isfinite(e2))
+    if i is not None:
+        raise ValueError(
+            f"directional derivative {e2[i]} at x={points[i]} along d={dirs[i]} "
+            "is not finite"
         )
     return e2
 
 
+def one_sided_derivative(
+    g: Endpoint, x: Sequence[float], d: Sequence[float], domain: BoxSet
+) -> float:
+    """Right directional derivative of a scalar function along d at x
+    (a one-row call of the batched difference-quotient rules)."""
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(d, dtype=float)
+    return float(_one_sided_rows(_per_row(g), x[None, :], d[None, :], domain)[0])
+
+
+def dir_derivatives(
+    f: Ivf, points: np.ndarray, dirs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interval directional derivative at each row pair of points and dirs.
+
+    ``points`` and ``dirs`` broadcast against each other, so one point with
+    (k, n) directions works.  Returns the lower and upper endpoint arrays:
+    the analytic derivative when supplied (one call per row), otherwise the
+    span of the two endpoint derivatives.
+    """
+    points, dirs = np.broadcast_arrays(
+        np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
+    )
+    if f.analytic_dir_deriv is not None:
+        values = [f.analytic_dir_deriv(x, d) for x, d in zip(points, dirs)]
+        return (
+            np.array([v.lo for v in values], dtype=float),
+            np.array([v.hi for v in values], dtype=float),
+        )
+    lower, upper = _row_endpoints(f)
+    d_lo = _one_sided_rows(lower, points, dirs, f.domain)
+    d_hi = _one_sided_rows(upper, points, dirs, f.domain)
+    # min/max(d_lo, d_hi) with Python's first-wins semantics
+    return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+
+
 def dir_derivative(f: Ivf, x: Sequence[float], d: Sequence[float]) -> Interval:
-    """Interval directional derivative: span of the endpoint derivatives."""
+    """Interval directional derivative: span of the endpoint derivatives
+    (a one-row call of :func:`dir_derivatives`)."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if f.analytic_dir_deriv is not None:
         return f.analytic_dir_deriv(x, d)
-    d_lo = one_sided_derivative(f.lower, x, d, f.domain)
-    d_hi = one_sided_derivative(f.upper, x, d, f.domain)
-    return Interval(min(d_lo, d_hi), max(d_lo, d_hi))
+    lo, hi = dir_derivatives(f, x[None, :], d[None, :])
+    return Interval(lo[0], hi[0])
 
 
 def gh_gradient(f: Ivf, x: Sequence[float]) -> IVector:
@@ -261,20 +372,28 @@ def convexity_check(
     """Sampled convexity of both endpoints; None means no violation found.
 
     Draws random (x1, x2, lambda) triples from domain x domain x [0, 1] and
-    tests the chord inequality for each endpoint function.
+    tests the chord inequality for each endpoint function; the first
+    violation in draw order (lower before upper) is returned.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x1 = rng.uniform(f.domain.lo, f.domain.hi)
-        x2 = rng.uniform(f.domain.lo, f.domain.hi)
-        lam = float(rng.uniform(0.0, 1.0))
-        mid = lam * x1 + (1 - lam) * x2
-        for name, g in (("lower", f.lower), ("upper", f.upper)):
-            chord = lam * float(g(x1)) + (1 - lam) * float(g(x2))
-            gap = float(g(mid)) - chord
-            if gap > tol:
-                return ConvexityCounterexample(x1, x2, lam, name, gap)
-    return None
+    n = f.dimension
+    lo, span = f.domain.lo, f.domain.hi - f.domain.lo
+    # one row per triple: the same stream as drawing x1, x2, lambda in turn
+    draws = np.random.default_rng(seed).random((samples, 2 * n + 1))
+    x1 = lo + span * draws[:, :n]
+    x2 = lo + span * draws[:, n : 2 * n]
+    lam = draws[:, 2 * n]
+    mid = lam[:, None] * x1 + (1 - lam)[:, None] * x2
+    values = [endpoint_rows(f, p) for p in (x1, x2, mid)]
+    gaps = np.stack(  # (samples, 2): lower, upper
+        [gm - (lam * g1 + (1 - lam) * g2) for g1, g2, gm in zip(*values)], axis=1
+    )
+    k = _first(gaps.ravel() > tol)
+    if k is None:
+        return None
+    i, j = divmod(k, 2)
+    return ConvexityCounterexample(
+        x1[i].copy(), x2[i].copy(), float(lam[i]), ("lower", "upper")[j], float(gaps[i, j])
+    )
 
 
 def restricted(f: Ivf, s: BoxSet) -> RestrictedIvf:
@@ -289,14 +408,17 @@ def lipschitz_estimate(f: Ivf, samples: int, seed: int) -> float:
 
     A lower bound on any valid Lipschitz constant of the function.
     """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        x = rng.uniform(f.domain.lo, f.domain.hi)
-        y = rng.uniform(f.domain.lo, f.domain.hi)
-        gap = float(np.linalg.norm(x - y))
-        if gap < 1e-12:
-            continue
-        diff = gh_difference(f.value(x), f.value(y))
-        best = max(best, interval_norm(diff) / gap)
-    return best
+    n = f.dimension
+    lo, span = f.domain.lo, f.domain.hi - f.domain.lo
+    # one row per pair: the same stream as drawing x, y in turn
+    draws = np.random.default_rng(seed).random((samples, 2 * n))
+    pairs = lo + span * draws.reshape(samples, 2, n)  # rows x, y
+    gaps = row_norms(pairs[:, 0] - pairs[:, 1])
+    apart = gaps >= 1e-12
+    pairs, gaps = pairs[apart], gaps[apart]
+    # evaluated in draw order x0, y0, x1, ..., so errors name the first point
+    lo_vals, hi_vals = _value_rows(f, pairs.reshape(-1, n))
+    d_lo = lo_vals[0::2] - lo_vals[1::2]
+    d_hi = hi_vals[0::2] - hi_vals[1::2]
+    ratios = np.maximum(np.abs(d_lo), np.abs(d_hi)) / gaps
+    return float(ratios.max(initial=0.0))

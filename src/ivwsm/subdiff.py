@@ -111,6 +111,26 @@ def _gh_diff_rows(
     return lo, hi
 
 
+def subgradient_margins(
+    h: np.ndarray, g: IVector, rhs_lo: np.ndarray, rhs_hi: np.ndarray
+) -> np.ndarray:
+    """Margin of the defining subgradient inequality at each probe.
+
+    ``h`` holds the probe offsets x - xbar as rows, and ``rhs_lo``/``rhs_hi``
+    the endpoints of F(x) gh- F(xbar); each margin is the smaller endpoint
+    gap to the special product of h with g.  For a degenerate g both
+    pairings are the one product ``h @ g``.
+    """
+    s1 = h @ g.los
+    if g.is_degenerate:
+        lhs_lo = lhs_hi = s1
+    else:
+        s2 = h @ g.his
+        lhs_lo = np.minimum(s1, s2)
+        lhs_hi = np.maximum(s1, s2)
+    return np.minimum(rhs_lo - lhs_lo, rhs_hi - lhs_hi)
+
+
 def is_subgradient(
     f: IvfLike,
     xbar: Sequence[float],
@@ -131,13 +151,7 @@ def is_subgradient(
         probes = probes[:, None]
     if rhs is None:
         rhs = _gh_diff_rows(f, xbar, probes)
-    rhs_lo, rhs_hi = rhs
-    h = probes - xbar
-    s1 = h @ g.los
-    s2 = h @ g.his
-    lhs_lo = np.minimum(s1, s2)
-    lhs_hi = np.maximum(s1, s2)
-    margins = np.minimum(rhs_lo - lhs_lo, rhs_hi - lhs_hi)
+    margins = subgradient_margins(probes - xbar, g, *rhs)
     worst = int(np.argmin(margins))
     margin = float(margins[worst])
     if margin >= -slack:
@@ -154,15 +168,15 @@ def is_subgradient_directional(
 ) -> MembershipResult:
     """Directional membership test: pairing with h versus the derivative."""
     xbar = np.asarray(xbar, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    deriv_lo, deriv_hi = f.dir_derivs(xbar, directions)
     worst_margin = np.inf
     worst_dir = None
-    for d in directions:
-        d = np.asarray(d, dtype=float)
-        deriv = f.dir_deriv(xbar, d)
-        if not is_finite(deriv):
+    for d, lo, hi in zip(directions, deriv_lo, deriv_hi):
+        if lo == np.inf:
             continue  # infinite right-hand side holds automatically
         lhs = special_product(d, g)
-        margin = min(deriv.lo - lhs.lo, deriv.hi - lhs.hi)
+        margin = min(lo - lhs.lo, hi - lhs.hi)
         if margin < worst_margin:
             worst_margin = margin
             worst_dir = d

@@ -15,30 +15,35 @@ set, so agreement between them tests the underlying identities rather
 than sampling luck.
 
 Every verdict is a verdict *on the sampled grid*; reports carry sample
-counts and the effective grid density.
+counts and the effective grid density.  The checkers work on arrays: one
+batched derivative call per candidate point (one in total for the
+projection rays), with witnesses taken from the first worst row in the
+grid-then-direction order, so the reports equal a pair-by-pair scan.  A NaN
+margin is never skipped: it is reported as the worst margin and fails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .geometry import BoxSet, cone_ball_support, dist_to_cone
-from .intervals import is_finite
+from .geometry import BoxSet, cone_ball_support, dist_to_cone, row_norms
 from .ivectors import IVector
 from .ivf import (
     ENDPOINT_ORDER_TOL,
     Ivf,
     ModelError,
-    RestrictedIvf,
     convexity_check,
+    dir_derivatives,
+    endpoint_rows,
     lipschitz_estimate,
     restricted,
 )
-from .subdiff import is_subgradient, subdiff_support
+from .subdiff import subgradient_margins
 from .support import default_directions
 
 #: Margin at or above -MARGIN_TOL counts as "holds".
@@ -80,6 +85,14 @@ class WsmProblem:
             self._ctx = _Context(self)
         return self._ctx
 
+    def with_alpha(self, alpha: float) -> "WsmProblem":
+        """The same problem at another modulus, sharing this problem's
+        context (grid, directions, endpoint values and guards do not depend
+        on alpha)."""
+        if not alpha > 0:
+            raise GuardError("alpha must be positive")
+        return dataclasses.replace(self, alpha=alpha, _ctx=self.context())
+
 
 @dataclass(frozen=True)
 class WsmReport:
@@ -119,10 +132,8 @@ class _Context:
         self.sbar_grid = p.sbar.grid(k)
         self.dirs = default_directions(p.f.dimension, p.seed, p.n_dirs)
         self.f_o = restricted(p.f, p.s)
-        self.flo_s = np.array([p.f.lower(x) for x in self.s_grid])
-        self.fhi_s = np.array([p.f.upper(x) for x in self.s_grid])
-        self.flo_sbar = np.array([p.f.lower(x) for x in self.sbar_grid])
-        self.fhi_sbar = np.array([p.f.upper(x) for x in self.sbar_grid])
+        self.flo_s, self.fhi_s = endpoint_rows(p.f, self.s_grid)
+        self.flo_sbar, self.fhi_sbar = endpoint_rows(p.f, self.sbar_grid)
         for lo_vals, hi_vals, grid_pts in (
             (self.flo_s, self.fhi_s, self.s_grid),
             (self.flo_sbar, self.fhi_sbar, self.sbar_grid),
@@ -159,16 +170,26 @@ class _Context:
 
 
 class _Worst:
-    """Deterministic running minimum with its witness."""
+    """Deterministic running minimum with its witness; the first NaN margin
+    wins over every number, so it is reported rather than skipped."""
 
     def __init__(self):
         self.margin = math.inf
         self.witness = None
 
     def update(self, margin: float, a: np.ndarray, b: np.ndarray):
-        if margin < self.margin:
+        if margin < self.margin or (math.isnan(margin) and not math.isnan(self.margin)):
             self.margin = margin
             self.witness = (np.array(a, dtype=float), np.array(b, dtype=float))
+
+    def update_rows(self, margins: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """Update with the first smallest (or first NaN) of a batch of
+        margins.  ``b`` holds one witness row per margin; so does ``a``,
+        unless it is one point shared by the whole batch."""
+        if len(margins) == 0:
+            return
+        i = int(np.argmin(margins))  # the first minimum, or the first NaN
+        self.update(float(margins[i]), a if a.ndim == 1 else a[i], b[i])
 
 
 def check_definition(p: WsmProblem) -> WsmReport:
@@ -203,16 +224,11 @@ def check_primal(p: WsmProblem) -> WsmReport:
     """
     ctx = p.context()
     worst = _Worst()
-    samples = 0
     for xbar in ctx.sbar_grid:
-        t_sbar = p.sbar.tangent_cone(xbar)
-        for d in ctx.dirs:
-            samples += 1
-            deriv = ctx.f_o.dir_deriv(xbar, d)
-            if not is_finite(deriv):
-                continue
-            lhs = p.alpha * dist_to_cone(d, t_sbar)
-            worst.update(deriv.lo - lhs, xbar, d)
+        lhs = p.alpha * dist_to_cone(ctx.dirs, p.sbar.tangent_cone(xbar))
+        deriv_lo, _ = ctx.f_o.dir_derivs(xbar, ctx.dirs)
+        worst.update_rows(deriv_lo - lhs, xbar, ctx.dirs)
+    samples = len(ctx.sbar_grid) * len(ctx.dirs)
     return ctx.report("primal", worst.margin, worst.witness, ("x", "d"), samples)
 
 
@@ -221,11 +237,10 @@ def _cone_ball_points(cone, alpha: float, pool: np.ndarray) -> list[np.ndarray]:
     clamped pool directions, and the origin."""
     points = [np.zeros(cone.dimension)]
     points.extend(alpha * r for r in cone.extreme_rays())
-    for u in pool:
-        z = cone.project(u)
-        norm = np.linalg.norm(z)
-        if norm > 1e-9:
-            points.append(alpha * z / norm)
+    z = cone.project(pool)
+    norms = row_norms(z)
+    keep = norms > 1e-9
+    points.extend(alpha * z[keep] / norms[keep, None])
     return points
 
 
@@ -245,25 +260,19 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     pool = ctx.dirs[: 2 * p.f.dimension + 16]
     for b, xbar in enumerate(ctx.sbar_grid):
         n_cone = p.sbar.normal_cone(xbar)
-        oracle = subdiff_support(ctx.f_o, xbar)
-        for d in ctx.dirs:
-            samples += 1
-            rhs = oracle.support(d)
-            if not is_finite(rhs):
-                continue
-            lhs = cone_ball_support(n_cone, p.alpha, d)
-            worst.update(rhs.lo - lhs, xbar, d)
+        rhs_lo, _ = ctx.f_o.dir_derivs(xbar, ctx.dirs)
+        lhs = cone_ball_support(n_cone, p.alpha, ctx.dirs)
+        worst.update_rows(rhs_lo - lhs, xbar, ctx.dirs)
+        samples += len(ctx.dirs)
         base_lo = ctx.flo_sbar[b]
         base_hi = ctx.fhi_sbar[b]
         diff_lo = np.minimum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
         diff_hi = np.maximum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
+        h = ctx.s_grid - xbar
         for z in _cone_ball_points(n_cone, p.alpha, pool):
             samples += 1
-            res = is_subgradient(
-                ctx.f_o, xbar, IVector.degenerate(z), ctx.s_grid,
-                rhs=(diff_lo, diff_hi),
-            )
-            worst.update(res.margin, xbar, z)
+            margins = subgradient_margins(h, IVector.degenerate(z), diff_lo, diff_hi)
+            worst.update(float(margins.min()), xbar, z)
     return ctx.report("dual-b", worst.margin, worst.witness, ("x", "d_or_z"), samples)
 
 
@@ -278,22 +287,18 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
     ctx = p.context()
     worst = _Worst()
     samples = 0
-    pool = ctx.dirs
     for xbar in ctx.sbar_grid:
         cone = p.s.tangent_cone(xbar).intersect(p.sbar.normal_cone(xbar))
         if cone.is_zero_cone:
             samples += 1
             continue
-        seen = cone.extreme_rays()
-        for u in pool:
-            z = cone.project(u)
-            norm = np.linalg.norm(z)
-            if norm > 1e-9:
-                seen.append(z / norm)
-        for d in seen:
-            samples += 1
-            deriv = p.f.dir_deriv(xbar, d)
-            worst.update(deriv.lo - p.alpha * float(np.linalg.norm(d)), xbar, d)
+        z = cone.project(ctx.dirs)
+        norms = row_norms(z)
+        keep = norms > 1e-9
+        dirs = np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
+        samples += len(dirs)
+        deriv_lo, _ = p.f.dir_derivs(xbar, dirs)
+        worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), xbar, dirs)
     return ctx.report("dual-e", worst.margin, worst.witness, ("x", "d"), samples)
 
 
@@ -303,15 +308,13 @@ def check_dual_f(p: WsmProblem) -> WsmReport:
     dominated by the directional derivative at q along y - q."""
     ctx = p.context()
     worst = _Worst()
-    samples = 0
-    for y in ctx.s_grid:
-        samples += 1
-        q = p.sbar.project(y)
-        gap = float(np.linalg.norm(y - q))
-        if gap <= 1e-12:
-            continue
-        deriv = p.f.dir_deriv(q, y - q)
-        worst.update(deriv.lo - p.alpha * gap, y, q)
+    q = p.sbar.project(ctx.s_grid)
+    rays = ctx.s_grid - q
+    gaps = row_norms(rays)
+    far = gaps > 1e-12
+    deriv_lo, _ = dir_derivatives(p.f, q[far], rays[far])
+    worst.update_rows(deriv_lo - p.alpha * gaps[far], ctx.s_grid[far], q[far])
+    samples = len(ctx.s_grid)
     return ctx.report("dual-f", worst.margin, worst.witness, ("y", "p"), samples)
 
 

@@ -1,7 +1,11 @@
 """Problem files, CLI subcommands, exit codes, and report determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ivwsm.cli
 
 from ivwsm import ProblemFileError, build_problem, load_problem_file
 from ivwsm.cli import main
@@ -183,6 +187,49 @@ class TestModulusCommand:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["modulus", "/nonexistent/problem.txt"]) == 2
+
+    def test_probe_reuses_the_built_problem(self, vee_file, capsys, monkeypatch):
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(kwargs)
+            return build_problem(*args, **kwargs)
+
+        monkeypatch.setattr(ivwsm.cli, "build_problem", counting_build)
+        assert main(["modulus", vee_file()]) == 0
+        assert len(calls) == 1
+        assert "fails just above the estimate (alpha=0.251634589): xbar=(0) x=(-1)" in (
+            capsys.readouterr().out
+        )
+
+
+REGRESSIONS = Path(__file__).parent / "regressions"
+
+
+class TestUnevaluableObjectives:
+    """Objectives that cannot be evaluated or differentiated at a grid point
+    end in exit 2 with the point named, never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("division_by_zero.txt", "division by zero at x=[0.]"),
+            ("power_overflow.txt", "'^400' overflows at x=[-1.]"),
+            ("kink_in_probe_range.txt", "nonsmooth-uncertain at x=[0.] along d=[1.]"),
+            ("nonfinite_in_domain.txt", "lower([-9.66944729]) = inf is not finite"),
+        ],
+    )
+    def test_check_exits_two_naming_the_point(self, name, message, capsys):
+        assert main(["check", str(REGRESSIONS / name), "--mode", "all"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "name", ["division_by_zero.txt", "power_overflow.txt", "nonfinite_in_domain.txt"]
+    )
+    def test_modulus_exits_two(self, name, capsys):
+        assert main(["modulus", str(REGRESSIONS / name)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSubdiffCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivwsm import EvalError, ParseError, evaluate, parse, to_source
 from ivwsm.expr import Abs, Bin, Const, ExprAst, MinMax, Neg, Pow, Var
@@ -125,6 +127,83 @@ def random_ast(rng: np.random.Generator, dimension: int, depth: int):
         return MinMax(str(op), tuple(child() for _ in range(count)))
     op = str(rng.choice(["+", "-", "*", "/"]))
     return Bin(op, child(), child())
+
+
+def eval_node_reference(node, point) -> float:
+    """Reference oracle: the scalar tree-walking interpreter, one Python
+    float operation per node."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return float(point[node.index - 1])
+    if isinstance(node, Neg):
+        return -eval_node_reference(node.operand, point)
+    if isinstance(node, Abs):
+        return abs(eval_node_reference(node.operand, point))
+    if isinstance(node, Pow):
+        return eval_node_reference(node.base, point) ** node.exponent
+    if isinstance(node, MinMax):
+        values = [eval_node_reference(a, point) for a in node.args]
+        return min(values) if node.op == "min" else max(values)
+    left = eval_node_reference(node.left, point)
+    right = eval_node_reference(node.right, point)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if right == 0.0:
+        raise EvalError("division by zero")
+    return left / right
+
+
+def same_bits(a, b) -> bool:
+    """Equal float arrays bit for bit, counting any two NaNs as equal."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+    )
+
+
+class TestCompiledRows:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+    def test_rows_match_the_reference_bit_for_bit(self, seed, count):
+        rng = np.random.default_rng(seed)
+        dimension = int(rng.integers(1, 4))
+        ast = ExprAst(random_ast(rng, dimension, int(rng.integers(1, 5))), dimension)
+        points = rng.uniform(-3, 3, size=(count, dimension))
+        points *= 10.0 ** rng.integers(-3, 4, size=(count, 1))
+        # exact zeros and repeated values reach zero denominators and min/max ties
+        points[rng.random(points.shape) < 0.2] = 0.0
+        points[rng.random(points.shape) < 0.1] = -0.0
+        expected, errors = [], set()
+        for x in points:
+            try:
+                expected.append(eval_node_reference(ast.root, x))
+            except (EvalError, OverflowError) as exc:
+                errors.add(type(exc))
+        if errors:
+            with pytest.raises(tuple(errors)):
+                ast.rows(points)
+            return
+        assert same_bits(ast.rows(points), expected)
+        assert same_bits([evaluate(ast, x) for x in points], expected)
+
+    def test_errors_name_the_offending_point(self):
+        with pytest.raises(EvalError, match=r"division by zero at x=\[0\.\]"):
+            parse("1 / x1", 1).rows(np.array([[2.0], [0.0]]))
+        with pytest.raises(OverflowError, match=r"overflows at x=\[-1\.\]"):
+            parse("(10*x1)^400", 1).rows(np.array([[0.5], [-1.0]]))
+
+    def test_infinite_base_does_not_overflow(self):
+        # Python's inf ** 2 is inf without an error; so is the compiled form
+        assert evaluate(parse("(x1*1e308*10)^2", 1), [1.0]) == np.inf
 
 
 class TestRoundTrip:

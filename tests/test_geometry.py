@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ivwsm import BoxSet, OrthantCone, Tag, cone_ball_support, cone_ball_support_sampled
 from ivwsm import dist, dist_to_cone, normal_cone, project, tangent_cone
+from ivwsm.geometry import MEMBER_TOL, row_norms
 
 from conftest import cube, point_box
 
@@ -115,6 +116,57 @@ class TestConeOps:
         b = OrthantCone((Tag.NONNEG, Tag.NONNEG, Tag.NONNEG))
         assert a.intersect(b).tags == (Tag.NONNEG, Tag.ZERO, Tag.NONNEG)
         assert OrthantCone((Tag.ZERO,)).is_zero_cone
+
+
+def project_reference(cone, d):
+    """Reference oracle: the per-axis clamp, one axis at a time."""
+    out = [float(v) for v in d]
+    for i, tag in enumerate(cone.tags):
+        if tag is Tag.NONNEG:
+            out[i] = max(out[i], 0.0)
+        elif tag is Tag.NONPOS:
+            out[i] = min(out[i], 0.0)
+        elif tag is Tag.ZERO:
+            out[i] = 0.0
+    return np.array(out)
+
+
+def contains_reference(cone, d, tol=MEMBER_TOL):
+    """Reference oracle: per-axis membership, one axis at a time."""
+    for v, tag in zip(d, cone.tags):
+        if tag is Tag.NONNEG and v < -tol:
+            return False
+        if tag is Tag.NONPOS and v > tol:
+            return False
+        if tag is Tag.ZERO and abs(v) > tol:
+            return False
+    return True
+
+
+class TestConeRows:
+    """The row and one-vector forms equal the per-axis rules bit for bit."""
+
+    @given(cone=cones, seed=st.integers(0, 2**32 - 1))
+    def test_rows_and_vectors_match_the_per_axis_rules(self, cone, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(12, cone.dimension)) * 10.0 ** rng.integers(-3, 3, (12, 1))
+        rows[rng.random(rows.shape) < 0.2] = -0.0
+        rows[rng.random(rows.shape) < 0.1] = 1e-13  # inside the membership slack
+        projected = cone.project(rows)
+        distances = dist_to_cone(rows, cone)
+        inside = cone.contains(rows)
+        for i, d in enumerate(rows):
+            expected = project_reference(cone, d)
+            assert projected[i].tobytes() == cone.project(d).tobytes() == expected.tobytes()
+            dist_d = dist_to_cone(d, cone)
+            assert type(dist_d) is float
+            assert distances[i] == dist_d == np.linalg.norm(d - expected)
+            assert inside[i] == cone.contains(d) is contains_reference(cone, d)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_row_norms_match_linalg_norm_per_vector(self, n):
+        rows = np.random.default_rng(n).normal(size=(500, n))
+        assert [float(v) for v in row_norms(rows)] == [np.linalg.norm(r) for r in rows]
 
 
 class TestDistanceFormula:

@@ -18,6 +18,7 @@ from ivwsm import (
     is_subgradient,
     restricted,
 )
+from ivwsm.wsm import _Worst
 
 from conftest import cube, l1_ivf, make_ivf, point_box, vee_ivf, wsm_battery
 
@@ -259,3 +260,47 @@ class TestReportShape:
         report = check_definition(p)
         assert report.grid_per_axis == 14  # 14^4 = 38416 <= 40000 < 33^4
         assert any("reduced" in note for note in report.notes)
+
+
+class TestNanMargins:
+    def test_a_nan_margin_is_kept_as_the_worst(self):
+        worst = _Worst()
+        worst.update(0.5, [0.0], [1.0])
+        worst.update(float("nan"), [0.0], [2.0])
+        worst.update(-3.0, [0.0], [3.0])
+        assert np.isnan(worst.margin)
+        assert list(worst.witness[1]) == [2.0]
+
+    def test_batches_report_their_first_nan(self):
+        worst = _Worst()
+        dirs = np.array([[1.0], [2.0], [3.0], [4.0]])
+        worst.update_rows(np.array([0.2, np.nan, -1.0, np.nan]), np.array([0.0]), dirs)
+        assert np.isnan(worst.margin)
+        assert list(worst.witness[1]) == [2.0]
+
+    def test_batches_keep_the_first_minimum(self):
+        worst = _Worst()
+        worst.update_rows(np.array([0.2, -1.0, -1.0]), np.zeros((3, 1)), np.arange(3.0)[:, None])
+        worst.update_rows(np.array([-1.0]), np.zeros(1), np.array([[9.0]]))
+        assert worst.margin == -1.0 and list(worst.witness[1]) == [1.0]
+
+    def test_a_nan_margin_fails(self):
+        report = vee_problem(0.2, grid=9).context().report(
+            "primal", float("nan"), None, ("x", "d"), 1
+        )
+        assert report.verdict == "fails"
+
+
+class TestWithAlpha:
+    def test_shares_the_context_and_matches_a_fresh_problem(self):
+        p = vee_problem(0.2, grid=17)
+        probe = p.with_alpha(0.3)
+        assert probe.context() is p.context()
+        fresh = check_definition(vee_problem(0.3, grid=17))
+        reused = check_definition(probe)
+        assert (reused.worst_margin, reused.verdict) == (fresh.worst_margin, fresh.verdict)
+        assert [list(w) for w in reused.witness] == [list(w) for w in fresh.witness]
+
+    def test_rejects_a_nonpositive_modulus(self):
+        with pytest.raises(GuardError):
+            vee_problem(0.2, grid=9).with_alpha(0.0)
