@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .intervals import Interval, add, gh_difference, interval_norm, minkowski_sub
+from .intervals import Interval, add, gh_difference, minkowski_sub
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -127,11 +127,3 @@ def special_product(x: Sequence[float], a: IVector) -> Interval:
 def vnorm(a: IVector) -> float:
     """Sum of component norms: zero exactly for the all-zero vector."""
     return float(np.maximum(np.abs(a.los), np.abs(a.his)).sum())
-
-
-def ivector_norm_distance(a: IVector, b: IVector) -> float:
-    """Norm of the componentwise gH difference (a metric on interval vectors)."""
-    return sum(
-        interval_norm(gh_difference(a.component(i), b.component(i)))
-        for i in range(len(a))
-    )

@@ -16,7 +16,10 @@ The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
 call when the endpoints carry batched forms (expression objectives always
 do), and loop over the rows otherwise.  The one-point functions are one-row
-calls of the same kernels, so each numeric rule exists once.
+calls of the same kernels, so each numeric rule exists once.  A derivative
+call takes at most :data:`ROW_BLOCK` rows at a time, and
+:func:`point_block_derivatives` groups (point, directions) pairs into blocks
+of that size, so the temporary arrays of one call stay bounded.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ AGREEMENT_RTOL = 1e-4
 GRAD_MATCH_RTOL = 1e-5
 #: Slack allowed between lower(x) and upper(x) before declaring a model error.
 ENDPOINT_ORDER_TOL = 1e-9
+#: Most (point, direction) rows one batched derivative kernel call takes;
+#: longer calls run block by block.
+ROW_BLOCK = 2048
 
 
 class DomainError(ValueError):
@@ -162,17 +168,33 @@ class RestrictedIvf:
             return PLUS_INF
         return self.base.dir_deriv(x, d)
 
-    def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def dir_derivs(self, x: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays of :meth:`dir_deriv` at x along each row of dirs;
-        both endpoints are +inf along rows that leave the feasible set."""
-        if not self.feasible.contains(x):
-            raise DomainError(f"{np.asarray(x)} is outside the feasible set")
+        both endpoints are +inf along rows that leave the feasible set.
+
+        For an (m, n) array of points the arrays are (m, k): one row per
+        point, one column per direction, computed in blocks of points
+        (:func:`point_block_derivatives`) and equal to the one-point calls.
+        """
+        x = np.asarray(x, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
-        inside = self.feasible.tangent_cone(x).contains(dirs)
-        lo = np.full(len(dirs), np.inf)
-        hi = np.full(len(dirs), np.inf)
-        lo[inside], hi[inside] = dir_derivatives(self.base, x, dirs[inside])
-        return lo, hi
+        points = np.atleast_2d(x)
+        for p in points:
+            if not self.feasible.contains(p):
+                raise DomainError(f"{p} is outside the feasible set")
+        inside = np.array([self.feasible.tangent_cone(p).contains(dirs) for p in points])
+        blocks = point_block_derivatives(
+            self.base, ((p, dirs[mask]) for p, mask in zip(points, inside))
+        )
+        lo = np.full(inside.shape, np.inf)
+        hi = np.full(inside.shape, np.inf)
+        start = 0
+        for count, _, _, d_lo, d_hi in blocks:
+            rows = slice(start, start + count)
+            # boolean assignment fills row-major: point, then direction
+            lo[rows][inside[rows]], hi[rows][inside[rows]] = d_lo, d_hi
+            start += count
+        return (lo[0], hi[0]) if x.ndim == 1 else (lo, hi)
 
 
 def _per_row(g: Endpoint) -> RowEndpoint:
@@ -302,11 +324,19 @@ def dir_derivatives(
     ``points`` and ``dirs`` broadcast against each other, so one point with
     (k, n) directions works.  Returns the lower and upper endpoint arrays:
     the analytic derivative when supplied (one call per row), otherwise the
-    span of the two endpoint derivatives.
+    span of the two endpoint derivatives.  More than :data:`ROW_BLOCK` rows
+    run block by block, so an error names the first failing row of the
+    first block that has one.
     """
     points, dirs = np.broadcast_arrays(
         np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
     )
+    if len(points) > ROW_BLOCK:
+        parts = [
+            dir_derivatives(f, points[i : i + ROW_BLOCK], dirs[i : i + ROW_BLOCK])
+            for i in range(0, len(points), ROW_BLOCK)
+        ]
+        return tuple(np.concatenate(ends) for ends in zip(*parts))
     if f.analytic_dir_deriv is not None:
         values = [f.analytic_dir_deriv(x, d) for x, d in zip(points, dirs)]
         return (
@@ -318,6 +348,40 @@ def dir_derivatives(
     d_hi = _one_sided_rows(upper, points, dirs, f.domain)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+
+
+def point_block_derivatives(f: Ivf, pairs):
+    """Directional derivatives at each point along its own direction rows.
+
+    ``pairs`` yields ``(x, dirs)`` with x one point and dirs a (k, n) array.
+    Consecutive pairs are grouped into blocks of at most :data:`ROW_BLOCK`
+    rows (a longer direction set is a block of its own); per block this
+    yields the number of pairs in it, the stacked point rows, the direction
+    rows and the lower and upper derivative arrays, in point-then-direction
+    order.  A block that raises is redone one point at a time, so the error
+    is the one the first failing point raises on its own.
+    """
+    block, rows = [], 0
+    for x, dirs in pairs:
+        if block and rows + len(dirs) > ROW_BLOCK:
+            yield _block_derivatives(f, block)
+            block, rows = [], 0
+        block.append((x, dirs))
+        rows += len(dirs)
+    if block:
+        yield _block_derivatives(f, block)
+
+
+def _block_derivatives(f: Ivf, block: list) -> tuple:
+    points = np.repeat([x for x, _ in block], [len(d) for _, d in block], axis=0)
+    dirs = np.concatenate([d for _, d in block])
+    try:
+        lo, hi = dir_derivatives(f, points, dirs)
+    except Exception:
+        for x, d in block:
+            dir_derivatives(f, x, d)
+        raise
+    return len(block), points, dirs, lo, hi
 
 
 def dir_derivative(f: Ivf, x: Sequence[float], d: Sequence[float]) -> Interval:

@@ -15,11 +15,13 @@ set, so agreement between them tests the underlying identities rather
 than sampling luck.
 
 Every verdict is a verdict *on the sampled grid*; reports carry sample
-counts and the effective grid density.  The checkers work on arrays: one
-batched derivative call per candidate point (one in total for the
-projection rays), with witnesses taken from the first worst row in the
-grid-then-direction order, so the reports equal a pair-by-pair scan.  A NaN
-margin is never skipped: it is reported as the worst margin and fails.
+counts and the effective grid density.  The checkers work on arrays, with
+witnesses taken from the first worst row in the grid-then-direction order,
+so the reports equal a pair-by-pair scan.  The primal and dual-b checkers
+share one table of restricted directional derivatives, built on first use;
+dual-e takes its derivatives in blocks of candidate points, dual-f in one
+call.  A NaN margin is never skipped: it is reported as the worst margin
+and fails.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,6 +44,7 @@ from .ivf import (
     dir_derivatives,
     endpoint_rows,
     lipschitz_estimate,
+    point_block_derivatives,
     restricted,
 )
 from .subdiff import subgradient_margins
@@ -131,7 +135,6 @@ class _Context:
         self.s_grid = p.s.grid(k)
         self.sbar_grid = p.sbar.grid(k)
         self.dirs = default_directions(p.f.dimension, p.seed, p.n_dirs)
-        self.f_o = restricted(p.f, p.s)
         self.flo_s, self.fhi_s = endpoint_rows(p.f, self.s_grid)
         self.flo_sbar, self.fhi_sbar = endpoint_rows(p.f, self.sbar_grid)
         for lo_vals, hi_vals, grid_pts in (
@@ -152,7 +155,23 @@ class _Context:
                 f"at lambda={counter.lam:.3g}); checker equivalences are not "
                 "guaranteed and verdicts are grid-sampled evidence only"
             )
+        spread = max(np.ptp(self.flo_sbar), np.ptp(self.fhi_sbar))
+        if spread > p.margin_tol:
+            notes.append(
+                "F is not constant on the sampled Sbar grid (endpoint spread "
+                f"{spread:.3g}); the dual characterizations assume Sbar is a set "
+                "of minima on which F is constant, so checker equivalences are "
+                "not guaranteed"
+            )
         self.notes = tuple(notes)
+
+    @cached_property
+    def deriv_lo(self) -> np.ndarray:
+        """Lower endpoint of the restricted directional derivative, one row
+        per candidate grid point and one column per direction; +inf where
+        the direction leaves S.  Built on first use (primal, dual-b)."""
+        p = self.problem
+        return restricted(p.f, p.s).dir_derivs(self.sbar_grid, self.dirs)[0]
 
     def report(self, checker, margin, witness, labels, samples) -> WsmReport:
         tol = self.problem.margin_tol
@@ -221,27 +240,33 @@ def check_primal(p: WsmProblem) -> WsmReport:
     of the direction to the candidate set's tangent cone must be dominated
     by the directional derivative of the restriction; directions leaving
     the feasible set give an infinite derivative and pass automatically.
+    The derivatives come from the context's shared table.
     """
     ctx = p.context()
     worst = _Worst()
-    for xbar in ctx.sbar_grid:
+    for i, xbar in enumerate(ctx.sbar_grid):
         lhs = p.alpha * dist_to_cone(ctx.dirs, p.sbar.tangent_cone(xbar))
-        deriv_lo, _ = ctx.f_o.dir_derivs(xbar, ctx.dirs)
-        worst.update_rows(deriv_lo - lhs, xbar, ctx.dirs)
+        worst.update_rows(ctx.deriv_lo[i] - lhs, xbar, ctx.dirs)
     samples = len(ctx.sbar_grid) * len(ctx.dirs)
     return ctx.report("primal", worst.margin, worst.witness, ("x", "d"), samples)
 
 
-def _cone_ball_points(cone, alpha: float, pool: np.ndarray) -> list[np.ndarray]:
-    """Radius-alpha members of the cone-ball intersection: the extreme rays,
-    clamped pool directions, and the origin."""
-    points = [np.zeros(cone.dimension)]
-    points.extend(alpha * r for r in cone.extreme_rays())
+def _cone_ball_points(cone, alpha: float, pool: np.ndarray) -> np.ndarray:
+    """Radius-alpha members of the cone-ball intersection, as rows: the
+    origin, the extreme rays and the clamped pool directions."""
     z = cone.project(pool)
     norms = row_norms(z)
     keep = norms > 1e-9
-    points.extend(alpha * z[keep] / norms[keep, None])
-    return points
+    rays = [alpha * r for r in cone.extreme_rays()]
+    return np.vstack([np.zeros(cone.dimension), *rays, alpha * z[keep] / norms[keep, None]])
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row (byte for byte
+    equal, so 0.0 and -0.0 differ), in order."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
@@ -250,9 +275,12 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     Support route: the support value of the alpha-ball/normal-cone
     intersection (closed form through the tangent-cone distance) must be
     dominated by the support value of the subgradient set of the
-    restriction, which is its directional derivative.  Point route: sampled
-    members of the intersection, embedded as degenerate interval vectors,
-    must pass the defining subgradient test against the feasible grid.
+    restriction, which is its directional derivative (a row of the
+    context's shared table).  Point route: sampled members of the
+    intersection, embedded as degenerate interval vectors, must pass the
+    defining subgradient test against the feasible grid.  Repeated members
+    are counted as samples but tested once: equal rows give equal margins,
+    and the running minimum keeps the first occurrence as the witness.
     """
     ctx = p.context()
     worst = _Worst()
@@ -260,17 +288,17 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     pool = ctx.dirs[: 2 * p.f.dimension + 16]
     for b, xbar in enumerate(ctx.sbar_grid):
         n_cone = p.sbar.normal_cone(xbar)
-        rhs_lo, _ = ctx.f_o.dir_derivs(xbar, ctx.dirs)
         lhs = cone_ball_support(n_cone, p.alpha, ctx.dirs)
-        worst.update_rows(rhs_lo - lhs, xbar, ctx.dirs)
+        worst.update_rows(ctx.deriv_lo[b] - lhs, xbar, ctx.dirs)
         samples += len(ctx.dirs)
         base_lo = ctx.flo_sbar[b]
         base_hi = ctx.fhi_sbar[b]
         diff_lo = np.minimum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
         diff_hi = np.maximum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
         h = ctx.s_grid - xbar
-        for z in _cone_ball_points(n_cone, p.alpha, pool):
-            samples += 1
+        members = _cone_ball_points(n_cone, p.alpha, pool)
+        samples += len(members)
+        for z in members[_first_occurrences(members)]:
             margins = subgradient_margins(h, IVector.degenerate(z), diff_lo, diff_hi)
             worst.update(float(margins.min()), xbar, z)
     return ctx.report("dual-b", worst.margin, worst.witness, ("x", "d_or_z"), samples)
@@ -282,23 +310,26 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
     Over each candidate point, directions are sampled from the closed-form
     intersection of the two cones; the degenerate interval
     alpha*||d|| must be dominated by the directional derivative.  An
-    origin-only intersection is a vacuous pass at that point.
+    origin-only intersection is a vacuous pass at that point.  The
+    derivatives are taken in blocks of candidate points.
     """
     ctx = p.context()
     worst = _Worst()
-    samples = 0
-    for xbar in ctx.sbar_grid:
-        cone = p.s.tangent_cone(xbar).intersect(p.sbar.normal_cone(xbar))
-        if cone.is_zero_cone:
-            samples += 1
-            continue
+    cones = [p.s.tangent_cone(x).intersect(p.sbar.normal_cone(x)) for x in ctx.sbar_grid]
+    samples = sum(cone.is_zero_cone for cone in cones)
+
+    def unit_dirs(cone):
         z = cone.project(ctx.dirs)
         norms = row_norms(z)
         keep = norms > 1e-9
-        dirs = np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
+        return np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
+
+    pairs = (
+        (x, unit_dirs(cone)) for x, cone in zip(ctx.sbar_grid, cones) if not cone.is_zero_cone
+    )
+    for _, points, dirs, deriv_lo, _ in point_block_derivatives(p.f, pairs):
         samples += len(dirs)
-        deriv_lo, _ = p.f.dir_derivs(xbar, dirs)
-        worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), xbar, dirs)
+        worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), points, dirs)
     return ctx.report("dual-e", worst.margin, worst.witness, ("x", "d"), samples)
 
 

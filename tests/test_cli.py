@@ -263,3 +263,42 @@ class TestSubdiffCommand:
 
     def test_point_outside_domain_exits_two(self, vee_file, capsys):
         assert main(["subdiff", vee_file(), "--at", "3.0"]) == 2
+
+
+L1_SEGMENT = """\
+dimension: 2
+lower: abs(x1) + abs(x2)
+upper: 2*abs(x1) + 2*abs(x2)
+domain: -2 2 -2 2
+S: -1 1 -1 1
+Sbar: 0 0 -0.5 0.5
+alpha: 0.8
+seed: 7
+"""
+
+
+class TestConstantOnSbarGuard:
+    def test_non_constant_objective_is_noted_and_data_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "l1seg.txt"
+        path.write_text(L1_SEGMENT)
+        code = main(["check", str(path), "--mode", "all"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        notes = [line for line in out if line.startswith("NOTE:")]
+        assert notes == [
+            "NOTE: F is not constant on the sampled Sbar grid (endpoint spread 1); the "
+            "dual characterizations assume Sbar is a set of minima on which F is "
+            "constant, so checker equivalences are not guaranteed"
+        ]
+        assert [line for line in out if line.startswith("#DATA")] == [
+            "#DATA checker=definition verdict=fails margin=-1 witness=0,-0.5;0,0 samples=35937",
+            "#DATA checker=primal verdict=fails margin=-2 witness=0,-0.5;0,1 samples=4356",
+            "#DATA checker=dual-b verdict=fails margin=-2 witness=0,-0.5;0,1 samples=5053",
+            "#DATA checker=dual-e verdict=holds margin=0.2 witness=0,-0.5;1,0 samples=4360",
+            "#DATA checker=dual-f verdict=holds margin=0.0125 witness=-0.0625,-0.5;0,-0.5 "
+            "samples=1089",
+        ]
+
+    def test_constant_objective_has_no_note(self, poly_file, capsys):
+        main(["check", poly_file(), "--mode", "all"])
+        assert not any("not constant" in line for line in capsys.readouterr().out.splitlines())

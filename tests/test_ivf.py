@@ -2,6 +2,7 @@
 estimation of interval-valued objectives."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from ivwsm import dir_derivatives, lipschitz_estimate, restricted, scalar_mul, s
 from ivwsm import PLUS_INF, EvalError, ExprAst, add, inf_family, interval_norm, sup_family
 from ivwsm import to_source
 from ivwsm.intervals import is_finite
+from ivwsm import ivf as ivf_module
 from ivwsm.ivf import (
     AGREEMENT_RTOL,
+    ROW_BLOCK,
     STEP_SCHEDULE,
     DomainError,
     InfeasibleDirectionError,
@@ -23,6 +26,7 @@ from ivwsm.ivf import (
     NonsmoothUncertainError,
     NotGHDifferentiableError,
     endpoint_rows,
+    point_block_derivatives,
 )
 
 from conftest import cube, l1_ivf, make_ivf, quad_ivf, random_convex_ivf, vee_ivf
@@ -394,3 +398,90 @@ class TestLipschitzAgainstSubgradientBound:
                 checked += 1
             assert checked >= 20
             assert estimate <= bound + 1e-3
+
+
+def _message(call):
+    """The message of the error a call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestRowBlocks:
+    """Derivative calls longer than ROW_BLOCK rows, and the point-by-direction
+    form of the restriction, run block by block with the results and errors
+    of one-row and one-point calls."""
+
+    def test_a_call_longer_than_one_block_equals_row_by_row_calls(self):
+        f = Ivf.from_expressions("abs(x1) + x2^2", "2*abs(x1) + x2^2 + 1", cube(2, -2, 2))
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1.5, 1.5, size=(ROW_BLOCK + 37, 2))
+        dirs = rng.normal(size=(ROW_BLOCK + 37, 2))
+        lo, hi = dir_derivatives(f, points, dirs)
+        rows = [dir_derivatives(f, x[None], d[None]) for x, d in zip(points, dirs)]
+        assert same_bits(lo, [r_lo[0] for r_lo, _ in rows])
+        assert same_bits(hi, [r_hi[0] for _, r_hi in rows])
+
+    @pytest.mark.parametrize(
+        "bad_point, bad_dir, error",
+        [
+            ([0.0, 0.0], [1.0, 0.0], NonsmoothUncertainError),  # kink at x1 = 5e-4
+            ([2.0, 0.0], [1.0, 0.0], InfeasibleDirectionError),  # exits the domain
+        ],
+    )
+    def test_an_error_only_in_the_second_block_names_its_first_row(
+        self, bad_point, bad_dir, error
+    ):
+        f = Ivf.from_expressions("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(2, -2, 2))
+        points = np.tile([-1.0, 0.5], (ROW_BLOCK + 10, 1))
+        dirs = np.tile([1.0, 0.0], (ROW_BLOCK + 10, 1))
+        for i in (ROW_BLOCK + 3, ROW_BLOCK + 7):
+            points[i], dirs[i] = bad_point, bad_dir
+        first = slice(ROW_BLOCK + 3, ROW_BLOCK + 4)
+        expected = _message(lambda: dir_derivatives(f, points[first], dirs[first]))
+        assert expected[0] is error
+        assert _message(lambda: dir_derivatives(f, points, dirs)) == expected
+
+    def test_a_failing_block_raises_the_first_failing_points_own_error(self):
+        # one block: lower has a kink only near b, upper near a and b; the
+        # kernel checks lower first, but on its own a fails first
+        f = Ivf.from_expressions(
+            "abs(x1 - 0.5005)", "2*abs(x1 - 0.5005) + abs(x1 + 0.5005)", cube(1, -2, 2)
+        )
+        a, b = np.array([-0.5]), np.array([0.5])
+        pairs = [(a, np.array([[-1.0]])), (b, np.array([[1.0]]))]
+        expected = _message(lambda: dir_derivatives(f, a, pairs[0][1]))
+        assert "x=[-0.5]" in expected[1]
+        assert _message(lambda: list(point_block_derivatives(f, pairs))) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 3),
+        analytic=st.booleans(),
+        block=st.sampled_from([1, 5, 40, ROW_BLOCK]),
+        coords=st.lists(
+            st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+            min_size=3,
+            max_size=24,
+        ),
+    )
+    def test_point_by_direction_table_equals_one_point_calls(
+        self, seed, n, analytic, block, coords
+    ):
+        f = random_convex_ivf(seed, n, analytic=analytic)
+        f_o = restricted(f, cube(n, -1, 1))
+        points = np.array(coords[: len(coords) // n * n]).reshape(-1, n)
+        rng = np.random.default_rng(seed)
+        dirs = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(7, n))])
+        with mock.patch.object(ivf_module, "ROW_BLOCK", block):
+            try:
+                one = [f_o.dir_derivs(x, dirs) for x in points]
+            except (NonsmoothUncertainError, InfeasibleDirectionError):
+                expected = _message(lambda: [f_o.dir_derivs(x, dirs) for x in points])
+                assert _message(lambda: f_o.dir_derivs(points, dirs)) == expected
+                return
+            lo, hi = f_o.dir_derivs(points, dirs)
+        assert lo.shape == hi.shape == (len(points), len(dirs))
+        assert same_bits(lo, [r_lo for r_lo, _ in one])
+        assert same_bits(hi, [r_hi for _, r_hi in one])

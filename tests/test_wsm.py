@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ivwsm import (
+    BoxSet,
     GuardError,
     IVector,
+    Ivf,
     WsmProblem,
     check_all,
     check_definition,
@@ -18,9 +20,15 @@ from ivwsm import (
     is_subgradient,
     restricted,
 )
+from pathlib import Path
+
+from ivwsm import build_problem, cone_ball_support, dist_to_cone, load_problem_file
+from ivwsm.geometry import row_norms
+from ivwsm.subdiff import subgradient_margins
 from ivwsm.wsm import _Worst
 
 from conftest import cube, l1_ivf, make_ivf, point_box, vee_ivf, wsm_battery
+from test_expr import same_bits
 
 
 def vee_problem(alpha: float, grid: int = 33) -> WsmProblem:
@@ -304,3 +312,145 @@ class TestWithAlpha:
     def test_rejects_a_nonpositive_modulus(self):
         with pytest.raises(GuardError):
             vee_problem(0.2, grid=9).with_alpha(0.0)
+
+
+# -- per-point reference loops ----------------------------------------------
+#
+# The checkers before the shared derivative table, the distinct-member scan
+# and the point blocks: one restricted derivative call per candidate point
+# (primal, dual-b), every cone-ball member tested (dual-b), one derivative
+# call per point (dual-e).
+
+
+def primal_reference(p):
+    ctx = p.context()
+    f_o = restricted(p.f, p.s)
+    worst = _Worst()
+    for xbar in ctx.sbar_grid:
+        lhs = p.alpha * dist_to_cone(ctx.dirs, p.sbar.tangent_cone(xbar))
+        deriv_lo, _ = f_o.dir_derivs(xbar, ctx.dirs)
+        worst.update_rows(deriv_lo - lhs, xbar, ctx.dirs)
+    return worst.margin, worst.witness, len(ctx.sbar_grid) * len(ctx.dirs)
+
+
+def dual_b_reference(p):
+    ctx = p.context()
+    f_o = restricted(p.f, p.s)
+    worst = _Worst()
+    samples = 0
+    pool = ctx.dirs[: 2 * p.f.dimension + 16]
+    for b, xbar in enumerate(ctx.sbar_grid):
+        n_cone = p.sbar.normal_cone(xbar)
+        rhs_lo, _ = f_o.dir_derivs(xbar, ctx.dirs)
+        lhs = cone_ball_support(n_cone, p.alpha, ctx.dirs)
+        worst.update_rows(rhs_lo - lhs, xbar, ctx.dirs)
+        samples += len(ctx.dirs)
+        base_lo = ctx.flo_sbar[b]
+        base_hi = ctx.fhi_sbar[b]
+        diff_lo = np.minimum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
+        diff_hi = np.maximum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
+        h = ctx.s_grid - xbar
+        members = [np.zeros(n_cone.dimension)]
+        members.extend(p.alpha * r for r in n_cone.extreme_rays())
+        z = n_cone.project(pool)
+        norms = row_norms(z)
+        keep = norms > 1e-9
+        members.extend(p.alpha * z[keep] / norms[keep, None])
+        for z in members:
+            samples += 1
+            margins = subgradient_margins(h, IVector.degenerate(z), diff_lo, diff_hi)
+            worst.update(float(margins.min()), xbar, z)
+    return worst.margin, worst.witness, samples
+
+
+def dual_e_reference(p):
+    ctx = p.context()
+    worst = _Worst()
+    samples = 0
+    for xbar in ctx.sbar_grid:
+        cone = p.s.tangent_cone(xbar).intersect(p.sbar.normal_cone(xbar))
+        if cone.is_zero_cone:
+            samples += 1
+            continue
+        z = cone.project(ctx.dirs)
+        norms = row_norms(z)
+        keep = norms > 1e-9
+        dirs = np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
+        samples += len(dirs)
+        deriv_lo, _ = p.f.dir_derivs(xbar, dirs)
+        worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), xbar, dirs)
+    return worst.margin, worst.witness, samples
+
+
+PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
+BATTERY = {case.name: case for case in wsm_battery()}
+
+
+def _reference_cases():
+    for path in PROBLEM_FILES:
+        yield pytest.param(lambda path=path: build_problem(load_problem_file(path)), id=path.name)
+    for name in ("vee-quarter", "l1-n2", "l1-n3"):  # 1-d, 2-d point, 3-d
+        for scale in (1.0, 1.2):
+            yield pytest.param(
+                lambda name=name, scale=scale: BATTERY[name].problem(
+                    scale * BATTERY[name].nominal_alpha, grid=17
+                ),
+                id=f"{name}-x{scale}",
+            )
+    # not convex: the four dual-b rays tie at the worst margin, below the
+    # support route, so the witness shows the order the members are scanned in
+    capped = Ivf.from_expressions(
+        "min(abs(x1), 0.5) + min(abs(x2), 0.5)",
+        "2*min(abs(x1), 0.5) + 2*min(abs(x2), 0.5)",
+        cube(2, -2, 2),
+    )
+    yield pytest.param(
+        lambda: WsmProblem(f=capped, s=cube(2, -1, 1), sbar=point_box(0.0, 0.0), alpha=0.8,
+                           grid=9),
+        id="capped-l1-ties",
+    )
+
+
+class TestReferenceLoops:
+    """The shared table, the distinct-member scan and the point blocks give
+    the same reports as the per-point loops, bit for bit."""
+
+    @pytest.mark.parametrize("make", list(_reference_cases()))
+    @pytest.mark.parametrize(
+        "checker, reference",
+        [
+            (check_primal, primal_reference),
+            (check_dual_normal_cone, dual_b_reference),
+            (check_dual_e, dual_e_reference),
+        ],
+        ids=["primal", "dual-b", "dual-e"],
+    )
+    def test_report_equals_the_per_point_loop(self, make, checker, reference):
+        report = checker(make())
+        margin, witness, samples = reference(make())
+        assert same_bits(report.worst_margin, margin)
+        assert all(same_bits(a, b) for a, b in zip(report.witness, witness))
+        assert report.samples_evaluated == samples
+
+    def test_table_rows_equal_one_point_calls(self):
+        p = BATTERY["l1-n3"].problem(1.0, grid=9)
+        ctx = p.context()
+        f_o = restricted(p.f, p.s)
+        rows = [f_o.dir_derivs(x, ctx.dirs)[0] for x in ctx.sbar_grid]
+        assert same_bits(ctx.deriv_lo, rows)
+
+
+class TestConstantOnSbarGuard:
+    def test_non_constant_objective_is_noted(self):
+        p = WsmProblem(
+            f=l1_ivf(2, 1.0, 2.0),
+            s=cube(2, -1, 1),
+            sbar=BoxSet(np.array([0.0, -0.5]), np.array([0.0, 0.5])),
+            alpha=0.8,
+            grid=9,
+        )
+        assert any("not constant on the sampled Sbar grid" in n for n in p.context().notes)
+
+    def test_constant_objective_is_not_noted(self):
+        case = BATTERY["strip-segment"]
+        assert case.problem(1.0, grid=9).context().notes == ()
