@@ -2,7 +2,9 @@
 """Sweep the sharpness modulus for a problem file and print margin curves.
 
 For a ladder of alpha values around the estimated modulus, prints the
-definition checker's worst margin, one plot-ready line per alpha.
+definition checker's worst margin, one plot-ready line per alpha.  Every
+alpha is probed on the one built problem (its grid and endpoint values do
+not depend on alpha).
 
 Usage: python3 scripts/modulus_sweep.py problems/vee1d.txt [--points N]
 """
@@ -12,7 +14,7 @@ import sys
 
 import numpy as np
 
-from ivwsm import WsmProblem, check_definition, estimate_modulus
+from ivwsm import check_definition, estimate_modulus
 from ivwsm.problems import build_problem, load_problem_file
 
 
@@ -32,8 +34,7 @@ def main() -> int:
     for alpha in np.linspace(0.25 * center, 1.75 * center, args.points):
         if alpha <= 0:
             continue
-        problem = build_problem(spec, alpha=float(alpha), grid=args.grid, seed=args.seed)
-        report = check_definition(problem)
+        report = check_definition(base.with_alpha(float(alpha)))
         print(
             f"#DATA alpha={alpha:.6f} verdict={report.verdict} "
             f"margin={report.worst_margin:.6e}"

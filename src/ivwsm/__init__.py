@@ -25,11 +25,7 @@ from .geometry import (
     Tag,
     cone_ball_support,
     cone_ball_support_sampled,
-    dist,
     dist_to_cone,
-    normal_cone,
-    project,
-    tangent_cone,
 )
 from .ivf import (
     Ivf,
@@ -54,9 +50,6 @@ from .support import (
     support_value,
 )
 from .subdiff import (
-    ExplicitBoxSubdiff,
-    SingletonSubdiff,
-    SupportOracleSubdiff,
     is_subgradient,
     is_subgradient_directional,
     subdiff_1d,

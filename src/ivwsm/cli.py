@@ -23,15 +23,8 @@ from .intervals import is_finite
 from .ivectors import IVector
 from .ivf import NonsmoothUncertainError
 from .problems import ProblemFileError, build_problem, load_problem_file
-from .subdiff import (
-    ExplicitBoxSubdiff,
-    SingletonSubdiff,
-    is_subgradient,
-    is_subgradient_directional,
-    subdiff_1d,
-    subdiff_support,
-)
-from .support import default_directions
+from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d, subdiff_support
+from .support import FiniteIVecSet, default_directions
 from .wsm import CHECKER_NAMES, GuardError, check_all, concordant, estimate_modulus, run_checker
 
 
@@ -136,20 +129,20 @@ def _cmd_subdiff(args) -> int:
         raise ProblemFileError(f"--at point {at} is outside the domain")
     if n == 1:
         rep = subdiff_1d(f, at)
-        if isinstance(rep, SingletonSubdiff):
-            g = rep.gradient
+        if isinstance(rep, FiniteIVecSet):
+            g = rep.members[0]
             print(f"subdifferential is the singleton gradient ({g})")
             print(f"#DATA subdiff=singleton lo={_fmt_vec(g.los)} hi={_fmt_vec(g.his)}")
         else:
-            box = rep.box
+            lower, upper = rep.lower, rep.upper
             print(
-                f"subdifferential box: all G with [{_fmt(box.lower.los[0])}, "
-                f"{_fmt(box.lower.his[0])}] <= G <= [{_fmt(box.upper.los[0])}, "
-                f"{_fmt(box.upper.his[0])}]"
+                f"subdifferential box: all G with [{_fmt(lower.los[0])}, "
+                f"{_fmt(lower.his[0])}] <= G <= [{_fmt(upper.los[0])}, "
+                f"{_fmt(upper.his[0])}]"
             )
             print(
-                f"#DATA subdiff=box lo={_fmt_vec(box.lower.los)},{_fmt_vec(box.lower.his)} "
-                f"hi={_fmt_vec(box.upper.los)},{_fmt_vec(box.upper.his)}"
+                f"#DATA subdiff=box lo={_fmt_vec(lower.los)},{_fmt_vec(lower.his)} "
+                f"hi={_fmt_vec(upper.los)},{_fmt_vec(upper.his)}"
             )
     else:
         oracle = subdiff_support(f, at)

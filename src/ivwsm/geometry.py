@@ -224,22 +224,6 @@ class BoxSet:
         return rng.uniform(self.lo, self.hi, size=(count, self.dimension))
 
 
-def project(x: Sequence[float], c: BoxSet) -> np.ndarray:
-    return c.project(x)
-
-
-def dist(x: Sequence[float], c: BoxSet) -> float:
-    return c.dist(x)
-
-
-def tangent_cone(c: BoxSet, x: Sequence[float]) -> OrthantCone:
-    return c.tangent_cone(x)
-
-
-def normal_cone(c: BoxSet, x: Sequence[float]) -> OrthantCone:
-    return c.normal_cone(x)
-
-
 def cone_ball_support(k_normal: OrthantCone, alpha: float, d: Sequence[float]):
     """Support value over d (or each row of d) of the radius-alpha ball
     intersected with the cone.

@@ -9,11 +9,11 @@ on degenerate interval vectors it collapses to the ordinary inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .intervals import Interval, add, gh_difference, minkowski_sub
+from .intervals import Interval
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -86,27 +86,13 @@ class IVector:
         return f"({parts})"
 
 
-_COMPONENT_OPS = {
-    "add": add,
-    "minkowski_sub": minkowski_sub,
-    "gh_diff": gh_difference,
-}
-
-
-def vstar(a: IVector, b: IVector, op: str) -> IVector:
-    """Componentwise combination of two equal-length interval vectors.
-
-    ``op`` is one of ``"add"``, ``"minkowski_sub"``, ``"gh_diff"``.
-    """
+def vstar(a: IVector, b: IVector, op: Callable[[Interval, Interval], Interval]) -> IVector:
+    """Componentwise combination of two equal-length interval vectors by an
+    interval operation such as ``add``, ``minkowski_sub`` or
+    ``gh_difference``."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    try:
-        fn = _COMPONENT_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown componentwise op {op!r}") from None
-    return IVector.from_intervals(
-        fn(a.component(i), b.component(i)) for i in range(len(a))
-    )
+    return IVector.from_intervals(op(a.component(i), b.component(i)) for i in range(len(a)))
 
 
 def special_product(x: Sequence[float], a: IVector) -> Interval:

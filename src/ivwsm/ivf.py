@@ -98,8 +98,6 @@ class Ivf:
     upper: Endpoint
     domain: BoxSet
     analytic_dir_deriv: Optional[Callable[[np.ndarray, np.ndarray], Interval]] = None
-    lower_source: Optional[str] = None
-    upper_source: Optional[str] = None
 
     def __post_init__(self):
         if self.domain.dimension != self.dimension:
@@ -120,8 +118,6 @@ class Ivf:
             upper=parse(upper_source, n),
             domain=domain,
             analytic_dir_deriv=analytic_dir_deriv,
-            lower_source=lower_source,
-            upper_source=upper_source,
         )
 
     def value(self, x: Sequence[float]) -> Interval:

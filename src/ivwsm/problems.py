@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import ParseError, parse
+from .expr import ExprAst, ParseError, parse
 from .geometry import BoxSet
 from .ivf import Ivf
 from .wsm import WsmProblem
@@ -43,8 +43,8 @@ class ProblemFileError(ValueError):
 @dataclass(frozen=True)
 class ProblemSpec:
     dimension: int
-    lower_source: str
-    upper_source: str
+    lower: ExprAst
+    upper: ExprAst
     domain: BoxSet
     s: BoxSet
     sbar: BoxSet
@@ -101,9 +101,10 @@ def parse_problem_text(text: str) -> ProblemSpec:
         raise ProblemFileError("dimension must be an integer", line_of("dimension"))
     if dimension < 1:
         raise ProblemFileError("dimension must be >= 1", line_of("dimension"))
+    endpoints = {}
     for key in ("lower", "upper"):
         try:
-            parse(text_of(key), dimension)
+            endpoints[key] = parse(text_of(key), dimension)
         except ParseError as exc:
             raise ProblemFileError(f"{key} expression: {exc}", line_of(key))
     domain = _parse_box(text_of("domain"), dimension, line_of("domain"))
@@ -135,8 +136,8 @@ def parse_problem_text(text: str) -> ProblemSpec:
             raise ProblemFileError("seed must be an integer", line_of("seed"))
     return ProblemSpec(
         dimension=dimension,
-        lower_source=text_of("lower"),
-        upper_source=text_of("upper"),
+        lower=endpoints["lower"],
+        upper=endpoints["upper"],
         domain=domain,
         s=s,
         sbar=sbar,
@@ -162,7 +163,7 @@ def build_problem(
     n_dirs: int = 128,
     margin_tol: float | None = None,
 ) -> WsmProblem:
-    f = Ivf.from_expressions(spec.lower_source, spec.upper_source, spec.domain)
+    f = Ivf(spec.dimension, spec.lower, spec.upper, spec.domain)
     kwargs = {}
     if margin_tol is not None:
         kwargs["margin_tol"] = margin_tol

@@ -4,27 +4,29 @@ An interval vector G is a subgradient of F at xbar when the pairing of
 (x - xbar) with G is dominated by F(x) gh- F(xbar) for every x.  For convex
 F this is equivalent to the pairing of h with G being dominated by the
 directional derivative of F at xbar along h, for every direction h; both
-criteria are implemented and cross-checked.
+criteria are implemented and cross-checked, through one margin rule.
 
-Representations of the whole set:
+A subgradient set is a set of interval vectors, so it is returned as one
+of the :mod:`ivwsm.support` set types:
 
-* the canonical one is a support oracle - by the support identity the
+* ``OracleIVecSet``, the canonical one - by the support identity the
   support value of the subgradient set along h *is* the directional
   derivative along h, so nothing beyond `dir_derivative` is needed;
-* in one dimension the set is an explicit interval box assembled from the
-  one-sided derivatives of the two endpoint functions;
-* at points where the interval gradient exists the set is that singleton.
+* ``IntervalBoxSet`` in one dimension, assembled from the one-sided
+  derivatives of the two endpoint functions;
+* ``FiniteIVecSet`` with one member, the interval gradient, at points
+  where it exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .intervals import ExtInterval, Interval, is_finite
-from .ivectors import IVector, special_product
+from .intervals import is_finite
+from .ivectors import IVector
 from .ivf import (
     GRAD_MATCH_RTOL,
     Ivf,
@@ -33,51 +35,12 @@ from .ivf import (
     gh_gradient,
     one_sided_derivative,
 )
-from .support import IntervalBoxSet, OracleIVecSet
+from .support import FiniteIVecSet, IntervalBoxSet, OracleIVecSet
 
 MEMBERSHIP_SLACK = 1e-9
 DIRECTIONAL_SLACK = 1e-7
 
 IvfLike = Union[Ivf, RestrictedIvf]
-
-
-@dataclass(frozen=True)
-class SingletonSubdiff:
-    gradient: IVector
-
-    @property
-    def dimension(self) -> int:
-        return self.gradient.dimension
-
-    def support(self, d: Sequence[float]) -> Interval:
-        return special_product(d, self.gradient)
-
-
-@dataclass(frozen=True)
-class ExplicitBoxSubdiff:
-    box: IntervalBoxSet
-
-    @property
-    def dimension(self) -> int:
-        return self.box.dimension
-
-    def support(self, d: Sequence[float]) -> Interval:
-        return self.box.support(d)
-
-
-@dataclass(frozen=True)
-class SupportOracleSubdiff:
-    dimension: int
-    support_fn: Callable[[np.ndarray], ExtInterval]
-
-    def support(self, d: Sequence[float]) -> ExtInterval:
-        return self.support_fn(np.asarray(d, dtype=float))
-
-    def as_ivecset(self) -> OracleIVecSet:
-        return OracleIVecSet(self.dimension, self.support_fn)
-
-
-SubdiffRep = Union[SingletonSubdiff, ExplicitBoxSubdiff, SupportOracleSubdiff]
 
 
 @dataclass(frozen=True)
@@ -112,23 +75,39 @@ def _gh_diff_rows(
 
 
 def subgradient_margins(
-    h: np.ndarray, g: IVector, rhs_lo: np.ndarray, rhs_hi: np.ndarray
+    h: np.ndarray,
+    g_los: np.ndarray,
+    g_his: np.ndarray,
+    rhs_lo: np.ndarray,
+    rhs_hi: np.ndarray,
 ) -> np.ndarray:
-    """Margin of the defining subgradient inequality at each probe.
+    """Margin of the subgradient inequality at each row of ``h``.
 
-    ``h`` holds the probe offsets x - xbar as rows, and ``rhs_lo``/``rhs_hi``
-    the endpoints of F(x) gh- F(xbar); each margin is the smaller endpoint
-    gap to the special product of h with g.  For a degenerate g both
-    pairings are the one product ``h @ g``.
+    ``h`` holds the probe offsets x - xbar (or the directions) as rows,
+    ``g_los``/``g_his`` the endpoint arrays of the candidate g, and
+    ``rhs_lo``/``rhs_hi`` the endpoints of F(x) gh- F(xbar) (or of the
+    directional derivative); each margin is the smaller endpoint gap to the
+    special product of h with g.  A +inf right-hand side (both endpoints)
+    gives a +inf margin.  For a degenerate g both pairings are the one
+    product ``h @ g_los``.
     """
-    s1 = h @ g.los
-    if g.is_degenerate:
+    s1 = h @ g_los
+    if np.array_equal(g_los, g_his):
         lhs_lo = lhs_hi = s1
     else:
-        s2 = h @ g.his
+        s2 = h @ g_his
         lhs_lo = np.minimum(s1, s2)
         lhs_hi = np.maximum(s1, s2)
     return np.minimum(rhs_lo - lhs_lo, rhs_hi - lhs_hi)
+
+
+def _membership(margins: np.ndarray, rows: np.ndarray, slack: float) -> MembershipResult:
+    """Verdict from the first worst margin; its row is the witness."""
+    worst = int(np.argmin(margins))
+    margin = float(margins[worst])
+    if margin >= -slack:
+        return MembershipResult(True, margin)
+    return MembershipResult(False, margin, rows[worst])
 
 
 def is_subgradient(
@@ -137,26 +116,15 @@ def is_subgradient(
     g: IVector,
     probe_points: Sequence[Sequence[float]],
     slack: float = MEMBERSHIP_SLACK,
-    rhs: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> MembershipResult:
-    """Defining membership test at every probe point.
-
-    ``rhs`` may carry precomputed gh-difference endpoint arrays for the
-    probe set (callers scanning many candidates against one grid reuse
-    them); infinite rows pass automatically.
-    """
+    """Defining membership test at every probe point; probes where F is
+    infinite pass automatically."""
     xbar = np.asarray(xbar, dtype=float)
     probes = np.asarray(probe_points, dtype=float)
     if probes.ndim == 1:
         probes = probes[:, None]
-    if rhs is None:
-        rhs = _gh_diff_rows(f, xbar, probes)
-    margins = subgradient_margins(probes - xbar, g, *rhs)
-    worst = int(np.argmin(margins))
-    margin = float(margins[worst])
-    if margin >= -slack:
-        return MembershipResult(True, margin)
-    return MembershipResult(False, margin, probes[worst])
+    rhs = _gh_diff_rows(f, xbar, probes)
+    return _membership(subgradient_margins(probes - xbar, g.los, g.his, *rhs), probes, slack)
 
 
 def is_subgradient_directional(
@@ -166,26 +134,16 @@ def is_subgradient_directional(
     directions: Sequence[Sequence[float]],
     slack: float = DIRECTIONAL_SLACK,
 ) -> MembershipResult:
-    """Directional membership test: pairing with h versus the derivative."""
+    """Directional membership test: pairing with h versus the derivative;
+    directions leaving the feasible set pass automatically."""
     xbar = np.asarray(xbar, dtype=float)
     directions = np.asarray(directions, dtype=float)
     deriv_lo, deriv_hi = f.dir_derivs(xbar, directions)
-    worst_margin = np.inf
-    worst_dir = None
-    for d, lo, hi in zip(directions, deriv_lo, deriv_hi):
-        if lo == np.inf:
-            continue  # infinite right-hand side holds automatically
-        lhs = special_product(d, g)
-        margin = min(lo - lhs.lo, hi - lhs.hi)
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_dir = d
-    if worst_margin >= -slack:
-        return MembershipResult(True, float(worst_margin))
-    return MembershipResult(False, float(worst_margin), worst_dir)
+    margins = subgradient_margins(directions, g.los, g.his, deriv_lo, deriv_hi)
+    return _membership(margins, directions, slack)
 
 
-def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> SubdiffRep:
+def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | IntervalBoxSet:
     """Explicit subgradient set of a one-dimensional convex function.
 
     The one-sided derivatives (l, r) of each endpoint function give that
@@ -213,34 +171,30 @@ def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> SubdiffRep:
     smooth_hi = abs(right_hi - left_hi) <= GRAD_MATCH_RTOL * max(
         1.0, abs(right_hi), abs(left_hi)
     )
-    if smooth_lo and smooth_hi:
-        return SingletonSubdiff(
-            IVector(
-                np.array([min(right_lo, right_hi)]), np.array([max(right_lo, right_hi)])
-            )
-        )
-    lower_corner = IVector(
-        np.array([min(left_lo, left_hi)]), np.array([max(left_lo, left_hi)])
-    )
     upper_corner = IVector(
         np.array([min(right_lo, right_hi)]), np.array([max(right_lo, right_hi)])
     )
-    return ExplicitBoxSubdiff(IntervalBoxSet(lower_corner, upper_corner))
+    if smooth_lo and smooth_hi:
+        return FiniteIVecSet((upper_corner,))
+    lower_corner = IVector(
+        np.array([min(left_lo, left_hi)]), np.array([max(left_lo, left_hi)])
+    )
+    return IntervalBoxSet(lower_corner, upper_corner)
 
 
-def subdiff_singleton(f: Ivf, xbar: Sequence[float]) -> SingletonSubdiff:
+def subdiff_singleton(f: Ivf, xbar: Sequence[float]) -> FiniteIVecSet:
     """Singleton set at a differentiable point; errors direct the caller to
     the support-oracle representation otherwise."""
     try:
-        return SingletonSubdiff(gh_gradient(f, xbar))
+        return FiniteIVecSet((gh_gradient(f, xbar),))
     except NotGHDifferentiableError as exc:
         raise NotGHDifferentiableError(
             f"{exc}; use subdiff_support for a representation at this point"
         ) from exc
 
 
-def subdiff_support(f: IvfLike, xbar: Sequence[float]) -> SupportOracleSubdiff:
+def subdiff_support(f: IvfLike, xbar: Sequence[float]) -> OracleIVecSet:
     """Canonical representation: the support value along d is the
     directional derivative along d."""
     xbar = np.asarray(xbar, dtype=float)
-    return SupportOracleSubdiff(f.dimension, lambda d: f.dir_deriv(xbar, d))
+    return OracleIVecSet(f.dimension, lambda d: f.dir_deriv(xbar, d))

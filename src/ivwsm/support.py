@@ -28,7 +28,6 @@ from .intervals import (
     ExtInterval,
     Interval,
     ext_leq,
-    interval_norm,
     is_finite,
     sup_family,
 )

@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .geometry import BoxSet, cone_ball_support, dist_to_cone, row_norms
-from .ivectors import IVector
 from .ivf import (
     ENDPOINT_ORDER_TOL,
     Ivf,
@@ -120,6 +119,12 @@ class _Context:
     def __init__(self, p: WsmProblem):
         if not p.alpha > 0:
             raise GuardError("alpha must be positive")
+        if p.grid < 2:
+            raise GuardError(f"grid must be at least 2 points per axis, got {p.grid}")
+        if not 0 <= p.margin_tol < math.inf:
+            raise GuardError(f"margin_tol must be a finite number >= 0, got {p.margin_tol}")
+        if p.n_dirs < 0:
+            raise GuardError(f"n_dirs must be >= 0, got {p.n_dirs}")
         if not p.s.contains_box(p.sbar):
             raise GuardError("Sbar is not contained in S")
         if not p.f.domain.contains_box(p.s):
@@ -276,11 +281,12 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     intersection (closed form through the tangent-cone distance) must be
     dominated by the support value of the subgradient set of the
     restriction, which is its directional derivative (a row of the
-    context's shared table).  Point route: sampled members of the
-    intersection, embedded as degenerate interval vectors, must pass the
-    defining subgradient test against the feasible grid.  Repeated members
-    are counted as samples but tested once: equal rows give equal margins,
-    and the running minimum keeps the first occurrence as the witness.
+    context's shared table).  Point route: sampled members z of the
+    intersection, taken as degenerate interval vectors (z as both endpoint
+    arrays), must pass the defining subgradient test against the feasible
+    grid.  Repeated members are counted as samples but tested once: equal
+    rows give equal margins, and the running minimum keeps the first
+    occurrence as the witness.
     """
     ctx = p.context()
     worst = _Worst()
@@ -299,7 +305,7 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
         members = _cone_ball_points(n_cone, p.alpha, pool)
         samples += len(members)
         for z in members[_first_occurrences(members)]:
-            margins = subgradient_margins(h, IVector.degenerate(z), diff_lo, diff_hi)
+            margins = subgradient_margins(h, z, z, diff_lo, diff_hi)
             worst.update(float(margins.min()), xbar, z)
     return ctx.report("dual-b", worst.margin, worst.witness, ("x", "d_or_z"), samples)
 

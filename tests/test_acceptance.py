@@ -40,7 +40,7 @@ from ivwsm.cli import main
 from ivwsm.expr import ExprAst, ParseError, parse, to_source
 from ivwsm.intervals import minkowski_sub
 from ivwsm.ivf import NonsmoothUncertainError
-from ivwsm.subdiff import ExplicitBoxSubdiff
+from ivwsm.support import IntervalBoxSet
 
 from conftest import cube, l1_ivf, point_box, random_convex_ivf, random_interval, vee_ivf, wsm_battery
 from test_expr import random_ast
@@ -108,8 +108,8 @@ def test_a2_kink_box_reproduction():
     with criterion("kink-box-reproduction", 1.0):
         f = vee_ivf()
         rep = subdiff_1d(f, 0.0)
-        assert isinstance(rep, ExplicitBoxSubdiff)
-        box = rep.box
+        assert isinstance(rep, IntervalBoxSet)
+        box = rep
         assert np.allclose(
             [box.lower.los[0], box.lower.his[0]], [-1.0, -0.25], atol=1e-6
         )
@@ -158,7 +158,7 @@ def test_a3_directional_derivative_and_support_identity():
             rep = subdiff_1d(f, xbar)
             for _ in range(64):
                 d = np.array([float(rng.uniform(-2, 2))])
-                from_box = rep.box.support(d)
+                from_box = rep.support(d)
                 from_deriv = f.dir_deriv(np.array([xbar]), d)
                 assert from_box.lo == pytest.approx(from_deriv.lo, abs=1e-5)
                 assert from_box.hi == pytest.approx(from_deriv.hi, abs=1e-5)
@@ -266,7 +266,7 @@ def test_a8_boundedness_and_lipschitz():
             bound = 0.0
             for x in inner.grid(4):
                 try:
-                    result = boundedness_check(subdiff_support(f, x).as_ivecset())
+                    result = boundedness_check(subdiff_support(f, x))
                 except NonsmoothUncertainError:
                     continue
                 assert result.bounded

@@ -166,6 +166,31 @@ class TestCheckCommand:
         assert "samples: 9" in capsys.readouterr().out
 
 
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--grid", "0"], "grid"),
+            (["--grid", "1"], "grid"),
+            (["--grid", "-3"], "grid"),
+            (["--tol", "-1"], "margin_tol"),
+            (["--tol", "nan"], "margin_tol"),
+            (["--tol", "inf"], "margin_tol"),
+            (["--dirs", "-1"], "n_dirs"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "modulus"])
+    def test_exit_two_naming_the_setting(self, vee_file, capsys, command, flags, setting):
+        assert main([*flags, command, vee_file()]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {setting} must be")
+        assert "#DATA" not in captured.out
+
+    def test_smallest_accepted_values_run(self, vee_file, capsys):
+        assert main(["--grid", "2", "--tol", "0", "--dirs", "0", "check", vee_file()]) == 0
+        assert "grid/axis: 2" in capsys.readouterr().out
+
+
 class TestModulusCommand:
     def test_vee_modulus(self, vee_file, capsys):
         assert main(["modulus", vee_file()]) == 0

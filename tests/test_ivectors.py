@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ivwsm import IVector, Interval, dominance, interval_norm, special_product, vnorm, vstar
+from ivwsm import IVector, Interval, add, dominance, gh_difference, interval_norm, special_product, vnorm, vstar
 from ivwsm import scalar_mul, leq
 
 from conftest import intervals
@@ -40,20 +40,18 @@ class TestVstar:
     def test_componentwise_add(self):
         a = ivec((0, 1), (2, 3))
         b = ivec((1, 1), (0, 2))
-        assert vstar(a, b, "add") == ivec((1, 2), (2, 5))
+        assert vstar(a, b, add) == ivec((1, 2), (2, 5))
 
     def test_self_gh_difference_vanishes(self):
         a = ivec((0, 1), (2, 3), (-4, -1))
-        assert vstar(a, a, "gh_diff") == IVector.zeros(3)
+        assert vstar(a, a, gh_difference) == IVector.zeros(3)
 
     def test_single_component_reuses_interval_rule(self):
-        assert vstar(ivec((1, 3)), ivec((0, 1)), "gh_diff") == ivec((1, 2))
+        assert vstar(ivec((1, 3)), ivec((0, 1)), gh_difference) == ivec((1, 2))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            vstar(ivec((0, 1)), ivec((0, 1), (0, 1)), "add")
-        with pytest.raises(ValueError):
-            vstar(ivec((0, 1)), ivec((0, 2)), "subtract")
+            vstar(ivec((0, 1)), ivec((0, 1), (0, 1)), add)
 
 
 class TestSpecialProduct:

@@ -390,7 +390,7 @@ class TestLipschitzAgainstSubgradientBound:
             for x in inner.grid(5):
                 oracle = subdiff_support(f, x)
                 try:
-                    result = boundedness_check(oracle.as_ivecset())
+                    result = boundedness_check(oracle)
                 except NonsmoothUncertainError:
                     continue
                 assert result.bounded

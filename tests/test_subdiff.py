@@ -3,17 +3,20 @@ convexity/closedness/boundedness of the set."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivwsm import (
-    ExplicitBoxSubdiff,
+    FiniteIVecSet,
     Interval,
+    IntervalBoxSet,
     IVector,
-    SingletonSubdiff,
     boundedness_check,
     default_directions,
     is_subgradient,
     is_subgradient_directional,
     restricted,
+    special_product,
     subdiff_1d,
     subdiff_singleton,
     subdiff_support,
@@ -21,6 +24,7 @@ from ivwsm import (
 )
 from ivwsm.intervals import is_finite, PLUS_INF
 from ivwsm.ivf import NotGHDifferentiableError
+from ivwsm.subdiff import DIRECTIONAL_SLACK
 
 from conftest import cube, l1_ivf, make_ivf, point_box, quad_ivf, random_convex_ivf, vee_ivf
 
@@ -64,7 +68,7 @@ class TestMembershipExamples:
 
     def test_gradient_is_member_at_smooth_points(self):
         f = quad_ivf()
-        grad = subdiff_singleton(f, [0.7]).gradient
+        grad = subdiff_singleton(f, [0.7]).members[0]
         assert is_subgradient(f, [0.7], grad, probe_grid(f)).member
         dirs = default_directions(1, seed=3, count=16)
         assert is_subgradient_directional(f, [0.7], grad, dirs).member
@@ -73,23 +77,23 @@ class TestMembershipExamples:
 class TestSubdiff1d:
     def test_kink_box_reproduced(self):
         rep = subdiff_1d(vee_ivf(), 0.0)
-        assert isinstance(rep, ExplicitBoxSubdiff)
-        assert rep.box.lower.los[0] == pytest.approx(-1.0, abs=1e-6)
-        assert rep.box.lower.his[0] == pytest.approx(-0.25, abs=1e-6)
-        assert rep.box.upper.los[0] == pytest.approx(0.25, abs=1e-6)
-        assert rep.box.upper.his[0] == pytest.approx(1.0, abs=1e-6)
+        assert isinstance(rep, IntervalBoxSet)
+        assert rep.lower.los[0] == pytest.approx(-1.0, abs=1e-6)
+        assert rep.lower.his[0] == pytest.approx(-0.25, abs=1e-6)
+        assert rep.upper.los[0] == pytest.approx(0.25, abs=1e-6)
+        assert rep.upper.his[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_smooth_point_collapses_to_gradient(self):
         rep = subdiff_1d(quad_ivf(), 1.0)
-        assert isinstance(rep, SingletonSubdiff)
-        assert rep.gradient.los[0] == pytest.approx(2.0, abs=1e-5)
-        assert rep.gradient.his[0] == pytest.approx(2.0, abs=1e-5)
+        assert isinstance(rep, FiniteIVecSet)
+        assert rep.members[0].los[0] == pytest.approx(2.0, abs=1e-5)
+        assert rep.members[0].his[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_constant_gives_zero(self):
         f = make_ivf(1, lambda x: 3.0, lambda x: 4.0, -1, 1)
         rep = subdiff_1d(f, 0.3)
-        assert isinstance(rep, SingletonSubdiff)
-        assert rep.gradient == IVector.zeros(1)
+        assert isinstance(rep, FiniteIVecSet)
+        assert rep.members == (IVector.zeros(1),)
 
     def test_boundary_point_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +108,7 @@ class TestSingleton:
     def test_affine_pair(self):
         f = make_ivf(2, lambda x: x[0] + x[1], lambda x: 2 * x[0] + 3 * x[1], -2, 2)
         rep = subdiff_singleton(f, [0.2, -0.3])
-        got = rep.gradient
+        (got,) = rep.members
         assert got.component(0).lo == pytest.approx(1.0, abs=1e-5)
         assert got.component(0).hi == pytest.approx(2.0, abs=1e-5)
         assert got.component(1).lo == pytest.approx(1.0, abs=1e-5)
@@ -116,7 +120,7 @@ class TestSingleton:
 
     def test_constant(self):
         f = make_ivf(1, lambda x: 1.0, lambda x: 1.0, -1, 1)
-        assert subdiff_singleton(f, [0.1]).gradient == IVector.zeros(1)
+        assert subdiff_singleton(f, [0.1]).members == (IVector.zeros(1),)
 
 
 class TestSupportIdentity:
@@ -137,7 +141,7 @@ class TestSupportIdentity:
             rng = np.random.default_rng(123)
             for _ in range(64):
                 d = np.array([float(rng.uniform(-2, 2))])
-                from_box = rep.box.support(d)
+                from_box = rep.support(d)
                 from_deriv = f.dir_deriv(np.array([xbar]), d)
                 assert from_box.lo == pytest.approx(from_deriv.lo, abs=1e-5)
                 assert from_box.hi == pytest.approx(from_deriv.hi, abs=1e-5)
@@ -223,7 +227,7 @@ class TestCriterionEquivalence:
                 g = IVector(lo, lo + rng.uniform(0, 1.0, f.dimension))
                 by_def = is_subgradient(f, xbar, g, probes)
                 by_dir = is_subgradient_directional(f, xbar, g, dirs)
-                assert by_def.member == by_dir.member, (f.lower_source, xbar, g)
+                assert by_def.member == by_dir.member, (f, xbar, g)
 
 
 class TestSetGeometry:
@@ -266,7 +270,7 @@ class TestSetGeometry:
             (l1_ivf(2, 1.0, 2.0), [[0.0, 0.0], [0.3, -0.2]]),
         ]:
             for x in pts:
-                result = boundedness_check(subdiff_support(f, x).as_ivecset())
+                result = boundedness_check(subdiff_support(f, x))
                 assert result.bounded and result.bound < 100
 
     def test_nonempty_at_interior_grid_points(self):
@@ -275,10 +279,82 @@ class TestSetGeometry:
         inner = cube(1, -1.8, 1.8)
         for x in inner.grid(9):
             rep = subdiff_1d(f, float(x[0]))
-            if isinstance(rep, SingletonSubdiff):
-                candidate = rep.gradient
+            if isinstance(rep, FiniteIVecSet):
+                (candidate,) = rep.members
             else:
-                mid_lo = 0.5 * (rep.box.lower.los + rep.box.upper.los)
-                mid_hi = 0.5 * (rep.box.lower.his + rep.box.upper.his)
+                mid_lo = 0.5 * (rep.lower.los + rep.upper.los)
+                mid_hi = 0.5 * (rep.lower.his + rep.upper.his)
                 candidate = IVector(np.minimum(mid_lo, mid_hi), np.maximum(mid_lo, mid_hi))
             assert is_subgradient(f, x, candidate, probes).member
+
+
+# -- the directional criterion against the per-direction loop ---------------
+
+
+def directional_reference(f, xbar, g, directions, slack=DIRECTIONAL_SLACK):
+    """The per-direction loop ``is_subgradient_directional`` had before it
+    shared ``subgradient_margins``; also returns every feasible margin."""
+    xbar = np.asarray(xbar, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    deriv_lo, deriv_hi = f.dir_derivs(xbar, directions)
+    worst_margin = np.inf
+    worst_dir = None
+    margins = []
+    for d, lo, hi in zip(directions, deriv_lo, deriv_hi):
+        if lo == np.inf:
+            continue  # infinite right-hand side holds automatically
+        lhs = special_product(d, g)
+        margin = min(lo - lhs.lo, hi - lhs.hi)
+        margins.append(margin)
+        if margin < worst_margin:
+            worst_margin = margin
+            worst_dir = d
+    member = worst_margin >= -slack
+    return member, float(worst_margin), None if member else worst_dir, sorted(margins)
+
+
+class TestDirectionalMatchesPerDirectionLoop:
+    """``D @ g`` may differ from the per-row ``d @ g`` in the last bit for
+    n >= 2, so margins agree to 1e-12 relative, verdicts exactly, and
+    witnesses wherever the worst margin is not a near tie."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["ivf", "restricted", "all-infeasible"]),
+        count=st.integers(1, 40),
+        degenerate=st.booleans(),
+    )
+    def test_verdict_margin_and_witness(self, seed, n, kind, count, degenerate):
+        rng = np.random.default_rng(seed)
+        f = random_convex_ivf(int(rng.integers(0, 50)), n=n)
+        dirs = rng.normal(size=(count, n))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1), 1e-12)[:, None]
+        s = cube(n, -0.5, 0.5)
+        if kind == "ivf":
+            xbar = rng.uniform(-1.0, 1.0, n)
+        else:
+            f = restricted(f, s)
+            xbar = rng.uniform(-0.5, 0.5, n)
+            pinned = rng.random(n) < 0.6
+            xbar[pinned] = np.sign(rng.normal(size=n))[pinned] * 0.5
+            if kind == "all-infeasible":
+                xbar[0] = 0.5
+                dirs[:, 0] = np.abs(dirs[:, 0]) + 0.1  # every row leaves S
+        lo = rng.uniform(-3.0, 3.0, n)
+        g = IVector(lo, lo if degenerate else lo + rng.uniform(0.0, 2.0, n))
+
+        got = is_subgradient_directional(f, xbar, g, dirs)
+        member, margin, witness, margins = directional_reference(f, xbar, g, dirs)
+        assert got.member == member
+        if margin == np.inf:
+            assert kind != "ivf" and got.margin == np.inf
+        else:
+            assert abs(got.margin - margin) <= 1e-12 * max(1.0, abs(margin))
+        if kind == "all-infeasible":
+            assert got.member and got.margin == np.inf
+        if member:
+            assert got.witness is None
+        elif len(margins) == 1 or margins[1] - margins[0] > 1e-12 * max(1.0, abs(margin)):
+            assert np.array_equal(got.witness, witness)

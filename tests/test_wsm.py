@@ -24,7 +24,6 @@ from pathlib import Path
 
 from ivwsm import build_problem, cone_ball_support, dist_to_cone, load_problem_file
 from ivwsm.geometry import row_norms
-from ivwsm.subdiff import subgradient_margins
 from ivwsm.wsm import _Worst
 
 from conftest import cube, l1_ivf, make_ivf, point_box, vee_ivf, wsm_battery
@@ -108,6 +107,25 @@ class TestDefinition:
             check_definition(
                 WsmProblem(f=vee_ivf(), s=cube(1, -1, 1), sbar=point_box(0.0), alpha=0.0)
             )
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("grid", 1),
+            ("grid", 0),
+            ("grid", -3),
+            ("margin_tol", -1.0),
+            ("margin_tol", float("nan")),
+            ("margin_tol", float("inf")),
+            ("n_dirs", -1),
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, setting, value):
+        p = WsmProblem(
+            f=vee_ivf(), s=cube(1, -1, 1), sbar=point_box(0.0), alpha=0.2, **{setting: value}
+        )
+        with pytest.raises(GuardError, match=f"^{setting} must be"):
+            check_definition(p)
 
     def test_everything_a_single_point_is_concordantly_sharp(self):
         # S = Sbar = {p}: the definition is vacuous, restricted derivatives
@@ -358,7 +376,8 @@ def dual_b_reference(p):
         members.extend(p.alpha * z[keep] / norms[keep, None])
         for z in members:
             samples += 1
-            margins = subgradient_margins(h, IVector.degenerate(z), diff_lo, diff_hi)
+            hz = h @ IVector.degenerate(z).los
+            margins = np.minimum(diff_lo - hz, diff_hi - hz)
             worst.update(float(margins.min()), xbar, z)
     return worst.margin, worst.witness, samples
 
