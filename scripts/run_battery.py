@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import wsm_battery  # noqa: E402
 
-from ivwsm import CHECKER_NAMES, check_all, concordant, estimate_modulus  # noqa: E402
+from ivwsm import CHECKERS, check_all, concordant, estimate_modulus  # noqa: E402
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
     args = parser.parse_args()
 
     header = f"{'case':26s} {'alpha':>7s}  " + "  ".join(
-        f"{name:>10s}" for name in CHECKER_NAMES
+        f"{name:>10s}" for name in CHECKERS
     ) + f"  {'agree':>5s}"
     print(header)
     print("-" * len(header))
@@ -42,7 +42,7 @@ def main() -> int:
             agree = concordant(reports)
             disagreements += 0 if agree else 1
             row = f"{case.name:26s} {alpha:7.3f}  " + "  ".join(
-                f"{reports[name].verdict:>10s}" for name in CHECKER_NAMES
+                f"{reports[name].verdict:>10s}" for name in CHECKERS
             ) + f"  {'yes' if agree else 'NO':>5s}"
             print(row)
         estimate = estimate_modulus(case.problem(base, grid=args.grid, seed=args.seed))

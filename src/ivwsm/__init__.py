@@ -31,12 +31,9 @@ from .ivf import (
     Ivf,
     RestrictedIvf,
     convexity_check,
-    dir_derivative,
     dir_derivatives,
-    eval_ivf,
     gh_gradient,
     lipschitz_estimate,
-    restricted,
 )
 from .support import (
     FiniteIVecSet,
@@ -47,7 +44,6 @@ from .support import (
     default_directions,
     inclusion_test,
     support_dominates,
-    support_value,
 )
 from .subdiff import (
     is_subgradient,
@@ -57,7 +53,7 @@ from .subdiff import (
     subdiff_support,
 )
 from .wsm import (
-    CHECKER_NAMES,
+    CHECKERS,
     GuardError,
     WsmProblem,
     WsmReport,

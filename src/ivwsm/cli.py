@@ -25,7 +25,7 @@ from .ivf import NonsmoothUncertainError
 from .problems import ProblemFileError, build_problem, load_problem_file
 from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d, subdiff_support
 from .support import FiniteIVecSet, default_directions
-from .wsm import CHECKER_NAMES, GuardError, check_all, concordant, estimate_modulus, run_checker
+from .wsm import CHECKERS, GuardError, check_all, check_definition, concordant, estimate_modulus
 
 
 def _fmt(value: float) -> str:
@@ -64,37 +64,43 @@ def _print_notes(notes) -> None:
         print(f"NOTE: {note}")
 
 
-def _cmd_check(args) -> int:
-    spec = load_problem_file(args.file)
-    problem = build_problem(
-        spec, grid=args.grid, seed=args.seed, n_dirs=args.dirs, margin_tol=args.tol
+def _problem(args):
+    """The problem of the file named on the command line, with the global
+    flags overriding its settings."""
+    return build_problem(
+        load_problem_file(args.file),
+        grid=args.grid,
+        seed=args.seed,
+        n_dirs=args.dirs,
+        margin_tol=args.tol,
     )
+
+
+def _cmd_check(args) -> int:
+    problem = _problem(args)
     if args.mode == "all":
         reports = check_all(problem)
         printed_notes = False
-        for name in CHECKER_NAMES:
+        for name in CHECKERS:
             _print_report(reports[name])
             if not printed_notes:
                 _print_notes(reports[name].notes)
                 printed_notes = True
         agree = concordant(reports)
-        verdicts = ", ".join(f"{n}={reports[n].verdict}" for n in CHECKER_NAMES)
+        verdicts = ", ".join(f"{n}={reports[n].verdict}" for n in CHECKERS)
         print(f"CONCORDANCE: {'agree' if agree else 'DISAGREE'} ({verdicts})")
         return 0 if all(r.holds for r in reports.values()) else 1
-    report = run_checker(problem, args.mode)
+    report = CHECKERS[args.mode](problem)
     _print_report(report)
     _print_notes(report.notes)
     return 0 if report.holds else 1
 
 
 def _cmd_modulus(args) -> int:
-    spec = load_problem_file(args.file)
-    problem = build_problem(
-        spec, grid=args.grid, seed=args.seed, n_dirs=args.dirs, margin_tol=args.tol
-    )
+    problem = _problem(args)
     value = estimate_modulus(problem)
     if value > 0:
-        report = run_checker(problem.with_alpha(value + 2e-3), "definition")
+        report = check_definition(problem.with_alpha(value + 2e-3))
         if report.witness is not None and not report.holds:
             a, b = report.witness
             print(
@@ -120,8 +126,7 @@ def _parse_floats(text: str, what: str, expected: int) -> np.ndarray:
 
 
 def _cmd_subdiff(args) -> int:
-    spec = load_problem_file(args.file)
-    problem = build_problem(spec, grid=args.grid, seed=args.seed, n_dirs=args.dirs)
+    problem = _problem(args)
     f = problem.f
     n = f.dimension
     at = _parse_floats(args.at, "--at", n)
@@ -186,7 +191,7 @@ def main(argv=None) -> int:
         description="verify weak sharp minima of interval-valued objectives",
     )
     parser.add_argument("--tol", type=float, default=None, help="margin tolerance for verdicts")
-    parser.add_argument("--dirs", type=int, default=128, help="number of random directions")
+    parser.add_argument("--dirs", type=int, default=None, help="number of random directions")
     parser.add_argument("--grid", type=int, default=None, help="grid points per axis")
     parser.add_argument("--seed", type=int, default=None, help="override the problem seed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,7 +201,7 @@ def main(argv=None) -> int:
     p_check.add_argument(
         "--mode",
         default="all",
-        choices=list(CHECKER_NAMES) + ["all"],
+        choices=[*CHECKERS, "all"],
     )
     p_check.set_defaults(func=_cmd_check)
 

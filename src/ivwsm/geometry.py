@@ -220,9 +220,6 @@ class BoxSet:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(count, self.dimension))
-
 
 def cone_ball_support(k_normal: OrthantCone, alpha: float, d: Sequence[float]):
     """Support value over d (or each row of d) of the radius-alpha ball

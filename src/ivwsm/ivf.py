@@ -15,8 +15,11 @@ means a kink sits inside the probe range.
 The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
 call when the endpoints carry batched forms (expression objectives always
-do), and loop over the rows otherwise.  The one-point functions are one-row
-calls of the same kernels, so each numeric rule exists once.  A derivative
+do), and loop over the rows otherwise.  Every value of F comes from
+:func:`endpoint_rows`, the one home of the rules that make it an interval
+(finite endpoints, lower not above upper).  The one-point methods
+:meth:`Ivf.value` and :meth:`Ivf.dir_deriv` are one-row calls of the same
+kernels, so each numeric rule exists once.  A derivative
 call takes at most :data:`ROW_BLOCK` rows at a time, and
 :func:`point_block_derivatives` groups (point, directions) pairs into blocks
 of that size, so the temporary arrays of one call stay bounded.
@@ -47,6 +50,8 @@ AGREEMENT_RTOL = 1e-4
 GRAD_MATCH_RTOL = 1e-5
 #: Slack allowed between lower(x) and upper(x) before declaring a model error.
 ENDPOINT_ORDER_TOL = 1e-9
+#: Chord-inequality slack of the sampled convexity check.
+CONVEXITY_TOL = 1e-9
 #: Most (point, direction) rows one batched derivative kernel call takes;
 #: longer calls run block by block.
 ROW_BLOCK = 2048
@@ -104,27 +109,29 @@ class Ivf:
             raise ValueError("domain dimension does not match the declared dimension")
 
     @classmethod
-    def from_expressions(
-        cls,
-        lower_source: str,
-        upper_source: str,
-        domain: BoxSet,
-        analytic_dir_deriv=None,
-    ) -> "Ivf":
+    def from_expressions(cls, lower_source: str, upper_source: str, domain: BoxSet) -> "Ivf":
         n = domain.dimension
-        return cls(
-            dimension=n,
-            lower=parse(lower_source, n),
-            upper=parse(upper_source, n),
-            domain=domain,
-            analytic_dir_deriv=analytic_dir_deriv,
-        )
+        return cls(n, parse(lower_source, n), parse(upper_source, n), domain)
 
     def value(self, x: Sequence[float]) -> Interval:
-        return eval_ivf(self, x)
+        """[lower(x), upper(x)] at a point of the domain (a one-row call of
+        :func:`endpoint_rows`)."""
+        x = np.asarray(x, dtype=float)
+        if not self.domain.contains(x):
+            raise DomainError(f"{x} is outside the domain box")
+        lo, hi = endpoint_rows(self, x[None, :])
+        return Interval(lo[0], hi[0])
 
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> Interval:
-        return dir_derivative(self, x, d)
+        """Interval directional derivative: the analytic one when supplied,
+        else the span of the endpoint derivatives (a one-row call of
+        :func:`dir_derivatives`)."""
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(d, dtype=float)
+        if self.analytic_dir_deriv is not None:
+            return self.analytic_dir_deriv(x, d)
+        lo, hi = dir_derivatives(self, x[None, :], d[None, :])
+        return Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays of :meth:`dir_deriv` at x along each row of dirs."""
@@ -133,10 +140,15 @@ class Ivf:
 
 @dataclass(frozen=True)
 class RestrictedIvf:
-    """Feasible-set restriction: the base value inside, plus-infinity outside."""
+    """Feasible-set restriction to a sub-box of the domain: the base value
+    inside, plus-infinity outside."""
 
     base: Ivf
     feasible: BoxSet
+
+    def __post_init__(self):
+        if not self.base.domain.contains_box(self.feasible):
+            raise ValueError("the feasible set is not contained in the domain")
 
     @property
     def dimension(self) -> int:
@@ -202,10 +214,6 @@ def _rows(g: Endpoint) -> RowEndpoint:
     return rows if rows is not None else _per_row(g)
 
 
-def _row_endpoints(f: Ivf) -> tuple[RowEndpoint, RowEndpoint]:
-    return _rows(f.lower), _rows(f.upper)
-
-
 def _first(mask: np.ndarray) -> Optional[int]:
     """Index of the first True entry, or None."""
     return int(np.argmax(mask)) if mask.any() else None
@@ -215,37 +223,26 @@ def endpoint_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lower and upper at each row of an (m, n) array of points.
 
     A non-finite value raises ValueError naming its point, as the
-    ``Interval`` constructor does for one point.
+    ``Interval`` constructor does for one point; lower above upper by more
+    than :data:`ENDPOINT_ORDER_TOL` raises ModelError naming its point, and
+    a smaller crossing (round-off at coinciding endpoints) gives both
+    endpoints the midpoint.
     """
     points = np.asarray(points, dtype=float)
-    lower, upper = _row_endpoints(f)
-    values = lower(points), upper(points)
-    for name, vals in zip(("lower", "upper"), values):
+    lo, hi = _rows(f.lower)(points), _rows(f.upper)(points)
+    for name, vals in (("lower", lo), ("upper", hi)):
         i = _first(~np.isfinite(vals))
         if i is not None:
             raise ValueError(f"{name}({points[i]}) = {vals[i]} is not finite")
-    return values
-
-
-def _value_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of F at each row, validating their order."""
-    lo, hi = endpoint_rows(f, points)
     i = _first(lo > hi + ENDPOINT_ORDER_TOL)
     if i is not None:
         x = points[i]
         raise ModelError(f"lower({x}) = {lo[i]} exceeds upper({x}) = {hi[i]}")
-    tied = lo > hi  # round-off at coinciding endpoints
-    mid = 0.5 * (lo + hi)
-    return np.where(tied, mid, lo), np.where(tied, mid, hi)
-
-
-def eval_ivf(f: Ivf, x: Sequence[float]) -> Interval:
-    """[lower(x), upper(x)], validating domain membership and endpoint order."""
-    x = np.asarray(x, dtype=float)
-    if not f.domain.contains(x):
-        raise DomainError(f"{x} is outside the domain box")
-    lo, hi = _value_rows(f, x[None, :])
-    return Interval(lo[0], hi[0])
+    tied = lo > hi
+    if tied.any():
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.where(tied, mid, lo), np.where(tied, mid, hi)
+    return lo, hi
 
 
 def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -339,9 +336,8 @@ def dir_derivatives(
             np.array([v.lo for v in values], dtype=float),
             np.array([v.hi for v in values], dtype=float),
         )
-    lower, upper = _row_endpoints(f)
-    d_lo = _one_sided_rows(lower, points, dirs, f.domain)
-    d_hi = _one_sided_rows(upper, points, dirs, f.domain)
+    d_lo = _one_sided_rows(_rows(f.lower), points, dirs, f.domain)
+    d_hi = _one_sided_rows(_rows(f.upper), points, dirs, f.domain)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
 
@@ -380,17 +376,6 @@ def _block_derivatives(f: Ivf, block: list) -> tuple:
     return len(block), points, dirs, lo, hi
 
 
-def dir_derivative(f: Ivf, x: Sequence[float], d: Sequence[float]) -> Interval:
-    """Interval directional derivative: span of the endpoint derivatives
-    (a one-row call of :func:`dir_derivatives`)."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if f.analytic_dir_deriv is not None:
-        return f.analytic_dir_deriv(x, d)
-    lo, hi = dir_derivatives(f, x[None, :], d[None, :])
-    return Interval(lo[0], hi[0])
-
-
 def gh_gradient(f: Ivf, x: Sequence[float]) -> IVector:
     """Componentwise interval gradient at a differentiable point.
 
@@ -426,14 +411,13 @@ def gh_gradient(f: Ivf, x: Sequence[float]) -> IVector:
     )
 
 
-def convexity_check(
-    f: Ivf, samples: int, seed: int, tol: float = 1e-9
-) -> Optional[ConvexityCounterexample]:
+def convexity_check(f: Ivf, samples: int, seed: int) -> Optional[ConvexityCounterexample]:
     """Sampled convexity of both endpoints; None means no violation found.
 
     Draws random (x1, x2, lambda) triples from domain x domain x [0, 1] and
-    tests the chord inequality for each endpoint function; the first
-    violation in draw order (lower before upper) is returned.
+    tests the chord inequality for each endpoint function, up to
+    :data:`CONVEXITY_TOL`; the first violation in draw order (lower before
+    upper) is returned.
     """
     n = f.dimension
     lo, span = f.domain.lo, f.domain.hi - f.domain.lo
@@ -447,20 +431,13 @@ def convexity_check(
     gaps = np.stack(  # (samples, 2): lower, upper
         [gm - (lam * g1 + (1 - lam) * g2) for g1, g2, gm in zip(*values)], axis=1
     )
-    k = _first(gaps.ravel() > tol)
+    k = _first(gaps.ravel() > CONVEXITY_TOL)
     if k is None:
         return None
     i, j = divmod(k, 2)
     return ConvexityCounterexample(
         x1[i].copy(), x2[i].copy(), float(lam[i]), ("lower", "upper")[j], float(gaps[i, j])
     )
-
-
-def restricted(f: Ivf, s: BoxSet) -> RestrictedIvf:
-    """Restrict f to a sub-box of its domain (+infinity outside)."""
-    if not f.domain.contains_box(s):
-        raise ValueError("the feasible set is not contained in the domain")
-    return RestrictedIvf(f, s)
 
 
 def lipschitz_estimate(f: Ivf, samples: int, seed: int) -> float:
@@ -477,7 +454,7 @@ def lipschitz_estimate(f: Ivf, samples: int, seed: int) -> float:
     apart = gaps >= 1e-12
     pairs, gaps = pairs[apart], gaps[apart]
     # evaluated in draw order x0, y0, x1, ..., so errors name the first point
-    lo_vals, hi_vals = _value_rows(f, pairs.reshape(-1, n))
+    lo_vals, hi_vals = endpoint_rows(f, pairs.reshape(-1, n))
     d_lo = lo_vals[0::2] - lo_vals[1::2]
     d_hi = hi_vals[0::2] - hi_vals[1::2]
     ratios = np.maximum(np.abs(d_lo), np.abs(d_hi)) / gaps

@@ -155,25 +155,11 @@ def load_problem_file(path: str | Path) -> ProblemSpec:
     return parse_problem_text(text)
 
 
-def build_problem(
-    spec: ProblemSpec,
-    alpha: float | None = None,
-    grid: int | None = None,
-    seed: int | None = None,
-    n_dirs: int = 128,
-    margin_tol: float | None = None,
-) -> WsmProblem:
+def build_problem(spec: ProblemSpec, **overrides) -> WsmProblem:
+    """The problem a parsed file describes.  Keyword ``WsmProblem`` settings
+    override the file's; a None override keeps the file's value, or the
+    ``WsmProblem`` default for a setting the file has no key for."""
+    settings = {"alpha": spec.alpha, "grid": spec.grid, "seed": spec.seed}
+    settings.update((k, v) for k, v in overrides.items() if v is not None)
     f = Ivf(spec.dimension, spec.lower, spec.upper, spec.domain)
-    kwargs = {}
-    if margin_tol is not None:
-        kwargs["margin_tol"] = margin_tol
-    return WsmProblem(
-        f=f,
-        s=spec.s,
-        sbar=spec.sbar,
-        alpha=spec.alpha if alpha is None else alpha,
-        grid=spec.grid if grid is None else grid,
-        seed=spec.seed if seed is None else seed,
-        n_dirs=n_dirs,
-        **kwargs,
-    )
+    return WsmProblem(f=f, s=spec.s, sbar=spec.sbar, **settings)

@@ -11,7 +11,7 @@ of the :mod:`ivwsm.support` set types:
 
 * ``OracleIVecSet``, the canonical one - by the support identity the
   support value of the subgradient set along h *is* the directional
-  derivative along h, so nothing beyond `dir_derivative` is needed;
+  derivative along h, so nothing beyond ``Ivf.dir_deriv`` is needed;
 * ``IntervalBoxSet`` in one dimension, assembled from the one-sided
   derivatives of the two endpoint functions;
 * ``FiniteIVecSet`` with one member, the interval gradient, at points

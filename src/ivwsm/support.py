@@ -109,18 +109,14 @@ class OracleIVecSet:
     support_fn: Callable[[np.ndarray], ExtInterval]
 
     def support(self, x: Sequence[float]) -> ExtInterval:
-        return self.support_fn(np.asarray(x, dtype=float))
+        """Support value along x; PLUS_INF is possible."""
+        x = np.asarray(x, dtype=float)
+        if len(x) != self.dimension:
+            raise ValueError(f"direction has length {len(x)}, set dimension {self.dimension}")
+        return self.support_fn(x)
 
 
 IVecSet = Union[FiniteIVecSet, IntervalBoxSet, OracleIVecSet]
-
-
-def support_value(s: IVecSet, x: Sequence[float]) -> ExtInterval:
-    """Support value of the set at direction x (PLUS_INF possible for oracles)."""
-    x = np.asarray(x, dtype=float)
-    if len(x) != s.dimension:
-        raise ValueError(f"direction has length {len(x)}, set dimension {s.dimension}")
-    return s.support(x)
 
 
 def support_dominates(
@@ -137,7 +133,7 @@ def support_dominates(
         raise ValueError("set dimension mismatch")
     for d in directions:
         d = np.asarray(d, dtype=float)
-        if not ext_leq(support_value(s1, d), support_value(s2, d), slack):
+        if not ext_leq(s1.support(d), s2.support(d), slack):
             return d
     return None
 
@@ -232,7 +228,7 @@ def boundedness_check(
         basis.extend([e, -e])
     per_axis = np.zeros(n)
     for d in list(basis) + [np.asarray(d, dtype=float) for d in directions]:
-        val = support_value(s, d)
+        val = s.support(d)
         if not is_finite(val):
             return BoundednessResult(False, None, d)
         axis = int(np.argmax(np.abs(d)))
@@ -252,13 +248,13 @@ def augment_with_polar_cone(q: IVecSet, k: OrthantCone) -> OracleIVecSet:
 
     def fn(d: np.ndarray) -> ExtInterval:
         if k.contains(d, tol=1e-12):
-            return support_value(q, d)
+            return q.support(d)
         return PLUS_INF
 
     return OracleIVecSet(q.dimension, fn)
 
 
-def default_directions(dimension: int, seed: int = 0, count: int = 128) -> np.ndarray:
+def default_directions(dimension: int, seed: int, count: int) -> np.ndarray:
     """Signed basis vectors plus seeded uniform unit directions."""
     rows = []
     for i in range(dimension):

@@ -20,8 +20,9 @@ witnesses taken from the first worst row in the grid-then-direction order,
 so the reports equal a pair-by-pair scan.  The primal and dual-b checkers
 share one table of restricted directional derivatives, built on first use;
 dual-e takes its derivatives in blocks of candidate points, dual-f in one
-call.  A NaN margin is never skipped: it is reported as the worst margin
-and fails.
+call.  The definition checker and the modulus bisection read the same
+per-point margins.  A NaN margin is never skipped: it is reported as the
+worst margin and fails.
 """
 
 from __future__ import annotations
@@ -36,15 +37,13 @@ import numpy as np
 
 from .geometry import BoxSet, cone_ball_support, dist_to_cone, row_norms
 from .ivf import (
-    ENDPOINT_ORDER_TOL,
     Ivf,
-    ModelError,
+    RestrictedIvf,
     convexity_check,
     dir_derivatives,
     endpoint_rows,
     lipschitz_estimate,
     point_block_derivatives,
-    restricted,
 )
 from .subdiff import subgradient_margins
 from .support import default_directions
@@ -54,17 +53,18 @@ MARGIN_TOL = 1e-7
 #: Ceiling on the total number of grid points per box.
 GRID_CAP = 40_000
 
-CHECKER_NAMES = ("definition", "primal", "dual-b", "dual-e", "dual-f")
-
 
 class GuardError(ValueError):
-    """Structural precondition violated (set containment, bad modulus)."""
+    """Structural precondition violated (set containment, a setting out of
+    range)."""
 
 
 @dataclass
 class WsmProblem:
     """One verification instance; the objective is declared convex.
 
+    Construction rejects an out-of-range setting and sets that do not nest
+    (Sbar inside S inside the domain) with a GuardError naming the setting.
     The declared convexity is probed by a sampled guard when the context is
     built; a counterexample does not abort the checkers (grid verdicts are
     still well-defined and useful) but is attached to every report as a
@@ -80,8 +80,21 @@ class WsmProblem:
     seed: int = 0
     n_dirs: int = 128
     margin_tol: float = MARGIN_TOL
-    convexity_samples: int = 200
     _ctx: Optional["_Context"] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.alpha > 0:
+            raise GuardError("alpha must be positive")
+        if self.grid < 2:
+            raise GuardError(f"grid must be at least 2 points per axis, got {self.grid}")
+        if not 0 <= self.margin_tol < math.inf:
+            raise GuardError(f"margin_tol must be a finite number >= 0, got {self.margin_tol}")
+        if self.n_dirs < 0:
+            raise GuardError(f"n_dirs must be >= 0, got {self.n_dirs}")
+        if not self.s.contains_box(self.sbar):
+            raise GuardError("Sbar is not contained in S")
+        if not self.f.domain.contains_box(self.s):
+            raise GuardError("S is not contained in the objective domain")
 
     def context(self) -> "_Context":
         if self._ctx is None:
@@ -92,8 +105,6 @@ class WsmProblem:
         """The same problem at another modulus, sharing this problem's
         context (grid, directions, endpoint values and guards do not depend
         on alpha)."""
-        if not alpha > 0:
-            raise GuardError("alpha must be positive")
         return dataclasses.replace(self, alpha=alpha, _ctx=self.context())
 
 
@@ -117,18 +128,6 @@ class _Context:
     """Shared grid, directions and cached endpoint values for one problem."""
 
     def __init__(self, p: WsmProblem):
-        if not p.alpha > 0:
-            raise GuardError("alpha must be positive")
-        if p.grid < 2:
-            raise GuardError(f"grid must be at least 2 points per axis, got {p.grid}")
-        if not 0 <= p.margin_tol < math.inf:
-            raise GuardError(f"margin_tol must be a finite number >= 0, got {p.margin_tol}")
-        if p.n_dirs < 0:
-            raise GuardError(f"n_dirs must be >= 0, got {p.n_dirs}")
-        if not p.s.contains_box(p.sbar):
-            raise GuardError("Sbar is not contained in S")
-        if not p.f.domain.contains_box(p.s):
-            raise GuardError("S is not contained in the objective domain")
         self.problem = p
         n_free = max(1, int(np.sum(p.s.hi > p.s.lo)))
         k = p.grid
@@ -142,17 +141,10 @@ class _Context:
         self.dirs = default_directions(p.f.dimension, p.seed, p.n_dirs)
         self.flo_s, self.fhi_s = endpoint_rows(p.f, self.s_grid)
         self.flo_sbar, self.fhi_sbar = endpoint_rows(p.f, self.sbar_grid)
-        for lo_vals, hi_vals, grid_pts in (
-            (self.flo_s, self.fhi_s, self.s_grid),
-            (self.flo_sbar, self.fhi_sbar, self.sbar_grid),
-        ):
-            crossed = lo_vals > hi_vals + ENDPOINT_ORDER_TOL
-            if np.any(crossed):
-                where = grid_pts[int(np.argmax(crossed))]
-                raise ModelError(f"lower exceeds upper at grid point {where}")
-        proj = np.clip(self.s_grid, p.sbar.lo, p.sbar.hi)
-        self.dists = np.linalg.norm(self.s_grid - proj, axis=1)
-        counter = convexity_check(p.f, p.convexity_samples, p.seed)
+        # projection of each feasible grid point onto Sbar, and its distance
+        self.proj = p.sbar.project(self.s_grid)
+        self.dists = np.linalg.norm(self.s_grid - self.proj, axis=1)
+        counter = convexity_check(p.f, 200, p.seed)
         if counter is not None:
             notes.append(
                 "declared-convex objective failed the sampled convexity guard "
@@ -176,7 +168,18 @@ class _Context:
         per candidate grid point and one column per direction; +inf where
         the direction leaves S.  Built on first use (primal, dual-b)."""
         p = self.problem
-        return restricted(p.f, p.s).dir_derivs(self.sbar_grid, self.dirs)[0]
+        return RestrictedIvf(p.f, p.s).dir_derivs(self.sbar_grid, self.dirs)[0]
+
+    @cached_property
+    def _endpoint_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.flo_s - self.flo_sbar.max(), self.fhi_s - self.fhi_sbar.max()
+
+    def definition_margins(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """Margins of the defining inequality at each feasible grid point,
+        per endpoint g: g(x) - max of g over the candidate grid
+        - alpha * dist(x, Sbar)."""
+        gap_lo, gap_hi = self._endpoint_gaps
+        return gap_lo - alpha * self.dists, gap_hi - alpha * self.dists
 
     def report(self, checker, margin, witness, labels, samples) -> WsmReport:
         tol = self.problem.margin_tol
@@ -221,16 +224,14 @@ def check_definition(p: WsmProblem) -> WsmReport:
 
     The pair condition separates per endpoint: with M the endpoint maximum
     over the candidate grid, the worst margin over all pairs is the worst
-    over x of g(x) - M - alpha * dist(x, Sbar).
+    over x of g(x) - M - alpha * dist(x, Sbar); the witness pairs x with
+    the candidate point where that endpoint attains M.
     """
     ctx = p.context()
-    j_lo = int(np.argmax(ctx.flo_sbar))
-    j_hi = int(np.argmax(ctx.fhi_sbar))
-    margin_lo = ctx.flo_s - ctx.flo_sbar[j_lo] - p.alpha * ctx.dists
-    margin_hi = ctx.fhi_s - ctx.fhi_sbar[j_hi] - p.alpha * ctx.dists
+    margin_lo, margin_hi = ctx.definition_margins(p.alpha)
     margins = np.minimum(margin_lo, margin_hi)
     i = int(np.argmin(margins))
-    j = j_lo if margin_lo[i] <= margin_hi[i] else j_hi
+    j = int(np.argmax(ctx.flo_sbar if margin_lo[i] <= margin_hi[i] else ctx.fhi_sbar))
     witness = (ctx.sbar_grid[j].copy(), ctx.s_grid[i].copy())
     samples = len(ctx.s_grid) * len(ctx.sbar_grid)
     return ctx.report(
@@ -345,7 +346,7 @@ def check_dual_f(p: WsmProblem) -> WsmReport:
     dominated by the directional derivative at q along y - q."""
     ctx = p.context()
     worst = _Worst()
-    q = p.sbar.project(ctx.s_grid)
+    q = ctx.proj
     rays = ctx.s_grid - q
     gaps = row_norms(rays)
     far = gaps > 1e-12
@@ -355,7 +356,8 @@ def check_dual_f(p: WsmProblem) -> WsmReport:
     return ctx.report("dual-f", worst.margin, worst.witness, ("y", "p"), samples)
 
 
-_CHECKERS = {
+#: The five checkers by name, in report order.
+CHECKERS = {
     "definition": check_definition,
     "primal": check_primal,
     "dual-b": check_dual_normal_cone,
@@ -364,16 +366,8 @@ _CHECKERS = {
 }
 
 
-def run_checker(p: WsmProblem, name: str) -> WsmReport:
-    try:
-        fn = _CHECKERS[name]
-    except KeyError:
-        raise ValueError(f"unknown checker {name!r}") from None
-    return fn(p)
-
-
 def check_all(p: WsmProblem) -> dict[str, WsmReport]:
-    return {name: _CHECKERS[name](p) for name in CHECKER_NAMES}
+    return {name: checker(p) for name, checker in CHECKERS.items()}
 
 
 def concordant(reports: dict[str, WsmReport]) -> bool:
@@ -389,15 +383,9 @@ def estimate_modulus(p: WsmProblem) -> float:
     the endpoints).  Returns 0 when not even a tiny modulus passes.
     """
     ctx = p.context()
-    m_lo = float(np.max(ctx.flo_sbar))
-    m_hi = float(np.max(ctx.fhi_sbar))
-    gap_lo = ctx.flo_s - m_lo
-    gap_hi = ctx.fhi_s - m_hi
-    tol = p.margin_tol
 
     def passes(alpha: float) -> bool:
-        margins = np.minimum(gap_lo - alpha * ctx.dists, gap_hi - alpha * ctx.dists)
-        return bool(margins.min() >= -tol)
+        return bool(np.minimum(*ctx.definition_margins(alpha)).min() >= -p.margin_tol)
 
     if not passes(1e-6):
         return 0.0

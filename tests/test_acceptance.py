@@ -20,7 +20,6 @@ from ivwsm import (
     check_definition,
     concordant,
     default_directions,
-    dir_derivative,
     dist_to_cone,
     dominance,
     estimate_modulus,
@@ -141,10 +140,10 @@ def test_a3_directional_derivative_and_support_identity():
                 d = rng.normal(size=numeric.dimension)
                 d /= np.linalg.norm(d)
                 try:
-                    num = dir_derivative(numeric, x, d)
+                    num = numeric.dir_deriv(x, d)
                 except NonsmoothUncertainError:
                     continue
-                ana = dir_derivative(with_analytic, x, d)
+                ana = with_analytic.dir_deriv(x, d)
                 assert num.lo == pytest.approx(ana.lo, abs=1e-5)
                 assert num.hi == pytest.approx(ana.hi, abs=1e-5)
                 compared += 1

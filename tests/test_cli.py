@@ -179,12 +179,13 @@ class TestOutOfRangeFlags:
             (["--dirs", "-1"], "n_dirs"),
         ],
     )
-    @pytest.mark.parametrize("command", ["check", "modulus"])
+    @pytest.mark.parametrize("command", ["check", "modulus", "subdiff"])
     def test_exit_two_naming_the_setting(self, vee_file, capsys, command, flags, setting):
-        assert main([*flags, command, vee_file()]) == 2
+        probe = ["--at", "0", "--probe", "0.2 0.2"] if command == "subdiff" else []
+        assert main([*flags, command, vee_file(), *probe]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {setting} must be")
-        assert "#DATA" not in captured.out
+        assert captured.out == ""
 
     def test_smallest_accepted_values_run(self, vee_file, capsys):
         assert main(["--grid", "2", "--tol", "0", "--dirs", "0", "check", vee_file()]) == 0
@@ -242,6 +243,7 @@ class TestUnevaluableObjectives:
             ("power_overflow.txt", "'^400' overflows at x=[-1.]"),
             ("kink_in_probe_range.txt", "nonsmooth-uncertain at x=[0.] along d=[1.]"),
             ("nonfinite_in_domain.txt", "lower([-9.66944729]) = inf is not finite"),
+            ("crossed_outside_s.txt", "exceeds upper"),
         ],
     )
     def test_check_exits_two_naming_the_point(self, name, message, capsys):
@@ -255,6 +257,12 @@ class TestUnevaluableObjectives:
     def test_modulus_exits_two(self, name, capsys):
         assert main(["modulus", str(REGRESSIONS / name)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_crossed_endpoints_outside_s_exit_two_in_modulus(self, capsys):
+        # check meets the crossing in the convexity guard, modulus in the
+        # Lipschitz estimate: both sample the whole domain
+        assert main(["modulus", str(REGRESSIONS / "crossed_outside_s.txt")]) == 2
+        assert "exceeds upper" in capsys.readouterr().err
 
 
 class TestSubdiffCommand:

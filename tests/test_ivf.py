@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivwsm import BoxSet, Interval, Ivf, boundedness_check, dominance
-from ivwsm import convexity_check, dir_derivative, eval_ivf, gh_difference, gh_gradient
-from ivwsm import dir_derivatives, lipschitz_estimate, restricted, scalar_mul, subdiff_support
+from ivwsm import BoxSet, Interval, Ivf, RestrictedIvf, boundedness_check, dominance
+from ivwsm import convexity_check, gh_difference, gh_gradient
+from ivwsm import dir_derivatives, lipschitz_estimate, scalar_mul, subdiff_support
 from ivwsm import PLUS_INF, EvalError, ExprAst, add, inf_family, interval_norm, sup_family
 from ivwsm import to_source
 from ivwsm.intervals import is_finite
@@ -42,47 +42,47 @@ def poly2d_ivf() -> Ivf:
 class TestEval:
     def test_vee_family(self):
         f = vee_ivf()
-        assert eval_ivf(f, [2.0]) == Interval(0.5, 2.0)
-        assert eval_ivf(f, [0.0]) == Interval(0.0, 0.0)
+        assert f.value([2.0]) == Interval(0.5, 2.0)
+        assert f.value([0.0]) == Interval(0.0, 0.0)
 
     def test_poly_example(self):
         # hand evaluation: upper = 10 - (1)(-1) - (1)(-1) = 12
         f = poly2d_ivf()
-        assert eval_ivf(f, [-1.0, -1.0]) == Interval(5.0, 12.0)
+        assert f.value([-1.0, -1.0]) == Interval(5.0, 12.0)
 
     def test_outside_domain(self):
         with pytest.raises(DomainError):
-            eval_ivf(vee_ivf(), [5.0])
+            vee_ivf().value([5.0])
 
     def test_crossed_endpoints_is_a_model_error(self):
         f = make_ivf(1, lambda x: x[0], lambda x: -x[0], -1, 1)
         with pytest.raises(ModelError):
-            eval_ivf(f, [0.5])
+            f.value([0.5])
 
 
 class TestDirDerivative:
     def test_vee_at_kink_both_sides(self):
         f = vee_ivf(analytic=False)
-        assert_close_interval(dir_derivative(f, [0.0], [1.0]), Interval(0.25, 1.0))
-        assert_close_interval(dir_derivative(f, [0.0], [-1.0]), Interval(0.25, 1.0))
+        assert_close_interval(f.dir_deriv([0.0], [1.0]), Interval(0.25, 1.0))
+        assert_close_interval(f.dir_deriv([0.0], [-1.0]), Interval(0.25, 1.0))
 
     def test_smooth_point(self):
         f = quad_ivf(analytic=False)
-        assert_close_interval(dir_derivative(f, [1.0], [1.0]), Interval(2.0, 2.0))
+        assert_close_interval(f.dir_deriv([1.0], [1.0]), Interval(2.0, 2.0))
 
     def test_zero_direction(self):
         f = quad_ivf(analytic=False)
-        assert dir_derivative(f, [1.0], [0.0]) == Interval(0.0, 0.0)
+        assert f.dir_deriv([1.0], [0.0]) == Interval(0.0, 0.0)
 
     def test_infeasible_direction(self):
         f = vee_ivf()  # domain [-2, 2]
         with pytest.raises(InfeasibleDirectionError):
-            dir_derivative(replace(f, analytic_dir_deriv=None), [2.0], [1.0])
+            replace(f, analytic_dir_deriv=None).dir_deriv([2.0], [1.0])
 
     def test_kink_inside_probe_range_is_flagged(self):
         f = make_ivf(1, lambda x: abs(x[0] - 5e-4), lambda x: 2 * abs(x[0] - 5e-4), -1, 1)
         with pytest.raises(NonsmoothUncertainError):
-            dir_derivative(f, [0.0], [1.0])
+            f.dir_deriv([0.0], [1.0])
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(3)
@@ -91,8 +91,8 @@ class TestDirDerivative:
             x = rng.uniform(-1.0, 1.0, f.dimension)
             d = rng.normal(size=f.dimension)
             t = float(rng.uniform(0.1, 4.0))
-            base = dir_derivative(f, x, d)
-            scaled = dir_derivative(f, x, t * d)
+            base = f.dir_deriv(x, d)
+            scaled = f.dir_deriv(x, t * d)
             expect = scalar_mul(t, base)
             assert scaled.lo == pytest.approx(expect.lo, abs=1e-5)
             assert scaled.hi == pytest.approx(expect.hi, abs=1e-5)
@@ -115,10 +115,10 @@ class TestNumericMatchesAnalytic:
                 d = rng.normal(size=numeric.dimension)
                 d /= np.linalg.norm(d)
                 try:
-                    num = dir_derivative(numeric, x, d)
+                    num = numeric.dir_deriv(x, d)
                 except NonsmoothUncertainError:
                     continue  # a kink sits inside the probe range at this draw
-                ana = dir_derivative(with_analytic, x, d)
+                ana = with_analytic.dir_deriv(x, d)
                 assert_close_interval(num, ana, tol=1e-5)
                 compared += 1
             assert compared >= 8
@@ -207,7 +207,7 @@ class TestBatchedDerivatives:
         kept, expected = [], []
         for i, (x, d) in enumerate(zip(points, dirs)):
             try:
-                one = dir_derivative(f, x, d)
+                one = f.dir_deriv(x, d)
             except RAISES:
                 one = None
             try:
@@ -234,7 +234,7 @@ class TestBatchedDerivatives:
         dirs = np.random.default_rng(4).normal(size=(6, 2))
         lo, hi = dir_derivatives(f, [0.5, -0.25], dirs)
         for d, a, b in zip(dirs, lo, hi):
-            assert dir_derivative(f, [0.5, -0.25], d) == Interval(a, b)
+            assert f.dir_deriv([0.5, -0.25], d) == Interval(a, b)
 
     def test_analytic_route_loops_over_rows(self):
         f = vee_ivf()
@@ -242,7 +242,7 @@ class TestBatchedDerivatives:
         assert list(lo) == [0.25, -1.0] and list(hi) == [1.0, -0.25]
 
     def test_restricted_rows_are_infinite_where_the_direction_leaves(self):
-        f_o = restricted(poly2d_ivf(), cube(2, -1, 0))
+        f_o = RestrictedIvf(poly2d_ivf(), cube(2, -1, 0))
         x = [0.0, -0.5]
         dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [-0.5, 0.5], [0.0, 1.0]])
         lo, hi = f_o.dir_derivs(x, dirs)
@@ -260,12 +260,12 @@ class TestBatchedDerivatives:
         g = replace(f, lower=lambda x: abs(x[0]) - 1.0)
         lo, hi = endpoint_rows(g, np.array([[0.5], [-1.0]]))
         assert list(lo) == [-0.5, 0.0] and list(hi) == [1.0, 2.0]
-        assert dir_derivative(g, [0.5], [1.0]) == dir_derivative(f, [0.5], [1.0])
+        assert g.dir_deriv([0.5], [1.0]) == f.dir_deriv([0.5], [1.0])
 
     def test_kink_message_names_the_point(self):
         f = Ivf.from_expressions("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(1, -1, 1))
         with pytest.raises(NonsmoothUncertainError, match=r"at x=\[0\.\] along d=\[1\.\]"):
-            dir_derivative(f, [0.0], [1.0])
+            f.dir_deriv([0.0], [1.0])
 
 
 class TestSampledGuardsDrawOneStream:
@@ -319,20 +319,20 @@ class TestRestricted:
     def test_indicator_semantics(self):
         f = poly2d_ivf()
         s = cube(2, -1, 0)
-        f_o = restricted(f, s)
+        f_o = RestrictedIvf(f, s)
         assert f_o.value([0.5, 0.0]) is PLUS_INF
-        assert f_o.value([-0.5, -0.5]) == eval_ivf(f, [-0.5, -0.5])
+        assert f_o.value([-0.5, -0.5]) == f.value([-0.5, -0.5])
 
     def test_directional_derivative_exits(self):
         f = poly2d_ivf()
-        f_o = restricted(f, cube(2, -1, 0))
+        f_o = RestrictedIvf(f, cube(2, -1, 0))
         assert f_o.dir_deriv([0.0, -0.5], [1.0, 0.0]) is PLUS_INF
         inward = f_o.dir_deriv([0.0, -0.5], [-1.0, 0.0])
         assert is_finite(inward)
 
     def test_feasible_set_must_nest(self):
         with pytest.raises(ValueError):
-            restricted(poly2d_ivf(), cube(2, -3, 0))
+            RestrictedIvf(poly2d_ivf(), cube(2, -3, 0))
 
 
 class TestLipschitz:
@@ -359,7 +359,7 @@ class TestSubgradientInequality:
             for _ in range(25):
                 x = rng.uniform(-1.2, 1.2, f.dimension)
                 y = rng.uniform(-1.2, 1.2, f.dimension)
-                deriv = dir_derivative(f, x, y - x)
+                deriv = f.dir_deriv(x, y - x)
                 diff = gh_difference(f.value(y), f.value(x))
                 assert dominance(deriv, diff, slack=1e-7).leq
 
@@ -470,7 +470,7 @@ class TestRowBlocks:
         self, seed, n, analytic, block, coords
     ):
         f = random_convex_ivf(seed, n, analytic=analytic)
-        f_o = restricted(f, cube(n, -1, 1))
+        f_o = RestrictedIvf(f, cube(n, -1, 1))
         points = np.array(coords[: len(coords) // n * n]).reshape(-1, n)
         rng = np.random.default_rng(seed)
         dirs = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(7, n))])

@@ -11,16 +11,15 @@ from ivwsm import (
     Interval,
     IntervalBoxSet,
     IVector,
+    RestrictedIvf,
     boundedness_check,
     default_directions,
     is_subgradient,
     is_subgradient_directional,
-    restricted,
     special_product,
     subdiff_1d,
     subdiff_singleton,
     subdiff_support,
-    support_value,
 )
 from ivwsm.intervals import is_finite, PLUS_INF
 from ivwsm.ivf import NotGHDifferentiableError
@@ -148,7 +147,7 @@ class TestSupportIdentity:
 
     def test_restricted_boundary_exit_is_infinite(self):
         f = vee_ivf()
-        f_o = restricted(f, cube(1, -1, 1))
+        f_o = RestrictedIvf(f, cube(1, -1, 1))
         oracle = subdiff_support(f_o, [1.0])
         assert oracle.support([1.0]) is PLUS_INF
         assert is_finite(oracle.support([-1.0]))
@@ -335,7 +334,7 @@ class TestDirectionalMatchesPerDirectionLoop:
         if kind == "ivf":
             xbar = rng.uniform(-1.0, 1.0, n)
         else:
-            f = restricted(f, s)
+            f = RestrictedIvf(f, s)
             xbar = rng.uniform(-0.5, 0.5, n)
             pinned = rng.random(n) < 0.6
             xbar[pinned] = np.sign(rng.normal(size=n))[pinned] * 0.5

@@ -25,7 +25,6 @@ from ivwsm import (
     scalar_mul,
     special_product,
     support_dominates,
-    support_value,
     sup_family,
     vnorm,
 )
@@ -44,24 +43,24 @@ def ex1_box() -> IntervalBoxSet:
 class TestSupportValue:
     def test_finite_positive_direction(self):
         s = FiniteIVecSet((ivec((0, 1)), ivec((2, 3))))
-        assert support_value(s, [1.0]) == sup_family(
+        assert s.support([1.0]) == sup_family(
             [special_product([1.0], m) for m in s.members]
         )
-        assert support_value(s, [1.0]) == Interval(2, 3)
+        assert s.support([1.0]) == Interval(2, 3)
 
     def test_finite_negative_direction(self):
         s = FiniteIVecSet((ivec((0, 1)), ivec((2, 3))))
-        assert support_value(s, [-1.0]) == Interval(-1, 0)
+        assert s.support([-1.0]) == Interval(-1, 0)
 
     def test_singleton_reduces_to_special_product(self):
         g = ivec((0.5, 1.5), (-2, 0))
         s = FiniteIVecSet((g,))
         for d in default_directions(2, seed=1, count=16):
-            assert support_value(s, d) == special_product(d, g)
+            assert s.support(d) == special_product(d, g)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            support_value(FiniteIVecSet((ivec((0, 1)),)), [1.0, 2.0])
+            FiniteIVecSet((ivec((0, 1)),)).support([1.0, 2.0])
 
 
 def box_corner_members(box: IntervalBoxSet):
@@ -90,15 +89,15 @@ class TestIntervalBoxSupport:
                 box = IntervalBoxSet(IVector(l_lo, l_hi), IVector(u_lo, u_hi))
                 corners = FiniteIVecSet(tuple(box_corner_members(box)))
                 for d in default_directions(n, seed=n, count=24):
-                    closed = support_value(box, d)
-                    brute = support_value(corners, d)
+                    closed = box.support(d)
+                    brute = corners.support(d)
                     assert closed.lo == pytest.approx(brute.lo, abs=1e-9)
                     assert closed.hi == pytest.approx(brute.hi, abs=1e-9)
 
     def test_ex1_box_values(self):
         box = ex1_box()
-        assert support_value(box, [1.0]) == Interval(0.25, 1.0)
-        assert support_value(box, [-1.0]) == Interval(0.25, 1.0)
+        assert box.support([1.0]) == Interval(0.25, 1.0)
+        assert box.support([-1.0]) == Interval(0.25, 1.0)
 
 
 class TestSupportDominates:
@@ -134,7 +133,7 @@ class TestInclusion:
 
     def test_sampled_mode_against_oracle_set(self):
         box = ex1_box()
-        oracle = OracleIVecSet(1, lambda d: support_value(box, d))
+        oracle = OracleIVecSet(1, lambda d: box.support(d))
         dirs = default_directions(1, seed=2, count=16)
         assert inclusion_test([[0.2]], oracle, dirs).included
         result = inclusion_test([[0.2]], oracle, dirs)
@@ -160,11 +159,11 @@ class TestBoundedness:
         result = boundedness_check(augmented)
         assert not result.bounded
         assert result.unbounded_direction is not None
-        assert support_value(augmented, result.unbounded_direction) is PLUS_INF
+        assert augmented.support(result.unbounded_direction) is PLUS_INF
 
     def test_oracle_bound_covers_members(self):
         box = ex1_box()
-        oracle = OracleIVecSet(1, lambda d: support_value(box, d))
+        oracle = OracleIVecSet(1, lambda d: box.support(d))
         result = boundedness_check(oracle)
         assert result.bounded
         assert result.bound >= 1.0 - 1e-12  # the widest member has norm 1
@@ -189,11 +188,11 @@ class TestPolarAugmentation:
             q_set = FiniteIVecSet(q_members)
             augmented = augment_with_polar_cone(q_set, k)
             on_cone = all(
-                ext_leq(support_value(p_set, d), support_value(q_set, d))
+                ext_leq(p_set.support(d), q_set.support(d))
                 for d in cone_dirs
             )
             everywhere = all(
-                ext_leq(support_value(p_set, d), support_value(augmented, d))
+                ext_leq(p_set.support(d), augmented.support(d))
                 for d in dirs
             )
             assert on_cone == everywhere
@@ -207,7 +206,7 @@ class TestPolarAugmentation:
         s = FiniteIVecSet(members)
         m_bound = boundedness_check(s).bound
         for d in default_directions(3, seed=0, count=32):
-            val = support_value(s, d)
+            val = s.support(d)
             cap = float(np.linalg.norm(d)) * m_bound
             assert dominance(val, Interval(cap, cap), slack=1e-9).leq
 
@@ -222,7 +221,7 @@ class TestHomogeneity:
         )
         s = FiniteIVecSet(members)
         d = rng.normal(size=2)
-        left = support_value(s, t * d)
-        right = scalar_mul(t, support_value(s, d))
+        left = s.support(t * d)
+        right = scalar_mul(t, s.support(d))
         assert left.lo == pytest.approx(right.lo, rel=1e-9, abs=1e-9)
         assert left.hi == pytest.approx(right.hi, rel=1e-9, abs=1e-9)

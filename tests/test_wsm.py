@@ -8,6 +8,7 @@ from ivwsm import (
     GuardError,
     IVector,
     Ivf,
+    RestrictedIvf,
     WsmProblem,
     check_all,
     check_definition,
@@ -18,7 +19,6 @@ from ivwsm import (
     concordant,
     estimate_modulus,
     is_subgradient,
-    restricted,
 )
 from pathlib import Path
 
@@ -121,11 +121,10 @@ class TestDefinition:
         ],
     )
     def test_out_of_range_settings_rejected(self, setting, value):
-        p = WsmProblem(
-            f=vee_ivf(), s=cube(1, -1, 1), sbar=point_box(0.0), alpha=0.2, **{setting: value}
-        )
         with pytest.raises(GuardError, match=f"^{setting} must be"):
-            check_definition(p)
+            WsmProblem(
+                f=vee_ivf(), s=cube(1, -1, 1), sbar=point_box(0.0), alpha=0.2, **{setting: value}
+            )
 
     def test_everything_a_single_point_is_concordantly_sharp(self):
         # S = Sbar = {p}: the definition is vacuous, restricted derivatives
@@ -157,7 +156,7 @@ class TestDualNormalCone:
         report = check_dual_normal_cone(p)
         assert report.holds
         # directly: 0.2 embeds as a member of the subgradient set at 0
-        f_o = restricted(p.f, p.s)
+        f_o = RestrictedIvf(p.f, p.s)
         ctx = p.context()
         res = is_subgradient(f_o, [0.0], IVector.degenerate([0.2]), ctx.s_grid)
         assert res.member
@@ -257,7 +256,7 @@ class TestNormalConeUnionCorollary:
         p = case.problem(alpha=0.8 * case.modulus, grid=9)
         assert check_dual_normal_cone(p).holds
         ctx = p.context()
-        f_o = restricted(p.f, p.s)
+        f_o = RestrictedIvf(p.f, p.s)
         for xbar in ctx.sbar_grid:
             n_cone = p.sbar.normal_cone(xbar)
             for ray in n_cone.extreme_rays():
@@ -342,7 +341,7 @@ class TestWithAlpha:
 
 def primal_reference(p):
     ctx = p.context()
-    f_o = restricted(p.f, p.s)
+    f_o = RestrictedIvf(p.f, p.s)
     worst = _Worst()
     for xbar in ctx.sbar_grid:
         lhs = p.alpha * dist_to_cone(ctx.dirs, p.sbar.tangent_cone(xbar))
@@ -353,7 +352,7 @@ def primal_reference(p):
 
 def dual_b_reference(p):
     ctx = p.context()
-    f_o = restricted(p.f, p.s)
+    f_o = RestrictedIvf(p.f, p.s)
     worst = _Worst()
     samples = 0
     pool = ctx.dirs[: 2 * p.f.dimension + 16]
@@ -454,7 +453,7 @@ class TestReferenceLoops:
     def test_table_rows_equal_one_point_calls(self):
         p = BATTERY["l1-n3"].problem(1.0, grid=9)
         ctx = p.context()
-        f_o = restricted(p.f, p.s)
+        f_o = RestrictedIvf(p.f, p.s)
         rows = [f_o.dir_derivs(x, ctx.dirs)[0] for x in ctx.sbar_grid]
         assert same_bits(ctx.deriv_lo, rows)
 
