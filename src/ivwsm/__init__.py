@@ -18,13 +18,12 @@ from .intervals import (
     sup_family,
 )
 from .ivectors import IVector, special_product, vnorm, vstar
-from .expr import EvalError, ExprAst, ParseError, evaluate, parse, to_source
+from .expr import EvalError, ExprAst, ParseError, evaluate, parse
 from .geometry import (
     BoxSet,
     OrthantCone,
     Tag,
     cone_ball_support,
-    cone_ball_support_sampled,
     dist_to_cone,
 )
 from .ivf import (

@@ -130,8 +130,17 @@ def _cmd_subdiff(args) -> int:
     f = problem.f
     n = f.dimension
     at = _parse_floats(args.at, "--at", n)
-    if not f.domain.contains(at):
-        raise ProblemFileError(f"--at point {at} is outside the domain")
+    if not np.all((f.domain.lo < at) & (at < f.domain.hi)):
+        raise ProblemFileError(f"--at point ({_fmt_vec(at)}) is not interior to the domain")
+    probe = None
+    if args.probe is not None:
+        values = _parse_floats(args.probe, "--probe", 2 * n)
+        try:
+            probe = IVector(values[0::2], values[1::2])
+        except ValueError as exc:
+            raise ProblemFileError(
+                f"--probe ({_fmt_vec(values)}) is not an interval vector: {exc}"
+            )
     if n == 1:
         rep = subdiff_1d(f, at)
         if isinstance(rep, FiniteIVecSet):
@@ -158,31 +167,22 @@ def _cmd_subdiff(args) -> int:
                 val = oracle.support(d)
                 shown = f"[{_fmt(val.lo)}, {_fmt(val.hi)}]" if is_finite(val) else "+inf"
                 print(f"support along ({_fmt_vec(d)}): {shown}")
-    exit_code = 0
-    if args.probe is not None:
-        probe = _parse_floats(args.probe, "--probe", 2 * n)
-        g = IVector(probe[0::2], probe[1::2])
-        grid_points = f.domain.grid(min(problem.grid, 17))
-        by_def = is_subgradient(f, at, g, grid_points)
-        dirs = default_directions(n, problem.seed, problem.n_dirs)
-        by_dir = is_subgradient_directional(f, at, g, dirs)
-        def_text = (
-            "member" if by_def.member else f"violated at x=({_fmt_vec(by_def.witness)})"
-        )
-        dir_text = (
-            "member"
-            if by_dir.member
-            else f"violated along d=({_fmt_vec(by_dir.witness)})"
-        )
-        agree = by_def.member == by_dir.member
-        print(f"probe {g}: definition: {def_text}; directional: {dir_text}")
-        print(f"criteria agree: {'yes' if agree else 'NO'}")
-        print(
-            f"#DATA probe_member={'yes' if by_def.member else 'no'} "
-            f"agree={'yes' if agree else 'no'}"
-        )
-        exit_code = 0 if by_def.member else 1
-    return exit_code
+    if probe is None:
+        return 0
+    grid_points = f.domain.grid(min(problem.grid, 17))
+    by_def = is_subgradient(f, at, probe, grid_points)
+    dirs = default_directions(n, problem.seed, problem.n_dirs)
+    by_dir = is_subgradient_directional(f, at, probe, dirs)
+    def_text = "member" if by_def.member else f"violated at x=({_fmt_vec(by_def.witness)})"
+    dir_text = "member" if by_dir.member else f"violated along d=({_fmt_vec(by_dir.witness)})"
+    agree = by_def.member == by_dir.member
+    print(f"probe {probe}: definition: {def_text}; directional: {dir_text}")
+    print(f"criteria agree: {'yes' if agree else 'NO'}")
+    print(
+        f"#DATA probe_member={'yes' if by_def.member else 'no'} "
+        f"agree={'yes' if agree else 'no'}"
+    )
+    return 0 if by_def.member else 1
 
 
 def main(argv=None) -> int:

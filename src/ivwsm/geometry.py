@@ -231,46 +231,3 @@ def cone_ball_support(k_normal: OrthantCone, alpha: float, d: Sequence[float]):
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     return alpha * dist_to_cone(d, k_normal.polar())
-
-
-def cone_ball_support_sampled(
-    k_normal: OrthantCone,
-    alpha: float,
-    d: Sequence[float],
-    samples: int = 256,
-    seed: int = 0,
-    polish_iters: int = 200,
-) -> float:
-    """Independent route to `cone_ball_support`: maximize <z, d> directly.
-
-    Seeds many z inside the cone-ball intersection, keeps the best, then
-    runs projected gradient ascent (the feasible set projects exactly:
-    clamp per axis, then truncate into the ball).
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    d = np.asarray(d, dtype=float)
-    rng = np.random.default_rng(seed)
-
-    def feasible(z: np.ndarray) -> np.ndarray:
-        """Clamp onto the cone, then truncate into the ball (z one vector
-        or rows; a scale of alpha / alpha is exactly 1)."""
-        z = k_normal.project(z)
-        return z * (alpha / np.maximum(row_norms(z), alpha))[..., None]
-
-    seeds = feasible(rng.normal(size=(samples, len(d))))
-    norms = row_norms(seeds)
-    seeds = seeds * (alpha / np.where(norms > 0, norms, alpha))[:, None]
-    vals = seeds @ d
-    best, best_val = np.zeros(len(d)), 0.0
-    i = int(np.argmax(vals))  # the first best seed
-    if vals[i] > best_val:
-        best, best_val = seeds[i], float(vals[i])
-    step = alpha / (np.linalg.norm(d) + 1e-30)
-    z = best
-    for _ in range(polish_iters):
-        z = feasible(z + step * d)
-        val = float(z @ d)
-        if val > best_val:
-            best_val = val
-    return best_val

@@ -10,11 +10,13 @@ space-separated ``lo1 hi1 lo2 hi2 ...``)::
     S: -1 0 -1 0
     Sbar: 0 0 -1 0
     alpha: 0.1
-    grid: 33      # optional, default 33
-    seed: 7       # optional, default 0
+    grid: 33      # optional
+    seed: 7       # optional
 
-Expressions must parse at the declared dimension and the boxes must nest:
-Sbar inside S inside domain.
+The file is checked for syntax and types only: known keys, numbers where
+numbers go, expressions that parse at the declared dimension.  Values are
+checked by ``WsmProblem``; :func:`build_problem` reports a value it rejects
+at the line of the key it came from.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .expr import ExprAst, ParseError, parse
 from .geometry import BoxSet
 from .ivf import Ivf
-from .wsm import WsmProblem
+from .wsm import GuardError, WsmProblem
 
 REQUIRED_KEYS = ("dimension", "lower", "upper", "domain", "S", "Sbar", "alpha")
 OPTIONAL_KEYS = ("grid", "seed")
@@ -49,8 +51,9 @@ class ProblemSpec:
     s: BoxSet
     sbar: BoxSet
     alpha: float
-    grid: int = 33
-    seed: int = 0
+    grid: int | None  # None: the file has no such key
+    seed: int | None
+    lines: dict[str, int]  # field name -> line of the key it came from
 
 
 def _parse_box(text: str, dimension: int, line: int) -> BoxSet:
@@ -110,30 +113,17 @@ def parse_problem_text(text: str) -> ProblemSpec:
     domain = _parse_box(text_of("domain"), dimension, line_of("domain"))
     s = _parse_box(text_of("S"), dimension, line_of("S"))
     sbar = _parse_box(text_of("Sbar"), dimension, line_of("Sbar"))
-    if not s.contains_box(sbar):
-        raise ProblemFileError("Sbar must be contained in S", line_of("Sbar"))
-    if not domain.contains_box(s):
-        raise ProblemFileError("S must be contained in domain", line_of("S"))
     try:
         alpha = float(text_of("alpha"))
     except ValueError:
         raise ProblemFileError("alpha must be a number", line_of("alpha"))
-    if not alpha > 0:
-        raise ProblemFileError("alpha must be positive", line_of("alpha"))
-    grid = 33
-    if "grid" in entries:
-        try:
-            grid = int(text_of("grid"))
-        except ValueError:
-            raise ProblemFileError("grid must be an integer", line_of("grid"))
-        if grid < 2:
-            raise ProblemFileError("grid must be >= 2", line_of("grid"))
-    seed = 0
-    if "seed" in entries:
-        try:
-            seed = int(text_of("seed"))
-        except ValueError:
-            raise ProblemFileError("seed must be an integer", line_of("seed"))
+    optional = {}
+    for key in OPTIONAL_KEYS:
+        if key in entries:
+            try:
+                optional[key] = int(text_of(key))
+            except ValueError:
+                raise ProblemFileError(f"{key} must be an integer", line_of(key))
     return ProblemSpec(
         dimension=dimension,
         lower=endpoints["lower"],
@@ -142,8 +132,9 @@ def parse_problem_text(text: str) -> ProblemSpec:
         s=s,
         sbar=sbar,
         alpha=alpha,
-        grid=grid,
-        seed=seed,
+        grid=optional.get("grid"),
+        seed=optional.get("seed"),
+        lines={key.lower(): line for key, (_, line) in entries.items()},
     )
 
 
@@ -158,8 +149,17 @@ def load_problem_file(path: str | Path) -> ProblemSpec:
 def build_problem(spec: ProblemSpec, **overrides) -> WsmProblem:
     """The problem a parsed file describes.  Keyword ``WsmProblem`` settings
     override the file's; a None override keeps the file's value, or the
-    ``WsmProblem`` default for a setting the file has no key for."""
+    ``WsmProblem`` default for a setting the file has no key for.  A value
+    ``WsmProblem`` rejects raises ProblemFileError at the line of its key
+    when it came from the file, the GuardError itself when it came from an
+    override."""
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     settings = {"alpha": spec.alpha, "grid": spec.grid, "seed": spec.seed}
-    settings.update((k, v) for k, v in overrides.items() if v is not None)
+    settings = {k: v for k, v in settings.items() if v is not None} | overrides
     f = Ivf(spec.dimension, spec.lower, spec.upper, spec.domain)
-    return WsmProblem(f=f, s=spec.s, sbar=spec.sbar, **settings)
+    try:
+        return WsmProblem(f=f, s=spec.s, sbar=spec.sbar, **settings)
+    except GuardError as exc:
+        if exc.field in overrides:
+            raise
+        raise ProblemFileError(str(exc), spec.lines.get(exc.field)) from exc

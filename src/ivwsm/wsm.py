@@ -56,7 +56,11 @@ GRID_CAP = 40_000
 
 class GuardError(ValueError):
     """Structural precondition violated (set containment, a setting out of
-    range)."""
+    range); ``field`` names the rejected ``WsmProblem`` field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass
@@ -83,18 +87,22 @@ class WsmProblem:
     _ctx: Optional["_Context"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise GuardError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise GuardError("alpha", f"alpha must be a finite number > 0, got {self.alpha}")
         if self.grid < 2:
-            raise GuardError(f"grid must be at least 2 points per axis, got {self.grid}")
+            raise GuardError("grid", f"grid must be at least 2 points per axis, got {self.grid}")
+        if self.seed < 0:
+            raise GuardError("seed", f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.margin_tol < math.inf:
-            raise GuardError(f"margin_tol must be a finite number >= 0, got {self.margin_tol}")
+            raise GuardError(
+                "margin_tol", f"margin_tol must be a finite number >= 0, got {self.margin_tol}"
+            )
         if self.n_dirs < 0:
-            raise GuardError(f"n_dirs must be >= 0, got {self.n_dirs}")
+            raise GuardError("n_dirs", f"n_dirs must be >= 0, got {self.n_dirs}")
         if not self.s.contains_box(self.sbar):
-            raise GuardError("Sbar is not contained in S")
+            raise GuardError("sbar", "Sbar is not contained in S")
         if not self.f.domain.contains_box(self.s):
-            raise GuardError("S is not contained in the objective domain")
+            raise GuardError("s", "S is not contained in the objective domain")
 
     def context(self) -> "_Context":
         if self._ctx is None:

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from ivwsm import (
+    CHECKERS,
     BoxSet,
     Interval,
-    IVector,
     add,
     boundedness_check,
     check_all,
-    check_definition,
     concordant,
     default_directions,
     dist_to_cone,
@@ -31,18 +30,18 @@ from ivwsm import (
     subdiff_1d,
     subdiff_support,
     cone_ball_support,
-    cone_ball_support_sampled,
     Dominance,
     WsmProblem,
 )
 from ivwsm.cli import main
-from ivwsm.expr import ExprAst, ParseError, parse, to_source
+from ivwsm.expr import ExprAst, ParseError, parse
 from ivwsm.intervals import minkowski_sub
 from ivwsm.ivf import NonsmoothUncertainError
 from ivwsm.support import IntervalBoxSet
 
 from conftest import cube, l1_ivf, point_box, random_convex_ivf, random_interval, vee_ivf, wsm_battery
-from test_expr import random_ast
+from test_expr import random_ast, to_source
+from test_geometry import cone_ball_support_sampled
 from test_subdiff import sample_ex1_exterior, sample_ex1_interior
 
 
@@ -176,21 +175,39 @@ def test_a4_modulus_recovery():
 
 
 def test_a5_checker_concordance_battery():
+    """Every checker at 0.8x and 1.2x each case's modulus (or nominal alpha),
+    and the estimated modulus; prints the verdict table."""
     with criterion("checker-concordance", 30.0):
         cases = wsm_battery()
         assert len(cases) >= 12
         assert sum(c.positive for c in cases) >= 6
         assert sum(not c.positive for c in cases) >= 6
+        header = f"{'case':26s} {'alpha':>7s}  " + "  ".join(
+            f"{name:>10s}" for name in CHECKERS
+        ) + f"  {'agree':>5s}"
+        print(header)
+        print("-" * len(header))
         agreements = 0
         for case in cases:
             base = case.modulus if case.positive else case.nominal_alpha
             for scale in (0.8, 1.2):
-                problem = case.problem(alpha=scale * base, grid=33, seed=11)
-                reports = check_all(problem)
-                assert concordant(reports), (case.name, scale)
+                alpha = scale * base
+                reports = check_all(case.problem(alpha=alpha, grid=33, seed=11))
+                agree = concordant(reports)
+                print(f"{case.name:26s} {alpha:7.3f}  " + "  ".join(
+                    f"{reports[name].verdict:>10s}" for name in CHECKERS
+                ) + f"  {'yes' if agree else 'NO':>5s}")
+                assert agree, (case.name, scale)
                 expected = case.positive and scale == 0.8
                 assert reports["definition"].holds == expected, (case.name, scale)
                 agreements += 1
+            estimate = estimate_modulus(case.problem(alpha=base, grid=33, seed=11))
+            known = f"{case.modulus:.3f}" if case.positive else "none"
+            print(f"{'':26s} estimated modulus {estimate:.4f} (known {known})")
+            if case.positive:
+                assert case.modulus - 1e-3 <= estimate <= case.modulus, case.name
+            else:
+                assert estimate < 0.8 * case.nominal_alpha, case.name
         assert agreements == 2 * len(cases)
 
 

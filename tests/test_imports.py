@@ -1,8 +1,8 @@
 """Every name a module imports is used in that module.
 
-Walks the syntax tree of each package module and script and fails on an
-imported name that is never read.  ``__init__.py`` is skipped: its imports
-are the public API.
+Walks the syntax tree of each package module, script and test module and
+fails on an imported name that is never read.  ``__init__.py`` is skipped:
+its imports are the public API.
 """
 
 import ast
@@ -13,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     p
-    for p in [*(ROOT / "src" / "ivwsm").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for directory in (ROOT / "src" / "ivwsm", ROOT / "scripts", ROOT / "tests")
+    for p in directory.glob("*.py")
     if p.name != "__init__.py"
 )
 

@@ -1,7 +1,5 @@
 """Interval arithmetic, the gH difference, dominance, and suprema."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ivwsm import IVector, Interval, add, dominance, gh_difference, interval_norm, special_product, vnorm, vstar
-from ivwsm import scalar_mul, leq
+from ivwsm import scalar_mul
 
 from conftest import intervals
 

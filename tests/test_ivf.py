@@ -13,7 +13,6 @@ from ivwsm import BoxSet, Interval, Ivf, RestrictedIvf, boundedness_check, domin
 from ivwsm import convexity_check, gh_difference, gh_gradient
 from ivwsm import dir_derivatives, lipschitz_estimate, scalar_mul, subdiff_support
 from ivwsm import PLUS_INF, EvalError, ExprAst, add, inf_family, interval_norm, sup_family
-from ivwsm import to_source
 from ivwsm.intervals import is_finite
 from ivwsm import ivf as ivf_module
 from ivwsm.ivf import (
@@ -29,8 +28,8 @@ from ivwsm.ivf import (
     point_block_derivatives,
 )
 
-from conftest import cube, l1_ivf, make_ivf, quad_ivf, random_convex_ivf, vee_ivf
-from test_expr import eval_node_reference, random_ast, same_bits
+from conftest import cube, make_ivf, quad_ivf, random_convex_ivf, vee_ivf
+from test_expr import eval_node_reference, random_ast, same_bits, to_source
 
 
 def poly2d_ivf() -> Ivf:

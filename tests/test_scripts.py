@@ -18,53 +18,6 @@ estimated modulus: 0.2496
 #DATA alpha=0.436861 verdict=fails margin=-1.868605e-01
 """
 
-#: stdout of ``run_battery.py --grid 9`` without its final line, which
-#: holds the disagreement count and the run time.
-BATTERY_GRID9 = """\
-case                         alpha  definition      primal      dual-b      dual-e      dual-f  agree
------------------------------------------------------------------------------------------------------
-vee-quarter                  0.200       holds       holds       holds       holds       holds    yes
-vee-quarter                  0.300       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.2496 (known 0.250)
-l1-n2                        0.800       holds       holds       holds       holds       holds    yes
-l1-n2                        1.200       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.9995 (known 1.000)
-vee-shifted                  0.400       holds       holds       holds       holds       holds    yes
-vee-shifted                  0.600       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.4999 (known 0.500)
-l1-width                     0.800       holds       holds       holds       holds       holds    yes
-l1-width                     1.200       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.9995 (known 1.000)
-strip-segment                0.800       holds       holds       holds       holds       holds    yes
-strip-segment                1.200       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.9997 (known 1.000)
-halfline                     0.800       holds       holds       holds       holds       holds    yes
-halfline                     1.200       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.9998 (known 1.000)
-l1-n3                        0.800       holds       holds       holds       holds       holds    yes
-l1-n3                        1.200       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.9996 (known 1.000)
-tilt-neg                     0.400       fails       fails       fails       fails       fails    yes
-tilt-neg                     0.600       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.0000 (known none)
-quad-neg                     0.400       fails       fails       fails       fails       fails    yes
-quad-neg                     0.600       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.2494 (known none)
-l1-wrong-sbar-neg            0.400       fails       fails       fails       fails       fails    yes
-l1-wrong-sbar-neg            0.600       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.0000 (known none)
-halfline-small-sbar-neg      0.400       fails       fails       fails       fails       fails    yes
-halfline-small-sbar-neg      0.600       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.0000 (known none)
-vee-wrong-sbar-neg           0.400       fails       fails       fails       fails       fails    yes
-vee-wrong-sbar-neg           0.600       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.0000 (known none)
-bowl2-neg                    0.400       fails       fails       fails       fails       fails    yes
-bowl2-neg                    0.600       fails       fails       fails       fails       fails    yes
-                           estimated modulus 0.2495 (known none)
-
-"""
-
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -86,10 +39,3 @@ def test_modulus_sweep_output_is_unchanged():
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == VEE_SWEEP
 
-
-def test_run_battery_output_is_unchanged():
-    result = run_script("run_battery.py", "--grid", "9")
-    assert (result.returncode, result.stderr) == (0, "")
-    table, _, last = result.stdout.rstrip("\n").rpartition("\n")
-    assert table + "\n" == BATTERY_GRID9
-    assert last.startswith("0 disagreements, ")

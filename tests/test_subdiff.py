@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ivwsm import (
     FiniteIVecSet,
-    Interval,
     IntervalBoxSet,
     IVector,
     RestrictedIvf,
@@ -25,7 +24,7 @@ from ivwsm.intervals import is_finite, PLUS_INF
 from ivwsm.ivf import NotGHDifferentiableError
 from ivwsm.subdiff import DIRECTIONAL_SLACK
 
-from conftest import cube, l1_ivf, make_ivf, point_box, quad_ivf, random_convex_ivf, vee_ivf
+from conftest import cube, l1_ivf, make_ivf, quad_ivf, random_convex_ivf, vee_ivf
 
 
 def probe_grid(f, k=17):

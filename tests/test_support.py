@@ -28,7 +28,6 @@ from ivwsm import (
     sup_family,
     vnorm,
 )
-from ivwsm.intervals import is_finite
 
 
 def ivec(*pairs) -> IVector:

@@ -118,12 +118,15 @@ class TestDefinition:
             ("margin_tol", float("nan")),
             ("margin_tol", float("inf")),
             ("n_dirs", -1),
+            ("alpha", float("inf")),
+            ("alpha", float("nan")),
+            ("seed", -1),
         ],
     )
     def test_out_of_range_settings_rejected(self, setting, value):
         with pytest.raises(GuardError, match=f"^{setting} must be"):
             WsmProblem(
-                f=vee_ivf(), s=cube(1, -1, 1), sbar=point_box(0.0), alpha=0.2, **{setting: value}
+                f=vee_ivf(), s=cube(1, -1, 1), sbar=point_box(0.0), **{"alpha": 0.2, setting: value}
             )
 
     def test_everything_a_single_point_is_concordantly_sharp(self):
