@@ -160,13 +160,12 @@ def _cmd_subdiff(args) -> int:
             )
     else:
         oracle = subdiff_support(f, at)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            for d in (e, -e):
-                val = oracle.support(d)
-                shown = f"[{_fmt(val.lo)}, {_fmt(val.hi)}]" if is_finite(val) else "+inf"
-                print(f"support along ({_fmt_vec(d)}): {shown}")
+        dirs = [d for e in np.eye(n) for d in (e, -e)]
+        # every value first, so a failing derivative prints nothing
+        values = [oracle.support(d) for d in dirs]
+        for d, val in zip(dirs, values):
+            shown = f"[{_fmt(val.lo)}, {_fmt(val.hi)}]" if is_finite(val) else "+inf"
+            print(f"support along ({_fmt_vec(d)}): {shown}")
     if probe is None:
         return 0
     grid_points = f.domain.grid(min(problem.grid, 17))

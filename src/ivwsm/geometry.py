@@ -6,8 +6,10 @@ closed form: projection is a per-axis clamp, the tangent and normal cones
 at any member point are axis-wise products of rays, lines and the origin,
 and distances to those cones are again per-axis clamps.
 
-Cone projection, membership and distance accept one vector or an (m, n)
-array of them, one result per row.
+Cone projection, membership and distance, and box membership and face
+codes, accept one vector or an (m, n) array of them, one result per row.
+A point's cones depend on it only through its face codes, so callers with
+many points build each cone once per face (``group_rows``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ class Tag(Enum):
     ZERO = "zero"      # {0}
 
 
+#: Tangent-cone tag of each per-axis face code (``BoxSet.face_codes``).
+_FACE_TAGS = (Tag.FREE, Tag.NONNEG, Tag.NONPOS, Tag.ZERO)
 _POLAR = {Tag.FREE: Tag.ZERO, Tag.ZERO: Tag.FREE, Tag.NONNEG: Tag.NONPOS, Tag.NONPOS: Tag.NONNEG}
 #: Per-axis (lower, upper) bound of each tag's ray, line or origin.
 _BOUNDS = {
@@ -44,7 +48,7 @@ _BOUNDS = {
 @lru_cache(maxsize=None)
 def _cone_bounds(tags: tuple[Tag, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis lower and upper bounds of the cone with these tags, and its
-    mask of zero axes (cached: cones are rebuilt at every grid point)."""
+    mask of zero axes (cached: cones with the same tags recur)."""
     lo = np.array([_BOUNDS[t][0] for t in tags])
     hi = np.array([_BOUNDS[t][1] for t in tags])
     return lo, hi, np.array([t is Tag.ZERO for t in tags])
@@ -160,9 +164,12 @@ class BoxSet:
     def dimension(self) -> int:
         return len(self.lo)
 
-    def contains(self, x: Sequence[float], tol: float = MEMBER_TOL) -> bool:
+    def contains(self, x: Sequence[float], tol: float = MEMBER_TOL):
+        """Membership of one point (a bool) or of each row of an (m, n)
+        array (a bool array)."""
         x = np.asarray(x, dtype=float)
-        return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
+        inside = ((x >= self.lo - tol) & (x <= self.hi + tol)).all(axis=-1)
+        return inside if x.ndim == 2 else bool(inside)
 
     def contains_box(self, other: "BoxSet", tol: float = MEMBER_TOL) -> bool:
         return bool(
@@ -176,25 +183,21 @@ class BoxSet:
         x = np.asarray(x, dtype=float)
         return float(np.linalg.norm(x - self.project(x)))
 
+    def face_codes(self, x: Sequence[float], tol: float = MEMBER_TOL) -> np.ndarray:
+        """Where each coordinate of a point, or of each row of an (m, n)
+        array, sits in the box: 1 at the lower bound only, 2 at the upper
+        only, 3 at both (a point axis), 0 strictly inside.  Points with
+        equal codes lie on the same face, so they have the same tangent and
+        normal cones."""
+        x = np.asarray(x, dtype=float)
+        return (x <= self.lo + tol) + 2 * (x >= self.hi - tol)
+
     def tangent_cone(self, x: Sequence[float], tol: float = MEMBER_TOL) -> OrthantCone:
         """Feasible-direction cone at a member point, one tag per axis."""
         x = np.asarray(x, dtype=float)
         if not self.contains(x, tol):
             raise ValueError(f"{x} is not a member of the box")
-        tags = []
-        # Python floats compare faster than NumPy scalars, with the same result
-        for xi, lo, hi in zip(x.tolist(), self.lo.tolist(), self.hi.tolist()):
-            at_lo = xi <= lo + tol
-            at_hi = xi >= hi - tol
-            if at_lo and at_hi:
-                tags.append(Tag.ZERO)
-            elif at_lo:
-                tags.append(Tag.NONNEG)
-            elif at_hi:
-                tags.append(Tag.NONPOS)
-            else:
-                tags.append(Tag.FREE)
-        return OrthantCone(tuple(tags))
+        return OrthantCone(tuple(_FACE_TAGS[c] for c in self.face_codes(x, tol).tolist()))
 
     def normal_cone(self, x: Sequence[float], tol: float = MEMBER_TOL) -> OrthantCone:
         """Polar of the tangent cone at a member point."""
@@ -219,6 +222,13 @@ class BoxSet:
                 axes.append(np.linspace(lo, hi, max(2, int(k))))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an (m, c) array: the group of each row, and
+    the first row of each group."""
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return group.reshape(-1), first
 
 
 def cone_ball_support(k_normal: OrthantCone, alpha: float, d: Sequence[float]):

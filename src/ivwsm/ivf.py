@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expr import parse
-from .geometry import BoxSet, row_norms
+from .geometry import BoxSet, group_rows, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 from .ivectors import IVector
 
@@ -181,28 +181,51 @@ class RestrictedIvf:
         both endpoints are +inf along rows that leave the feasible set.
 
         For an (m, n) array of points the arrays are (m, k): one row per
-        point, one column per direction, computed in blocks of points
-        (:func:`point_block_derivatives`) and equal to the one-point calls.
+        point, one column per direction (:meth:`fill_dir_derivs`), equal to
+        the one-point calls.
         """
         x = np.asarray(x, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
         points = np.atleast_2d(x)
-        for p in points:
-            if not self.feasible.contains(p):
-                raise DomainError(f"{p} is outside the feasible set")
-        inside = np.array([self.feasible.tangent_cone(p).contains(dirs) for p in points])
+        lo = np.empty((len(points), len(dirs)))
+        hi = np.empty_like(lo)
+        self.fill_dir_derivs(points, dirs, lo, hi)
+        return (lo[0], hi[0]) if x.ndim == 1 else (lo, hi)
+
+    def fill_dir_derivs(
+        self, points: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: Optional[np.ndarray] = None
+    ) -> None:
+        """Write :meth:`dir_derivs` of an (m, n) array of points into the
+        (m, k) array lo, and into hi unless it is None.
+
+        The directions that stay in the feasible box depend on a point only
+        through its face (``BoxSet.face_codes``), so they are found once per
+        face.  The derivatives come in blocks of points
+        (:func:`point_block_derivatives`), so no (m, k) temporary is made.
+        """
+        box = self.feasible
+        outside = _first(~box.contains(points))
+        if outside is not None:
+            raise DomainError(f"{points[outside]} is outside the feasible set")
+        face_of, firsts = group_rows(box.face_codes(points))
+        inside = np.array([box.tangent_cone(points[i]).contains(dirs) for i in firsts])
+        face_dirs = [dirs[mask] for mask in inside]
+        lo.fill(np.inf)
+        if hi is not None:
+            hi.fill(np.inf)
         blocks = point_block_derivatives(
-            self.base, ((p, dirs[mask]) for p, mask in zip(points, inside))
+            self.base, ((p, face_dirs[f]) for p, f in zip(points, face_of))
         )
-        lo = np.full(inside.shape, np.inf)
-        hi = np.full(inside.shape, np.inf)
         start = 0
         for count, _, _, d_lo, d_hi in blocks:
             rows = slice(start, start + count)
+            mask = inside[face_of[rows]]
             # boolean assignment fills row-major: point, then direction
-            lo[rows][inside[rows]], hi[rows][inside[rows]] = d_lo, d_hi
+            lo[rows][mask] = d_lo
+            if hi is not None:
+                hi[rows][mask] = d_hi
             start += count
-        return (lo[0], hi[0]) if x.ndim == 1 else (lo, hi)
+            del _, d_lo, d_hi  # free this block before the next one is computed
 
 
 def _per_row(g: Endpoint) -> RowEndpoint:
@@ -245,29 +268,17 @@ def endpoint_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Per row, the largest t with x + t*d still inside the domain box (may be inf)."""
+def _step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The factor, per row pair of points and dirs, on the steps of
+    :data:`STEP_SCHEDULE`: below 1 where x + t*d leaves the domain box
+    closer than twice the largest step."""
+    # per entry, the t at which x + t*d meets the bound it heads for
+    t_exit = np.where(dirs > 0, domain.hi, domain.lo)
+    t_exit -= points
     with np.errstate(divide="ignore", invalid="ignore"):
-        to_hi = np.where(dirs > 0, (domain.hi - points) / dirs, np.inf)
-        to_lo = np.where(dirs < 0, (domain.lo - points) / dirs, np.inf)
-    return np.minimum(to_hi, to_lo).min(axis=1)
-
-
-def _richardson(qa, qb, ta, tb):
-    return (ta * qb - tb * qa) / (ta - tb)
-
-
-def _one_sided_rows(
-    g: RowEndpoint, points: np.ndarray, dirs: np.ndarray, domain: BoxSet
-) -> np.ndarray:
-    """Right directional derivative of g at each row pair of points and dirs.
-
-    Evaluates (g(x + t d) - g(x)) / t on three decreasing steps, removes the
-    first-order error by extrapolation, and demands the last two
-    extrapolations agree.  Steps shrink proportionally when the domain box
-    is exited closer than the largest scheduled step.
-    """
-    t_exit = _exit_steps(domain, points, dirs)
+        t_exit /= dirs
+    t_exit[~((dirs > 0) | (dirs < 0))] = np.inf
+    t_exit = t_exit.min(axis=1)
     i = _first(t_exit <= 0)
     if i is not None:
         raise InfeasibleDirectionError(
@@ -275,12 +286,38 @@ def _one_sided_rows(
             f"immediately at {points[i]}"
         )
     ratio = 0.5 * t_exit / STEP_SCHEDULE[0]
-    scale = np.where(ratio < 1.0, ratio, 1.0)
-    steps = [t * scale for t in STEP_SCHEDULE]
+    return np.where(ratio < 1.0, ratio, 1.0)
+
+
+def _step_points(points: np.ndarray, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x + t*d per row, with one (m, n) temporary."""
+    moved = t[:, None] * dirs
+    moved += points
+    return moved
+
+
+def _richardson(qa, qb, ta, tb):
+    return (ta * qb - tb * qa) / (ta - tb)
+
+
+def _one_sided_rows(
+    g: RowEndpoint, points: np.ndarray, dirs: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Right directional derivative of g at each row pair of points and dirs.
+
+    Evaluates (g(x + t d) - g(x)) / t on the three decreasing steps
+    ``t * scale`` for t in :data:`STEP_SCHEDULE` (:func:`_step_scale`),
+    removes the first-order error by extrapolation, and demands the last
+    two extrapolations agree.  Each step array is formed where it is used
+    rather than kept, which bounds the temporaries of a block.
+    """
     g0 = g(points)
-    quotients = [(g(points + t[:, None] * dirs) - g0) / t for t in steps]
-    e1 = _richardson(quotients[0], quotients[1], steps[0], steps[1])
-    e2 = _richardson(quotients[1], quotients[2], steps[1], steps[2])
+    quotients = [
+        (g(_step_points(points, dirs, t * scale)) - g0) / (t * scale) for t in STEP_SCHEDULE
+    ]
+    t0, t1, t2 = STEP_SCHEDULE
+    e1 = _richardson(quotients[0], quotients[1], t0 * scale, t1 * scale)
+    e2 = _richardson(quotients[1], quotients[2], t1 * scale, t2 * scale)
     # max(1.0, |e1|, |e2|) with Python's first-wins semantics
     size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
     size = np.where(np.abs(e2) > size, np.abs(e2), size)
@@ -306,7 +343,8 @@ def one_sided_derivative(
     (a one-row call of the batched difference-quotient rules)."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    return float(_one_sided_rows(_per_row(g), x[None, :], d[None, :], domain)[0])
+    x, d = x[None, :], d[None, :]
+    return float(_one_sided_rows(_per_row(g), x, d, _step_scale(domain, x, d))[0])
 
 
 def dir_derivatives(
@@ -331,13 +369,14 @@ def dir_derivatives(
         ]
         return tuple(np.concatenate(ends) for ends in zip(*parts))
     if f.analytic_dir_deriv is not None:
-        values = [f.analytic_dir_deriv(x, d) for x, d in zip(points, dirs)]
-        return (
-            np.array([v.lo for v in values], dtype=float),
-            np.array([v.hi for v in values], dtype=float),
-        )
-    d_lo = _one_sided_rows(_rows(f.lower), points, dirs, f.domain)
-    d_hi = _one_sided_rows(_rows(f.upper), points, dirs, f.domain)
+        lo, hi = np.empty(len(points)), np.empty(len(points))
+        for i, (x, d) in enumerate(zip(points, dirs)):
+            value = f.analytic_dir_deriv(x, d)
+            lo[i], hi[i] = value.lo, value.hi
+        return lo, hi
+    scale = _step_scale(f.domain, points, dirs)
+    d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
+    d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
 

@@ -89,16 +89,16 @@ def subgradient_margins(
     directional derivative); each margin is the smaller endpoint gap to the
     special product of h with g.  A +inf right-hand side (both endpoints)
     gives a +inf margin.  For a degenerate g both pairings are the one
-    product ``h @ g_los``.
+    product ``s = h @ g_los``, and the margin is ``rhs_lo - s``: callers
+    pass ``rhs_lo <= rhs_hi``, and subtracting the same s keeps that order
+    after rounding, so this equals ``min(rhs_lo - s, rhs_hi - s)`` bit for
+    bit.
     """
     s1 = h @ g_los
-    if np.array_equal(g_los, g_his):
-        lhs_lo = lhs_hi = s1
-    else:
-        s2 = h @ g_his
-        lhs_lo = np.minimum(s1, s2)
-        lhs_hi = np.maximum(s1, s2)
-    return np.minimum(rhs_lo - lhs_lo, rhs_hi - lhs_hi)
+    if g_los is g_his or np.array_equal(g_los, g_his):
+        return rhs_lo - s1
+    s2 = h @ g_his
+    return np.minimum(rhs_lo - np.minimum(s1, s2), rhs_hi - np.maximum(s1, s2))
 
 
 def _membership(margins: np.ndarray, rows: np.ndarray, slack: float) -> MembershipResult:

@@ -20,9 +20,12 @@ witnesses taken from the first worst row in the grid-then-direction order,
 so the reports equal a pair-by-pair scan.  The primal and dual-b checkers
 share one table of restricted directional derivatives, built on first use;
 dual-e takes its derivatives in blocks of candidate points, dual-f in one
-call.  The definition checker and the modulus bisection read the same
-per-point margins.  A NaN margin is never skipped: it is reported as the
-worst margin and fails.
+call.  The cones of S and Sbar at a candidate point depend on it only
+through the face it lies on, so the cone distances, cone-ball supports and
+members and dual-e's directions are built once per face (a box has at most
+3^n) and gathered to the points.  The definition checker and the modulus
+bisection read the same per-point margins.  A NaN margin is never skipped:
+it is reported as the worst margin and fails.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import BoxSet, cone_ball_support, dist_to_cone, row_norms
+from .geometry import BoxSet, cone_ball_support, dist_to_cone, group_rows, row_norms
 from .ivf import (
     Ivf,
     RestrictedIvf,
@@ -171,12 +174,31 @@ class _Context:
         self.notes = tuple(notes)
 
     @cached_property
+    def faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate grid grouped by face: the face of each ``sbar_grid``
+        row and the first row of each face.  A face is the pattern of
+        lower/upper-bound contacts with Sbar and with S on every axis
+        (``BoxSet.face_codes``), so the tangent and normal cones of both
+        sets, and all that the checkers build from them, are those at the
+        face's first row."""
+        p = self.problem
+        g = self.sbar_grid
+        return group_rows(np.hstack([p.sbar.face_codes(g), p.s.face_codes(g)]))
+
+    def per_face(self, fn) -> list:
+        """``fn(x)`` at the first row x of each face, in face order."""
+        return [fn(x) for x in self.sbar_grid[self.faces[1]]]
+
+    @cached_property
     def deriv_lo(self) -> np.ndarray:
         """Lower endpoint of the restricted directional derivative, one row
         per candidate grid point and one column per direction; +inf where
-        the direction leaves S.  Built on first use (primal, dual-b)."""
+        the direction leaves S.  Built on first use (primal, dual-b), block
+        by block into this one array: the upper endpoint is never kept."""
         p = self.problem
-        return RestrictedIvf(p.f, p.s).dir_derivs(self.sbar_grid, self.dirs)[0]
+        lo = np.empty((len(self.sbar_grid), len(self.dirs)))
+        RestrictedIvf(p.f, p.s).fill_dir_derivs(self.sbar_grid, self.dirs, lo)
+        return lo
 
     @cached_property
     def _endpoint_gaps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -226,6 +248,15 @@ class _Worst:
         i = int(np.argmin(margins))  # the first minimum, or the first NaN
         self.update(float(margins[i]), a if a.ndim == 1 else a[i], b[i])
 
+    def update_table(self, margins: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """Update with the first smallest (or first NaN) entry, in row-major
+        order, of an (m, k) table of margins; entry (i, j) has the witness
+        rows a[i] and b[j].  This is the pair a row-by-row scan keeps."""
+        if margins.size == 0:
+            return
+        i, j = divmod(int(np.argmin(margins)), margins.shape[1])
+        self.update(float(margins[i, j]), a[i], b[j])
+
 
 def check_definition(p: WsmProblem) -> WsmReport:
     """Brute-force the defining inequality over the shared grids.
@@ -254,13 +285,14 @@ def check_primal(p: WsmProblem) -> WsmReport:
     of the direction to the candidate set's tangent cone must be dominated
     by the directional derivative of the restriction; directions leaving
     the feasible set give an infinite derivative and pass automatically.
-    The derivatives come from the context's shared table.
+    The derivatives come from the context's shared table, the cone
+    distances are taken once per face.
     """
     ctx = p.context()
+    cones = ctx.per_face(p.sbar.tangent_cone)
+    lhs = np.array([p.alpha * dist_to_cone(ctx.dirs, t_cone) for t_cone in cones])
     worst = _Worst()
-    for i, xbar in enumerate(ctx.sbar_grid):
-        lhs = p.alpha * dist_to_cone(ctx.dirs, p.sbar.tangent_cone(xbar))
-        worst.update_rows(ctx.deriv_lo[i] - lhs, xbar, ctx.dirs)
+    worst.update_table(ctx.deriv_lo - lhs[ctx.faces[0]], ctx.sbar_grid, ctx.dirs)
     samples = len(ctx.sbar_grid) * len(ctx.dirs)
     return ctx.report("primal", worst.margin, worst.witness, ("x", "d"), samples)
 
@@ -295,27 +327,34 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     arrays), must pass the defining subgradient test against the feasible
     grid.  Repeated members are counted as samples but tested once: equal
     rows give equal margins, and the running minimum keeps the first
-    occurrence as the witness.
+    occurrence as the witness.  Support values and members depend on the
+    point only through its face, so they are built once per face; the
+    gaps F(x) - F(xbar) are rebuilt only when the bits of F(xbar) change
+    from one candidate point to the next (so once in all when F is
+    constant on Sbar).
     """
     ctx = p.context()
-    worst = _Worst()
-    samples = 0
+    face_of = ctx.faces[0]
+    cones = ctx.per_face(p.sbar.normal_cone)
+    lhs = np.array([cone_ball_support(n_cone, p.alpha, ctx.dirs) for n_cone in cones])
+    support = ctx.deriv_lo - lhs[face_of]
     pool = ctx.dirs[: 2 * p.f.dimension + 16]
+    members = [_cone_ball_points(n_cone, p.alpha, pool) for n_cone in cones]
+    distinct = [z[_first_occurrences(z)] for z in members]
+    base_of, _ = group_rows(np.stack([ctx.flo_sbar, ctx.fhi_sbar], axis=1).view(np.int64))
+    worst = _Worst()
+    base = None
     for b, xbar in enumerate(ctx.sbar_grid):
-        n_cone = p.sbar.normal_cone(xbar)
-        lhs = cone_ball_support(n_cone, p.alpha, ctx.dirs)
-        worst.update_rows(ctx.deriv_lo[b] - lhs, xbar, ctx.dirs)
-        samples += len(ctx.dirs)
-        base_lo = ctx.flo_sbar[b]
-        base_hi = ctx.fhi_sbar[b]
-        diff_lo = np.minimum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
-        diff_hi = np.maximum(ctx.flo_s - base_lo, ctx.fhi_s - base_hi)
+        worst.update_rows(support[b], xbar, ctx.dirs)
+        if base_of[b] != base:
+            base = base_of[b]
+            diff_lo = np.minimum(ctx.flo_s - ctx.flo_sbar[b], ctx.fhi_s - ctx.fhi_sbar[b])
         h = ctx.s_grid - xbar
-        members = _cone_ball_points(n_cone, p.alpha, pool)
-        samples += len(members)
-        for z in members[_first_occurrences(members)]:
-            margins = subgradient_margins(h, z, z, diff_lo, diff_hi)
+        for z in distinct[face_of[b]]:
+            # a degenerate z reads only the lower endpoint of the gaps
+            margins = subgradient_margins(h, z, z, diff_lo, diff_lo)
             worst.update(float(margins.min()), xbar, z)
+    samples = support.size + int(np.array([len(z) for z in members])[face_of].sum())
     return ctx.report("dual-b", worst.margin, worst.witness, ("x", "d_or_z"), samples)
 
 
@@ -326,21 +365,26 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
     intersection of the two cones; the degenerate interval
     alpha*||d|| must be dominated by the directional derivative.  An
     origin-only intersection is a vacuous pass at that point.  The
-    derivatives are taken in blocks of candidate points.
+    derivatives are taken in blocks of candidate points, the cones and
+    their unit directions once per face.
     """
     ctx = p.context()
-    worst = _Worst()
-    cones = [p.s.tangent_cone(x).intersect(p.sbar.normal_cone(x)) for x in ctx.sbar_grid]
-    samples = sum(cone.is_zero_cone for cone in cones)
+    face_of = ctx.faces[0]
 
-    def unit_dirs(cone):
+    def unit_dirs(x):
+        cone = p.s.tangent_cone(x).intersect(p.sbar.normal_cone(x))
+        if cone.is_zero_cone:
+            return None
         z = cone.project(ctx.dirs)
         norms = row_norms(z)
         keep = norms > 1e-9
         return np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
 
+    face_dirs = ctx.per_face(unit_dirs)
+    worst = _Worst()
+    samples = sum(face_dirs[f] is None for f in face_of)
     pairs = (
-        (x, unit_dirs(cone)) for x, cone in zip(ctx.sbar_grid, cones) if not cone.is_zero_cone
+        (x, face_dirs[f]) for x, f in zip(ctx.sbar_grid, face_of) if face_dirs[f] is not None
     )
     for _, points, dirs, deriv_lo, _ in point_block_derivatives(p.f, pairs):
         samples += len(dirs)

@@ -355,6 +355,14 @@ class TestSubdiffCommand:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
+    def test_failing_support_value_prints_no_partial_output(self, capsys):
+        # the derivative along (1,0,0) settles; the one along (-1,0,0)
+        # probes across the kink at x1 = 0 and fails
+        assert main(["subdiff", str(PROBLEMS / "strip3d.txt"), "--at", "1e-5 0 0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: nonsmooth-uncertain")
+        assert captured.out == ""
+
 
 L1_SEGMENT = """\
 dimension: 2

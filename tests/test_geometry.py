@@ -69,6 +69,23 @@ class TestTangentNormal:
         with pytest.raises(ValueError):
             box2(-1, 0, -1, 0).tangent_cone([0.5, 0.0])
 
+    def test_face_codes_of_rows_give_the_tangent_tags(self):
+        c = box2(-1, 0, -1, -1)
+        rows = np.array([[-1.0, -1.0], [-0.5, -1.0], [0.0, -1.0], [-1.0 + 5e-13, -1.0]])
+        assert c.face_codes(rows).tolist() == [[1, 3], [0, 3], [2, 3], [1, 3]]
+        for x, codes in zip(rows, c.face_codes(rows)):
+            assert list(c.face_codes(x)) == list(codes)
+            assert c.tangent_cone(x).tags == tuple(
+                (Tag.FREE, Tag.NONNEG, Tag.NONPOS, Tag.ZERO)[k] for k in codes
+            )
+
+    def test_membership_of_rows(self):
+        c = box2(-1, 0, -1, 0)
+        rows = np.array([[-0.5, -0.5], [0.5, 0.0], [0.0, np.nan], [1e-13, -1.0]])
+        assert c.contains(rows).tolist() == [c.contains(x) for x in rows] == [
+            True, False, False, True
+        ]
+
     def test_tangent_directions_sampled(self):
         # tags match sampled feasibility of x + t*d for small t
         c = box2(-1, 0, -1, 0)

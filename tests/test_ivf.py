@@ -333,6 +333,24 @@ class TestRestricted:
         with pytest.raises(ValueError):
             RestrictedIvf(poly2d_ivf(), cube(2, -3, 0))
 
+    def test_rows_name_the_first_point_outside(self):
+        f_o = RestrictedIvf(poly2d_ivf(), cube(2, -1, 0))
+        points = np.array([[-0.5, -0.5], [0.5, 0.0], [0.25, 0.0]])
+        with pytest.raises(DomainError, match=r"^\[0\.5 0\. *\] is outside the feasible set"):
+            f_o.dir_derivs(points, np.eye(2))
+
+    def test_rows_equal_one_point_calls_on_every_face(self):
+        f_o = RestrictedIvf(poly2d_ivf(), cube(2, -1, 0))
+        points = cube(2, -1, 0).grid(5)
+        dirs = np.vstack([np.eye(2), -np.eye(2), [[0.6, -0.8]]])
+        lo, hi = f_o.dir_derivs(points, dirs)
+        for x, row_lo, row_hi in zip(points, lo, hi):
+            for d, d_lo, d_hi in zip(dirs, row_lo, row_hi):
+                value = f_o.dir_deriv(x, d)
+                expected = (np.inf, np.inf) if value is PLUS_INF else (value.lo, value.hi)
+                assert (d_lo, d_hi) == expected
+        assert np.isinf(lo).any() and np.isfinite(lo).any()
+
 
 class TestLipschitz:
     def test_vee_slope(self):

@@ -1,5 +1,7 @@
 """The five sharpness checkers, their concordance, and modulus estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -403,7 +405,8 @@ def dual_e_reference(p):
     return worst.margin, worst.witness, samples
 
 
-PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PROBLEM_FILES = sorted(PROBLEMS.glob("*.txt"))
 BATTERY = {case.name: case for case in wsm_battery()}
 
 
@@ -430,6 +433,86 @@ def _reference_cases():
                            grid=9),
         id="capped-l1-ties",
     )
+    yield from FACE_CASES
+
+
+def _excess(width: float, n: int) -> str:
+    """Sum over the axes of max(|x_i| - width, 0)."""
+    return " + ".join(f"max(abs(x{i}) - {width}, 0)" for i in range(1, n + 1))
+
+
+#: Candidate grids whose points lie on many faces of Sbar and of S.
+FACE_CASES = [
+    # every feasible grid point is a candidate, F is not constant on Sbar
+    pytest.param(
+        lambda: WsmProblem(
+            f=Ivf.from_expressions(
+                "abs(x1) + abs(x2)", "2*abs(x1) + 2*abs(x2) + 1", cube(2, -2, 2)
+            ),
+            s=cube(2, -1, 1), sbar=cube(2, -1, 1), alpha=0.5, grid=9,
+        ),
+        id="sbar-equals-s",
+    ),
+    # Sbar meets the upper face x1 = 1 of S, F is 0 on Sbar
+    pytest.param(
+        lambda: WsmProblem(
+            f=Ivf.from_expressions(
+                "max(0.5 - x1, 0) + max(abs(x2) - 0.5, 0)",
+                "2*max(0.5 - x1, 0) + 2*max(abs(x2) - 0.5, 0) + 1",
+                cube(2, -2, 2),
+            ),
+            s=cube(2, -1, 1),
+            sbar=BoxSet(np.array([0.5, -0.5]), np.array([1.0, 0.5])),
+            alpha=0.8, grid=9,
+        ),
+        id="sbar-on-a-side-of-s",
+    ),
+    # corners, edges, faces and the inside of a 3-d Sbar, all inside S
+    pytest.param(
+        lambda: WsmProblem(
+            f=Ivf.from_expressions(
+                _excess(0.5, 3), f"2*({_excess(0.5, 3)}) + 1", cube(3, -2, 2)
+            ),
+            s=cube(3, -1, 1), sbar=cube(3, -0.5, 0.5), alpha=0.8, grid=9,
+        ),
+        id="sbar-cube-inside-s",
+    ),
+    # F is not constant on Sbar: the gap rows change along the segment
+    pytest.param(
+        lambda: WsmProblem(
+            f=l1_ivf(2, 1.0, 2.0),
+            s=cube(2, -1, 1),
+            sbar=BoxSet(np.array([0.0, -0.5]), np.array([0.0, 0.5])),
+            alpha=0.8, grid=9,
+        ),
+        id="not-constant-on-sbar",
+    ),
+    # F grows along Sbar and the point route decides at the last
+    # candidate point, so the gap rows must follow F(xbar)
+    pytest.param(
+        lambda: WsmProblem(
+            f=Ivf.from_expressions(
+                "abs(x1) + 0.1*x2", "2*abs(x1) + 0.1*x2 + 1", cube(2, -2, 2)
+            ),
+            s=cube(2, -1, 1),
+            sbar=BoxSet(np.array([0.0, -1.0]), np.array([0.0, 1.0])),
+            alpha=0.5, grid=9,
+        ),
+        id="sloped-along-sbar",
+    ),
+    # Sbar starts within MEMBER_TOL of the lower end of S: the points
+    # at its lower end (within the tolerance) are not all at that of S,
+    # so their dual-e cones differ
+    pytest.param(
+        lambda: WsmProblem(
+            f=Ivf.from_expressions("x1^2", "x1^2 + 1", cube(1, -2, 2)),
+            s=cube(1, 0, 1),
+            sbar=BoxSet(np.array([0.8e-12]), np.array([4.8e-12])),
+            alpha=0.5, grid=9,
+        ),
+        id="sbar-within-tolerance-of-s",
+    ),
+]
 
 
 class TestReferenceLoops:
@@ -450,15 +533,75 @@ class TestReferenceLoops:
         report = checker(make())
         margin, witness, samples = reference(make())
         assert same_bits(report.worst_margin, margin)
-        assert all(same_bits(a, b) for a, b in zip(report.witness, witness))
+        # no witness when nothing is tested (Sbar = S leaves dual-e no direction)
+        assert (report.witness is None) == (witness is None)
+        assert all(same_bits(a, b) for a, b in zip(report.witness or (), witness or ()))
         assert report.samples_evaluated == samples
 
-    def test_table_rows_equal_one_point_calls(self):
-        p = BATTERY["l1-n3"].problem(1.0, grid=9)
+    @staticmethod
+    def assert_table_equals_one_point_calls(p):
         ctx = p.context()
         f_o = RestrictedIvf(p.f, p.s)
         rows = [f_o.dir_derivs(x, ctx.dirs)[0] for x in ctx.sbar_grid]
         assert same_bits(ctx.deriv_lo, rows)
+
+    def test_table_rows_equal_one_point_calls(self):
+        self.assert_table_equals_one_point_calls(BATTERY["l1-n3"].problem(1.0, grid=9))
+
+    @pytest.mark.parametrize("make", FACE_CASES)
+    def test_face_table_rows_equal_one_point_calls(self, make):
+        self.assert_table_equals_one_point_calls(make())
+
+
+class TestFaces:
+    @pytest.mark.parametrize("make", list(_reference_cases()))
+    def test_each_point_has_the_cones_of_its_face(self, make):
+        p = make()
+        ctx = p.context()
+        face_of, firsts = ctx.faces
+        for x, f in zip(ctx.sbar_grid, face_of):
+            first = ctx.sbar_grid[firsts[f]]
+            assert p.sbar.tangent_cone(x) == p.sbar.tangent_cone(first)
+            assert p.sbar.normal_cone(x) == p.sbar.normal_cone(first)
+            assert p.s.tangent_cone(x) == p.s.tangent_cone(first)
+
+    def test_cones_are_built_once_per_face_not_per_point(self, monkeypatch):
+        # strip3d at grid 17: 289 candidate points on 9 faces
+        p = build_problem(load_problem_file(PROBLEMS / "strip3d.txt"), grid=17)
+        calls = {"tangent_cone": 0, "normal_cone": 0}
+        for name in calls:
+            original = getattr(BoxSet, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(BoxSet, name, counted)
+        check_all(p)
+        faces = len(p.context().faces[1])
+        assert (faces, len(p.context().sbar_grid)) == (9, 289)
+        # primal, dual-b, dual-e and the derivative table each ask a few
+        # cones per face (a normal cone is a polar tangent cone)
+        assert calls["tangent_cone"] <= 5 * faces
+        assert calls["normal_cone"] <= 2 * faces
+
+
+class TestDerivativeTableMemory:
+    def test_building_keeps_one_endpoint_and_one_block(self):
+        # Sbar = S in 3-d: 729 candidate points; the table holds only the
+        # lower endpoint, and the upper endpoint and the point/direction
+        # rows live one block at a time
+        f = Ivf.from_expressions("abs(x1)", "2*abs(x1) + x1^2", cube(3, -2, 2))
+        s = cube(3, -1, 1)
+        ctx = WsmProblem(f=f, s=s, sbar=s, alpha=0.5, grid=9).context()
+        tracemalloc.start()
+        try:
+            table = ctx.deriv_lo
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (729, len(ctx.dirs))
+        assert peak < 1.5 * table.nbytes
 
 
 class TestConstantOnSbarGuard:
