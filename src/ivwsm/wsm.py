@@ -23,9 +23,11 @@ dual-e takes its derivatives in blocks of candidate points, dual-f in one
 call.  The cones of S and Sbar at a candidate point depend on it only
 through the face it lies on, so the cone distances, cone-ball supports and
 members and dual-e's directions are built once per face (a box has at most
-3^n) and gathered to the points.  The definition checker and the modulus
-bisection read the same per-point margins.  A NaN margin is never skipped:
-it is reported as the worst margin and fails.
+3^n) and gathered to the points.  Dual-b's members and dual-e's directions
+repeat within a face; each distinct row is tested once, in first-occurrence
+order, and every repeat still counts as a sample.  The definition checker
+and the modulus bisection read the same per-point margins.  A NaN margin is
+never skipped: it is reported as the worst margin and fails.
 """
 
 from __future__ import annotations
@@ -366,7 +368,12 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
     alpha*||d|| must be dominated by the directional derivative.  An
     origin-only intersection is a vacuous pass at that point.  The
     derivatives are taken in blocks of candidate points, the cones and
-    their unit directions once per face.
+    their unit directions once per face.  The unit directions of a face
+    repeat (on a ray or a line they are all +-e_i), so each point is
+    differentiated along the distinct rows only, in first-occurrence
+    order: the first smallest margin over them is at the first occurrence
+    of the first smallest over all rows, so the margin and witness are
+    those of the full scan.  Every row counts as a sample.
     """
     ctx = p.context()
     face_of = ctx.faces[0]
@@ -381,13 +388,11 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
         return np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
 
     face_dirs = ctx.per_face(unit_dirs)
+    distinct = [None if d is None else d[_first_occurrences(d)] for d in face_dirs]
+    samples = int(np.array([1 if d is None else len(d) for d in face_dirs])[face_of].sum())
     worst = _Worst()
-    samples = sum(face_dirs[f] is None for f in face_of)
-    pairs = (
-        (x, face_dirs[f]) for x, f in zip(ctx.sbar_grid, face_of) if face_dirs[f] is not None
-    )
+    pairs = ((x, distinct[f]) for x, f in zip(ctx.sbar_grid, face_of) if distinct[f] is not None)
     for _, points, dirs, deriv_lo, _ in point_block_derivatives(p.f, pairs):
-        samples += len(dirs)
         worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), points, dirs)
     return ctx.report("dual-e", worst.margin, worst.witness, ("x", "d"), samples)
 

@@ -306,6 +306,15 @@ class TestUnevaluableObjectives:
         assert main(["modulus", str(REGRESSIONS / "crossed_outside_s.txt")]) == 2
         assert "exceeds upper" in capsys.readouterr().err
 
+    def test_dual_e_kink_names_the_first_failing_direction(self, capsys):
+        # the first candidate point's first direction meets the kink
+        assert main(["check", str(REGRESSIONS / "kink_dual_e_2d.txt"), "--mode", "dual-e"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: nonsmooth-uncertain at x=[ 0.  -0.5] along d=[1. 0.]: "
+            "extrapolations -0.19999999999999998 and 0.0 disagree\n",
+        )
+
 
 class TestSubdiffCommand:
     def test_kink_box_printed(self, vee_file, capsys):

@@ -24,7 +24,7 @@ from ivwsm import (
 )
 from pathlib import Path
 
-from ivwsm import build_problem, cone_ball_support, dist_to_cone, load_problem_file
+from ivwsm import build_problem, cone_ball_support, dist_to_cone, ivf, load_problem_file
 from ivwsm.geometry import row_norms
 from ivwsm.wsm import _Worst
 
@@ -512,6 +512,21 @@ FACE_CASES = [
         ),
         id="sbar-within-tolerance-of-s",
     ),
+    # dual-e's worst margin ties across the rays +-e2, +-e3 at each point
+    # of a 3-d segment, so its witness is the first tied direction
+    pytest.param(
+        lambda: WsmProblem(
+            f=Ivf.from_expressions(
+                "2*max(abs(x1) - 0.5, 0) + abs(x2) + abs(x3)",
+                "4*max(abs(x1) - 0.5, 0) + 2*abs(x2) + 2*abs(x3) + 1",
+                cube(3, -2, 2),
+            ),
+            s=cube(3, -1, 1),
+            sbar=BoxSet(np.array([-0.5, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])),
+            alpha=0.8, grid=9,
+        ),
+        id="ties-on-a-segment",
+    ),
 ]
 
 
@@ -584,6 +599,22 @@ class TestFaces:
         # cones per face (a normal cone is a polar tangent cone)
         assert calls["tangent_cone"] <= 5 * faces
         assert calls["normal_cone"] <= 2 * faces
+
+    def test_dual_e_differentiates_each_distinct_direction_of_a_face_once(self, monkeypatch):
+        # strip3d at grid 17: 38148 sampled (point, direction) rows, 578 of
+        # them distinct within the directions of their point's face
+        p = build_problem(load_problem_file(PROBLEMS / "strip3d.txt"), grid=17)
+        p.context()
+        rows = []
+        original = ivf.dir_derivatives
+
+        def counted(f, points, dirs):
+            rows.append(len(points))
+            return original(f, points, dirs)
+
+        monkeypatch.setattr(ivf, "dir_derivatives", counted)
+        report = check_dual_e(p)
+        assert (sum(rows), report.samples_evaluated) == (578, 38148)
 
 
 class TestDerivativeTableMemory:
