@@ -23,11 +23,13 @@ dual-e takes its derivatives in blocks of candidate points, dual-f in one
 call.  The cones of S and Sbar at a candidate point depend on it only
 through the face it lies on, so the cone distances, cone-ball supports and
 members and dual-e's directions are built once per face (a box has at most
-3^n) and gathered to the points.  Dual-b's members and dual-e's directions
-repeat within a face; each distinct row is tested once, in first-occurrence
-order, and every repeat still counts as a sample.  The definition checker
-and the modulus bisection read the same per-point margins.  A NaN margin is
-never skipped: it is reported as the worst margin and fails.
+3^n) and gathered to the points.  Dual-e's directions repeat within a face,
+and dual-b's point-route pairs repeat across the grid (a pair reads its
+point only through F there and the coordinates its member does not zero);
+each distinct row or pair is tested once, in first-occurrence order, and
+every repeat still counts as a sample.  The definition checker and the
+modulus bisection read the same per-point margins.  A NaN margin is never
+skipped: it is reported as the worst margin and fails.
 """
 
 from __future__ import annotations
@@ -327,13 +329,21 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     context's shared table).  Point route: sampled members z of the
     intersection, taken as degenerate interval vectors (z as both endpoint
     arrays), must pass the defining subgradient test against the feasible
-    grid.  Repeated members are counted as samples but tested once: equal
-    rows give equal margins, and the running minimum keeps the first
-    occurrence as the witness.  Support values and members depend on the
-    point only through its face, so they are built once per face; the
-    gaps F(x) - F(xbar) are rebuilt only when the bits of F(xbar) change
-    from one candidate point to the next (so once in all when F is
-    constant on Sbar).
+    grid.  Support values and members depend on the point only through its
+    face, so they are built once per face.
+
+    The margin of a point-route pair is the minimum over x of the gap
+    F(x) - F(xbar) less (x - xbar)·z; it reads F(xbar) through the bits of
+    its gap row, and xbar only on the axes where z is nonzero (elsewhere
+    the product adds +-0, which can flip at most the sign of a zero).  So
+    each distinct key (gap row, z, xbar on those axes), byte for byte, is
+    tested once, at its first pair in point-then-member order: a repeat
+    has a numerically equal margin and cannot lower the strict running
+    minimum, and every pair still counts as a sample.  Only tested pairs
+    build x - xbar and gap rows, each when it changes.  The support table's
+    first smallest entry joins the pair margins at its place in that
+    order (before the pairs of its point), so the worst margin and witness
+    are those of a scan of every pair.
     """
     ctx = p.context()
     face_of = ctx.faces[0]
@@ -344,18 +354,32 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     members = [_cone_ball_points(n_cone, p.alpha, pool) for n_cone in cones]
     distinct = [z[_first_occurrences(z)] for z in members]
     base_of, _ = group_rows(np.stack([ctx.flo_sbar, ctx.fhi_sbar], axis=1).view(np.int64))
-    worst = _Worst()
-    base = None
-    for b, xbar in enumerate(ctx.sbar_grid):
-        worst.update_rows(support[b], xbar, ctx.dirs)
+    # every (candidate point, distinct member of its face) pair, in scan order
+    pair_b = np.repeat(np.arange(len(face_of)), [len(distinct[f]) for f in face_of])
+    pair_z = np.vstack([distinct[f] for f in face_of])
+    on_axes = np.where(pair_z != 0, ctx.sbar_grid[pair_b], 0.0)
+    tested = _first_occurrences(np.hstack([base_of[pair_b, None], pair_z, on_axes]))
+    pair_b, pair_z = pair_b[tested], pair_z[tested]
+    margins = []
+    base = last = None
+    for b, z in zip(pair_b, pair_z):
         if base_of[b] != base:
             base = base_of[b]
             diff_lo = np.minimum(ctx.flo_s - ctx.flo_sbar[b], ctx.fhi_s - ctx.fhi_sbar[b])
-        h = ctx.s_grid - xbar
-        for z in distinct[face_of[b]]:
-            # a degenerate z reads only the lower endpoint of the gaps
-            margins = subgradient_margins(h, z, z, diff_lo, diff_lo)
-            worst.update(float(margins.min()), xbar, z)
+        if b != last:
+            last = b
+            h = ctx.s_grid - ctx.sbar_grid[b]
+        # a degenerate z reads only the lower endpoint of the gaps
+        margins.append(subgradient_margins(h, z, z, diff_lo, diff_lo).min())
+    xbars = ctx.sbar_grid[pair_b]
+    if support.size:
+        i, j = divmod(int(np.argmin(support)), support.shape[1])
+        at = np.searchsorted(pair_b, i)
+        margins.insert(at, support[i, j])
+        xbars = np.insert(xbars, at, ctx.sbar_grid[i], axis=0)
+        pair_z = np.insert(pair_z, at, ctx.dirs[j], axis=0)
+    worst = _Worst()
+    worst.update_rows(np.array(margins), xbars, pair_z)
     samples = support.size + int(np.array([len(z) for z in members])[face_of].sum())
     return ctx.report("dual-b", worst.margin, worst.witness, ("x", "d_or_z"), samples)
 

@@ -24,7 +24,7 @@ from ivwsm import (
 )
 from pathlib import Path
 
-from ivwsm import build_problem, cone_ball_support, dist_to_cone, ivf, load_problem_file
+from ivwsm import build_problem, cone_ball_support, dist_to_cone, ivf, load_problem_file, wsm
 from ivwsm.geometry import row_norms
 from ivwsm.wsm import _Worst
 
@@ -433,6 +433,14 @@ def _reference_cases():
                            grid=9),
         id="capped-l1-ties",
     )
+    # F falls across Sbar, so Sbar holds no minima: the point route's worst
+    # margin at the first candidate point ties with the support route's at
+    # the last, so the witness shows where the support values enter the scan
+    yield pytest.param(
+        lambda: WsmProblem(f=Ivf.from_expressions("-x1", "-x1 + 1", cube(1, -2, 2)),
+                           s=cube(1, -1, 1), sbar=cube(1, -1, 0), alpha=1.0, grid=5),
+        id="support-ties-an-earlier-pair",
+    )
     yield from FACE_CASES
 
 
@@ -527,6 +535,20 @@ FACE_CASES = [
         ),
         id="ties-on-a-segment",
     ),
+    # a tiny Sbar where F is 0: one gap row and a few members, but the
+    # point-route margin of a member moves with xbar on the member's axis,
+    # so a pair is a repeat only if xbar there is the same too
+    pytest.param(
+        lambda: WsmProblem(
+            f=Ivf.from_expressions(
+                "max(abs(x1) - 1.5, 0)", "2*max(abs(x1) - 1.5, 0) + 1", cube(1, -3, 3)
+            ),
+            s=cube(1, -2, 2),
+            sbar=BoxSet(np.array([0.8e-12]), np.array([4.8e-12])),
+            alpha=0.8, grid=9,
+        ),
+        id="member-margin-moves-with-xbar",
+    ),
 ]
 
 
@@ -615,6 +637,29 @@ class TestFaces:
         monkeypatch.setattr(ivf, "dir_derivatives", counted)
         report = check_dual_e(p)
         assert (sum(rows), report.samples_evaluated) == (578, 38148)
+
+    @pytest.mark.parametrize(
+        "grid, samples", [(17, 44931), (33, 169059)], ids=["grid-17", "grid-33"]
+    )
+    def test_dual_b_tests_each_distinct_pair_key_once(self, monkeypatch, grid, samples):
+        # strip3d: F is constant on Sbar, and a member is zero on every axis
+        # where its point lies strictly inside Sbar, so a key reads xbar only
+        # where it sits on a bound of Sbar; 64 (gap row, member, xbar on the
+        # member's axes) keys stand for the 2104 distinct point-member pairs
+        # at grid 17 and the 6744 at grid 33
+        p = build_problem(load_problem_file(PROBLEMS / "strip3d.txt"), grid=grid)
+        p.context().deriv_lo
+        passes = 0
+        original = wsm.subgradient_margins
+
+        def counted(*args):
+            nonlocal passes
+            passes += 1
+            return original(*args)
+
+        monkeypatch.setattr(wsm, "subgradient_margins", counted)
+        report = check_dual_normal_cone(p)
+        assert (passes, report.samples_evaluated) == (64, samples)
 
 
 class TestDerivativeTableMemory:
