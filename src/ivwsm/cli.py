@@ -25,7 +25,15 @@ from .ivf import NonsmoothUncertainError
 from .problems import ProblemFileError, build_problem, load_problem_file
 from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d, subdiff_support
 from .support import FiniteIVecSet, default_directions
-from .wsm import CHECKERS, GuardError, check_all, check_definition, concordant, estimate_modulus
+from .wsm import (
+    CHECKERS,
+    GuardError,
+    check_all,
+    check_definition,
+    concordant,
+    estimate_modulus,
+    grid_density,
+)
 
 
 def _fmt(value: float) -> str:
@@ -141,6 +149,10 @@ def _cmd_subdiff(args) -> int:
             raise ProblemFileError(
                 f"--probe ({_fmt_vec(values)}) is not an interval vector: {exc}"
             )
+        try:
+            probe_density = grid_density(f.domain, min(problem.grid, 17))
+        except ValueError as exc:
+            raise ProblemFileError(f"--probe grid: the domain has {exc}")
     if n == 1:
         rep = subdiff_1d(f, at)
         if isinstance(rep, FiniteIVecSet):
@@ -168,7 +180,7 @@ def _cmd_subdiff(args) -> int:
             print(f"support along ({_fmt_vec(d)}): {shown}")
     if probe is None:
         return 0
-    grid_points = f.domain.grid(min(problem.grid, 17))
+    grid_points = f.domain.grid(probe_density)
     by_def = is_subgradient(f, at, probe, grid_points)
     dirs = default_directions(n, problem.seed, problem.n_dirs)
     by_dir = is_subgradient_directional(f, at, probe, dirs)

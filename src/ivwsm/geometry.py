@@ -225,10 +225,12 @@ class BoxSet:
 
 
 def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of an (m, c) array: the group of each row, and
-    the first row of each group."""
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return group.reshape(-1), first
+    """Group the equal rows of an (m, c) array, byte for byte (so 0.0 and
+    -0.0 differ): the group of each row, and the first row of each group."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    return group, first
 
 
 def cone_ball_support(k_normal: OrthantCone, alpha: float, d: Sequence[float]):

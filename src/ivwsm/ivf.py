@@ -17,10 +17,13 @@ The kernels work on ``(m, n)`` arrays of points and directions:
 call when the endpoints carry batched forms (expression objectives always
 do), and loop over the rows otherwise.  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
-(finite endpoints, lower not above upper).  The one-point methods
-:meth:`Ivf.value` and :meth:`Ivf.dir_deriv` are one-row calls of the same
-kernels, so each numeric rule exists once.  A derivative
-call takes at most :data:`ROW_BLOCK` rows at a time, and
+(finite endpoints, lower not above upper), and every derivative from
+:func:`dir_derivatives`, the one home of the analytic route.  The one-point
+methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` are one-row calls of
+these kernels, and :meth:`RestrictedIvf.dir_deriv` a one-row call of
+:meth:`RestrictedIvf.dir_derivs`, the one home of the +inf rule for
+directions that leave the feasible set; so each rule exists once.  A
+derivative call takes at most :data:`ROW_BLOCK` rows at a time, and
 :func:`point_block_derivatives` groups (point, directions) pairs into blocks
 of that size, so the temporary arrays of one call stay bounded.
 """
@@ -33,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expr import parse
-from .geometry import BoxSet, group_rows, row_norms
+from .geometry import BoxSet, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 from .ivectors import IVector
 
@@ -94,8 +97,8 @@ class Ivf:
     to build them from expression text.  An endpoint with a ``rows``
     attribute (a parsed :class:`ExprAst` has one) is evaluated at every row
     of an (m, n) array in one call; other endpoints are called once per
-    row.  ``analytic_dir_deriv``, when supplied, short-circuits the numeric
-    directional derivative.
+    row.  ``analytic_dir_deriv``, when supplied, replaces the numeric
+    directional derivative (:func:`dir_derivatives`).
     """
 
     dimension: int
@@ -128,8 +131,6 @@ class Ivf:
         :func:`dir_derivatives`)."""
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        if self.analytic_dir_deriv is not None:
-            return self.analytic_dir_deriv(x, d)
         lo, hi = dir_derivatives(self, x[None, :], d[None, :])
         return Interval(lo[0], hi[0])
 
@@ -141,7 +142,8 @@ class Ivf:
 @dataclass(frozen=True)
 class RestrictedIvf:
     """Feasible-set restriction to a sub-box of the domain: the base value
-    inside, plus-infinity outside."""
+    inside, plus-infinity outside.  Derivatives are taken one point at a
+    time; the checkers' table over many points is ``wsm._Context.deriv_lo``."""
 
     base: Ivf
     feasible: BoxSet
@@ -164,68 +166,25 @@ class RestrictedIvf:
         return self.base.value(x)
 
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> ExtInterval:
-        """Directional derivative of the restriction at a feasible point.
+        """Directional derivative of the restriction at a feasible point:
+        the PLUS_INF marker along a direction leaving the feasible box (a
+        one-row call of :meth:`dir_derivs`)."""
+        lo, hi = self.dir_derivs(x, np.asarray(d, dtype=float)[None, :])
+        return PLUS_INF if lo[0] == np.inf else Interval(lo[0], hi[0])
 
-        Along directions leaving the feasible box the quotient is +infinity
-        for every small step, so the result is the PLUS_INF marker; along
-        tangent directions the restriction is locally the base function.
-        """
-        if not self.feasible.contains(x):
-            raise DomainError(f"{np.asarray(x)} is outside the feasible set")
-        if not self.feasible.tangent_cone(x).contains(d):
-            return PLUS_INF
-        return self.base.dir_deriv(x, d)
-
-    def dir_derivs(self, x: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays of :meth:`dir_deriv` at x along each row of dirs;
-        both endpoints are +inf along rows that leave the feasible set.
-
-        For an (m, n) array of points the arrays are (m, k): one row per
-        point, one column per direction (:meth:`fill_dir_derivs`), equal to
-        the one-point calls.
-        """
+    def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays of the directional derivative at a feasible point
+        x along each row of dirs: +inf along a row leaving the feasible box
+        (the quotient is +inf for every small step), elsewhere the base
+        function's, which the restriction equals near x."""
         x = np.asarray(x, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
-        points = np.atleast_2d(x)
-        lo = np.empty((len(points), len(dirs)))
-        hi = np.empty_like(lo)
-        self.fill_dir_derivs(points, dirs, lo, hi)
-        return (lo[0], hi[0]) if x.ndim == 1 else (lo, hi)
-
-    def fill_dir_derivs(
-        self, points: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: Optional[np.ndarray] = None
-    ) -> None:
-        """Write :meth:`dir_derivs` of an (m, n) array of points into the
-        (m, k) array lo, and into hi unless it is None.
-
-        The directions that stay in the feasible box depend on a point only
-        through its face (``BoxSet.face_codes``), so they are found once per
-        face.  The derivatives come in blocks of points
-        (:func:`point_block_derivatives`), so no (m, k) temporary is made.
-        """
-        box = self.feasible
-        outside = _first(~box.contains(points))
-        if outside is not None:
-            raise DomainError(f"{points[outside]} is outside the feasible set")
-        face_of, firsts = group_rows(box.face_codes(points))
-        inside = np.array([box.tangent_cone(points[i]).contains(dirs) for i in firsts])
-        face_dirs = [dirs[mask] for mask in inside]
-        lo.fill(np.inf)
-        if hi is not None:
-            hi.fill(np.inf)
-        blocks = point_block_derivatives(
-            self.base, ((p, face_dirs[f]) for p, f in zip(points, face_of))
-        )
-        start = 0
-        for count, _, _, d_lo, d_hi in blocks:
-            rows = slice(start, start + count)
-            mask = inside[face_of[rows]]
-            # boolean assignment fills row-major: point, then direction
-            lo[rows][mask] = d_lo
-            if hi is not None:
-                hi[rows][mask] = d_hi
-            start += count
-            del _, d_lo, d_hi  # free this block before the next one is computed
+        if not self.feasible.contains(x):
+            raise DomainError(f"{x} is outside the feasible set")
+        inside = self.feasible.tangent_cone(x).contains(dirs)
+        lo, hi = np.full(len(dirs), np.inf), np.full(len(dirs), np.inf)
+        lo[inside], hi[inside] = dir_derivatives(self.base, x, dirs[inside])
+        return lo, hi
 
 
 def _per_row(g: Endpoint) -> RowEndpoint:

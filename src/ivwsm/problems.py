@@ -141,7 +141,7 @@ def parse_problem_text(text: str) -> ProblemSpec:
 def load_problem_file(path: str | Path) -> ProblemSpec:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}")
     return parse_problem_text(text)
 

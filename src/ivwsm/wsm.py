@@ -18,18 +18,19 @@ Every verdict is a verdict *on the sampled grid*; reports carry sample
 counts and the effective grid density.  The checkers work on arrays, with
 witnesses taken from the first worst row in the grid-then-direction order,
 so the reports equal a pair-by-pair scan.  The primal and dual-b checkers
-share one table of restricted directional derivatives, built on first use;
-dual-e takes its derivatives in blocks of candidate points, dual-f in one
-call.  The cones of S and Sbar at a candidate point depend on it only
-through the face it lies on, so the cone distances, cone-ball supports and
-members and dual-e's directions are built once per face (a box has at most
-3^n) and gathered to the points.  Dual-e's directions repeat within a face,
-and dual-b's point-route pairs repeat across the grid (a pair reads its
-point only through F there and the coordinates its member does not zero);
-each distinct row or pair is tested once, in first-occurrence order, and
-every repeat still counts as a sample.  The definition checker and the
-modulus bisection read the same per-point margins.  A NaN margin is never
-skipped: it is reported as the worst margin and fails.
+share one table of restricted directional derivatives, built on first use,
+and one table of margins (dual-b's support route is primal's table, by
+Moreau's decomposition); dual-e takes its derivatives in blocks of
+candidate points, dual-f in one call.  The cones of S and Sbar at a
+candidate point depend on it only through its face (``_Context.faces``),
+so the feasible directions, cone distances, members and dual-e's
+directions are built once per face.  Dual-e's directions repeat within a
+face, and dual-b's point-route pairs repeat across the grid (a pair reads
+its point only through F there and the coordinates its member does not
+zero); each distinct row or pair is tested once, in first-occurrence
+order, and every repeat still counts as a sample.  The definition checker
+and the modulus bisection read the same per-point margins.  A NaN margin
+is never skipped: it is reported as the worst margin and fails.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import BoxSet, cone_ball_support, dist_to_cone, group_rows, row_norms
+from .geometry import BoxSet, dist_to_cone, group_rows, row_norms
 from .ivf import (
     Ivf,
-    RestrictedIvf,
     convexity_check,
     dir_derivatives,
     endpoint_rows,
@@ -68,6 +68,16 @@ class GuardError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def grid_density(box: BoxSet, grid: int) -> int:
+    """Points per axis of the grid sampled over box: ``grid``, lowered so
+    that the free axes of box hold at most :data:`GRID_CAP` points.  A box
+    whose free axes exceed the cap even at 2 points each raises ValueError."""
+    n_free = max(1, int(np.sum(box.hi > box.lo)))
+    if 2**n_free > GRID_CAP:
+        raise ValueError(f"{n_free} free axes: 2 points on each exceed the {GRID_CAP}-point cap")
+    return grid if grid**n_free <= GRID_CAP else int(GRID_CAP ** (1.0 / n_free))
 
 
 @dataclass
@@ -110,6 +120,10 @@ class WsmProblem:
             raise GuardError("sbar", "Sbar is not contained in S")
         if not self.f.domain.contains_box(self.s):
             raise GuardError("s", "S is not contained in the objective domain")
+        try:
+            grid_density(self.s, self.grid)
+        except ValueError as exc:
+            raise GuardError("s", f"S has {exc}") from None
 
     def context(self) -> "_Context":
         if self._ctx is None:
@@ -144,11 +158,9 @@ class _Context:
 
     def __init__(self, p: WsmProblem):
         self.problem = p
-        n_free = max(1, int(np.sum(p.s.hi > p.s.lo)))
-        k = p.grid
+        k = grid_density(p.s, p.grid)
         notes = []
-        if k**n_free > GRID_CAP:
-            k = max(2, int(GRID_CAP ** (1.0 / n_free)))
+        if k < p.grid:
             notes.append(f"grid density reduced to {k} points per axis (cap {GRID_CAP})")
         self.grid_per_axis = k
         self.s_grid = p.s.grid(k)
@@ -197,12 +209,38 @@ class _Context:
     def deriv_lo(self) -> np.ndarray:
         """Lower endpoint of the restricted directional derivative, one row
         per candidate grid point and one column per direction; +inf where
-        the direction leaves S.  Built on first use (primal, dual-b), block
-        by block into this one array: the upper endpoint is never kept."""
+        the direction leaves S (found once per face).  Built on first use,
+        block by block into this one array: the upper end is never kept."""
         p = self.problem
-        lo = np.empty((len(self.sbar_grid), len(self.dirs)))
-        RestrictedIvf(p.f, p.s).fill_dir_derivs(self.sbar_grid, self.dirs, lo)
+        face_of = self.faces[0]
+        inside = np.array(self.per_face(lambda x: p.s.tangent_cone(x).contains(self.dirs)))
+        face_dirs = [self.dirs[mask] for mask in inside]
+        lo = np.full((len(face_of), len(self.dirs)), np.inf)
+        pairs = ((x, face_dirs[f]) for x, f in zip(self.sbar_grid, face_of))
+        start = 0
+        for count, _, _, d_lo, _ in point_block_derivatives(p.f, pairs):
+            rows = slice(start, start + count)
+            # boolean assignment fills row-major: point, then direction
+            lo[rows][inside[face_of[rows]]] = d_lo
+            start += count
+            del _, d_lo  # free this block before the next one is computed
         return lo
+
+    @cached_property
+    def tangent_dists(self) -> np.ndarray:
+        """dist(d, T) per face and direction, T the tangent cone of Sbar."""
+        cone = self.problem.sbar.tangent_cone
+        return np.array(self.per_face(lambda x: dist_to_cone(self.dirs, cone(x))))
+
+    def primal_worst(self, alpha: float) -> tuple[float, int, int]:
+        """Margin, point and direction index of the first smallest (or first
+        NaN) entry, in row-major order, of primal's table deriv_lo - alpha *
+        tangent_dists, built in one array (gather, scale, subtract)."""
+        table = self.tangent_dists[self.faces[0]]
+        table *= alpha
+        np.subtract(self.deriv_lo, table, out=table)
+        i, j = divmod(int(np.argmin(table)), table.shape[1])
+        return float(table[i, j]), i, j
 
     @cached_property
     def _endpoint_gaps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -252,15 +290,6 @@ class _Worst:
         i = int(np.argmin(margins))  # the first minimum, or the first NaN
         self.update(float(margins[i]), a if a.ndim == 1 else a[i], b[i])
 
-    def update_table(self, margins: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """Update with the first smallest (or first NaN) entry, in row-major
-        order, of an (m, k) table of margins; entry (i, j) has the witness
-        rows a[i] and b[j].  This is the pair a row-by-row scan keeps."""
-        if margins.size == 0:
-            return
-        i, j = divmod(int(np.argmin(margins)), margins.shape[1])
-        self.update(float(margins[i, j]), a[i], b[j])
-
 
 def check_definition(p: WsmProblem) -> WsmReport:
     """Brute-force the defining inequality over the shared grids.
@@ -289,14 +318,14 @@ def check_primal(p: WsmProblem) -> WsmReport:
     of the direction to the candidate set's tangent cone must be dominated
     by the directional derivative of the restriction; directions leaving
     the feasible set give an infinite derivative and pass automatically.
-    The derivatives come from the context's shared table, the cone
-    distances are taken once per face.
+    The margins come from ``_Context.primal_worst``, which dual-b's support
+    route shares: by Moreau's decomposition the support value of the
+    alpha-ball and the normal cone (T's polar) along d is alpha * dist(d, T).
     """
     ctx = p.context()
-    cones = ctx.per_face(p.sbar.tangent_cone)
-    lhs = np.array([p.alpha * dist_to_cone(ctx.dirs, t_cone) for t_cone in cones])
+    margin, i, j = ctx.primal_worst(p.alpha)
     worst = _Worst()
-    worst.update_table(ctx.deriv_lo - lhs[ctx.faces[0]], ctx.sbar_grid, ctx.dirs)
+    worst.update(margin, ctx.sbar_grid[i], ctx.dirs[j])
     samples = len(ctx.sbar_grid) * len(ctx.dirs)
     return ctx.report("primal", worst.margin, worst.witness, ("x", "d"), samples)
 
@@ -313,24 +342,23 @@ def _cone_ball_points(cone, alpha: float, pool: np.ndarray) -> np.ndarray:
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct row (byte for byte
-    equal, so 0.0 and -0.0 differ), in order."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return np.sort(np.unique(keys, return_index=True)[1])
+    equal, as ``group_rows`` groups them), in order."""
+    return np.sort(group_rows(rows)[1])
 
 
 def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     """Normal-cone inclusion, verified along two independent routes.
 
     Support route: the support value of the alpha-ball/normal-cone
-    intersection (closed form through the tangent-cone distance) must be
-    dominated by the support value of the subgradient set of the
-    restriction, which is its directional derivative (a row of the
-    context's shared table).  Point route: sampled members z of the
+    intersection must be dominated by the support value of the subgradient
+    set of the restriction, which is its directional derivative (a row of
+    the context's shared table).  The normal cone is the polar of the
+    tangent cone T, so by Moreau's decomposition that support value along
+    d is alpha * dist(d, T): the support route is primal's table, bit for
+    bit (``_Context.primal_worst``).  Point route: sampled members z of the
     intersection, taken as degenerate interval vectors (z as both endpoint
     arrays), must pass the defining subgradient test against the feasible
-    grid.  Support values and members depend on the point only through its
-    face, so they are built once per face.
+    grid.  Members are built once per face.
 
     The margin of a point-route pair is the minimum over x of the gap
     F(x) - F(xbar) less (x - xbar)·z; it reads F(xbar) through the bits of
@@ -347,13 +375,10 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     """
     ctx = p.context()
     face_of = ctx.faces[0]
-    cones = ctx.per_face(p.sbar.normal_cone)
-    lhs = np.array([cone_ball_support(n_cone, p.alpha, ctx.dirs) for n_cone in cones])
-    support = ctx.deriv_lo - lhs[face_of]
     pool = ctx.dirs[: 2 * p.f.dimension + 16]
-    members = [_cone_ball_points(n_cone, p.alpha, pool) for n_cone in cones]
+    members = ctx.per_face(lambda x: _cone_ball_points(p.sbar.normal_cone(x), p.alpha, pool))
     distinct = [z[_first_occurrences(z)] for z in members]
-    base_of, _ = group_rows(np.stack([ctx.flo_sbar, ctx.fhi_sbar], axis=1).view(np.int64))
+    base_of, _ = group_rows(np.stack([ctx.flo_sbar, ctx.fhi_sbar], axis=1))
     # every (candidate point, distinct member of its face) pair, in scan order
     pair_b = np.repeat(np.arange(len(face_of)), [len(distinct[f]) for f in face_of])
     pair_z = np.vstack([distinct[f] for f in face_of])
@@ -371,16 +396,14 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
             h = ctx.s_grid - ctx.sbar_grid[b]
         # a degenerate z reads only the lower endpoint of the gaps
         margins.append(subgradient_margins(h, z, z, diff_lo, diff_lo).min())
-    xbars = ctx.sbar_grid[pair_b]
-    if support.size:
-        i, j = divmod(int(np.argmin(support)), support.shape[1])
-        at = np.searchsorted(pair_b, i)
-        margins.insert(at, support[i, j])
-        xbars = np.insert(xbars, at, ctx.sbar_grid[i], axis=0)
-        pair_z = np.insert(pair_z, at, ctx.dirs[j], axis=0)
+    support, i, j = ctx.primal_worst(p.alpha)
+    at = np.searchsorted(pair_b, i)
+    margins.insert(at, support)
+    xbars = np.insert(ctx.sbar_grid[pair_b], at, ctx.sbar_grid[i], axis=0)
+    pair_z = np.insert(pair_z, at, ctx.dirs[j], axis=0)
     worst = _Worst()
     worst.update_rows(np.array(margins), xbars, pair_z)
-    samples = support.size + int(np.array([len(z) for z in members])[face_of].sum())
+    samples = ctx.deriv_lo.size + int(np.array([len(z) for z in members])[face_of].sum())
     return ctx.report("dual-b", worst.margin, worst.witness, ("x", "d_or_z"), samples)
 
 

@@ -10,6 +10,7 @@ import ivwsm.cli
 from ivwsm import GuardError, ProblemFileError, WsmProblem, build_problem, load_problem_file
 from ivwsm.cli import main
 from ivwsm.problems import parse_problem_text
+from ivwsm.wsm import GRID_CAP, grid_density
 
 from conftest import cube, point_box, vee_ivf
 
@@ -93,6 +94,14 @@ class TestProblemParsing:
     def test_missing_file(self):
         with pytest.raises(ProblemFileError, match="cannot read"):
             load_problem_file("/nonexistent/problem.txt")
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(VEE.format(alpha=0.2).encode() + b"# caf\xff\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+        assert captured.out == ""
 
 
 class TestCheckCommand:
@@ -226,11 +235,40 @@ class TestFileValueRules:
             assert main([f"--{name}", str(value), "check", str(path)]) == 2
             assert capsys.readouterr().err == f"error: {api.value}\n"
 
+    @pytest.mark.parametrize("free", [16, 17, 34])
+    def test_too_many_free_axes_for_the_grid_cap_report_the_line_of_s(
+        self, tmp_path, capsys, free
+    ):
+        # 2 points per free axis already exceed GRID_CAP
+        path = tmp_path / "wide.txt"
+        path.write_text(_wide_problem(free))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: line 5: S has {free} free axes: 2 points on each exceed the "
+            f"{GRID_CAP}-point cap\n"
+        )
+        assert captured.out == ""
+
+    def test_fifteen_free_axes_fit_the_grid_cap(self):
+        problem = build_problem(parse_problem_text(_wide_problem(15)))
+        assert grid_density(problem.s, problem.grid) == 2
+
     def test_flag_overrides_a_bad_file_value(self, tmp_path, capsys):
         path = tmp_path / "grid1.txt"
         path.write_text(VEE.format(alpha=0.2) + "grid: 1\n")
         assert main(["--grid", "9", "check", str(path)]) == 0
         assert "grid/axis: 9" in capsys.readouterr().out
+
+
+def _wide_problem(free: int, s: str = "-1 1") -> str:
+    """A problem file over the domain [-1, 1]^free, with the bounds s of S
+    on every axis and Sbar the origin."""
+    return (
+        f"dimension: {free}\nlower: abs(x1)\nupper: abs(x1) + 1\n"
+        f"domain: {' '.join(['-1 1'] * free)}\nS: {' '.join([s] * free)}\n"
+        f"Sbar: {' '.join(['0 0'] * free)}\nalpha: 0.5\n"
+    )
 
 
 class TestModulusCommand:
@@ -362,6 +400,37 @@ class TestSubdiffCommand:
         assert main(["subdiff", str(PROBLEMS / name), *args]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
+    def test_the_probe_grid_keeps_to_the_grid_cap(self, tmp_path, capsys, monkeypatch):
+        # 17 points per axis over a 4-d domain would be 83521 probes
+        path = tmp_path / "wide4.txt"
+        path.write_text(_wide_problem(4))
+        probes = []
+        original = ivwsm.cli.is_subgradient
+
+        def counted(f, at, g, probe_points):
+            probes.append(len(probe_points))
+            return original(f, at, g, probe_points[:100])
+
+        monkeypatch.setattr(ivwsm.cli, "is_subgradient", counted)
+        args = ["subdiff", str(path), "--at", "0 0 0 0", "--probe", "0 0 0 0 0 0 0 0"]
+        assert main(args) == 0
+        assert "probe_member=yes" in capsys.readouterr().out
+        assert probes == [14**4] and 14**4 <= GRID_CAP
+
+    def test_a_domain_too_wide_for_the_probe_grid_exits_two_before_printing(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "wide_domain.txt"
+        path.write_text(_wide_problem(16, s="0 0"))
+        args = ["subdiff", str(path), "--at", " ".join(["0.5"] * 16), "--probe", "0 " * 32]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --probe grid: the domain has 16 free axes: 2 points on each exceed "
+            f"the {GRID_CAP}-point cap\n"
+        )
         assert captured.out == ""
 
     def test_failing_support_value_prints_no_partial_output(self, capsys):

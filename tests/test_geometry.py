@@ -1,5 +1,7 @@
 """Boxes, cones, projections, and the distance identities behind the checkers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from ivwsm import dist_to_cone
 from ivwsm.geometry import MEMBER_TOL, row_norms
 
 from conftest import point_box
+from test_expr import same_bits
 
 
 def box2(lo1, hi1, lo2, hi2):
@@ -301,3 +304,15 @@ class TestConeBallSupport:
                     assert sampled == pytest.approx(
                         closed, rel=1e-3, abs=1e-9
                     )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_alpha_times_the_tangent_cone_distance_bit_for_bit(self, n):
+        # Moreau: the support value of alpha*B and the polar of T is
+        # alpha * dist(d, T), so dual-b's support route is primal's table
+        rng = np.random.default_rng(n)
+        dirs = np.vstack([np.eye(n), -np.eye(n), np.zeros((1, n)), rng.normal(size=(20, n))])
+        for tags in itertools.product(Tag, repeat=n):
+            t_cone = OrthantCone(tags)
+            for alpha in (0.37, 1.0, 2.5):
+                closed = cone_ball_support(t_cone.polar(), alpha, dirs)
+                assert same_bits(closed, alpha * dist_to_cone(dirs, t_cone))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivwsm import BoxSet, Interval, Ivf, RestrictedIvf, boundedness_check, dominance
+from ivwsm import BoxSet, Interval, Ivf, RestrictedIvf, WsmProblem, boundedness_check, dominance
 from ivwsm import convexity_check, gh_difference, gh_gradient
 from ivwsm import dir_derivatives, lipschitz_estimate, scalar_mul, subdiff_support
 from ivwsm import PLUS_INF, EvalError, ExprAst, add, inf_family, interval_norm, sup_family
@@ -333,23 +333,13 @@ class TestRestricted:
         with pytest.raises(ValueError):
             RestrictedIvf(poly2d_ivf(), cube(2, -3, 0))
 
-    def test_rows_name_the_first_point_outside(self):
+    def test_a_point_outside_is_named(self):
         f_o = RestrictedIvf(poly2d_ivf(), cube(2, -1, 0))
-        points = np.array([[-0.5, -0.5], [0.5, 0.0], [0.25, 0.0]])
-        with pytest.raises(DomainError, match=r"^\[0\.5 0\. *\] is outside the feasible set"):
-            f_o.dir_derivs(points, np.eye(2))
-
-    def test_rows_equal_one_point_calls_on_every_face(self):
-        f_o = RestrictedIvf(poly2d_ivf(), cube(2, -1, 0))
-        points = cube(2, -1, 0).grid(5)
-        dirs = np.vstack([np.eye(2), -np.eye(2), [[0.6, -0.8]]])
-        lo, hi = f_o.dir_derivs(points, dirs)
-        for x, row_lo, row_hi in zip(points, lo, hi):
-            for d, d_lo, d_hi in zip(dirs, row_lo, row_hi):
-                value = f_o.dir_deriv(x, d)
-                expected = (np.inf, np.inf) if value is PLUS_INF else (value.lo, value.hi)
-                assert (d_lo, d_hi) == expected
-        assert np.isinf(lo).any() and np.isfinite(lo).any()
+        message = r"^\[0\.5 0\. *\] is outside the feasible set"
+        with pytest.raises(DomainError, match=message):
+            f_o.dir_derivs([0.5, 0.0], np.eye(2))
+        with pytest.raises(DomainError, match=message):
+            f_o.dir_deriv([0.5, 0.0], [1.0, 0.0])
 
 
 class TestLipschitz:
@@ -425,9 +415,9 @@ def _message(call):
 
 
 class TestRowBlocks:
-    """Derivative calls longer than ROW_BLOCK rows, and the point-by-direction
-    form of the restriction, run block by block with the results and errors
-    of one-row and one-point calls."""
+    """Derivative calls longer than ROW_BLOCK rows, and the context's
+    point-by-direction table of the restriction, run block by block with the
+    results and errors of one-row and one-point calls."""
 
     def test_a_call_longer_than_one_block_equals_row_by_row_calls(self):
         f = Ivf.from_expressions("abs(x1) + x2^2", "2*abs(x1) + x2^2 + 1", cube(2, -2, 2))
@@ -477,28 +467,35 @@ class TestRowBlocks:
         n=st.integers(1, 3),
         analytic=st.booleans(),
         block=st.sampled_from([1, 5, 40, ROW_BLOCK]),
-        coords=st.lists(
+        grid=st.integers(2, 4),
+        bounds=st.lists(
             st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
-            min_size=3,
-            max_size=24,
+            min_size=6,
+            max_size=6,
         ),
     )
     def test_point_by_direction_table_equals_one_point_calls(
-        self, seed, n, analytic, block, coords
+        self, seed, n, analytic, block, grid, bounds
     ):
+        # Sbar's bounds sit on the faces of S = [-1, 1]^n or inside it, and
+        # an axis of Sbar may be a point, so the table spans many faces
         f = random_convex_ivf(seed, n, analytic=analytic)
-        f_o = RestrictedIvf(f, cube(n, -1, 1))
-        points = np.array(coords[: len(coords) // n * n]).reshape(-1, n)
-        rng = np.random.default_rng(seed)
-        dirs = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(7, n))])
+        s = cube(n, -1, 1)
+        ends = np.sort(np.reshape(bounds[: 2 * n], (n, 2)), axis=1)
+        p = WsmProblem(f=f, s=s, sbar=BoxSet(ends[:, 0], ends[:, 1]), alpha=1.0, grid=grid,
+                       seed=seed, n_dirs=7)
+        ctx = p.context()
+        f_o = RestrictedIvf(f, s)
+
+        def one_point_rows():
+            return [f_o.dir_derivs(x, ctx.dirs)[0] for x in ctx.sbar_grid]
+
         with mock.patch.object(ivf_module, "ROW_BLOCK", block):
             try:
-                one = [f_o.dir_derivs(x, dirs) for x in points]
+                rows = one_point_rows()
             except (NonsmoothUncertainError, InfeasibleDirectionError):
-                expected = _message(lambda: [f_o.dir_derivs(x, dirs) for x in points])
-                assert _message(lambda: f_o.dir_derivs(points, dirs)) == expected
+                assert _message(lambda: ctx.deriv_lo) == _message(one_point_rows)
                 return
-            lo, hi = f_o.dir_derivs(points, dirs)
-        assert lo.shape == hi.shape == (len(points), len(dirs))
-        assert same_bits(lo, [r_lo for r_lo, _ in one])
-        assert same_bits(hi, [r_hi for _, r_hi in one])
+            table = ctx.deriv_lo
+        assert table.shape == (len(ctx.sbar_grid), len(ctx.dirs))
+        assert same_bits(table, rows)
