@@ -31,24 +31,19 @@ from .ivf import (
     RestrictedIvf,
     convexity_check,
     dir_derivatives,
-    gh_gradient,
     lipschitz_estimate,
 )
 from .support import (
     FiniteIVecSet,
     IntervalBoxSet,
     OracleIVecSet,
-    augment_with_polar_cone,
     boundedness_check,
     default_directions,
-    inclusion_test,
-    support_dominates,
 )
 from .subdiff import (
     is_subgradient,
     is_subgradient_directional,
     subdiff_1d,
-    subdiff_singleton,
     subdiff_support,
 )
 from .wsm import (

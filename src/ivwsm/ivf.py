@@ -38,7 +38,6 @@ import numpy as np
 from .expr import parse
 from .geometry import BoxSet, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
-from .ivectors import IVector
 
 Endpoint = Callable[[np.ndarray], float]
 #: Batched endpoint: the values at each row of an (m, n) array of points.
@@ -74,10 +73,6 @@ class InfeasibleDirectionError(RuntimeError):
 
 class NonsmoothUncertainError(RuntimeError):
     """Difference-quotient extrapolations failed to settle."""
-
-
-class NotGHDifferentiableError(RuntimeError):
-    """One-sided derivatives disagree at the requested point."""
 
 
 @dataclass
@@ -372,41 +367,6 @@ def _block_derivatives(f: Ivf, block: list) -> tuple:
             dir_derivatives(f, x, d)
         raise
     return len(block), points, dirs, lo, hi
-
-
-def gh_gradient(f: Ivf, x: Sequence[float]) -> IVector:
-    """Componentwise interval gradient at a differentiable point.
-
-    Each axis needs one-sided derivatives from both sides to agree for both
-    endpoint functions; component i spans the two partials.
-    """
-    x = np.asarray(x, dtype=float)
-    partial_lo = np.empty(f.dimension)
-    partial_hi = np.empty(f.dimension)
-    for i in range(f.dimension):
-        e = np.zeros(f.dimension)
-        e[i] = 1.0
-        for g, out in ((f.lower, partial_lo), (f.upper, partial_hi)):
-            try:
-                d_plus = one_sided_derivative(g, x, e, f.domain)
-                d_minus = one_sided_derivative(g, x, -e, f.domain)
-            except (InfeasibleDirectionError, NonsmoothUncertainError) as exc:
-                raise NotGHDifferentiableError(
-                    f"not gH-differentiable here: axis {i + 1}: {exc}"
-                ) from exc
-            # left derivative is -d_minus; differentiability means it meets
-            # the right derivative
-            if abs(d_plus + d_minus) > GRAD_MATCH_RTOL * max(
-                1.0, abs(d_plus), abs(d_minus)
-            ):
-                raise NotGHDifferentiableError(
-                    f"not gH-differentiable here: axis {i + 1} one-sided "
-                    f"derivatives {d_plus} vs {-d_minus}"
-                )
-            out[i] = 0.5 * (d_plus - d_minus)
-    return IVector(
-        np.minimum(partial_lo, partial_hi), np.maximum(partial_lo, partial_hi)
-    )
 
 
 def convexity_check(f: Ivf, samples: int, seed: int) -> Optional[ConvexityCounterexample]:

@@ -14,8 +14,8 @@ of the :mod:`ivwsm.support` set types:
   derivative along h, so nothing beyond ``Ivf.dir_deriv`` is needed;
 * ``IntervalBoxSet`` in one dimension, assembled from the one-sided
   derivatives of the two endpoint functions;
-* ``FiniteIVecSet`` with one member, the interval gradient, at points
-  where it exists.
+* ``FiniteIVecSet`` with one member, the interval gradient, only from
+  ``subdiff_1d`` at a point where both endpoints are differentiable.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ import numpy as np
 
 from .intervals import is_finite
 from .ivectors import IVector
-from .ivf import (
-    GRAD_MATCH_RTOL,
-    Ivf,
-    NotGHDifferentiableError,
-    RestrictedIvf,
-    gh_gradient,
-    one_sided_derivative,
-)
+from .ivf import GRAD_MATCH_RTOL, Ivf, RestrictedIvf, endpoint_rows, one_sided_derivative
 from .support import FiniteIVecSet, IntervalBoxSet, OracleIVecSet
 
 MEMBERSHIP_SLACK = 1e-9
@@ -56,21 +49,30 @@ class MembershipResult:
 def _gh_diff_rows(
     f: IvfLike, xbar: np.ndarray, probes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of F(x) gh- F(xbar) per probe row; +inf rows auto-satisfy."""
+    """Endpoints of F(x) gh- F(xbar) per probe row; +inf rows auto-satisfy.
+
+    F is evaluated by one :func:`endpoint_rows` call over the probes where
+    it is finite (for a restriction, those in the feasible set); the other
+    rows are +inf.  A probe outside the domain of an ``Ivf`` raises the
+    ``DomainError`` of :meth:`Ivf.value`, unless a probe before it fails
+    first.
+    """
     base = f.value(xbar)
     if not is_finite(base):
         raise ValueError("xbar must lie in the effective domain")
-    lo = np.empty(len(probes))
-    hi = np.empty(len(probes))
-    for j, x in enumerate(probes):
-        val = f.value(x)
-        if is_finite(val):
-            d1 = val.lo - base.lo
-            d2 = val.hi - base.hi
-            lo[j] = min(d1, d2)
-            hi[j] = max(d1, d2)
-        else:
-            lo[j] = hi[j] = np.inf
+    if isinstance(f, RestrictedIvf):
+        f, inside = f.base, f.feasible.contains(probes)
+    else:
+        inside = f.domain.contains(probes)
+        if not inside.all():
+            first_out = int(np.argmin(inside))
+            endpoint_rows(f, probes[:first_out])  # an earlier probe fails first
+            f.value(probes[first_out])  # raises DomainError
+    lo, hi = np.full(len(probes), np.inf), np.full(len(probes), np.inf)
+    val_lo, val_hi = endpoint_rows(f, probes[inside])
+    d1, d2 = val_lo - base.lo, val_hi - base.hi
+    # min/max(d1, d2) with Python's first-wins semantics
+    lo[inside], hi[inside] = np.where(d2 < d1, d2, d1), np.where(d2 > d1, d2, d1)
     return lo, hi
 
 
@@ -180,17 +182,6 @@ def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | Interva
         np.array([min(left_lo, left_hi)]), np.array([max(left_lo, left_hi)])
     )
     return IntervalBoxSet(lower_corner, upper_corner)
-
-
-def subdiff_singleton(f: Ivf, xbar: Sequence[float]) -> FiniteIVecSet:
-    """Singleton set at a differentiable point; errors direct the caller to
-    the support-oracle representation otherwise."""
-    try:
-        return FiniteIVecSet((gh_gradient(f, xbar),))
-    except NotGHDifferentiableError as exc:
-        raise NotGHDifferentiableError(
-            f"{exc}; use subdiff_support for a representation at this point"
-        ) from exc
 
 
 def subdiff_support(f: IvfLike, xbar: Sequence[float]) -> OracleIVecSet:

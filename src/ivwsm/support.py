@@ -11,8 +11,7 @@ representations are enough for everything downstream:
 * ``OracleIVecSet`` - a callable producing support values directly, used
   for subdifferentials represented through directional derivatives.
 
-Support values may be the PLUS_INF marker (oracle sets only); dominance
-checks treat an infinite right-hand side as automatically satisfied.
+Support values may be the PLUS_INF marker (oracle sets only).
 """
 
 from __future__ import annotations
@@ -22,18 +21,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import OrthantCone
-from .intervals import (
-    PLUS_INF,
-    ExtInterval,
-    Interval,
-    ext_leq,
-    is_finite,
-    sup_family,
-)
+from .intervals import ExtInterval, Interval, is_finite, sup_family
 from .ivectors import IVector, special_product, vnorm
-
-DIRECTION_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,18 +79,6 @@ class IntervalBoxSet:
         s_hi = float(x @ np.where(pos, self.upper.his, self.lower.his))
         return Interval(min(s_lo, s_hi), max(s_lo, s_hi))
 
-    def contains_vector(self, g: IVector, slack: float = DIRECTION_SLACK) -> bool:
-        return bool(
-            np.all(self.lower.los <= g.los + slack)
-            and np.all(self.lower.his <= g.his + slack)
-            and np.all(g.los <= self.upper.los + slack)
-            and np.all(g.his <= self.upper.his + slack)
-        )
-
-    def contains_point(self, p: Sequence[float], slack: float = DIRECTION_SLACK) -> bool:
-        """Membership of a real vector embedded as a degenerate member."""
-        return self.contains_vector(IVector.degenerate(p), slack)
-
 
 @dataclass(frozen=True)
 class OracleIVecSet:
@@ -117,78 +94,6 @@ class OracleIVecSet:
 
 
 IVecSet = Union[FiniteIVecSet, IntervalBoxSet, OracleIVecSet]
-
-
-def support_dominates(
-    s1: IVecSet,
-    s2: IVecSet,
-    directions: Sequence[Sequence[float]],
-    slack: float = DIRECTION_SLACK,
-) -> Optional[np.ndarray]:
-    """Check support(s1) <= support(s2) on each direction.
-
-    Returns None on success, otherwise the first failing direction.
-    """
-    if s1.dimension != s2.dimension:
-        raise ValueError("set dimension mismatch")
-    for d in directions:
-        d = np.asarray(d, dtype=float)
-        if not ext_leq(s1.support(d), s2.support(d), slack):
-            return d
-    return None
-
-
-@dataclass(frozen=True)
-class InclusionResult:
-    included: bool
-    exact: bool
-    counter_direction: Optional[np.ndarray] = None
-
-    def __str__(self) -> str:
-        if not self.included:
-            return f"not included (direction {self.counter_direction})"
-        return "included" if self.exact else "included (sampled)"
-
-
-def inclusion_test(
-    points: Sequence[Sequence[float]],
-    q: IVecSet,
-    directions: Sequence[Sequence[float]],
-    slack: float = DIRECTION_SLACK,
-) -> InclusionResult:
-    """Test whether each real vector lies in the closed convex set q.
-
-    Points are embedded as degenerate interval vectors.  Against an
-    interval box the componentwise test is exact; otherwise support values
-    are compared over the sampled directions only, and the verdict says so.
-    """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if len(pts) == 0:
-        raise ValueError("inclusion_test needs a nonempty point set")
-    if isinstance(q, IntervalBoxSet):
-        for p in pts:
-            if not q.contains_point(p, slack):
-                # report a separating coordinate direction for the witness
-                d = _separating_direction(p, q, slack)
-                return InclusionResult(False, True, d)
-        return InclusionResult(True, True)
-    p_set = FiniteIVecSet(tuple(IVector.degenerate(p) for p in pts))
-    counter = support_dominates(p_set, q, directions, slack)
-    if counter is not None:
-        return InclusionResult(False, False, counter)
-    return InclusionResult(True, False)
-
-
-def _separating_direction(p: np.ndarray, q: IntervalBoxSet, slack: float) -> np.ndarray:
-    d = np.zeros(len(p))
-    for i in range(len(p)):
-        if p[i] > q.upper.los[i] + slack:
-            d[i] = 1.0
-            return d
-        if p[i] < q.lower.his[i] - slack:
-            d[i] = -1.0
-            return d
-    return d
 
 
 @dataclass(frozen=True)
@@ -235,23 +140,6 @@ def boundedness_check(
         if np.count_nonzero(d) == 1:
             per_axis[axis] = max(per_axis[axis], abs(val.hi))
     return BoundednessResult(True, float(per_axis.sum()))
-
-
-def augment_with_polar_cone(q: IVecSet, k: OrthantCone) -> OracleIVecSet:
-    """Oracle for the sum of q with the polar cone of k (as degenerate rays).
-
-    The polar cone's own support value is zero inside k and +infinity
-    outside, so the augmented support is q's on k and infinite elsewhere.
-    """
-    if q.dimension != k.dimension:
-        raise ValueError("dimension mismatch")
-
-    def fn(d: np.ndarray) -> ExtInterval:
-        if k.contains(d, tol=1e-12):
-            return q.support(d)
-        return PLUS_INF
-
-    return OracleIVecSet(q.dimension, fn)
 
 
 def default_directions(dimension: int, seed: int, count: int) -> np.ndarray:

@@ -1,11 +1,16 @@
-"""Every name a module imports is used in that module, and every private
-module-level name of the package is used in the package.
+"""Every name a module imports is used in that module, every private
+module-level name of the package is used in the package, and every public
+one is used by the package or its scripts unless it reproduces a notion of
+the paper.
 
 Walks the syntax tree of each package module, script and test module and
 fails on an imported name that is never read.  ``__init__.py`` is skipped:
 its imports are the public API.  A package-level function, class or
 constant whose name starts with an underscore is not public API, so it
-must be read somewhere in ``src/ivwsm`` outside its own definition.
+must be read somewhere in ``src/ivwsm`` outside its own definition.  A
+public one that neither ``src/ivwsm`` nor ``scripts`` reads is only there
+for tests and API users, so it must be listed in :data:`PAPER_API` with
+the paper notion it reproduces; an entry that is read, or gone, is stale.
 """
 
 import ast
@@ -15,6 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ivwsm").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 SOURCES = sorted(
     p
     for directory in (ROOT / "src" / "ivwsm", ROOT / "scripts", ROOT / "tests")
@@ -72,12 +78,13 @@ def test_the_check_finds_an_unused_name():
     assert unused_imports(source) == ["Sequence (line 2)"]
 
 
-def unread_private_names(sources: list[str]) -> list[str]:
-    """Underscore-named module-level functions, classes and constants (not
-    dunders) of the given module sources that no source reads outside their
-    own definition, in definition order."""
+def unread_names(sources: list[str], readers: list[str], checked) -> list[str]:
+    """Module-level functions, classes and constants of the given module
+    sources whose name passes ``checked`` and that neither those sources nor
+    the reader sources read outside their own definition, in definition
+    order."""
     trees = [ast.parse(source) for source in sources]
-    private = []  # (name, defining statement)
+    checked_names = []  # (name, defining statement)
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -87,10 +94,10 @@ def unread_private_names(sources: list[str]) -> list[str]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            # one leading underscore: private, not a dunder
-            private.extend((name, node) for name in names if name[:1] == "_" != name[1:2])
+            checked_names.extend((name, node) for name in names if checked(name))
+    trees += [ast.parse(source) for source in readers]
     unread = []
-    for name, definition in private:
+    for name, definition in checked_names:
         inside = {id(n) for n in ast.walk(definition)}
         if not any(
             id(node) not in inside and name in _names_read(node)
@@ -99,6 +106,19 @@ def unread_private_names(sources: list[str]) -> list[str]:
         ):
             unread.append(name)
     return unread
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Underscore-named module-level names (not dunders) of the given module
+    sources that no source reads outside their own definition."""
+    # one leading underscore: private, not a dunder
+    return unread_names(sources, [], lambda name: name[:1] == "_" != name[1:2])
+
+
+def unread_public_names(sources: list[str], readers: list[str]) -> list[str]:
+    """Public module-level names of the given module sources that neither
+    they nor the reader sources read outside their own definition."""
+    return unread_names(sources, readers, lambda name: name[:1] != "_")
 
 
 def _names_read(node: ast.AST) -> set[str]:
@@ -140,3 +160,43 @@ def test_the_check_finds_an_unread_private_name():
         "    pass\n",
     ]
     assert unread_private_names(package) == ["_SPARE", "_recursive", "_Unused"]
+
+
+#: Public names that nothing in ``src/ivwsm`` or ``scripts`` reads, each with
+#: the notion of the paper it reproduces (tests pin them).
+PAPER_API = {
+    "minkowski_sub": "Minkowski difference, in the gH difference's defining property",
+    "gh_difference": "generalized Hukuhara difference of intervals",
+    "dominance": "the dominance order on I(R)",
+    "ext_leq": "dominance on I(R) extended by the infinite elements",
+    "interval_norm": "the norm of I(R)",
+    "inf_family": "infimum of a family in I(R)",
+    "vstar": "componentwise operations on I(R)^n",
+    "cone_ball_support": "support of a cone in the alpha-ball (dual-b, Moreau)",
+    "boundedness_check": "bounded gH-subdifferential at interior points",
+}
+
+
+def test_every_unread_public_name_is_paper_api():
+    modules = [p.read_text() for p in PACKAGE if p.name != "__init__.py"]
+    unread = unread_public_names(modules, [p.read_text() for p in SCRIPTS])
+    assert sorted(unread) == sorted(PAPER_API)
+
+
+def test_the_check_finds_an_unread_public_name():
+    package = [
+        "LIMIT = 3\n"
+        "SPARE = 4\n"
+        "def used(x):\n"
+        "    return x < LIMIT\n"
+        "def recursive(x):\n"
+        "    return recursive(x - 1) if x else 0\n"
+        "class Unused:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n",
+        "def by_script():\n"
+        "    pass\n",
+    ]
+    script = "from ivwsm.b import by_script\nprint(by_script(), used)\n"
+    assert unread_public_names(package, [script]) == ["SPARE", "recursive", "Unused"]

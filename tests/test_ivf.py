@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivwsm import BoxSet, Interval, Ivf, RestrictedIvf, WsmProblem, boundedness_check, dominance
-from ivwsm import convexity_check, gh_difference, gh_gradient
+from ivwsm import convexity_check, gh_difference
 from ivwsm import dir_derivatives, lipschitz_estimate, scalar_mul, subdiff_support
 from ivwsm import PLUS_INF, EvalError, ExprAst, add, inf_family, interval_norm, sup_family
 from ivwsm.intervals import is_finite
@@ -23,7 +23,6 @@ from ivwsm.ivf import (
     InfeasibleDirectionError,
     ModelError,
     NonsmoothUncertainError,
-    NotGHDifferentiableError,
     endpoint_rows,
     point_block_derivatives,
 )
@@ -121,30 +120,6 @@ class TestNumericMatchesAnalytic:
                 assert_close_interval(num, ana, tol=1e-5)
                 compared += 1
             assert compared >= 8
-
-
-class TestGhGradient:
-    def test_affine_endpoints(self):
-        f = make_ivf(
-            2,
-            lambda x: x[0] + x[1],
-            lambda x: 2 * x[0] + 3 * x[1],
-            -2,
-            2,
-        )
-        grad = gh_gradient(f, [0.3, -0.4])
-        assert_close_interval(grad.component(0), Interval(1.0, 2.0))
-        assert_close_interval(grad.component(1), Interval(1.0, 3.0))
-
-    def test_constant(self):
-        f = make_ivf(1, lambda x: 4.0, lambda x: 4.0, -1, 1)
-        grad = gh_gradient(f, [0.2])
-        assert_close_interval(grad.component(0), Interval(0.0, 0.0))
-
-    def test_kink_refused(self):
-        f = vee_ivf(analytic=False)
-        with pytest.raises(NotGHDifferentiableError):
-            gh_gradient(f, [0.0])
 
 
 class TestConvexityCheck:

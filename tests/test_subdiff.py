@@ -8,21 +8,24 @@ from hypothesis import strategies as st
 
 from ivwsm import (
     FiniteIVecSet,
+    Interval,
     IntervalBoxSet,
+    Ivf,
     IVector,
     RestrictedIvf,
     boundedness_check,
     default_directions,
     is_subgradient,
     is_subgradient_directional,
+    scalar_mul,
     special_product,
     subdiff_1d,
-    subdiff_singleton,
     subdiff_support,
 )
 from ivwsm.intervals import is_finite, PLUS_INF
-from ivwsm.ivf import NotGHDifferentiableError
-from ivwsm.subdiff import DIRECTIONAL_SLACK
+from ivwsm.expr import EvalError
+from ivwsm.ivf import DomainError
+from ivwsm.subdiff import DIRECTIONAL_SLACK, _gh_diff_rows
 
 from conftest import cube, l1_ivf, make_ivf, quad_ivf, random_convex_ivf, vee_ivf
 
@@ -66,7 +69,7 @@ class TestMembershipExamples:
 
     def test_gradient_is_member_at_smooth_points(self):
         f = quad_ivf()
-        grad = subdiff_singleton(f, [0.7]).members[0]
+        (grad,) = subdiff_1d(f, 0.7).members
         assert is_subgradient(f, [0.7], grad, probe_grid(f)).member
         dirs = default_directions(1, seed=3, count=16)
         assert is_subgradient_directional(f, [0.7], grad, dirs).member
@@ -102,25 +105,6 @@ class TestSubdiff1d:
             subdiff_1d(l1_ivf(2, 1, 2), [0.0, 0.0])
 
 
-class TestSingleton:
-    def test_affine_pair(self):
-        f = make_ivf(2, lambda x: x[0] + x[1], lambda x: 2 * x[0] + 3 * x[1], -2, 2)
-        rep = subdiff_singleton(f, [0.2, -0.3])
-        (got,) = rep.members
-        assert got.component(0).lo == pytest.approx(1.0, abs=1e-5)
-        assert got.component(0).hi == pytest.approx(2.0, abs=1e-5)
-        assert got.component(1).lo == pytest.approx(1.0, abs=1e-5)
-        assert got.component(1).hi == pytest.approx(3.0, abs=1e-5)
-
-    def test_kink_redirects_to_support_oracle(self):
-        with pytest.raises(NotGHDifferentiableError, match="subdiff_support"):
-            subdiff_singleton(vee_ivf(analytic=False), [0.0])
-
-    def test_constant(self):
-        f = make_ivf(1, lambda x: 1.0, lambda x: 1.0, -1, 1)
-        assert subdiff_singleton(f, [0.1]).members == (IVector.zeros(1),)
-
-
 class TestSupportIdentity:
     def test_oracle_equals_directional_derivative(self):
         f = vee_ivf()
@@ -143,6 +127,22 @@ class TestSupportIdentity:
                 from_deriv = f.dir_deriv(np.array([xbar]), d)
                 assert from_box.lo == pytest.approx(from_deriv.lo, abs=1e-5)
                 assert from_box.hi == pytest.approx(from_deriv.hi, abs=1e-5)
+
+    def test_opposite_supports_meet_only_at_smooth_points(self):
+        # at a gH-differentiable point the subgradient set is the one
+        # interval gradient G, so the support along e_i is G_i and the
+        # support along -e_i is -G_i; at a kink the set is wider
+        f = make_ivf(2, lambda x: x[0] + x[1], lambda x: 2 * x[0] + 3 * x[1], -2, 2)
+        oracle = subdiff_support(f, [0.2, -0.3])
+        for e, component in zip(np.eye(2), (Interval(1.0, 2.0), Interval(1.0, 3.0))):
+            along = oracle.support(e)
+            against = scalar_mul(-1.0, oracle.support(-e))
+            for got in (along, against):
+                assert got.lo == pytest.approx(component.lo, abs=1e-5)
+                assert got.hi == pytest.approx(component.hi, abs=1e-5)
+        kink = subdiff_support(vee_ivf(analytic=False), [0.0])
+        assert kink.support([1.0]).lo == pytest.approx(0.25, abs=1e-5)
+        assert scalar_mul(-1.0, kink.support([-1.0])).lo == pytest.approx(-1.0, abs=1e-5)
 
     def test_restricted_boundary_exit_is_infinite(self):
         f = vee_ivf()
@@ -356,3 +356,85 @@ class TestDirectionalMatchesPerDirectionLoop:
             assert got.witness is None
         elif len(margins) == 1 or margins[1] - margins[0] > 1e-12 * max(1.0, abs(margin)):
             assert np.array_equal(got.witness, witness)
+
+
+# -- the defining criterion's value differences against the per-probe loop --
+
+
+def gh_diff_reference(f, xbar, probes):
+    """The per-probe loop ``_gh_diff_rows`` had before it made one
+    ``endpoint_rows`` call."""
+    base = f.value(xbar)
+    lo, hi = np.empty(len(probes)), np.empty(len(probes))
+    for j, x in enumerate(probes):
+        val = f.value(x)
+        if is_finite(val):
+            d1, d2 = val.lo - base.lo, val.hi - base.hi
+            lo[j], hi[j] = min(d1, d2), max(d1, d2)
+        else:
+            lo[j] = hi[j] = np.inf
+    return lo, hi
+
+
+def expression_ivf(n: int) -> Ivf:
+    terms = " + ".join(f"abs(x{i + 1} - 0.3)" for i in range(n))
+    squares = " + ".join(f"x{i + 1}^2" for i in range(n))
+    return Ivf.from_expressions(terms, f"2*({terms}) + {squares}", cube(n, -2, 2))
+
+
+class TestGhDiffMatchesPerProbeLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["callables", "expressions"]),
+        restricted=st.booleans(),
+        count=st.integers(2, 60),
+    )
+    def test_bit_for_bit(self, seed, n, kind, restricted, count):
+        rng = np.random.default_rng(seed)
+        f = random_convex_ivf(int(rng.integers(0, 50)), n=n) if kind == "callables" else expression_ivf(n)
+        probes = rng.uniform(f.domain.lo, f.domain.hi, size=(count, n))
+        xbar = rng.uniform(-0.5, 0.5, n)
+        if restricted:
+            # S = [-0.5, 0.5]^n: most probes fall outside it
+            f = RestrictedIvf(f, cube(n, -0.5, 0.5))
+            probes[::3] = rng.uniform(-0.5, 0.5, size=probes[::3].shape)
+            probes[1] = f.domain.hi + 0.5  # outside the domain too: +inf, not an error
+        got = _gh_diff_rows(f, xbar, probes)
+        want = gh_diff_reference(f, xbar, probes)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        if restricted:
+            outside = ~f.feasible.contains(probes)
+            assert outside[1] and np.all(got[0][outside] == np.inf)
+
+    def test_probe_outside_the_domain_raises_domain_error(self):
+        f = expression_ivf(2)
+        probes = np.array([[0.0, 0.0], [2.5, 0.0], [3.0, 0.0]])
+        with pytest.raises(DomainError, match=r"\[2\.5 0\. \] is outside the domain box"):
+            _gh_diff_rows(f, np.zeros(2), probes)
+
+    def test_an_earlier_failing_probe_wins_over_the_domain_error(self):
+        f = Ivf.from_expressions("1/x1", "1/x1 + 1", cube(1, -2, 2))
+        probes = np.array([[1.0], [0.0], [2.5]])
+        for rows in (_gh_diff_rows, gh_diff_reference):
+            with pytest.raises(EvalError, match=r"division by zero at x=\[0\.\]"):
+                rows(f, np.array([1.0]), probes)
+
+    def test_lower_rows_are_checked_before_upper_rows(self):
+        # the per-probe loop names the first probe with any non-finite
+        # endpoint; the batched rows check every lower value first, so an
+        # upper failure at an earlier probe is reported as the later lower one
+        f = make_ivf(
+            1,
+            lambda x: np.inf if x[0] == 0.5 else 0.0,
+            lambda x: np.inf if x[0] == -0.5 else 1.0,
+            -1,
+            1,
+        )
+        probes = np.array([[-0.5], [0.5]])
+        with pytest.raises(ValueError, match=r"^lower\(\[0\.5\]\) = inf is not finite$"):
+            _gh_diff_rows(f, np.zeros(1), probes)
+        with pytest.raises(ValueError, match=r"^upper\(\[-0\.5\]\) = inf is not finite$"):
+            gh_diff_reference(f, np.zeros(1), probes)

@@ -13,21 +13,19 @@ from ivwsm import (
     Interval,
     IVector,
     OracleIVecSet,
-    OrthantCone,
     PLUS_INF,
-    Tag,
-    augment_with_polar_cone,
+    RestrictedIvf,
     boundedness_check,
     default_directions,
     dominance,
-    ext_leq,
-    inclusion_test,
     scalar_mul,
     special_product,
-    support_dominates,
+    subdiff_support,
     sup_family,
     vnorm,
 )
+
+from conftest import cube, vee_ivf
 
 
 def ivec(*pairs) -> IVector:
@@ -99,47 +97,6 @@ class TestIntervalBoxSupport:
         assert box.support([-1.0]) == Interval(0.25, 1.0)
 
 
-class TestSupportDominates:
-    def test_subset_dominates(self):
-        small = FiniteIVecSet((ivec((0, 1)),))
-        large = FiniteIVecSet((ivec((0, 1)), ivec((2, 3))))
-        assert support_dominates(small, large, default_directions(1, 0, 16)) is None
-
-    def test_counter_direction(self):
-        s1 = FiniteIVecSet((ivec((2, 3)),))
-        s2 = FiniteIVecSet((ivec((0, 1)),))
-        counter = support_dominates(s1, s2, [[1.0]])
-        assert counter is not None and counter[0] == 1.0
-
-    def test_identical_sets(self):
-        s = FiniteIVecSet((ivec((0, 1)), ivec((-1, 4))))
-        assert support_dominates(s, s, default_directions(1, 0, 16)) is None
-
-
-class TestInclusion:
-    def test_interior_point_included(self):
-        result = inclusion_test([[0.2]], ex1_box(), [])
-        assert result.included and result.exact
-
-    def test_outside_point_counter_direction(self):
-        result = inclusion_test([[0.5]], ex1_box(), [])
-        assert not result.included
-        assert result.counter_direction[0] == 1.0
-
-    def test_empty_point_set_rejected(self):
-        with pytest.raises(ValueError):
-            inclusion_test([], ex1_box(), [])
-
-    def test_sampled_mode_against_oracle_set(self):
-        box = ex1_box()
-        oracle = OracleIVecSet(1, lambda d: box.support(d))
-        dirs = default_directions(1, seed=2, count=16)
-        assert inclusion_test([[0.2]], oracle, dirs).included
-        result = inclusion_test([[0.2]], oracle, dirs)
-        assert not result.exact  # sampled verdict is reported as sampled
-        assert not inclusion_test([[0.6]], oracle, dirs).included
-
-
 class TestBoundedness:
     def test_finite_set_bound_is_max_vnorm(self):
         s = FiniteIVecSet((ivec((0, 1), (2, 3)), ivec((-4, 0), (0, 1))))
@@ -151,14 +108,15 @@ class TestBoundedness:
         result = boundedness_check(s)
         assert result.bounded and result.bound == 0.0
 
-    def test_polar_augmented_ray_is_unbounded(self):
-        q = FiniteIVecSet((ivec((0, 1), (0, 1)),))
-        k = OrthantCone((Tag.NONNEG, Tag.NONNEG))
-        augmented = augment_with_polar_cone(q, k)
-        result = boundedness_check(augmented)
+    def test_restricted_subdiff_ray_is_unbounded(self):
+        # at the end 0 of the feasible set [0, 1] the subgradient set of the
+        # restriction holds the whole ray of the normal cone, so its support
+        # value along -1 (the direction leaving the set) is +inf
+        oracle = subdiff_support(RestrictedIvf(vee_ivf(), cube(1, 0, 1)), [0.0])
+        result = boundedness_check(oracle)
         assert not result.bounded
-        assert result.unbounded_direction is not None
-        assert augmented.support(result.unbounded_direction) is PLUS_INF
+        assert result.unbounded_direction[0] == -1.0
+        assert oracle.support(result.unbounded_direction) is PLUS_INF
 
     def test_oracle_bound_covers_members(self):
         box = ex1_box()
@@ -166,35 +124,6 @@ class TestBoundedness:
         result = boundedness_check(oracle)
         assert result.bounded
         assert result.bound >= 1.0 - 1e-12  # the widest member has norm 1
-
-
-class TestPolarAugmentation:
-    def test_dominance_on_cone_iff_dominance_everywhere(self):
-        rng = np.random.default_rng(4)
-        k = OrthantCone((Tag.NONNEG, Tag.NONNEG))
-        dirs = default_directions(2, seed=9, count=64)
-        cone_dirs = [d for d in dirs if k.contains(d, tol=0.0)]
-        for trial in range(20):
-            p_members = tuple(
-                IVector(lo, lo + rng.uniform(0, 1, 2))
-                for lo in rng.uniform(-1.5, 1.5, size=(3, 2))
-            )
-            q_members = tuple(
-                IVector(lo, lo + rng.uniform(0, 1, 2))
-                for lo in rng.uniform(-1.5, 1.5, size=(3, 2))
-            )
-            p_set = FiniteIVecSet(p_members)
-            q_set = FiniteIVecSet(q_members)
-            augmented = augment_with_polar_cone(q_set, k)
-            on_cone = all(
-                ext_leq(p_set.support(d), q_set.support(d))
-                for d in cone_dirs
-            )
-            everywhere = all(
-                ext_leq(p_set.support(d), augmented.support(d))
-                for d in dirs
-            )
-            assert on_cone == everywhere
 
     def test_bounded_set_support_below_norm_ball(self):
         rng = np.random.default_rng(14)
