@@ -19,11 +19,10 @@ import sys
 import numpy as np
 
 from .expr import EvalError
-from .intervals import is_finite
 from .ivectors import IVector
-from .ivf import NonsmoothUncertainError
+from .ivf import NonsmoothUncertainError, point_block_derivatives
 from .problems import ProblemFileError, build_problem, load_problem_file
-from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d, subdiff_support
+from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d
 from .support import FiniteIVecSet, default_directions
 from .wsm import (
     CHECKERS,
@@ -171,13 +170,13 @@ def _cmd_subdiff(args) -> int:
                 f"hi={_fmt_vec(upper.los)},{_fmt_vec(upper.his)}"
             )
     else:
-        oracle = subdiff_support(f, at)
+        # support values of the subgradient set = directional derivatives,
+        # one pair per direction so a failure is that direction's own; every
+        # value first, so a failing derivative prints nothing
         dirs = [d for e in np.eye(n) for d in (e, -e)]
-        # every value first, so a failing derivative prints nothing
-        values = [oracle.support(d) for d in dirs]
-        for d, val in zip(dirs, values):
-            shown = f"[{_fmt(val.lo)}, {_fmt(val.hi)}]" if is_finite(val) else "+inf"
-            print(f"support along ({_fmt_vec(d)}): {shown}")
+        ((_, _, _, lo, hi),) = point_block_derivatives(f, [(at, d[None]) for d in dirs])
+        for d, d_lo, d_hi in zip(dirs, lo, hi):
+            print(f"support along ({_fmt_vec(d)}): [{_fmt(d_lo)}, {_fmt(d_hi)}]")
     if probe is None:
         return 0
     grid_points = f.domain.grid(probe_density)

@@ -87,12 +87,12 @@ class OrthantCone:
         # on zero axes whatever d holds there
         return np.where(zero | (d < lo), lo, np.where(d > hi, hi, d))
 
-    def contains(self, d: Sequence[float], tol: float = MEMBER_TOL):
+    def contains(self, d: Sequence[float]):
         """Membership of one vector (a bool) or of each row of an (m, n)
         array (a bool array)."""
         d = np.asarray(d, dtype=float)
         lo, hi, _ = _cone_bounds(self.tags)
-        outside = ((d < lo - tol) | (d > hi + tol)).any(axis=-1)
+        outside = ((d < lo - MEMBER_TOL) | (d > hi + MEMBER_TOL)).any(axis=-1)
         return ~outside if d.ndim == 2 else not outside
 
     def intersect(self, other: "OrthantCone") -> "OrthantCone":
@@ -164,16 +164,16 @@ class BoxSet:
     def dimension(self) -> int:
         return len(self.lo)
 
-    def contains(self, x: Sequence[float], tol: float = MEMBER_TOL):
+    def contains(self, x: Sequence[float]):
         """Membership of one point (a bool) or of each row of an (m, n)
         array (a bool array)."""
         x = np.asarray(x, dtype=float)
-        inside = ((x >= self.lo - tol) & (x <= self.hi + tol)).all(axis=-1)
+        inside = ((x >= self.lo - MEMBER_TOL) & (x <= self.hi + MEMBER_TOL)).all(axis=-1)
         return inside if x.ndim == 2 else bool(inside)
 
-    def contains_box(self, other: "BoxSet", tol: float = MEMBER_TOL) -> bool:
+    def contains_box(self, other: "BoxSet") -> bool:
         return bool(
-            np.all(other.lo >= self.lo - tol) and np.all(other.hi <= self.hi + tol)
+            np.all(other.lo >= self.lo - MEMBER_TOL) and np.all(other.hi <= self.hi + MEMBER_TOL)
         )
 
     def project(self, x: Sequence[float]) -> np.ndarray:
@@ -183,43 +183,38 @@ class BoxSet:
         x = np.asarray(x, dtype=float)
         return float(np.linalg.norm(x - self.project(x)))
 
-    def face_codes(self, x: Sequence[float], tol: float = MEMBER_TOL) -> np.ndarray:
+    def face_codes(self, x: Sequence[float]) -> np.ndarray:
         """Where each coordinate of a point, or of each row of an (m, n)
         array, sits in the box: 1 at the lower bound only, 2 at the upper
         only, 3 at both (a point axis), 0 strictly inside.  Points with
         equal codes lie on the same face, so they have the same tangent and
         normal cones."""
         x = np.asarray(x, dtype=float)
-        return (x <= self.lo + tol) + 2 * (x >= self.hi - tol)
+        return (x <= self.lo + MEMBER_TOL) + 2 * (x >= self.hi - MEMBER_TOL)
 
-    def tangent_cone(self, x: Sequence[float], tol: float = MEMBER_TOL) -> OrthantCone:
+    def tangent_cone(self, x: Sequence[float]) -> OrthantCone:
         """Feasible-direction cone at a member point, one tag per axis."""
         x = np.asarray(x, dtype=float)
-        if not self.contains(x, tol):
+        if not self.contains(x):
             raise ValueError(f"{x} is not a member of the box")
-        return OrthantCone(tuple(_FACE_TAGS[c] for c in self.face_codes(x, tol).tolist()))
+        return OrthantCone(tuple(_FACE_TAGS[c] for c in self.face_codes(x).tolist()))
 
-    def normal_cone(self, x: Sequence[float], tol: float = MEMBER_TOL) -> OrthantCone:
+    def normal_cone(self, x: Sequence[float]) -> OrthantCone:
         """Polar of the tangent cone at a member point."""
-        return self.tangent_cone(x, tol).polar()
+        return self.tangent_cone(x).polar()
 
-    def grid(self, points_per_axis: int | Sequence[int]) -> np.ndarray:
+    def grid(self, points_per_axis: int) -> np.ndarray:
         """Regular grid over the box, point axes contributing a single value.
 
         Rows enumerate points in C-order over the axes, so iteration order
         (and hence any argmin witness) is deterministic.
         """
-        n = self.dimension
-        if isinstance(points_per_axis, int):
-            counts = [points_per_axis] * n
-        else:
-            counts = list(points_per_axis)
         axes = []
-        for lo, hi, k in zip(self.lo, self.hi, counts):
+        for lo, hi in zip(self.lo, self.hi):
             if hi - lo <= 0:
                 axes.append(np.array([lo]))
             else:
-                axes.append(np.linspace(lo, hi, max(2, int(k))))
+                axes.append(np.linspace(lo, hi, max(2, int(points_per_axis))))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 

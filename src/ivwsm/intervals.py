@@ -51,21 +51,22 @@ def is_finite(value: ExtInterval) -> bool:
     return isinstance(value, Interval)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Interval:
     """Closed bounded interval [lo, hi].
 
     The constructor rejects ``lo > hi`` instead of swapping: every formula
     in this package already emits ordered endpoints, so a reversed pair is
-    an arithmetic bug we want surfaced, not hidden.
+    an arithmetic bug we want surfaced, not hidden.  It sets each field
+    once, after the checks.
     """
 
     lo: float
     hi: float
 
-    def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
+    def __init__(self, lo: float, hi: float):
+        lo = float(lo)
+        hi = float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:

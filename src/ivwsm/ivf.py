@@ -18,9 +18,11 @@ call when the endpoints carry batched forms (expression objectives always
 do), and loop over the rows otherwise.  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints, lower not above upper), and every derivative from
-:func:`dir_derivatives`, the one home of the analytic route.  The one-point
-methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` are one-row calls of
-these kernels, and :meth:`RestrictedIvf.dir_deriv` a one-row call of
+:func:`dir_derivatives`, the one home of the analytic route; the 1-d
+subgradient set and the CLI's support values read it through
+:func:`point_block_derivatives`.  The one-point methods :meth:`Ivf.value`
+and :meth:`Ivf.dir_deriv` are one-row calls of these kernels, and
+:meth:`RestrictedIvf.dir_deriv` a one-row call of
 :meth:`RestrictedIvf.dir_derivs`, the one home of the +inf rule for
 directions that leave the feasible set; so each rule exists once.  A
 derivative call takes at most :data:`ROW_BLOCK` rows at a time, and
@@ -288,17 +290,6 @@ def _one_sided_rows(
             "is not finite"
         )
     return e2
-
-
-def one_sided_derivative(
-    g: Endpoint, x: Sequence[float], d: Sequence[float], domain: BoxSet
-) -> float:
-    """Right directional derivative of a scalar function along d at x
-    (a one-row call of the batched difference-quotient rules)."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    x, d = x[None, :], d[None, :]
-    return float(_one_sided_rows(_per_row(g), x, d, _step_scale(domain, x, d))[0])
 
 
 def dir_derivatives(

@@ -12,8 +12,8 @@ of the :mod:`ivwsm.support` set types:
 * ``OracleIVecSet``, the canonical one - by the support identity the
   support value of the subgradient set along h *is* the directional
   derivative along h, so nothing beyond ``Ivf.dir_deriv`` is needed;
-* ``IntervalBoxSet`` in one dimension, assembled from the one-sided
-  derivatives of the two endpoint functions;
+* ``IntervalBoxSet`` in one dimension, between the corners -F'(x; -1) and
+  F'(x; +1), which that identity gives from one derivative call;
 * ``FiniteIVecSet`` with one member, the interval gradient, only from
   ``subdiff_1d`` at a point where both endpoints are differentiable.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .intervals import is_finite
 from .ivectors import IVector
-from .ivf import GRAD_MATCH_RTOL, Ivf, RestrictedIvf, endpoint_rows, one_sided_derivative
+from .ivf import GRAD_MATCH_RTOL, Ivf, RestrictedIvf, endpoint_rows, point_block_derivatives
 from .support import FiniteIVecSet, IntervalBoxSet, OracleIVecSet
 
 MEMBERSHIP_SLACK = 1e-9
@@ -148,12 +148,11 @@ def is_subgradient_directional(
 def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | IntervalBoxSet:
     """Explicit subgradient set of a one-dimensional convex function.
 
-    The one-sided derivatives (l, r) of each endpoint function give that
-    endpoint's subgradient interval [l, r]; the interval-valued set is the
-    box between [min(l_lo, l_hi), max(l_lo, l_hi)] and
-    [min(r_lo, r_hi), max(r_lo, r_hi)].  When both endpoints are
-    differentiable the box collapses and the singleton gradient is
-    returned instead.
+    By the support identity the set is the box between the corners
+    -F'(x; -1) (with its endpoints swapped, so lower not above upper) and
+    F'(x; +1), both read from one derivative call.  For convex endpoints
+    the corners agree exactly when both endpoints are differentiable; then
+    the box collapses and the singleton gradient is returned instead.
     """
     if f.dimension != 1:
         raise ValueError("subdiff_1d needs a one-dimensional function")
@@ -161,27 +160,17 @@ def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | Interva
     lo_b, hi_b = f.domain.lo[0], f.domain.hi[0]
     if not (lo_b < x[0] < hi_b):
         raise ValueError(f"xbar={x[0]} is not interior to the domain [{lo_b}, {hi_b}]")
-    plus = np.array([1.0])
-    minus = np.array([-1.0])
-    right_lo = one_sided_derivative(f.lower, x, plus, f.domain)
-    left_lo = -one_sided_derivative(f.lower, x, minus, f.domain)
-    right_hi = one_sided_derivative(f.upper, x, plus, f.domain)
-    left_hi = -one_sided_derivative(f.upper, x, minus, f.domain)
-    smooth_lo = abs(right_lo - left_lo) <= GRAD_MATCH_RTOL * max(
-        1.0, abs(right_lo), abs(left_lo)
-    )
-    smooth_hi = abs(right_hi - left_hi) <= GRAD_MATCH_RTOL * max(
-        1.0, abs(right_hi), abs(left_hi)
-    )
-    upper_corner = IVector(
-        np.array([min(right_lo, right_hi)]), np.array([max(right_lo, right_hi)])
-    )
-    if smooth_lo and smooth_hi:
-        return FiniteIVecSet((upper_corner,))
-    lower_corner = IVector(
-        np.array([min(left_lo, left_hi)]), np.array([max(left_lo, left_hi)])
-    )
-    return IntervalBoxSet(lower_corner, upper_corner)
+    # one (point, direction) pair per side, so a failure is that side's own
+    ((_, _, _, lo, hi),) = point_block_derivatives(f, [(x, [[1.0]]), (x, [[-1.0]])])
+    upper = IVector(lo[:1], hi[:1])  # F'(x; +1)
+    lower = IVector(-hi[1:], -lo[1:])  # -F'(x; -1), endpoints swapped
+    if _agree(upper.los[0], lower.los[0]) and _agree(upper.his[0], lower.his[0]):
+        return FiniteIVecSet((upper,))
+    return IntervalBoxSet(lower, upper)
+
+
+def _agree(a: float, b: float) -> bool:
+    return abs(a - b) <= GRAD_MATCH_RTOL * max(1.0, abs(a), abs(b))
 
 
 def subdiff_support(f: IvfLike, xbar: Sequence[float]) -> OracleIVecSet:

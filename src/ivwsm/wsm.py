@@ -59,6 +59,9 @@ from .support import default_directions
 MARGIN_TOL = 1e-7
 #: Ceiling on the total number of grid points per box.
 GRID_CAP = 40_000
+#: Ceiling on the number of random directions, so the derivative table
+#: (``_Context.deriv_lo``) holds at most GRID_CAP x (DIRS_CAP + 2n) entries.
+DIRS_CAP = 1024
 
 
 class GuardError(ValueError):
@@ -114,8 +117,10 @@ class WsmProblem:
             raise GuardError(
                 "margin_tol", f"margin_tol must be a finite number >= 0, got {self.margin_tol}"
             )
-        if self.n_dirs < 0:
-            raise GuardError("n_dirs", f"n_dirs must be >= 0, got {self.n_dirs}")
+        if not 0 <= self.n_dirs <= DIRS_CAP:
+            raise GuardError(
+                "n_dirs", f"n_dirs must be between 0 and {DIRS_CAP}, got {self.n_dirs}"
+            )
         if not self.s.contains_box(self.sbar):
             raise GuardError("sbar", "Sbar is not contained in S")
         if not self.f.domain.contains_box(self.s):
@@ -283,12 +288,11 @@ class _Worst:
 
     def update_rows(self, margins: np.ndarray, a: np.ndarray, b: np.ndarray):
         """Update with the first smallest (or first NaN) of a batch of
-        margins.  ``b`` holds one witness row per margin; so does ``a``,
-        unless it is one point shared by the whole batch."""
+        margins; ``a`` and ``b`` hold one witness row per margin."""
         if len(margins) == 0:
             return
         i = int(np.argmin(margins))  # the first minimum, or the first NaN
-        self.update(float(margins[i]), a if a.ndim == 1 else a[i], b[i])
+        self.update(float(margins[i]), a[i], b[i])
 
 
 def check_definition(p: WsmProblem) -> WsmReport:

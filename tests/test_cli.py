@@ -189,6 +189,7 @@ class TestOutOfRangeFlags:
             (["--tol", "inf"], "margin_tol"),
             (["--dirs", "-1"], "n_dirs"),
             (["--seed", "-1"], "seed"),
+            (["--dirs", "100000000000"], "n_dirs"),
         ],
     )
     @pytest.mark.parametrize("command", ["check", "modulus", "subdiff"])
@@ -378,10 +379,23 @@ class TestSubdiffCommand:
         assert main(["subdiff", vee_file(), "--at", "0.7"]) == 0
         assert "singleton" in capsys.readouterr().out
 
-    def test_support_values_in_higher_dimension(self, poly_file, capsys):
+    def test_support_values_in_higher_dimension(self, poly_file, capsys, monkeypatch):
         assert main(["subdiff", poly_file(), "--at", "-0.5 -0.5"]) == 0
         out = capsys.readouterr().out
         assert out.count("support along") == 4
+        # every bit shown: each line is the one-direction derivative's, at a
+        # smooth point and on the kink x1 = 0
+        monkeypatch.setattr(ivwsm.cli, "_fmt", lambda value: float(value).hex())
+        for path, at in [(poly_file(), "-0.5 -0.5"), (str(PROBLEMS / "strip3d.txt"), "0 0.5 -0.5")]:
+            assert main(["subdiff", path, "--at", at]) == 0
+            f = build_problem(load_problem_file(path)).f
+            x = np.array(at.split(), dtype=float)
+            expected = []
+            for d in (d for e in np.eye(f.dimension) for d in (e, -e)):
+                value = f.dir_deriv(x, d)
+                shown = ",".join(float(c).hex() for c in d)
+                expected.append(f"support along ({shown}): [{value.lo.hex()}, {value.hi.hex()}]")
+            assert capsys.readouterr().out.splitlines() == expected
 
     def test_point_outside_domain_exits_two(self, vee_file, capsys):
         assert main(["subdiff", vee_file(), "--at", "3.0"]) == 2

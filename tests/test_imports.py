@@ -174,6 +174,7 @@ PAPER_API = {
     "vstar": "componentwise operations on I(R)^n",
     "cone_ball_support": "support of a cone in the alpha-ball (dual-b, Moreau)",
     "boundedness_check": "bounded gH-subdifferential at interior points",
+    "subdiff_support": "support function of the gH-subdifferential = the gH-directional derivative",
 }
 
 

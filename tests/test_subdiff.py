@@ -24,10 +24,18 @@ from ivwsm import (
 )
 from ivwsm.intervals import is_finite, PLUS_INF
 from ivwsm.expr import EvalError
-from ivwsm.ivf import DomainError
+from ivwsm.ivf import DomainError, NonsmoothUncertainError
 from ivwsm.subdiff import DIRECTIONAL_SLACK, _gh_diff_rows
 
-from conftest import cube, l1_ivf, make_ivf, quad_ivf, random_convex_ivf, vee_ivf
+from conftest import (
+    _one_sided_abs,
+    cube,
+    l1_ivf,
+    make_ivf,
+    quad_ivf,
+    random_convex_ivf,
+    vee_ivf,
+)
 
 
 def probe_grid(f, k=17):
@@ -95,6 +103,26 @@ class TestSubdiff1d:
         rep = subdiff_1d(f, 0.3)
         assert isinstance(rep, FiniteIVecSet)
         assert rep.members == (IVector.zeros(1),)
+
+    def test_a_supplied_analytic_derivative_is_read(self):
+        # kinks at 0 and 1e-4 both sit inside the numeric probe range, but
+        # the analytic derivative is exact: F'(0; +1) = [0, 0], F'(0; -1) = [2, 4]
+        def lower(x):
+            return abs(x[0]) + abs(x[0] - 1e-4)
+
+        def d_lower(x, d):
+            return _one_sided_abs(x[0], d[0]) + _one_sided_abs(x[0] - 1e-4, d[0])
+
+        f = make_ivf(
+            1, lower, lambda x: 2 * lower(x), -1, 1, d_lower, lambda x, d: 2 * d_lower(x, d)
+        )
+        rep = subdiff_1d(f, 0.0)
+        assert isinstance(rep, IntervalBoxSet)
+        assert (list(rep.lower.los), list(rep.lower.his)) == ([-4.0], [-2.0])
+        assert (list(rep.upper.los), list(rep.upper.his)) == ([0.0], [0.0])
+        numeric = Ivf(1, f.lower, f.upper, f.domain)
+        with pytest.raises(NonsmoothUncertainError):
+            subdiff_1d(numeric, 0.0)
 
     def test_boundary_point_rejected(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,7 @@ class TestDefinition:
             ("margin_tol", float("nan")),
             ("margin_tol", float("inf")),
             ("n_dirs", -1),
+            ("n_dirs", 100_000_000_000),
             ("alpha", float("inf")),
             ("alpha", float("nan")),
             ("seed", -1),
@@ -304,14 +305,14 @@ class TestNanMargins:
     def test_batches_report_their_first_nan(self):
         worst = _Worst()
         dirs = np.array([[1.0], [2.0], [3.0], [4.0]])
-        worst.update_rows(np.array([0.2, np.nan, -1.0, np.nan]), np.array([0.0]), dirs)
+        worst.update_rows(np.array([0.2, np.nan, -1.0, np.nan]), np.zeros((4, 1)), dirs)
         assert np.isnan(worst.margin)
         assert list(worst.witness[1]) == [2.0]
 
     def test_batches_keep_the_first_minimum(self):
         worst = _Worst()
         worst.update_rows(np.array([0.2, -1.0, -1.0]), np.zeros((3, 1)), np.arange(3.0)[:, None])
-        worst.update_rows(np.array([-1.0]), np.zeros(1), np.array([[9.0]]))
+        worst.update_rows(np.array([-1.0]), np.zeros((1, 1)), np.array([[9.0]]))
         assert worst.margin == -1.0 and list(worst.witness[1]) == [1.0]
 
     def test_a_nan_margin_fails(self):
@@ -351,7 +352,7 @@ def primal_reference(p):
     for xbar in ctx.sbar_grid:
         lhs = p.alpha * dist_to_cone(ctx.dirs, p.sbar.tangent_cone(xbar))
         deriv_lo, _ = f_o.dir_derivs(xbar, ctx.dirs)
-        worst.update_rows(deriv_lo - lhs, xbar, ctx.dirs)
+        worst.update_rows(deriv_lo - lhs, np.broadcast_to(xbar, ctx.dirs.shape), ctx.dirs)
     return worst.margin, worst.witness, len(ctx.sbar_grid) * len(ctx.dirs)
 
 
@@ -365,7 +366,7 @@ def dual_b_reference(p):
         n_cone = p.sbar.normal_cone(xbar)
         rhs_lo, _ = f_o.dir_derivs(xbar, ctx.dirs)
         lhs = cone_ball_support(n_cone, p.alpha, ctx.dirs)
-        worst.update_rows(rhs_lo - lhs, xbar, ctx.dirs)
+        worst.update_rows(rhs_lo - lhs, np.broadcast_to(xbar, ctx.dirs.shape), ctx.dirs)
         samples += len(ctx.dirs)
         base_lo = ctx.flo_sbar[b]
         base_hi = ctx.fhi_sbar[b]
@@ -401,7 +402,9 @@ def dual_e_reference(p):
         dirs = np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
         samples += len(dirs)
         deriv_lo, _ = p.f.dir_derivs(xbar, dirs)
-        worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), xbar, dirs)
+        worst.update_rows(
+            deriv_lo - p.alpha * row_norms(dirs), np.broadcast_to(xbar, dirs.shape), dirs
+        )
     return worst.margin, worst.witness, samples
 
 
