@@ -30,6 +30,7 @@ from .wsm import (
     check_all,
     check_definition,
     concordant,
+    convexity_note,
     estimate_modulus,
     grid_density,
 )
@@ -152,6 +153,12 @@ def _cmd_subdiff(args) -> int:
             probe_density = grid_density(f.domain, min(problem.grid, 17))
         except ValueError as exc:
             raise ProblemFileError(f"--probe grid: the domain has {exc}")
+    try:
+        note = convexity_note(f, problem.seed)
+    except (ValueError, ArithmeticError):
+        # the guard samples the whole domain; where F cannot be evaluated
+        # there (check and modulus exit 2), the set at --at is still shown
+        note = None
     if n == 1:
         rep = subdiff_1d(f, at)
         if isinstance(rep, FiniteIVecSet):
@@ -177,6 +184,8 @@ def _cmd_subdiff(args) -> int:
         ((_, _, _, lo, hi),) = point_block_derivatives(f, [(at, d[None]) for d in dirs])
         for d, d_lo, d_hi in zip(dirs, lo, hi):
             print(f"support along ({_fmt_vec(d)}): [{_fmt(d_lo)}, {_fmt(d_hi)}]")
+    if note is not None:
+        _print_notes([note])
     if probe is None:
         return 0
     grid_points = f.domain.grid(probe_density)

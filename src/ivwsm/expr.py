@@ -102,7 +102,9 @@ class ExprAst:
         def rows(points: np.ndarray) -> np.ndarray:
             # inf and NaN propagate silently, as in Python float arithmetic
             with np.errstate(all="ignore"):
-                return compiled(points)
+                values = compiled(points)
+            # a root made of constants only is one scalar: broadcast it once
+            return values if np.ndim(values) else np.full(len(points), values)
 
         return rows
 
@@ -292,11 +294,14 @@ def _compile(node: Node) -> Callable[[np.ndarray], np.ndarray]:
     is ``np.float_power`` (``np.power`` rounds small integer powers
     differently), and ``min``/``max`` keep the first of equal or NaN
     arguments, as Python's builtins do.  Where Python raises, the closure
-    raises for the first offending row and names it.
+    raises for the first offending row and names it.  A constant is one
+    float64 scalar, not a column, so a subtree of constants is computed
+    once; its error names the first row, where every row fails (and
+    zero rows raise nothing, as for a column).
     """
     if isinstance(node, Const):
-        value = node.value
-        return lambda rows: np.full(len(rows), value)
+        value = np.float64(node.value)
+        return lambda rows: value
     if isinstance(node, Var):
         i = node.index - 1
         return lambda rows: rows[:, i].copy()
@@ -321,7 +326,7 @@ def _compile_pow(base, exponent: int):
         out = np.float_power(b, float(exponent))
         # Python's float ** int raises where a finite base overflows
         overflow = np.isinf(out) & np.isfinite(b)
-        if overflow.any():
+        if overflow.any() and len(rows):
             raise OverflowError(
                 f"'^{exponent}' overflows at x={rows[np.argmax(overflow)]}"
             )
@@ -356,7 +361,7 @@ def _compile_bin(op: str, left, right):
         numerator = left(rows)
         denominator = right(rows)
         zero = denominator == 0.0
-        if zero.any():
+        if zero.any() and len(rows):
             raise EvalError(f"division by zero at x={rows[np.argmax(zero)]}")
         return numerator / denominator
 

@@ -177,11 +177,22 @@ class BoxSet:
         )
 
     def project(self, x: Sequence[float]) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        """Per-axis clamp of one point, or of each row of an (m, n) array.
 
-    def dist(self, x: Sequence[float]) -> float:
+        Clips one column at a time against its scalar bounds.  That loop
+        keeps a point's zero where it ties a zero bound of the other sign,
+        and ``np.clip(x, lo, hi)`` with bound arrays takes the bound (the
+        upper one if both are zero); so a zero bound is written over the
+        zero results, which gives the bits of that call.
+        """
         x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.project(x)))
+        out = np.empty_like(x)
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            column = out[..., j]
+            np.clip(x[..., j], lo, hi, out=column)
+            if hi == 0 or lo == 0:
+                column[column == 0] = hi if hi == 0 else lo
+        return out
 
     def face_codes(self, x: Sequence[float]) -> np.ndarray:
         """Where each coordinate of a point, or of each row of an (m, n)
@@ -215,8 +226,12 @@ class BoxSet:
                 axes.append(np.array([lo]))
             else:
                 axes.append(np.linspace(lo, hi, max(2, int(points_per_axis))))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        n = len(axes)
+        grid = np.empty((*(len(a) for a in axes), n))
+        for j, a in enumerate(axes):
+            # column j broadcasts axis j along the others (no meshgrid copies)
+            grid[..., j] = a.reshape([-1 if i == j else 1 for i in range(n)])
+        return grid.reshape(-1, n)
 
 
 def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -153,6 +153,7 @@ def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | Interva
     F'(x; +1), both read from one derivative call.  For convex endpoints
     the corners agree exactly when both endpoints are differentiable; then
     the box collapses and the singleton gradient is returned instead.
+    Otherwise corners that cross (a concave kink) raise ValueError naming x.
     """
     if f.dimension != 1:
         raise ValueError("subdiff_1d needs a one-dimensional function")
@@ -166,6 +167,12 @@ def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | Interva
     lower = IVector(-hi[1:], -lo[1:])  # -F'(x; -1), endpoints swapped
     if _agree(upper.los[0], lower.los[0]) and _agree(upper.his[0], lower.his[0]):
         return FiniteIVecSet((upper,))
+    if lower.los[0] > upper.los[0] or lower.his[0] > upper.his[0]:
+        raise ValueError(
+            f"F is not convex at x={x[0]:.9g}: the subgradient corners cross, "
+            f"-F'(x; -1) = [{lower.los[0]:.9g}, {lower.his[0]:.9g}] is not below "
+            f"F'(x; +1) = [{upper.los[0]:.9g}, {upper.his[0]:.9g}]"
+        )
     return IntervalBoxSet(lower, upper)
 
 

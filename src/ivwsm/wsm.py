@@ -83,6 +83,20 @@ def grid_density(box: BoxSet, grid: int) -> int:
     return grid if grid**n_free <= GRID_CAP else int(GRID_CAP ** (1.0 / n_free))
 
 
+def convexity_note(f: Ivf, seed: int) -> Optional[str]:
+    """The report note on a counterexample of the sampled convexity guard
+    (``convexity_check`` on 200 seeded triples), or None when it finds none."""
+    counter = convexity_check(f, 200, seed)
+    if counter is None:
+        return None
+    return (
+        "declared-convex objective failed the sampled convexity guard "
+        f"({counter.endpoint} endpoint, violation {counter.violation:.3g} "
+        f"at lambda={counter.lam:.3g}); checker equivalences are not "
+        "guaranteed and verdicts are grid-sampled evidence only"
+    )
+
+
 @dataclass
 class WsmProblem:
     """One verification instance; the objective is declared convex.
@@ -175,15 +189,17 @@ class _Context:
         self.flo_sbar, self.fhi_sbar = endpoint_rows(p.f, self.sbar_grid)
         # projection of each feasible grid point onto Sbar, and its distance
         self.proj = p.sbar.project(self.s_grid)
-        self.dists = np.linalg.norm(self.s_grid - self.proj, axis=1)
-        counter = convexity_check(p.f, 200, p.seed)
-        if counter is not None:
-            notes.append(
-                "declared-convex objective failed the sampled convexity guard "
-                f"({counter.endpoint} endpoint, violation {counter.violation:.3g} "
-                f"at lambda={counter.lam:.3g}); checker equivalences are not "
-                "guaranteed and verdicts are grid-sampled evidence only"
-            )
+        offsets = self.s_grid - self.proj
+        if offsets.shape[1] < 8:
+            # np.linalg.norm(axis=1) sums a row's squares in column order
+            # below 8 columns (in 8 partial sums from 8 on), so a sum of the
+            # squared columns has its bits without its per-row reduction
+            self.dists = np.sqrt(sum(column * column for column in offsets.T))
+        else:
+            self.dists = np.linalg.norm(offsets, axis=1)
+        note = convexity_note(p.f, p.seed)
+        if note is not None:
+            notes.append(note)
         spread = max(np.ptp(self.flo_sbar), np.ptp(self.fhi_sbar))
         if spread > p.margin_tol:
             notes.append(
@@ -491,9 +507,15 @@ def estimate_modulus(p: WsmProblem) -> float:
     the endpoints).  Returns 0 when not even a tiny modulus passes.
     """
     ctx = p.context()
+    # min over the endpoints of fl(gap - t) is fl(min of the gaps - t), as
+    # rounding is monotone, so each probe reads one gap array
+    gap = np.minimum(*ctx._endpoint_gaps)
+    margins = np.empty_like(gap)
 
     def passes(alpha: float) -> bool:
-        return bool(np.minimum(*ctx.definition_margins(alpha)).min() >= -p.margin_tol)
+        np.multiply(ctx.dists, alpha, out=margins)
+        np.subtract(gap, margins, out=margins)
+        return bool(margins.min() >= -p.margin_tol)
 
     if not passes(1e-6):
         return 0.0

@@ -37,6 +37,12 @@ def point_box(*values: float) -> BoxSet:
     return BoxSet(arr, arr.copy())
 
 
+def box_dist(box: BoxSet, x) -> float:
+    """Euclidean distance from the point x to the box, via its projection."""
+    x = np.asarray(x, dtype=float)
+    return float(np.linalg.norm(x - box.project(x)))
+
+
 def _one_sided_abs(u: float, d: float) -> float:
     # right derivative of |t| at u along d
     if u > 0:

@@ -39,7 +39,7 @@ from ivwsm.intervals import minkowski_sub
 from ivwsm.ivf import NonsmoothUncertainError
 from ivwsm.support import IntervalBoxSet
 
-from conftest import cube, l1_ivf, point_box, random_convex_ivf, random_interval, vee_ivf, wsm_battery
+from conftest import box_dist, cube, l1_ivf, point_box, random_convex_ivf, random_interval, vee_ivf, wsm_battery
 from test_expr import random_ast, to_source
 from test_geometry import cone_ball_support_sampled
 from test_subdiff import sample_ex1_exterior, sample_ex1_interior
@@ -250,7 +250,7 @@ def test_a7_geometry_identities():
         for c in boxes:
             grid = c.grid(7)
             for y in rng.uniform(-3, 3, size=(100, c.dimension)):
-                target = c.dist(y)
+                target = box_dist(c, y)
                 candidates = [
                     dist_to_cone(y - x, c.tangent_cone(x))
                     for x in np.vstack([grid, c.project(y)[None, :]])

@@ -395,7 +395,21 @@ class TestSubdiffCommand:
                 value = f.dir_deriv(x, d)
                 shown = ",".join(float(c).hex() for c in d)
                 expected.append(f"support along ({shown}): [{value.lo.hex()}, {value.hi.hex()}]")
-            assert capsys.readouterr().out.splitlines() == expected
+            out = capsys.readouterr().out.splitlines()
+            assert [line for line in out if not line.startswith("NOTE: ")] == expected
+
+    def test_a_nonconvex_objective_gets_the_check_note(self, poly_file, vee_file, capsys):
+        # the sampled guard runs in every dimension, with check's note text
+        assert main(["check", poly_file(), "--mode", "definition"]) == 1
+        notes = [line for line in capsys.readouterr().out.splitlines() if "convexity" in line]
+        assert len(notes) == 1 and notes[0].startswith("NOTE: ")
+        assert main(["subdiff", poly_file(), "--at", "-0.5 -0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == notes[0]
+        path = REGRESSIONS / "concave_kink_1d.txt"
+        assert main(["subdiff", str(path), "--at", "0.5"]) == 0
+        assert "NOTE: declared-convex objective failed" in capsys.readouterr().out
+        assert main(["subdiff", vee_file(), "--at", "0"]) == 0
+        assert "NOTE" not in capsys.readouterr().out
 
     def test_point_outside_domain_exits_two(self, vee_file, capsys):
         assert main(["subdiff", vee_file(), "--at", "3.0"]) == 2
@@ -408,10 +422,12 @@ class TestSubdiffCommand:
             ("vee1d.txt", ["--at", "0", "--probe", "1 0"], "--probe (1,0) is not"),
             ("vee1d.txt", ["--at", "0", "--probe", "nan 1"], "--probe (nan,1) is not"),
             ("strip3d.txt", ["--at", "0 0 0", "--probe", "1 0 0 0 0 0"], "--probe (1,0,0,"),
+            ("concave_kink_1d.txt", ["--at", "0"], "F is not convex at x=0: the subgradient"),
         ],
     )
     def test_bad_point_exits_two_naming_flag_and_point(self, name, args, message, capsys):
-        assert main(["subdiff", str(PROBLEMS / name), *args]) == 2
+        path = PROBLEMS / name if (PROBLEMS / name).exists() else REGRESSIONS / name
+        assert main(["subdiff", str(path), *args]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""

@@ -200,6 +200,26 @@ class TestCompiledRows:
             parse("1 / x1", 1).rows(np.array([[2.0], [0.0]]))
         with pytest.raises(OverflowError, match=r"overflows at x=\[-1\.\]"):
             parse("(10*x1)^400", 1).rows(np.array([[0.5], [-1.0]]))
+        # a constant subtree fails at every row, so the first is named
+        for source in ("1/0", "x1 + 1/0"):
+            with pytest.raises(EvalError, match=r"division by zero at x=\[2\.\]"):
+                parse(source, 1).rows(np.array([[2.0], [0.0]]))
+        with pytest.raises(OverflowError, match=r"overflows at x=\[2\.\]"):
+            parse("10^400", 1).rows(np.array([[2.0], [0.0]]))
+        # no row, no error: as when the constant was a column of m values
+        for source in ("1/0", "10^400"):
+            assert parse(source, 1).rows(np.empty((0, 1))).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "source", ["2", "min(1, 2)", "-3^2", "abs(-1)", "max(0.5, -0.0, 1e-3)"]
+    )
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_constant_roots_give_one_value_per_row(self, source, count):
+        ast = parse(source, 2)
+        values = ast.rows(np.random.default_rng(count).uniform(-1, 1, size=(count, 2)))
+        assert values.dtype == np.float64 and values.shape == (count,)
+        assert same_bits(values, [eval_node_reference(ast.root, None)] * count)
+        assert same_bits(evaluate(ast, [0.5, 0.5]), eval_node_reference(ast.root, None))
 
     def test_infinite_base_does_not_overflow(self):
         # Python's inf ** 2 is inf without an error; so is the compiled form

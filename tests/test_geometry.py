@@ -11,7 +11,7 @@ from ivwsm import BoxSet, OrthantCone, Tag, cone_ball_support
 from ivwsm import dist_to_cone
 from ivwsm.geometry import MEMBER_TOL, row_norms
 
-from conftest import point_box
+from conftest import box_dist, point_box
 from test_expr import same_bits
 
 
@@ -42,13 +42,13 @@ class TestProjection:
 
 class TestDistance:
     def test_example(self):
-        assert box2(-1, 0, -1, 0).dist([2, -3]) == pytest.approx(np.sqrt(8.0))
+        assert box_dist(box2(-1, 0, -1, 0), [2, -3]) == pytest.approx(np.sqrt(8.0))
 
     def test_member_has_zero_distance(self):
-        assert box2(-1, 0, -1, 0).dist([-0.5, 0.0]) == 0.0
+        assert box_dist(box2(-1, 0, -1, 0), [-0.5, 0.0]) == 0.0
 
     def test_point_box(self):
-        assert point_box(0.0).dist([0.7]) == pytest.approx(0.7)
+        assert box_dist(point_box(0.0), [0.7]) == pytest.approx(0.7)
 
 
 class TestTangentNormal:
@@ -189,6 +189,58 @@ class TestConeRows:
         assert [float(v) for v in row_norms(rows)] == [np.linalg.norm(r) for r in rows]
 
 
+class TestBoxColumnKernels:
+    """Grid and projection, built one column at a time, equal the
+    whole-array forms they replace byte for byte."""
+
+    @staticmethod
+    def grid_reference(box, k):
+        axes = [np.array([lo]) if hi - lo <= 0 else np.linspace(lo, hi, max(2, k))
+                for lo, hi in zip(box.lo, box.hi)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+    @pytest.mark.parametrize(
+        "lo, hi, k",
+        [
+            ([-1.0], [1.0], 7),
+            ([0.0], [0.0], 5),
+            ([-1.0, 0.3, -2.0], [1.0, 0.3, 0.5], 4),
+            ([0.1, -1.0, 0.0, -0.7, 2.0], [0.1, 1.0, 0.0, 0.9, 2.5], 3),
+            ([-1.0, -1.0, 0.5, -1.0], [1.0, 1.0, 0.5, 1.0], 13),
+        ],
+    )
+    def test_grid_equals_meshgrid_and_stack(self, lo, hi, k):
+        box = BoxSet(np.array(lo), np.array(hi))
+        grid = box.grid(k)
+        expected = self.grid_reference(box, k)
+        assert grid.shape == expected.shape and grid.tobytes() == expected.tobytes()
+        assert grid.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_project_equals_clip(self, n):
+        rng = np.random.default_rng(n)
+        lo = rng.uniform(-1, 0.5, size=n)
+        hi = np.where(rng.random(n) < 0.3, lo, lo + rng.uniform(0.1, 1, size=n))
+        lo[0], hi[0] = 0.0, 0.0  # a point axis at zero meets -0.0 and NaN
+        box = BoxSet(lo, hi)
+        rows = rng.uniform(-2, 2, size=(200, n))
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        rows[rng.random(rows.shape) < 0.05] = np.nan
+        rows[rng.random(rows.shape) < 0.05] = np.inf
+        projected = box.project(rows)
+        if n > 1:
+            assert projected.tobytes() == np.clip(rows, box.lo, box.hi).tobytes()
+        # on an (m, 1) array np.clip takes its scalar-bound loop, which keeps
+        # -0.0 against the bound 0.0; the one-point form is the reference
+        for x, row in zip(rows, projected):
+            one = box.project(x)
+            assert one.shape == (n,)
+            assert one.tobytes() == row.tobytes() == np.clip(x, box.lo, box.hi).tobytes()
+        assert box.project(list(rows[0])).tobytes() == projected[0].tobytes()
+
+
 class TestDistanceFormula:
     def sample_boxes(self):
         rng = np.random.default_rng(42)
@@ -207,7 +259,7 @@ class TestDistanceFormula:
         for c in boxes:
             grid = c.grid(7)
             for y in rng.uniform(-3, 3, size=(100, c.dimension)):
-                target = c.dist(y)
+                target = box_dist(c, y)
                 candidates = [
                     dist_to_cone(y - x, c.tangent_cone(x))
                     for x in np.vstack([grid, c.project(y)[None, :]])

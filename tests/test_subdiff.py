@@ -104,6 +104,16 @@ class TestSubdiff1d:
         assert isinstance(rep, FiniteIVecSet)
         assert rep.members == (IVector.zeros(1),)
 
+    def test_crossing_corners_name_the_point_and_non_convexity(self):
+        # a concave kink: -F'(0.5; -1) = [1, 2] lies above F'(0.5; +1) = [-2, -1]
+        f = Ivf.from_expressions("-2*abs(x1 - 0.5)", "-abs(x1 - 0.5)", cube(1, -2, 2))
+        with pytest.raises(ValueError) as info:
+            subdiff_1d(f, 0.5)
+        assert str(info.value) == (
+            "F is not convex at x=0.5: the subgradient corners cross, "
+            "-F'(x; -1) = [1, 2] is not below F'(x; +1) = [-2, -1]"
+        )
+
     def test_a_supplied_analytic_derivative_is_read(self):
         # kinks at 0 and 1e-4 both sit inside the numeric probe range, but
         # the analytic derivative is exact: F'(0; +1) = [0, 0], F'(0; -1) = [2, 4]

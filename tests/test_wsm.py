@@ -28,7 +28,7 @@ from ivwsm import build_problem, cone_ball_support, dist_to_cone, ivf, load_prob
 from ivwsm.geometry import row_norms
 from ivwsm.wsm import _Worst
 
-from conftest import cube, l1_ivf, make_ivf, point_box, vee_ivf, wsm_battery
+from conftest import box_dist, cube, l1_ivf, make_ivf, point_box, vee_ivf, wsm_battery
 from test_expr import same_bits
 
 
@@ -73,7 +73,7 @@ class TestDefinition:
             report = check_definition(p)
             margins = [
                 brute_force_scalar_wsm(
-                    g, ctx.s_grid, ctx.sbar_grid, lambda x: p.sbar.dist(x), alpha
+                    g, ctx.s_grid, ctx.sbar_grid, lambda x: box_dist(p.sbar, x), alpha
                 )
                 for g in (p.f.lower, p.f.upper)
             ]
@@ -225,6 +225,23 @@ class TestConcordance:
             assert check_definition(vee_problem(alpha)).holds
         for alpha in (0.26, 0.5, 1.0):
             assert not check_definition(vee_problem(alpha)).holds
+
+
+class TestContextDistances:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_dists_equal_the_row_norms_of_the_offsets(self, n):
+        # free axes of S on the even axes (3 points each), point axes on the
+        # odd ones, so that from 8 axes on the order of the sum matters
+        free = np.arange(n) % 2 == 0
+        rng = np.random.default_rng(n)
+        at = rng.uniform(-0.9, 0.9, size=n)
+        s = BoxSet(np.where(free, -1.0, at), np.where(free, 1.0, at))
+        sbar = point_box(*np.where(free, rng.uniform(-0.9, 0.9, size=n), at))
+        p = WsmProblem(f=l1_ivf(n, 1.0, 2.0), s=s, sbar=sbar, alpha=0.5, grid=3, n_dirs=4)
+        ctx = p.context()
+        expected = np.linalg.norm(ctx.s_grid - ctx.proj, axis=1)
+        assert len(ctx.s_grid) == 3 ** int(free.sum())
+        assert ctx.dists.tobytes() == expected.tobytes()
 
 
 class TestEstimateModulus:
@@ -408,6 +425,26 @@ def dual_e_reference(p):
     return worst.margin, worst.witness, samples
 
 
+def modulus_reference(p) -> float:
+    """estimate_modulus's bisection with each probe taking the smaller of
+    the two endpoint margins at every grid point."""
+    ctx = p.context()
+
+    def passes(alpha):
+        return np.minimum(*ctx.definition_margins(alpha)).min() >= -p.margin_tol
+
+    if not passes(1e-6):
+        return 0.0
+    hi = max(1.25 * ivf.lipschitz_estimate(p.f, 400, p.seed), 1e-2)
+    if passes(hi):
+        return hi
+    lo = 1e-6
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 PROBLEM_FILES = sorted(PROBLEMS.glob("*.txt"))
 BATTERY = {case.name: case for case in wsm_battery()}
@@ -577,6 +614,10 @@ class TestReferenceLoops:
         assert (report.witness is None) == (witness is None)
         assert all(same_bits(a, b) for a, b in zip(report.witness or (), witness or ()))
         assert report.samples_evaluated == samples
+
+    @pytest.mark.parametrize("make", list(_reference_cases()))
+    def test_modulus_equals_the_bisection_over_both_margins(self, make):
+        assert same_bits(estimate_modulus(make()), modulus_reference(make()))
 
     @staticmethod
     def assert_table_equals_one_point_calls(p):
