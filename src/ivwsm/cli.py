@@ -23,7 +23,7 @@ from .ivectors import IVector
 from .ivf import NonsmoothUncertainError, point_block_derivatives
 from .problems import ProblemFileError, build_problem, load_problem_file
 from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d
-from .support import FiniteIVecSet, default_directions
+from .support import FiniteIVecSet, default_directions, signed_basis
 from .wsm import (
     CHECKERS,
     GuardError,
@@ -153,55 +153,61 @@ def _cmd_subdiff(args) -> int:
             probe_density = grid_density(f.domain, min(problem.grid, 17))
         except ValueError as exc:
             raise ProblemFileError(f"--probe grid: the domain has {exc}")
+    f.value(at)  # endpoints that cross at --at exit 2 naming the point
     try:
         note = convexity_note(f, problem.seed)
     except (ValueError, ArithmeticError):
         # the guard samples the whole domain; where F cannot be evaluated
         # there (check and modulus exit 2), the set at --at is still shown
         note = None
+    # every line is computed before any is printed, so a failure exits 2
+    # with empty stdout
     if n == 1:
         rep = subdiff_1d(f, at)
         if isinstance(rep, FiniteIVecSet):
             g = rep.members[0]
-            print(f"subdifferential is the singleton gradient ({g})")
-            print(f"#DATA subdiff=singleton lo={_fmt_vec(g.los)} hi={_fmt_vec(g.his)}")
+            lines = [
+                f"subdifferential is the singleton gradient ({g})",
+                f"#DATA subdiff=singleton lo={_fmt_vec(g.los)} hi={_fmt_vec(g.his)}",
+            ]
         else:
             lower, upper = rep.lower, rep.upper
-            print(
+            lines = [
                 f"subdifferential box: all G with [{_fmt(lower.los[0])}, "
                 f"{_fmt(lower.his[0])}] <= G <= [{_fmt(upper.los[0])}, "
-                f"{_fmt(upper.his[0])}]"
-            )
-            print(
+                f"{_fmt(upper.his[0])}]",
                 f"#DATA subdiff=box lo={_fmt_vec(lower.los)},{_fmt_vec(lower.his)} "
-                f"hi={_fmt_vec(upper.los)},{_fmt_vec(upper.his)}"
-            )
+                f"hi={_fmt_vec(upper.los)},{_fmt_vec(upper.his)}",
+            ]
     else:
         # support values of the subgradient set = directional derivatives,
-        # one pair per direction so a failure is that direction's own; every
-        # value first, so a failing derivative prints nothing
-        dirs = [d for e in np.eye(n) for d in (e, -e)]
+        # one pair per direction so a failure is that direction's own
+        dirs = signed_basis(n)
         ((_, _, _, lo, hi),) = point_block_derivatives(f, [(at, d[None]) for d in dirs])
-        for d, d_lo, d_hi in zip(dirs, lo, hi):
-            print(f"support along ({_fmt_vec(d)}): [{_fmt(d_lo)}, {_fmt(d_hi)}]")
+        lines = [
+            f"support along ({_fmt_vec(d)}): [{_fmt(d_lo)}, {_fmt(d_hi)}]"
+            for d, d_lo, d_hi in zip(dirs, lo, hi)
+        ]
     if note is not None:
-        _print_notes([note])
-    if probe is None:
-        return 0
-    grid_points = f.domain.grid(probe_density)
-    by_def = is_subgradient(f, at, probe, grid_points)
-    dirs = default_directions(n, problem.seed, problem.n_dirs)
-    by_dir = is_subgradient_directional(f, at, probe, dirs)
-    def_text = "member" if by_def.member else f"violated at x=({_fmt_vec(by_def.witness)})"
-    dir_text = "member" if by_dir.member else f"violated along d=({_fmt_vec(by_dir.witness)})"
-    agree = by_def.member == by_dir.member
-    print(f"probe {probe}: definition: {def_text}; directional: {dir_text}")
-    print(f"criteria agree: {'yes' if agree else 'NO'}")
-    print(
-        f"#DATA probe_member={'yes' if by_def.member else 'no'} "
-        f"agree={'yes' if agree else 'no'}"
-    )
-    return 0 if by_def.member else 1
+        lines.append(f"NOTE: {note}")
+    status = 0
+    if probe is not None:
+        grid_points = f.domain.grid(probe_density)
+        by_def = is_subgradient(f, at, probe, grid_points)
+        dirs = default_directions(n, problem.seed, problem.n_dirs)
+        by_dir = is_subgradient_directional(f, at, probe, dirs)
+        def_text = "member" if by_def.member else f"violated at x=({_fmt_vec(by_def.witness)})"
+        dir_text = "member" if by_dir.member else f"violated along d=({_fmt_vec(by_dir.witness)})"
+        agree = by_def.member == by_dir.member
+        lines += [
+            f"probe {probe}: definition: {def_text}; directional: {dir_text}",
+            f"criteria agree: {'yes' if agree else 'NO'}",
+            f"#DATA probe_member={'yes' if by_def.member else 'no'} "
+            f"agree={'yes' if agree else 'no'}",
+        ]
+        status = 0 if by_def.member else 1
+    print("\n".join(lines))
+    return status
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ many points build each cone once per face (``group_rows``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,32 +26,30 @@ import numpy as np
 MEMBER_TOL = 1e-12
 
 
-class Tag(Enum):
-    FREE = "free"      # whole axis
-    NONNEG = "nonneg"  # [0, +inf)
-    NONPOS = "nonpos"  # (-inf, 0]
-    ZERO = "zero"      # {0}
+class Tag(IntEnum):
+    """Per-axis shape of an orthant cone, numbered as the face code
+    (``BoxSet.face_codes``) whose tangent cone it is: bit 1 bounds the axis
+    below by 0 and bit 2 bounds it above, so the polar is ``3 - tag`` and
+    an intersection is the bitwise or."""
+
+    FREE = 0    # whole axis
+    NONNEG = 1  # [0, +inf)
+    NONPOS = 2  # (-inf, 0]
+    ZERO = 3    # {0}
 
 
-#: Tangent-cone tag of each per-axis face code (``BoxSet.face_codes``).
-_FACE_TAGS = (Tag.FREE, Tag.NONNEG, Tag.NONPOS, Tag.ZERO)
-_POLAR = {Tag.FREE: Tag.ZERO, Tag.ZERO: Tag.FREE, Tag.NONNEG: Tag.NONPOS, Tag.NONPOS: Tag.NONNEG}
-#: Per-axis (lower, upper) bound of each tag's ray, line or origin.
-_BOUNDS = {
-    Tag.FREE: (-np.inf, np.inf),
-    Tag.NONNEG: (0.0, np.inf),
-    Tag.NONPOS: (-np.inf, 0.0),
-    Tag.ZERO: (0.0, 0.0),
-}
+#: The tags by code (indexing this is faster than calling ``Tag(code)``).
+_TAGS = tuple(Tag)
 
 
 @lru_cache(maxsize=None)
 def _cone_bounds(tags: tuple[Tag, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis lower and upper bounds of the cone with these tags, and its
     mask of zero axes (cached: cones with the same tags recur)."""
-    lo = np.array([_BOUNDS[t][0] for t in tags])
-    hi = np.array([_BOUNDS[t][1] for t in tags])
-    return lo, hi, np.array([t is Tag.ZERO for t in tags])
+    codes = np.array(tags, dtype=np.intp)
+    lo = np.where(codes & Tag.NONNEG, 0.0, -np.inf)
+    hi = np.where(codes & Tag.NONPOS, 0.0, np.inf)
+    return lo, hi, codes == Tag.ZERO
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -76,7 +74,7 @@ class OrthantCone:
         return len(self.tags)
 
     def polar(self) -> "OrthantCone":
-        return OrthantCone(tuple(_POLAR[t] for t in self.tags))
+        return OrthantCone(tuple(_TAGS[3 - t] for t in self.tags))
 
     def project(self, d: Sequence[float]) -> np.ndarray:
         """Per-axis clamp onto the cone, of one vector or of each row of an
@@ -98,18 +96,9 @@ class OrthantCone:
     def intersect(self, other: "OrthantCone") -> "OrthantCone":
         if self.dimension != other.dimension:
             raise ValueError("cone dimension mismatch")
-        merged = []
-        for a, b in zip(self.tags, other.tags):
-            if a is Tag.FREE:
-                merged.append(b)
-            elif b is Tag.FREE:
-                merged.append(a)
-            elif a is b:
-                merged.append(a)
-            else:
-                # nonneg/nonpos (or anything vs zero) meet only at the origin
-                merged.append(Tag.ZERO)
-        return OrthantCone(tuple(merged))
+        # the bounds of both: nonneg with nonpos (or anything with zero)
+        # meets only at the origin
+        return OrthantCone(tuple(_TAGS[a | b] for a, b in zip(self.tags, other.tags)))
 
     @property
     def is_zero_cone(self) -> bool:
@@ -118,16 +107,13 @@ class OrthantCone:
     def extreme_rays(self) -> list[np.ndarray]:
         """Unit generators: +-e_i on free axes, the signed e_i on ray axes."""
         rays = []
-        n = self.dimension
         for i, tag in enumerate(self.tags):
-            if tag in (Tag.FREE, Tag.NONNEG):
-                e = np.zeros(n)
-                e[i] = 1.0
-                rays.append(e)
-            if tag in (Tag.FREE, Tag.NONPOS):
-                e = np.zeros(n)
-                e[i] = -1.0
-                rays.append(e)
+            # +e_i where the axis is not bounded above, -e_i where not below
+            for sign, bound in ((1.0, Tag.NONPOS), (-1.0, Tag.NONNEG)):
+                if not tag & bound:
+                    e = np.zeros(self.dimension)
+                    e[i] = sign
+                    rays.append(e)
         return rays
 
 
@@ -208,7 +194,7 @@ class BoxSet:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise ValueError(f"{x} is not a member of the box")
-        return OrthantCone(tuple(_FACE_TAGS[c] for c in self.face_codes(x).tolist()))
+        return OrthantCone(tuple(_TAGS[c] for c in self.face_codes(x).tolist()))
 
     def normal_cone(self, x: Sequence[float]) -> OrthantCone:
         """Polar of the tangent cone at a member point."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Sequence, Union
 
 #: Absolute slack used by default when classifying dominance.  Downstream
@@ -83,10 +83,6 @@ class Interval:
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def __add__(self, other: "Interval") -> "Interval":
         return add(self, other)
 
@@ -100,27 +96,32 @@ class Interval:
 ZERO = Interval(0.0, 0.0)
 
 
-class Dominance(Enum):
+class Dominance(IntEnum):
     """Classification of an ordered interval pair under the endpoint order.
 
-    Exactly one of the four values describes any pair (a, b).  ``EQUAL``
-    and ``LT`` both entail a dominates b; the ``leq`` / ``geq`` properties
-    expose the non-strict relations.
+    Exactly one of the four values describes any pair (a, b).  Each is
+    numbered by two bits: bit 1 means a dominates b (a "<=" b) and bit 2
+    means b dominates a, so ``EQUAL`` and ``LT`` both entail a "<=" b; the
+    ``leq`` / ``geq`` properties test one bit each.
     """
 
-    EQUAL = "equal"
-    LT = "lt"
-    GT = "gt"
-    INCOMPARABLE = "incomparable"
+    INCOMPARABLE = 0
+    LT = 1
+    GT = 2
+    EQUAL = 3
 
     @property
     def leq(self) -> bool:
         """True when the first interval dominates the second (a "<=" b)."""
-        return self in (Dominance.EQUAL, Dominance.LT)
+        return bool(self & Dominance.LT)
 
     @property
     def geq(self) -> bool:
-        return self in (Dominance.EQUAL, Dominance.GT)
+        return bool(self & Dominance.GT)
+
+
+#: The classes by code (indexing this is faster than ``Dominance(code)``).
+_DOMINANCE = tuple(Dominance)
 
 
 def add(a: Interval, b: Interval) -> Interval:
@@ -163,15 +164,7 @@ def dominance(a: Interval, b: Interval, slack: float = DEFAULT_SLACK) -> Dominan
     a dominates b when a.lo <= b.lo and a.hi <= b.hi (within ``slack``).
     With slack > 0, EQUAL means indistinguishable at that resolution.
     """
-    le = a.lo <= b.lo + slack and a.hi <= b.hi + slack
-    ge = b.lo <= a.lo + slack and b.hi <= a.hi + slack
-    if le and ge:
-        return Dominance.EQUAL
-    if le:
-        return Dominance.LT
-    if ge:
-        return Dominance.GT
-    return Dominance.INCOMPARABLE
+    return _DOMINANCE[leq(a, b, slack) + 2 * leq(b, a, slack)]
 
 
 def leq(a: Interval, b: Interval, slack: float = DEFAULT_SLACK) -> bool:

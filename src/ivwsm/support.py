@@ -125,14 +125,8 @@ def boundedness_check(
             ).sum()
         )
         return BoundednessResult(True, bound)
-    n = s.dimension
-    basis = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        basis.extend([e, -e])
-    per_axis = np.zeros(n)
-    for d in list(basis) + [np.asarray(d, dtype=float) for d in directions]:
+    per_axis = np.zeros(s.dimension)
+    for d in [*signed_basis(s.dimension), *(np.asarray(d, dtype=float) for d in directions)]:
         val = s.support(d)
         if not is_finite(val):
             return BoundednessResult(False, None, d)
@@ -142,16 +136,17 @@ def boundedness_check(
     return BoundednessResult(True, float(per_axis.sum()))
 
 
+def signed_basis(dimension: int) -> np.ndarray:
+    """The rows e_1, -e_1, ..., e_n, -e_n (the -e_i rows hold -0.0 off
+    their axis)."""
+    eye = np.eye(dimension)
+    return np.stack([eye, -eye], axis=1).reshape(-1, dimension)
+
+
 def default_directions(dimension: int, seed: int, count: int) -> np.ndarray:
     """Signed basis vectors plus seeded uniform unit directions."""
-    rows = []
-    for i in range(dimension):
-        e = np.zeros(dimension)
-        e[i] = 1.0
-        rows.extend([e.copy(), -e])
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(count, dimension))
     norms = np.linalg.norm(raw, axis=1)
     norms[norms == 0] = 1.0
-    rows.extend(raw / norms[:, None])
-    return np.array(rows)
+    return np.vstack([signed_basis(dimension), raw / norms[:, None]])

@@ -423,6 +423,12 @@ class TestSubdiffCommand:
             ("vee1d.txt", ["--at", "0", "--probe", "nan 1"], "--probe (nan,1) is not"),
             ("strip3d.txt", ["--at", "0 0 0", "--probe", "1 0 0 0 0 0"], "--probe (1,0,0,"),
             ("concave_kink_1d.txt", ["--at", "0"], "F is not convex at x=0: the subgradient"),
+            ("division_by_zero.txt", ["--at", "0.5"], "lower([0.5]) = 2.0 exceeds upper([0.5])"),
+            (
+                "crossed_outside_s.txt",
+                ["--at", "0.25", "--probe", "0 0.5"],
+                "lower([-3.]) = 12.0 exceeds upper([-3.])",
+            ),
         ],
     )
     def test_bad_point_exits_two_naming_flag_and_point(self, name, args, message, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ivwsm import BoxSet, OrthantCone, Tag, cone_ball_support
 from ivwsm import dist_to_cone
-from ivwsm.geometry import MEMBER_TOL, row_norms
+from ivwsm.geometry import MEMBER_TOL, _cone_bounds, row_norms
 
 from conftest import box_dist, point_box
 from test_expr import same_bits
@@ -136,6 +136,70 @@ class TestConeOps:
         b = OrthantCone((Tag.NONNEG, Tag.NONNEG, Tag.NONNEG))
         assert a.intersect(b).tags == (Tag.NONNEG, Tag.ZERO, Tag.NONNEG)
         assert OrthantCone((Tag.ZERO,)).is_zero_cone
+        # all 16 tag pairs, one per axis, against the case-by-case rule
+        pairs = list(itertools.product(Tag, repeat=2))
+        a = OrthantCone(tuple(s for s, _ in pairs))
+        b = OrthantCone(tuple(t for _, t in pairs))
+        merged = a.intersect(b).tags
+        assert all(m is intersect_reference(s, t) for m, (s, t) in zip(merged, pairs))
+        assert len(merged) == 16
+
+    def test_tags_are_face_codes(self):
+        assert [int(t) for t in Tag] == [0, 1, 2, 3]
+        assert list(Tag) == [Tag.FREE, Tag.NONNEG, Tag.NONPOS, Tag.ZERO]
+
+    def test_polar_bounds_and_rays_match_the_reference_tables(self):
+        cone = OrthantCone(tuple(Tag))
+        assert all(p is POLAR_REFERENCE[t] for p, t in zip(cone.polar().tags, Tag))
+        lo, hi, zero = _cone_bounds(cone.tags)
+        assert same_bits(lo, np.array([BOUNDS_REFERENCE[t][0] for t in Tag]))
+        assert same_bits(hi, np.array([BOUNDS_REFERENCE[t][1] for t in Tag]))
+        assert zero.tolist() == [False, False, False, True]
+        for tags in [*((t,) for t in Tag), tuple(Tag)]:
+            rays = OrthantCone(tags).extreme_rays()
+            expected = extreme_rays_reference(tags)
+            assert len(rays) == len(expected)
+            assert all(same_bits(r, e) for r, e in zip(rays, expected))
+
+
+#: Reference tables of the per-axis cone rules, written out tag by tag.
+POLAR_REFERENCE = {
+    Tag.FREE: Tag.ZERO,
+    Tag.ZERO: Tag.FREE,
+    Tag.NONNEG: Tag.NONPOS,
+    Tag.NONPOS: Tag.NONNEG,
+}
+BOUNDS_REFERENCE = {
+    Tag.FREE: (-np.inf, np.inf),
+    Tag.NONNEG: (0.0, np.inf),
+    Tag.NONPOS: (-np.inf, 0.0),
+    Tag.ZERO: (0.0, 0.0),
+}
+
+
+def intersect_reference(a, b):
+    """Reference oracle: the tag of the meet of two per-axis cones, by cases."""
+    if a is Tag.FREE:
+        return b
+    if b is Tag.FREE:
+        return a
+    if a is b:
+        return a
+    # nonneg/nonpos (or anything vs zero) meet only at the origin
+    return Tag.ZERO
+
+
+def extreme_rays_reference(tags):
+    """Reference oracle: +e_i on free and nonneg axes, -e_i on free and
+    nonpos ones, in axis order."""
+    rays = []
+    for i, tag in enumerate(tags):
+        for sign, kinds in ((1.0, (Tag.FREE, Tag.NONNEG)), (-1.0, (Tag.FREE, Tag.NONPOS))):
+            if tag in kinds:
+                e = np.zeros(len(tags))
+                e[i] = sign
+                rays.append(e)
+    return rays
 
 
 def project_reference(cone, d):

@@ -11,6 +11,8 @@ must be read somewhere in ``src/ivwsm`` outside its own definition.  A
 public one that neither ``src/ivwsm`` nor ``scripts`` reads is only there
 for tests and API users, so it must be listed in :data:`PAPER_API` with
 the paper notion it reproduces; an entry that is read, or gone, is stale.
+Every public method or property of a package class must be read as an
+attribute by the package, its scripts, the tests or the benchmark harness.
 """
 
 import ast
@@ -21,6 +23,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ivwsm").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+#: Every module that may read a package method: the package, its scripts,
+#: the tests and the benchmark harness.
+READERS = sorted(
+    p
+    for directory in ("src/ivwsm", "scripts", "tests", "perfbench")
+    for p in (ROOT / directory).glob("*.py")
+)
 SOURCES = sorted(
     p
     for directory in (ROOT / "src" / "ivwsm", ROOT / "scripts", ROOT / "tests")
@@ -201,3 +210,56 @@ def test_the_check_finds_an_unread_public_name():
     ]
     script = "from ivwsm.b import by_script\nprint(by_script(), used)\n"
     assert unread_public_names(package, [script]) == ["SPARE", "recursive", "Unused"]
+
+
+def unread_methods(sources: list[str], readers: list[str]) -> list[str]:
+    """Public methods and properties (``Class.name``) of the classes of the
+    given module sources that neither they nor the reader sources read as an
+    attribute outside their own definition, in definition order."""
+    trees = [ast.parse(source) for source in sources]
+    reads = {}  # attribute name -> the nodes reading it
+    for tree in trees + [ast.parse(source) for source in readers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(node)
+    unread = []
+    for tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if method.name[:1] == "_":
+                    continue
+                inside = {id(n) for n in ast.walk(method)}
+                if all(id(node) in inside for node in reads.get(method.name, [])):
+                    unread.append(f"{cls.name}.{method.name}")
+    return unread
+
+
+def test_every_public_method_is_read():
+    assert unread_methods([p.read_text() for p in PACKAGE], [p.read_text() for p in READERS]) == []
+
+
+def test_the_check_finds_an_unread_method():
+    package = [
+        "class Box:\n"
+        "    size = 3\n"
+        "    def used(self):\n"
+        "        return self.spare\n"
+        "    @property\n"
+        "    def spare(self):\n"
+        "        return 4\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return 5\n"
+        "    def recursive(self, x):\n"
+        "        return self.recursive(x - 1) if x else 0\n"
+        "    def by_test(self):\n"
+        "        return self._private()\n"
+        "    def _private(self):\n"
+        "        return self.size\n"
+        "    def __len__(self):\n"
+        "        return 1\n",
+    ]
+    test = "from box import Box\nassert Box().used() and Box().by_test()\n"
+    assert unread_methods(package, [test]) == ["Box.width", "Box.recursive"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ivwsm import Dominance, Interval, add, dominance, gh_difference, interval_norm
 from ivwsm import scalar_mul, sup_family, inf_family, leq, ext_leq, PLUS_INF, MINUS_INF
-from ivwsm.intervals import minkowski_sub
+from ivwsm.intervals import DEFAULT_SLACK, minkowski_sub
 
 from conftest import intervals, random_interval
 
@@ -90,6 +90,19 @@ class TestGhDifference:
         assert minkowski_sub(Interval(0, 1), c) == Interval(0, 3)
 
 
+def dominance_reference(a, b, slack):
+    """Reference oracle: the classification by cases on both relations."""
+    le = a.lo <= b.lo + slack and a.hi <= b.hi + slack
+    ge = b.lo <= a.lo + slack and b.hi <= a.hi + slack
+    if le and ge:
+        return Dominance.EQUAL
+    if le:
+        return Dominance.LT
+    if ge:
+        return Dominance.GT
+    return Dominance.INCOMPARABLE
+
+
 class TestDominance:
     def test_reflexive_equal(self):
         assert dominance(Interval(1, 2), Interval(1, 2)) is Dominance.EQUAL
@@ -109,6 +122,28 @@ class TestDominance:
         b = Interval(0.3, 1.0)
         assert dominance(a, b) is Dominance.EQUAL
         assert dominance(a, b, slack=0.0) is Dominance.GT
+
+    @pytest.mark.parametrize("slack", [DEFAULT_SLACK, 0.0])
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (Interval(1, 2), Interval(1, 2), Dominance.EQUAL),
+            (Interval(0, 1), Interval(1, 2), Dominance.LT),
+            (Interval(1, 2), Interval(0, 1), Dominance.GT),
+            (Interval(0, 3), Interval(1, 2), Dominance.INCOMPARABLE),
+        ],
+        ids=["equal", "lt", "gt", "incomparable"],
+    )
+    def test_every_class_matches_the_case_reference(self, a, b, expected, slack):
+        rel = dominance(a, b, slack)
+        assert rel is expected is dominance_reference(a, b, slack)
+        assert (rel.leq, rel.geq) == (leq(a, b, slack), leq(b, a, slack))
+
+    @given(intervals(), intervals(), st.sampled_from([0.0, DEFAULT_SLACK, 0.5]))
+    def test_matches_the_case_reference(self, a, b, slack):
+        rel = dominance(a, b, slack)
+        assert rel is dominance_reference(a, b, slack)
+        assert rel == rel.leq + 2 * rel.geq
 
     def test_ext_markers(self):
         assert ext_leq(Interval(5, 9), PLUS_INF)
