@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from .expr import EvalError
 from .ivectors import IVector
 from .ivf import NonsmoothUncertainError, point_block_derivatives
 from .problems import ProblemFileError, build_problem, load_problem_file
@@ -26,7 +25,6 @@ from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d
 from .support import FiniteIVecSet, default_directions, signed_basis
 from .wsm import (
     CHECKERS,
-    GuardError,
     check_all,
     check_definition,
     concordant,
@@ -47,19 +45,16 @@ def _fmt_vec(vec) -> str:
 
 
 def _print_report(report) -> None:
+    shown = witness = "none"
+    if report.witness is not None:
+        a, b = map(_fmt_vec, report.witness)
+        la, lb = report.witness_labels
+        shown, witness = f"{la}=({a})  {lb}=({b})", f"{a};{b}"
     print(f"checker: {report.checker}")
     print(f"  verdict: {report.verdict} (on the sampled grid)")
     print(f"  worst margin: {_fmt(report.worst_margin)}")
-    if report.witness is not None:
-        a, b = report.witness
-        la, lb = report.witness_labels
-        print(f"  witness: {la}=({_fmt_vec(a)})  {lb}=({_fmt_vec(b)})")
-    else:
-        print("  witness: none")
+    print(f"  witness: {shown}")
     print(f"  samples: {report.samples_evaluated}  grid/axis: {report.grid_per_axis}")
-    witness = "none"
-    if report.witness is not None:
-        witness = f"{_fmt_vec(report.witness[0])};{_fmt_vec(report.witness[1])}"
     print(
         f"#DATA checker={report.checker} verdict={report.verdict} "
         f"margin={_fmt(report.worst_margin)} witness={witness} "
@@ -243,14 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ProblemFileError,
-        GuardError,
-        ValueError,
-        EvalError,
-        OverflowError,
-        NonsmoothUncertainError,
-    ) as exc:
+    except (ValueError, ArithmeticError, NonsmoothUncertainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

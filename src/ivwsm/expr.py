@@ -15,7 +15,9 @@ Exponents must be literal nonnegative integers.  ``min``/``max``/``abs``
 are first class so piecewise-linear convex endpoints can be written
 without a dedicated piecewise syntax.
 
-Parse errors carry the byte offset of the offending input.
+Numbers, names and operators are ASCII.  Nesting is bounded by
+:data:`MAX_DEPTH`.  Parse errors carry the byte offset of the offending
+input.
 
 Evaluation compiles the AST once into NumPy closures over the rows of an
 ``(m, n)`` array of points (:attr:`ExprAst.rows`); :func:`evaluate` is a
@@ -136,9 +138,14 @@ class EvalError(ArithmeticError):
     """Runtime evaluation failure (division by zero)."""
 
 
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_UINT = re.compile(r"\d+$")
+_UINT = re.compile(r"[0-9]+$")
+#: Deepest nesting :func:`parse` accepts: the parser is inside at most this
+#: many grammar rules (four per parenthesized group, one per unary minus),
+#: and the syntax tree it builds is at most this many nodes high, so
+#: compiling and evaluating it recurse at most about this deep.
+MAX_DEPTH = 512
 
 
 @dataclass(frozen=True)
@@ -157,12 +164,13 @@ def _tokenize(source: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        # ASCII only: str.isdigit/isalpha accept more than the token patterns
+        if c.isascii() and c.isdigit():
             m = _NUMBER.match(source, i)
             tokens.append(_Token("number", m.group(), i))
             i = m.end()
             continue
-        if c.isalpha():
+        if c.isascii() and c.isalpha():
             m = _NAME.match(source, i)
             tokens.append(_Token("name", m.group(), i))
             i = m.end()
@@ -187,6 +195,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.dimension = dimension
+        self.height = 0  # height of the tree the last rule returned
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,66 +211,84 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.offset)
         return self.advance()
 
-    def expr(self) -> Node:
-        node = self.term()
+    def grown(self, node: Node, height: int, tok: _Token) -> Node:
+        """``node``, of tree height ``height``, unless that exceeds MAX_DEPTH."""
+        if height > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.offset)
+        self.height = height
+        return node
+
+    # each rule passes its depth (see MAX_DEPTH) plus one to the rules it
+    # calls; every cycle of calls passes atom, which checks it
+
+    def expr(self, depth: int) -> Node:
+        node = self.term(depth + 1)
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.term())
+            op = self.advance()
+            height = self.height
+            node = Bin(op.text, node, self.term(depth + 1))
+            node = self.grown(node, max(height, self.height) + 1, op)
         return node
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self, depth: int) -> Node:
+        node = self.factor(depth + 1)
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.factor())
+            op = self.advance()
+            height = self.height
+            node = Bin(op.text, node, self.factor(depth + 1))
+            node = self.grown(node, max(height, self.height) + 1, op)
         return node
 
-    def factor(self) -> Node:
-        node = self.atom()
+    def factor(self, depth: int) -> Node:
+        node = self.atom(depth + 1)
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             tok = self.peek()
-            if tok.kind != "number" or not _UINT.match(tok.text):
-                raise ParseError("exponent must be a nonnegative integer", tok.offset)
+            if tok.kind != "number" or not _UINT.match(tok.text) or float(tok.text) >= 1e308:
+                raise ParseError("exponent must be a nonnegative integer below 1e308", tok.offset)
             self.advance()
-            node = Pow(node, int(tok.text))
+            node = self.grown(Pow(node, int(tok.text)), self.height + 1, tok)
         return node
 
-    def atom(self) -> Node:
+    def atom(self, depth: int) -> Node:
         tok = self.peek()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.offset)
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text))
+            return self.grown(Const(float(tok.text)), 1, tok)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.atom())
+            return self.grown(Neg(self.atom(depth + 1)), self.height + 1, tok)
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node = self.expr(depth + 1)
             self.expect("rparen", "')'")
             return node
         if tok.kind == "name":
-            return self.name_atom()
+            return self.name_atom(depth + 1)
         raise ParseError("expected a number, variable, '(' or function", tok.offset)
 
-    def name_atom(self) -> Node:
+    def name_atom(self, depth: int) -> Node:
         tok = self.advance()
         name = tok.text
         if name == "abs":
             self.expect("lparen", "'(' after abs")
-            node = self.expr()
+            node = self.expr(depth + 1)
             self.expect("rparen", "')'")
-            return Abs(node)
+            return self.grown(Abs(node), self.height + 1, tok)
         if name in ("min", "max"):
             self.expect("lparen", f"'(' after {name}")
-            args = [self.expr()]
+            args = [self.expr(depth + 1)]
+            height = self.height
             while self.peek().kind == "comma":
                 self.advance()
-                args.append(self.expr())
+                args.append(self.expr(depth + 1))
+                height = max(height, self.height)
             if len(args) < 2:
                 raise ParseError(f"{name} needs at least two arguments", self.peek().offset)
             self.expect("rparen", "')'")
-            return MinMax(name, tuple(args))
+            return self.grown(MinMax(name, tuple(args)), height + 1, tok)
         m = re.fullmatch(r"x(\d+)", name)
         if m:
             index = int(m.group(1))
@@ -269,7 +296,7 @@ class _Parser:
                 raise ParseError(
                     f"variable x{index} outside dimension 1..{self.dimension}", tok.offset
                 )
-            return Var(index)
+            return self.grown(Var(index), 1, tok)
         raise ParseError(f"unknown name {name!r}", tok.offset)
 
 
@@ -279,7 +306,7 @@ def parse(source: str, dimension: int) -> ExprAst:
         raise ValueError("dimension must be >= 1")
     tokens = _tokenize(source)
     parser = _Parser(tokens, dimension)
-    root = parser.expr()
+    root = parser.expr(1)
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError("unexpected trailing input", tok.offset)

@@ -83,12 +83,6 @@ class Interval:
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return add(self, other)
-
-    def __rmul__(self, k: float) -> "Interval":
-        return scalar_mul(k, self)
-
     def __repr__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
 
@@ -172,11 +166,11 @@ def leq(a: Interval, b: Interval, slack: float = DEFAULT_SLACK) -> bool:
     return a.lo <= b.lo + slack and a.hi <= b.hi + slack
 
 
-def ext_leq(a: ExtInterval, b: ExtInterval, slack: float = DEFAULT_SLACK) -> bool:
+def ext_leq(a: ExtInterval, b: ExtInterval) -> bool:
     """Dominance a "<=" b extended to the infinite markers.
 
     Everything is below PLUS_INF and above MINUS_INF; the markers compare
-    reflexively with themselves.
+    reflexively with themselves, and finite intervals by :func:`leq`.
     """
     if b is PLUS_INF or a is MINUS_INF:
         return True
@@ -184,7 +178,7 @@ def ext_leq(a: ExtInterval, b: ExtInterval, slack: float = DEFAULT_SLACK) -> boo
         return b is PLUS_INF
     if b is MINUS_INF:
         return a is MINUS_INF
-    return leq(a, b, slack)
+    return leq(a, b)
 
 
 def interval_norm(a: Interval) -> float:

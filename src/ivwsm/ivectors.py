@@ -72,10 +72,6 @@ class IVector:
     def components(self) -> tuple[Interval, ...]:
         return tuple(self.component(i) for i in range(len(self)))
 
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(np.array_equal(self.los, self.his))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IVector):
             return NotImplemented

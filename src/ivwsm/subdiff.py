@@ -42,9 +42,6 @@ class MembershipResult:
     margin: float
     witness: Optional[np.ndarray] = None  # violating probe point or direction
 
-    def __bool__(self) -> bool:
-        return self.member
-
 
 def _gh_diff_rows(
     f: IvfLike, xbar: np.ndarray, probes: np.ndarray
@@ -134,7 +131,6 @@ def is_subgradient_directional(
     xbar: Sequence[float],
     g: IVector,
     directions: Sequence[Sequence[float]],
-    slack: float = DIRECTIONAL_SLACK,
 ) -> MembershipResult:
     """Directional membership test: pairing with h versus the derivative;
     directions leaving the feasible set pass automatically."""
@@ -142,7 +138,7 @@ def is_subgradient_directional(
     directions = np.asarray(directions, dtype=float)
     deriv_lo, deriv_hi = f.dir_derivs(xbar, directions)
     margins = subgradient_margins(directions, g.los, g.his, deriv_lo, deriv_hi)
-    return _membership(margins, directions, slack)
+    return _membership(margins, directions, DIRECTIONAL_SLACK)
 
 
 def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | IntervalBoxSet:

@@ -103,17 +103,14 @@ class BoundednessResult:
     unbounded_direction: Optional[np.ndarray] = None
 
 
-def boundedness_check(
-    s: IVecSet, directions: Sequence[Sequence[float]] = ()
-) -> BoundednessResult:
+def boundedness_check(s: IVecSet) -> BoundednessResult:
     """Boundedness of the set, decided through its support values.
 
     Finite sets and interval boxes are bounded by construction and return
-    an exact norm bound.  Oracle sets are probed over the signed basis plus
-    any supplied directions: an infinite support value pins down an
-    unbounded direction; otherwise a norm bound is assembled from the basis
-    probes (each component's endpoints are bounded by the support values
-    along +-e_i).
+    an exact norm bound.  Oracle sets are probed over the signed basis: an
+    infinite support value pins down an unbounded direction; otherwise a
+    norm bound is assembled from the probes (each component's endpoints are
+    bounded by the support values along +-e_i).
     """
     if isinstance(s, FiniteIVecSet):
         return BoundednessResult(True, max(vnorm(m) for m in s.members))
@@ -126,13 +123,11 @@ def boundedness_check(
         )
         return BoundednessResult(True, bound)
     per_axis = np.zeros(s.dimension)
-    for d in [*signed_basis(s.dimension), *(np.asarray(d, dtype=float) for d in directions)]:
+    for i, d in enumerate(signed_basis(s.dimension)):
         val = s.support(d)
         if not is_finite(val):
             return BoundednessResult(False, None, d)
-        axis = int(np.argmax(np.abs(d)))
-        if np.count_nonzero(d) == 1:
-            per_axis[axis] = max(per_axis[axis], abs(val.hi))
+        per_axis[i // 2] = max(per_axis[i // 2], abs(val.hi))
     return BoundednessResult(True, float(per_axis.sum()))
 
 

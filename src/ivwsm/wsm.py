@@ -29,8 +29,10 @@ face, and dual-b's point-route pairs repeat across the grid (a pair reads
 its point only through F there and the coordinates its member does not
 zero); each distinct row or pair is tested once, in first-occurrence
 order, and every repeat still counts as a sample.  The definition checker
-and the modulus bisection read the same per-point margins.  A NaN margin
-is never skipped: it is reported as the worst margin and fails.
+and the modulus bisection read the same per-point margins
+(``_Context.definition_margins``), and they and dual-f read the same
+distances to Sbar (``_Context.dists``).  A NaN margin is never skipped: it
+is reported as the worst margin and fails.
 """
 
 from __future__ import annotations
@@ -264,15 +266,18 @@ class _Context:
         return float(table[i, j]), i, j
 
     @cached_property
-    def _endpoint_gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.flo_s - self.flo_sbar.max(), self.fhi_s - self.fhi_sbar.max()
+    def gaps(self) -> np.ndarray:
+        """The smaller endpoint gap g(x) - max of g over the candidate grid,
+        g either endpoint, at each feasible grid point."""
+        return np.minimum(self.flo_s - self.flo_sbar.max(), self.fhi_s - self.fhi_sbar.max())
 
-    def definition_margins(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """Margins of the defining inequality at each feasible grid point,
-        per endpoint g: g(x) - max of g over the candidate grid
-        - alpha * dist(x, Sbar)."""
-        gap_lo, gap_hi = self._endpoint_gaps
-        return gap_lo - alpha * self.dists, gap_hi - alpha * self.dists
+    def definition_margins(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Margin of the defining inequality at each feasible grid point,
+        gap - alpha * dist(x, Sbar), written into ``out`` when given.  As
+        rounding is monotone, this is the smaller of the two endpoint
+        margins bit for bit."""
+        out = np.multiply(self.dists, alpha, out=out)
+        return np.subtract(self.gaps, out, out=out)
 
     def report(self, checker, margin, witness, labels, samples) -> WsmReport:
         tol = self.problem.margin_tol
@@ -320,10 +325,12 @@ def check_definition(p: WsmProblem) -> WsmReport:
     the candidate point where that endpoint attains M.
     """
     ctx = p.context()
-    margin_lo, margin_hi = ctx.definition_margins(p.alpha)
-    margins = np.minimum(margin_lo, margin_hi)
+    margins = ctx.definition_margins(p.alpha)
     i = int(np.argmin(margins))
-    j = int(np.argmax(ctx.flo_sbar if margin_lo[i] <= margin_hi[i] else ctx.fhi_sbar))
+    t = p.alpha * ctx.dists[i]
+    margin_lo = ctx.flo_s[i] - ctx.flo_sbar.max() - t
+    margin_hi = ctx.fhi_s[i] - ctx.fhi_sbar.max() - t
+    j = int(np.argmax(ctx.flo_sbar if margin_lo <= margin_hi else ctx.fhi_sbar))
     witness = (ctx.sbar_grid[j].copy(), ctx.s_grid[i].copy())
     samples = len(ctx.s_grid) * len(ctx.sbar_grid)
     return ctx.report(
@@ -471,11 +478,9 @@ def check_dual_f(p: WsmProblem) -> WsmReport:
     ctx = p.context()
     worst = _Worst()
     q = ctx.proj
-    rays = ctx.s_grid - q
-    gaps = row_norms(rays)
-    far = gaps > 1e-12
-    deriv_lo, _ = dir_derivatives(p.f, q[far], rays[far])
-    worst.update_rows(deriv_lo - p.alpha * gaps[far], ctx.s_grid[far], q[far])
+    far = ctx.dists > 1e-12
+    deriv_lo, _ = dir_derivatives(p.f, q[far], ctx.s_grid[far] - q[far])
+    worst.update_rows(deriv_lo - p.alpha * ctx.dists[far], ctx.s_grid[far], q[far])
     samples = len(ctx.s_grid)
     return ctx.report("dual-f", worst.margin, worst.witness, ("y", "p"), samples)
 
@@ -507,15 +512,10 @@ def estimate_modulus(p: WsmProblem) -> float:
     the endpoints).  Returns 0 when not even a tiny modulus passes.
     """
     ctx = p.context()
-    # min over the endpoints of fl(gap - t) is fl(min of the gaps - t), as
-    # rounding is monotone, so each probe reads one gap array
-    gap = np.minimum(*ctx._endpoint_gaps)
-    margins = np.empty_like(gap)
+    margins = np.empty_like(ctx.dists)
 
     def passes(alpha: float) -> bool:
-        np.multiply(ctx.dists, alpha, out=margins)
-        np.subtract(gap, margins, out=margins)
-        return bool(margins.min() >= -p.margin_tol)
+        return bool(ctx.definition_margins(alpha, margins).min() >= -p.margin_tol)
 
     if not passes(1e-6):
         return 0.0

@@ -95,6 +95,30 @@ class TestProblemParsing:
         with pytest.raises(ProblemFileError, match="cannot read"):
             load_problem_file("/nonexistent/problem.txt")
 
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("Sbar: 0 0", "Sbar 0 0", 7, "expected 'key: value', got 'Sbar 0 0'"),
+            ("seed: 7", "seed: 7\nalpha: 0.3", 10, "duplicate key 'alpha'"),
+            ("dimension: 1", "dimension: 1.5", 2, "dimension must be an integer"),
+            ("dimension: 1", "dimension: 0", 2, "dimension must be >= 1"),
+            ("alpha: 0.2", "alpha: fast", 8, "alpha must be a number"),
+            ("seed: 7", "seed: 7\ngrid: 2.5", 10, "grid must be an integer"),
+            ("S: -1 1", "S: -1 one", 6, "box values must be numbers, got '-1 one'"),
+            ("S: -1 1", "S: -1", 6, "box needs 2 values (lo/hi per axis), got 1"),
+        ],
+        ids=[
+            "no-colon", "duplicate-key", "fractional-dimension", "zero-dimension",
+            "alpha-not-a-number", "fractional-grid", "box-not-numbers", "box-too-short",
+        ],
+    )
+    def test_file_error_reports_its_line(self, old, new, line, message):
+        text = VEE.format(alpha=0.2)
+        assert old in text
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_text(text.replace(old, new))
+        assert str(err.value) == f"line {line}: {message}"
+
     def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
         path = tmp_path / "latin.txt"
         path.write_bytes(VEE.format(alpha=0.2).encode() + b"# caf\xff\n")
@@ -171,6 +195,21 @@ class TestCheckCommand:
         int(fields["samples"])
         for vec in fields["witness"].split(";"):
             np.array([float(v) for v in vec.split(",")])
+
+    def test_a_checker_with_nothing_to_test_reports_no_witness(self, tmp_path, capsys):
+        # Sbar = S leaves dual-e no direction tangent to S and normal to Sbar
+        path = tmp_path / "sbar_is_s.txt"
+        path.write_text(L1_SEGMENT.replace("Sbar: 0 0 -0.5 0.5", "Sbar: -1 1 -1 1"))
+        assert main(["--grid", "9", "check", str(path), "--mode", "dual-e"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:5] == [
+            "checker: dual-e",
+            "  verdict: holds (on the sampled grid)",
+            "  worst margin: inf",
+            "  witness: none",
+            "  samples: 81  grid/axis: 9",
+        ]
+        assert out[5] == "#DATA checker=dual-e verdict=holds margin=inf witness=none samples=81"
 
     def test_grid_override(self, vee_file, capsys):
         assert main(["--grid", "9", "check", vee_file(0.2), "--mode", "definition"]) == 0
@@ -313,6 +352,53 @@ REGRESSIONS = Path(__file__).parent / "regressions"
 PROBLEMS = Path(__file__).parent.parent / "problems"
 
 
+TOO_DEEP = "expression nests deeper than 512 levels"
+
+
+class TestExpressionLimits:
+    """An expression that nests too deep, holds a non-ASCII character or
+    has an oversized exponent exits 2 naming the line and the offset, never
+    with a traceback; a long flat sum still verifies."""
+
+    @pytest.mark.parametrize(
+        "lower, message",
+        [
+            ("(" * 245 + "x1" + ")" * 245, f"{TOO_DEEP} (at offset 128)"),
+            ("-" * 980 + "x1", f"{TOO_DEEP} (at offset 509)"),
+            (" + ".join(["x1"] * 983), f"{TOO_DEEP} (at offset 2558)"),
+            ("x1\u00b2", "unexpected character '\u00b2' (at offset 2)"),
+            ("\u00e9 + x1", "unexpected character '\u00e9' (at offset 0)"),
+            (
+                "x1^" + "9" * 5000,
+                "exponent must be a nonnegative integer below 1e308 (at offset 3)",
+            ),
+        ],
+        ids=["deep-parens", "many-minuses", "long-sum", "superscript", "accent", "long-exponent"],
+    )
+    def test_exit_two_naming_line_and_offset(self, tmp_path, capsys, lower, message):
+        path = tmp_path / "deep.txt"
+        path.write_text(SUM_500.replace(SUM_500.splitlines()[1], f"lower: {lower}"))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: line 2: lower expression: {message}\n")
+
+    def test_a_flat_sum_of_500_terms_verifies(self, tmp_path, capsys):
+        path = tmp_path / "sum500.txt"
+        path.write_text(SUM_500)
+        assert main(["check", str(path)]) == 0
+        assert "CONCORDANCE: agree" in capsys.readouterr().out
+
+
+SUM_500 = f"""\
+dimension: 1
+lower: {" + ".join(["0.0005*abs(x1)"] * 500)}
+upper: abs(x1)
+domain: -2 2
+S: -1 1
+Sbar: 0 0
+alpha: 0.2
+"""
+
+
 class TestUnevaluableObjectives:
     """Objectives that cannot be evaluated or differentiated at a grid point
     end in exit 2 with the point named, never in a traceback."""
@@ -429,6 +515,14 @@ class TestSubdiffCommand:
                 ["--at", "0.25", "--probe", "0 0.5"],
                 "lower([-3.]) = 12.0 exceeds upper([-3.])",
             ),
+            ("vee1d.txt", ["--at", "zero"], "--at must be a list of numbers, got 'zero'"),
+            ("vee1d.txt", ["--at", "0 0"], "--at needs 1 values, got 2"),
+            (
+                "vee1d.txt",
+                ["--at", "0", "--probe", "0 one"],
+                "--probe must be a list of numbers, got '0 one'",
+            ),
+            ("vee1d.txt", ["--at", "0", "--probe", "0"], "--probe needs 2 values, got 1"),
         ],
     )
     def test_bad_point_exits_two_naming_flag_and_point(self, name, args, message, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivwsm import EvalError, ParseError, evaluate, parse
-from ivwsm.expr import Abs, Bin, Const, ExprAst, MinMax, Neg, Pow, Var
+from ivwsm.expr import MAX_DEPTH, Abs, Bin, Const, ExprAst, MinMax, Neg, Pow, Var
 
 
 class TestParseExamples:
@@ -88,6 +88,70 @@ class TestParseErrors:
             parse("(x1 + 1", 1)
         with pytest.raises(ParseError, match="trailing"):
             parse("x1 + 1)", 1)
+
+    @pytest.mark.parametrize(
+        "source, message, offset",
+        [
+            ("(" * 245 + "x1" + ")" * 245, f"nests deeper than {MAX_DEPTH} levels", 128),
+            ("-" * 980 + "x1", f"nests deeper than {MAX_DEPTH} levels", 509),
+            (" + ".join(["x1"] * 983), f"nests deeper than {MAX_DEPTH} levels", 2558),
+            ("x1\u00b2", "unexpected character '\u00b2'", 2),
+            ("\u00e9 + x1", "unexpected character '\u00e9'", 0),
+            ("x1^" + "9" * 5000, "exponent must be a nonnegative integer", 3),
+        ],
+        ids=["deep-parens", "many-minuses", "long-sum", "superscript", "accent", "long-exponent"],
+    )
+    def test_input_beyond_the_grammar_limits_is_a_parse_error(self, source, message, offset):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(source, 1)
+        assert err.value.offset == offset
+
+
+def deepest_accepted(make) -> int:
+    """The largest m for which ``parse(make(m), 1)`` is accepted."""
+    lo, hi = 1, 4 * MAX_DEPTH  # lo parses, hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(make(mid), 1)
+            lo = mid
+        except ParseError:
+            hi = mid
+    return lo
+
+
+class TestNestingBound:
+    """Every expression within MAX_DEPTH parses, compiles and evaluates
+    without exhausting Python's recursion limit, here under the test
+    runner's own stack; one level more is a ParseError."""
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (lambda m: "(" * m + "x1" + ")" * m, lambda m: 0.5),
+            (lambda m: "-" * m + "x1", lambda m: (-1) ** m * 0.5),
+            (lambda m: "abs(" * m + "-x1" + ")" * m, lambda m: 0.5),
+            (lambda m: "max(" * m + "x1" + ", 0)" * m, lambda m: 0.5),
+            (lambda m: "(" * m + "x1" + ")^1" * m, lambda m: 0.5),
+            (lambda m: " + ".join(["x1"] * m), lambda m: 0.5 * m),
+            (lambda m: " * ".join(["2"] * m) + " * x1", lambda m: 2.0 ** (m - 1)),
+            # a chain inside a group that heads a chain: the tree is about
+            # twice as deep as either chain
+            (lambda m: "(" + " + ".join(["x1"] * m) + ") + " + " + ".join(["x1"] * m),
+             lambda m: 0.5 * 2 * m),
+        ],
+        ids=["parens", "minuses", "abs", "max", "powers", "sum", "product", "chained-chains"],
+    )
+    def test_the_deepest_accepted_expressions_evaluate(self, make, value):
+        m = deepest_accepted(make)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(make(m + 1), 1)
+        ast = parse(make(m), 1)
+        assert evaluate(ast, [0.5]) == value(m)
+        assert list(ast.rows(np.full((3, 1), 0.5))) == [value(m)] * 3
+
+    def test_a_sum_of_500_terms_parses(self):
+        assert evaluate(parse(" + ".join(["x1"] * 500), 1), [0.5]) == 250.0
 
 
 class TestEval:

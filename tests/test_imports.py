@@ -12,7 +12,9 @@ public one that neither ``src/ivwsm`` nor ``scripts`` reads is only there
 for tests and API users, so it must be listed in :data:`PAPER_API` with
 the paper notion it reproduces; an entry that is read, or gone, is stale.
 Every public method or property of a package class must be read as an
-attribute by the package, its scripts, the tests or the benchmark harness.
+attribute by the package, its scripts, the tests or the benchmark harness,
+and every defaulted parameter of a package function or method must be set
+by some call there.
 """
 
 import ast
@@ -23,8 +25,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ivwsm").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-#: Every module that may read a package method: the package, its scripts,
-#: the tests and the benchmark harness.
+#: Every module that may read a package method or set a parameter: the
+#: package, its scripts, the tests and the benchmark harness.
 READERS = sorted(
     p
     for directory in ("src/ivwsm", "scripts", "tests", "perfbench")
@@ -174,6 +176,8 @@ def test_the_check_finds_an_unread_private_name():
 #: Public names that nothing in ``src/ivwsm`` or ``scripts`` reads, each with
 #: the notion of the paper it reproduces (tests pin them).
 PAPER_API = {
+    "add": "interval addition",
+    "scalar_mul": "scalar multiple of an interval",
     "minkowski_sub": "Minkowski difference, in the gH difference's defining property",
     "gh_difference": "generalized Hukuhara difference of intervals",
     "dominance": "the dominance order on I(R)",
@@ -263,3 +267,106 @@ def test_the_check_finds_an_unread_method():
     ]
     test = "from box import Box\nassert Box().used() and Box().by_test()\n"
     assert unread_methods(package, [test]) == ["Box.width", "Box.recursive"]
+
+
+def unset_parameters(sources: list[str], callers: list[str]) -> list[str]:
+    """Defaulted parameters (``function.parameter`` or
+    ``Class.method.parameter``) of the functions and methods of the given
+    module sources that no call in them or in the caller sources sets
+    outside the function's own definition, in definition order.
+
+    Calls match by name: ``f(...)`` and ``obj.f(...)`` both call every
+    function or method named ``f``, and a call of a class name calls its
+    ``__init__``.  A call sets a parameter by keyword, by position (after
+    the ``self`` or ``cls`` of a method) or through a ``*`` or ``**`` splat.
+    """
+    trees = [ast.parse(source) for source in sources]
+    calls = {}  # called name -> the call nodes
+    for tree in trees + [ast.parse(source) for source in callers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for tree in trees:
+        methods = {}  # id of a method -> (its label, the name a call uses, bound)
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    decorators = [getattr(d, "id", None) for d in method.decorator_list]
+                    called_as = cls.name if method.name == "__init__" else method.name
+                    label = f"{cls.name}.{method.name}"
+                    methods[id(method)] = (label, called_as, "staticmethod" not in decorators)
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            label, called_as, bound = methods.get(
+                id(function), (function.name, function.name, False)
+            )
+            args = function.args
+            positional = (args.posonlyargs + args.args)[bound:]
+            first_defaulted = len(positional) - len(args.defaults)
+            defaulted = [(a, i) for i, a in enumerate(positional) if i >= first_defaulted]
+            defaulted += [
+                (a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            inside = {id(n) for n in ast.walk(function)}
+            outside = [c for c in calls.get(called_as, []) if id(c) not in inside]
+            for arg, position in defaulted:
+                if not any(_sets(call, arg.arg, position) for call in outside):
+                    unset.append(f"{label}.{arg.arg}")
+    return unset
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    """Whether the call passes the parameter ``name``, which sits at
+    ``position`` among the positional parameters (None: keyword-only)."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_set():
+    readers = [p.read_text() for p in READERS]
+    assert unset_parameters([p.read_text() for p in PACKAGE], readers) == []
+
+
+def test_the_check_finds_an_unset_parameter():
+    package = [
+        "def scale(x, factor=2.0, *, offset=0.0, clip=None):\n"
+        "    return scale(x, factor, offset=1.0) if x else x\n"
+        "def spread(a, b=1, c=2):\n"
+        "    return a\n"
+        "def spread_all(a, b=1, c=2):\n"
+        "    return a\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, tol=0.1):\n"
+        "        self.size = size\n"
+        "    def grow(self, by=1, limit=9):\n"
+        "        return self.size + by\n"
+        "    @staticmethod\n"
+        "    def make(size=1):\n"
+        "        return Box(size)\n"
+        "    @staticmethod\n"
+        "    def empty(size=0):\n"
+        "        return None\n",
+    ]
+    caller = (
+        "scale(1.0)\n"
+        "spread(*[1, 2, 3])\n"
+        "spread_all(1, **{'b': 2})\n"
+        "Box(3).grow(2)\n"
+        "Box.make(4)\n"
+        "Box.empty()\n"
+    )
+    assert unset_parameters(package, [caller]) == [
+        "scale.factor",
+        "scale.offset",
+        "scale.clip",
+        "Box.__init__.tol",
+        "Box.grow.limit",
+        "Box.empty.size",
+    ]

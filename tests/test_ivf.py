@@ -17,6 +17,7 @@ from ivwsm.intervals import is_finite
 from ivwsm import ivf as ivf_module
 from ivwsm.ivf import (
     AGREEMENT_RTOL,
+    ENDPOINT_ORDER_TOL,
     ROW_BLOCK,
     STEP_SCHEDULE,
     DomainError,
@@ -228,6 +229,19 @@ class TestBatchedDerivatives:
         f = Ivf.from_expressions("x1*1e308*2", "x1*1e308*2 + 1", cube(1, -1, 1))
         with pytest.raises(ValueError, match=r"lower\(\[1\.\]\) = inf is not finite"):
             endpoint_rows(f, np.array([[0.5], [1.0]]))
+
+    def test_endpoints_crossing_within_the_order_tolerance_meet_at_the_midpoint(self):
+        f = Ivf.from_expressions("max(x1, 1e-10)", "2*abs(x1)", cube(1, -1, 1))
+        assert 1e-10 <= ENDPOINT_ORDER_TOL
+        lo, hi = endpoint_rows(f, np.array([[0.0], [0.5]]))
+        assert list(lo) == [0.5 * 1e-10, 0.5] and list(hi) == [0.5 * 1e-10, 1.0]
+
+    def test_a_non_finite_derivative_names_the_point_and_direction(self):
+        # every difference quotient overflows, so the extrapolations are NaN
+        f = Ivf.from_expressions("x1*1e308*1e308", "x1*1e308*1e308 + 1", cube(1, -1, 1))
+        message = r"directional derivative nan at x=\[0\.\] along d=\[1\.\] is not finite"
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            dir_derivatives(f, np.array([[0.0]]), np.array([[1.0]]))
 
     def test_replaced_endpoint_is_the_one_evaluated(self):
         f = Ivf.from_expressions("abs(x1)", "2*abs(x1)", cube(1, -1, 1))

@@ -261,6 +261,15 @@ class TestEstimateModulus:
         p = WsmProblem(f=f, s=cube(1, -1, 1), sbar=point_box(0.0), alpha=0.1)
         assert estimate_modulus(p) == 0.0
 
+    def test_returns_the_lipschitz_cap_when_the_cap_passes(self):
+        # F is 0 on S = Sbar, so every modulus passes; the slope outside S
+        # sets the cap
+        f = Ivf.from_expressions("max(abs(x1) - 1, 0)", "2*max(abs(x1) - 1, 0)", cube(1, -2, 2))
+        p = WsmProblem(f=f, s=cube(1, -1, 1), sbar=cube(1, -1, 1), alpha=0.1)
+        cap = 1.25 * ivf.lipschitz_estimate(f, 400, p.seed)
+        assert cap > 1e-2
+        assert estimate_modulus(p) == cap
+
     def test_consistency_with_the_definition_checker(self):
         p = vee_problem(0.1)
         value = estimate_modulus(p)
@@ -425,13 +434,27 @@ def dual_e_reference(p):
     return worst.margin, worst.witness, samples
 
 
+def definition_reference(p):
+    """check_definition from both endpoint margin arrays, the witness
+    endpoint read where their minimum is first smallest."""
+    ctx = p.context()
+    margin_lo = ctx.flo_s - ctx.flo_sbar.max() - p.alpha * ctx.dists
+    margin_hi = ctx.fhi_s - ctx.fhi_sbar.max() - p.alpha * ctx.dists
+    margins = np.minimum(margin_lo, margin_hi)
+    i = int(np.argmin(margins))
+    j = int(np.argmax(ctx.flo_sbar if margin_lo[i] <= margin_hi[i] else ctx.fhi_sbar))
+    return float(margins[i]), (ctx.sbar_grid[j], ctx.s_grid[i])
+
+
 def modulus_reference(p) -> float:
     """estimate_modulus's bisection with each probe taking the smaller of
     the two endpoint margins at every grid point."""
     ctx = p.context()
 
     def passes(alpha):
-        return np.minimum(*ctx.definition_margins(alpha)).min() >= -p.margin_tol
+        margin_lo = ctx.flo_s - ctx.flo_sbar.max() - alpha * ctx.dists
+        margin_hi = ctx.fhi_s - ctx.fhi_sbar.max() - alpha * ctx.dists
+        return np.minimum(margin_lo, margin_hi).min() >= -p.margin_tol
 
     if not passes(1e-6):
         return 0.0
@@ -614,6 +637,13 @@ class TestReferenceLoops:
         assert (report.witness is None) == (witness is None)
         assert all(same_bits(a, b) for a, b in zip(report.witness or (), witness or ()))
         assert report.samples_evaluated == samples
+
+    @pytest.mark.parametrize("make", list(_reference_cases()))
+    def test_definition_equals_both_endpoint_margins(self, make):
+        report = check_definition(make())
+        margin, witness = definition_reference(make())
+        assert same_bits(report.worst_margin, margin)
+        assert all(same_bits(a, b) for a, b in zip(report.witness, witness))
 
     @pytest.mark.parametrize("make", list(_reference_cases()))
     def test_modulus_equals_the_bisection_over_both_margins(self, make):
