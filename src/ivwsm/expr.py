@@ -15,115 +15,54 @@ Exponents must be literal nonnegative integers.  ``min``/``max``/``abs``
 are first class so piecewise-linear convex endpoints can be written
 without a dedicated piecewise syntax.
 
-Numbers, names and operators are ASCII.  Nesting is bounded by
-:data:`MAX_DEPTH`.  Parse errors carry the byte offset of the offending
-input.
+Numbers, names and operators are ASCII.  Nesting of parentheses, unary
+minuses and function calls is bounded by :data:`MAX_DEPTH`; flat chains
+such as a long sum are not.  Parse errors carry the byte offset of the
+offending input.
 
-Evaluation compiles the AST once into NumPy closures over the rows of an
-``(m, n)`` array of points (:attr:`ExprAst.rows`); :func:`evaluate` is a
-one-row call of that closure.
+The parser emits a flat post-order tape of ``(opcode, arg)`` instructions
+(:attr:`ExprAst.tape`), each right after its operands.
+:meth:`ExprAst.rows` runs the tape on a value stack over the rows of an
+``(m, n)`` array of points, one NumPy rule per opcode (:data:`_RULES`);
+:func:`evaluate` is a one-row call of it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-Node = Union["Const", "Var", "Neg", "Abs", "Bin", "Pow", "MinMax"]
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: Node
-
-
-@dataclass(frozen=True)
-class Abs:
-    operand: Node
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * /
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: Node
-    exponent: int  # nonnegative
-
-
-@dataclass(frozen=True)
-class MinMax:
-    op: str  # 'min' or 'max'
-    args: tuple[Node, ...]
+#: One instruction: the opcode and its argument, which is the float64
+#: constant of ``const``, the 0-based column of ``var``, the exponent of
+#: ``^`` and the arity of ``min``/``max`` (None for the other operators).
+Instruction = tuple[str, Union[np.float64, int, None]]
 
 
 @dataclass(frozen=True)
 class ExprAst:
-    """Parsed expression plus the variable dimension it was checked against."""
+    """Parsed expression: its post-order tape plus the variable dimension
+    it was checked against."""
 
-    root: Node
+    tape: tuple[Instruction, ...]
     dimension: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        for index in _variable_indices(self.root):
-            if not 1 <= index <= self.dimension:
-                raise ValueError(
-                    f"variable x{index} outside dimension 1..{self.dimension}"
-                )
 
     def __call__(self, point: Sequence[float]) -> float:
         """The value at one point, so the AST itself is an endpoint function."""
         return evaluate(self, point)
 
-    @cached_property
-    def rows(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The expression compiled once into a function of the rows of an
-        (m, n) array, returning the m values."""
-        compiled = _compile(self.root)
-
-        def rows(points: np.ndarray) -> np.ndarray:
-            # inf and NaN propagate silently, as in Python float arithmetic
-            with np.errstate(all="ignore"):
-                values = compiled(points)
-            # a root made of constants only is one scalar: broadcast it once
-            return values if np.ndim(values) else np.full(len(points), values)
-
-        return rows
-
-
-def _variable_indices(node: Node):
-    if isinstance(node, Var):
-        yield node.index
-    elif isinstance(node, (Neg, Abs)):
-        yield from _variable_indices(node.operand)
-    elif isinstance(node, Pow):
-        yield from _variable_indices(node.base)
-    elif isinstance(node, Bin):
-        yield from _variable_indices(node.left)
-        yield from _variable_indices(node.right)
-    elif isinstance(node, MinMax):
-        for arg in node.args:
-            yield from _variable_indices(arg)
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        """The m values of the expression at the rows of an (m, n) array."""
+        stack = []
+        # inf and NaN propagate silently, as in Python float arithmetic
+        with np.errstate(all="ignore"):
+            for opcode, arg in self.tape:
+                _RULES[opcode](stack, arg, points)
+        (value,) = stack
+        # a tape of constants only gives one scalar: broadcast it once
+        return value if np.ndim(value) else np.full(len(points), value)
 
 
 class ParseError(ValueError):
@@ -143,8 +82,7 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _UINT = re.compile(r"[0-9]+$")
 #: Deepest nesting :func:`parse` accepts: the parser is inside at most this
 #: many grammar rules (four per parenthesized group, one per unary minus),
-#: and the syntax tree it builds is at most this many nodes high, so
-#: compiling and evaluating it recurse at most about this deep.
+#: so its recursive descent stays inside Python's recursion limit.
 MAX_DEPTH = 512
 
 
@@ -191,11 +129,14 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that appends each rule's instructions to
+    :attr:`tape` as the rule returns, so operands precede their operator."""
+
     def __init__(self, tokens: list[_Token], dimension: int):
         self.tokens = tokens
         self.pos = 0
         self.dimension = dimension
-        self.height = 0  # height of the tree the last rule returned
+        self.tape: list[Instruction] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -211,194 +152,159 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.offset)
         return self.advance()
 
-    def grown(self, node: Node, height: int, tok: _Token) -> Node:
-        """``node``, of tree height ``height``, unless that exceeds MAX_DEPTH."""
-        if height > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.offset)
-        self.height = height
-        return node
-
     # each rule passes its depth (see MAX_DEPTH) plus one to the rules it
     # calls; every cycle of calls passes atom, which checks it
 
-    def expr(self, depth: int) -> Node:
-        node = self.term(depth + 1)
+    def expr(self, depth: int) -> None:
+        self.term(depth + 1)
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance()
-            height = self.height
-            node = Bin(op.text, node, self.term(depth + 1))
-            node = self.grown(node, max(height, self.height) + 1, op)
-        return node
+            self.term(depth + 1)
+            self.tape.append((op.text, None))
 
-    def term(self, depth: int) -> Node:
-        node = self.factor(depth + 1)
+    def term(self, depth: int) -> None:
+        self.factor(depth + 1)
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance()
-            height = self.height
-            node = Bin(op.text, node, self.factor(depth + 1))
-            node = self.grown(node, max(height, self.height) + 1, op)
-        return node
+            self.factor(depth + 1)
+            self.tape.append((op.text, None))
 
-    def factor(self, depth: int) -> Node:
-        node = self.atom(depth + 1)
+    def factor(self, depth: int) -> None:
+        self.atom(depth + 1)
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             tok = self.peek()
             if tok.kind != "number" or not _UINT.match(tok.text) or float(tok.text) >= 1e308:
                 raise ParseError("exponent must be a nonnegative integer below 1e308", tok.offset)
             self.advance()
-            node = self.grown(Pow(node, int(tok.text)), self.height + 1, tok)
-        return node
+            self.tape.append(("^", int(tok.text)))
 
-    def atom(self, depth: int) -> Node:
+    def atom(self, depth: int) -> None:
         tok = self.peek()
         if depth > MAX_DEPTH:
             raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.offset)
         if tok.kind == "number":
             self.advance()
-            return self.grown(Const(float(tok.text)), 1, tok)
-        if tok.kind == "op" and tok.text == "-":
+            self.tape.append(("const", np.float64(float(tok.text))))
+        elif tok.kind == "op" and tok.text == "-":
             self.advance()
-            return self.grown(Neg(self.atom(depth + 1)), self.height + 1, tok)
-        if tok.kind == "lparen":
+            self.atom(depth + 1)
+            self.tape.append(("neg", None))
+        elif tok.kind == "lparen":
             self.advance()
-            node = self.expr(depth + 1)
+            self.expr(depth + 1)
             self.expect("rparen", "')'")
-            return node
-        if tok.kind == "name":
-            return self.name_atom(depth + 1)
-        raise ParseError("expected a number, variable, '(' or function", tok.offset)
+        elif tok.kind == "name":
+            self.name_atom(depth + 1)
+        else:
+            raise ParseError("expected a number, variable, '(' or function", tok.offset)
 
-    def name_atom(self, depth: int) -> Node:
+    def name_atom(self, depth: int) -> None:
         tok = self.advance()
         name = tok.text
         if name == "abs":
             self.expect("lparen", "'(' after abs")
-            node = self.expr(depth + 1)
+            self.expr(depth + 1)
             self.expect("rparen", "')'")
-            return self.grown(Abs(node), self.height + 1, tok)
+            self.tape.append(("abs", None))
+            return
         if name in ("min", "max"):
             self.expect("lparen", f"'(' after {name}")
-            args = [self.expr(depth + 1)]
-            height = self.height
+            self.expr(depth + 1)
+            count = 1
             while self.peek().kind == "comma":
                 self.advance()
-                args.append(self.expr(depth + 1))
-                height = max(height, self.height)
-            if len(args) < 2:
+                self.expr(depth + 1)
+                count += 1
+            if count < 2:
                 raise ParseError(f"{name} needs at least two arguments", self.peek().offset)
             self.expect("rparen", "')'")
-            return self.grown(MinMax(name, tuple(args)), height + 1, tok)
+            self.tape.append((name, count))
+            return
         m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            index = int(m.group(1))
-            if not 1 <= index <= self.dimension:
-                raise ParseError(
-                    f"variable x{index} outside dimension 1..{self.dimension}", tok.offset
-                )
-            return self.grown(Var(index), 1, tok)
-        raise ParseError(f"unknown name {name!r}", tok.offset)
+        if not m:
+            raise ParseError(f"unknown name {name!r}", tok.offset)
+        index = int(m.group(1))
+        if not 1 <= index <= self.dimension:
+            raise ParseError(
+                f"variable x{index} outside dimension 1..{self.dimension}", tok.offset
+            )
+        self.tape.append(("var", index - 1))
 
 
 def parse(source: str, dimension: int) -> ExprAst:
-    """Parse ``source`` into an AST over variables x1..x<dimension>."""
+    """Parse ``source`` into the tape of an expression over variables
+    x1..x<dimension>."""
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     tokens = _tokenize(source)
     parser = _Parser(tokens, dimension)
-    root = parser.expr(1)
+    parser.expr(1)
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError("unexpected trailing input", tok.offset)
-    return ExprAst(root, dimension)
+    return ExprAst(tuple(parser.tape), dimension)
 
 
-def _compile(node: Node) -> Callable[[np.ndarray], np.ndarray]:
-    """Closure evaluating ``node`` at every row of an (m, n) float array.
-
-    Each node applies, elementwise, the float64 operation Python applies to
-    one point, so every row matches a scalar evaluation bit for bit: ``^``
-    is ``np.float_power`` (``np.power`` rounds small integer powers
-    differently), and ``min``/``max`` keep the first of equal or NaN
-    arguments, as Python's builtins do.  Where Python raises, the closure
-    raises for the first offending row and names it.  A constant is one
-    float64 scalar, not a column, so a subtree of constants is computed
-    once; its error names the first row, where every row fails (and
-    zero rows raise nothing, as for a column).
-    """
-    if isinstance(node, Const):
-        value = np.float64(node.value)
-        return lambda rows: value
-    if isinstance(node, Var):
-        i = node.index - 1
-        return lambda rows: rows[:, i].copy()
-    if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda rows: -operand(rows)
-    if isinstance(node, Abs):
-        operand = _compile(node.operand)
-        return lambda rows: np.abs(operand(rows))
-    if isinstance(node, Pow):
-        return _compile_pow(_compile(node.base), node.exponent)
-    if isinstance(node, MinMax):
-        return _compile_minmax(node.op, [_compile(a) for a in node.args])
-    if isinstance(node, Bin):
-        return _compile_bin(node.op, _compile(node.left), _compile(node.right))
-    raise TypeError(f"unknown node {node!r}")
+# Each rule replaces its operands on top of the value stack by its result,
+# applying elementwise the float64 operation Python applies to one point, so
+# every row matches a scalar evaluation bit for bit: ``^`` is
+# ``np.float_power`` (``np.power`` rounds small integer powers differently),
+# and ``min``/``max`` keep the first of equal or NaN arguments, as Python's
+# builtins do.  Where Python raises, the rule raises for the first offending
+# row and names it.  A constant is one float64 scalar, not a column, so a
+# subtree of constants is computed once; its error names the first row,
+# where every row fails (and zero rows raise nothing, as for a column).
 
 
-def _compile_pow(base, exponent: int):
-    def power(rows):
-        b = base(rows)
-        out = np.float_power(b, float(exponent))
-        # Python's float ** int raises where a finite base overflows
-        overflow = np.isinf(out) & np.isfinite(b)
-        if overflow.any() and len(rows):
-            raise OverflowError(
-                f"'^{exponent}' overflows at x={rows[np.argmax(overflow)]}"
-            )
-        return out
-
-    return power
+def _divide(stack, arg, rows):
+    denominator = stack.pop()
+    zero = denominator == 0.0
+    if zero.any() and len(rows):
+        raise EvalError(f"division by zero at x={rows[np.argmax(zero)]}")
+    stack[-1] = stack[-1] / denominator
 
 
-def _compile_minmax(op: str, args):
-    first, rest = args[0], args[1:]
-    beats = np.less if op == "min" else np.greater
+def _power(stack, exponent, rows):
+    base = stack[-1]
+    stack[-1] = out = np.float_power(base, float(exponent))
+    # Python's float ** int raises where a finite base overflows
+    overflow = np.isinf(out) & np.isfinite(base)
+    if overflow.any() and len(rows):
+        raise OverflowError(f"'^{exponent}' overflows at x={rows[np.argmax(overflow)]}")
 
-    def minmax(rows):
-        best = first(rows)
-        for arg in rest:
-            value = arg(rows)
+
+def _extremum(beats):
+    def rule(stack, count, rows):
+        best, *rest = stack[-count:]
+        del stack[-count:]
+        for value in rest:
             best = np.where(beats(value, best), value, best)
-        return best
+        stack.append(best)
 
-    return minmax
+    return rule
 
 
-def _compile_bin(op: str, left, right):
-    if op == "+":
-        return lambda rows: left(rows) + right(rows)
-    if op == "-":
-        return lambda rows: left(rows) - right(rows)
-    if op == "*":
-        return lambda rows: left(rows) * right(rows)
-
-    def divide(rows):
-        numerator = left(rows)
-        denominator = right(rows)
-        zero = denominator == 0.0
-        if zero.any() and len(rows):
-            raise EvalError(f"division by zero at x={rows[np.argmax(zero)]}")
-        return numerator / denominator
-
-    return divide
+_RULES = {
+    "const": lambda stack, value, rows: stack.append(value),
+    "var": lambda stack, column, rows: stack.append(rows[:, column].copy()),
+    "neg": lambda stack, arg, rows: stack.append(-stack.pop()),
+    "abs": lambda stack, arg, rows: stack.append(abs(stack.pop())),
+    # pop(-2) takes the left operand, then pop() the right one
+    "+": lambda stack, arg, rows: stack.append(stack.pop(-2) + stack.pop()),
+    "-": lambda stack, arg, rows: stack.append(stack.pop(-2) - stack.pop()),
+    "*": lambda stack, arg, rows: stack.append(stack.pop(-2) * stack.pop()),
+    "/": _divide,
+    "^": _power,
+    "min": _extremum(np.less),
+    "max": _extremum(np.greater),
+}
 
 
 def evaluate(ast: ExprAst, point: Sequence[float]) -> float:
     """Evaluate the expression at ``point`` (length must match the dimension).
 
-    A one-row call of the compiled expression :attr:`ExprAst.rows`.
+    A one-row call of :meth:`ExprAst.rows`.
     """
     x = np.asarray(point, dtype=float)
     if x.shape != (ast.dimension,):

@@ -268,16 +268,19 @@ def _one_sided_rows(
     rather than kept, which bounds the temporaries of a block.
     """
     g0 = g(points)
-    quotients = [
-        (g(_step_points(points, dirs, t * scale)) - g0) / (t * scale) for t in STEP_SCHEDULE
-    ]
-    t0, t1, t2 = STEP_SCHEDULE
-    e1 = _richardson(quotients[0], quotients[1], t0 * scale, t1 * scale)
-    e2 = _richardson(quotients[1], quotients[2], t1 * scale, t2 * scale)
-    # max(1.0, |e1|, |e2|) with Python's first-wins semantics
-    size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
-    size = np.where(np.abs(e2) > size, np.abs(e2), size)
-    i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
+    # quotients that overflow give inf or NaN extrapolations, which raise
+    # below naming the row, so the arithmetic on them passes silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotients = [
+            (g(_step_points(points, dirs, t * scale)) - g0) / (t * scale) for t in STEP_SCHEDULE
+        ]
+        t0, t1, t2 = STEP_SCHEDULE
+        e1 = _richardson(quotients[0], quotients[1], t0 * scale, t1 * scale)
+        e2 = _richardson(quotients[1], quotients[2], t1 * scale, t2 * scale)
+        # max(1.0, |e1|, |e2|) with Python's first-wins semantics
+        size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
+        size = np.where(np.abs(e2) > size, np.abs(e2), size)
+        i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
     if i is not None:
         raise NonsmoothUncertainError(
             f"nonsmooth-uncertain at x={points[i]} along d={dirs[i]}: "

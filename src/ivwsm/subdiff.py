@@ -91,13 +91,15 @@ def subgradient_margins(
     product ``s = h @ g_los``, and the margin is ``rhs_lo - s``: callers
     pass ``rhs_lo <= rhs_hi``, and subtracting the same s keeps that order
     after rounding, so this equals ``min(rhs_lo - s, rhs_hi - s)`` bit for
-    bit.
+    bit.  Products that overflow give -inf or NaN margins, which read as
+    failures, so they pass silently.
     """
-    s1 = h @ g_los
-    if g_los is g_his or np.array_equal(g_los, g_his):
-        return rhs_lo - s1
-    s2 = h @ g_his
-    return np.minimum(rhs_lo - np.minimum(s1, s2), rhs_hi - np.maximum(s1, s2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = h @ g_los
+        if g_los is g_his or np.array_equal(g_los, g_his):
+            return rhs_lo - s1
+        s2 = h @ g_his
+        return np.minimum(rhs_lo - np.minimum(s1, s2), rhs_hi - np.maximum(s1, s2))
 
 
 def _membership(margins: np.ndarray, rows: np.ndarray, slack: float) -> MembershipResult:

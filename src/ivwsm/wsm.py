@@ -175,10 +175,14 @@ class WsmReport:
 
 
 class _Context:
-    """Shared grid, directions and cached endpoint values for one problem."""
+    """Shared grid, directions and cached endpoint values for one problem.
+
+    It keeps the parts of the problem it reads, not the problem, which
+    holds it: without that cycle, refcounting frees a problem's grids as
+    soon as the problem goes."""
 
     def __init__(self, p: WsmProblem):
-        self.problem = p
+        self.f, self.s, self.sbar, self.margin_tol = p.f, p.s, p.sbar, p.margin_tol
         k = grid_density(p.s, p.grid)
         notes = []
         if k < p.grid:
@@ -220,9 +224,8 @@ class _Context:
         (``BoxSet.face_codes``), so the tangent and normal cones of both
         sets, and all that the checkers build from them, are those at the
         face's first row."""
-        p = self.problem
         g = self.sbar_grid
-        return group_rows(np.hstack([p.sbar.face_codes(g), p.s.face_codes(g)]))
+        return group_rows(np.hstack([self.sbar.face_codes(g), self.s.face_codes(g)]))
 
     def per_face(self, fn) -> list:
         """``fn(x)`` at the first row x of each face, in face order."""
@@ -234,14 +237,13 @@ class _Context:
         per candidate grid point and one column per direction; +inf where
         the direction leaves S (found once per face).  Built on first use,
         block by block into this one array: the upper end is never kept."""
-        p = self.problem
         face_of = self.faces[0]
-        inside = np.array(self.per_face(lambda x: p.s.tangent_cone(x).contains(self.dirs)))
+        inside = np.array(self.per_face(lambda x: self.s.tangent_cone(x).contains(self.dirs)))
         face_dirs = [self.dirs[mask] for mask in inside]
         lo = np.full((len(face_of), len(self.dirs)), np.inf)
         pairs = ((x, face_dirs[f]) for x, f in zip(self.sbar_grid, face_of))
         start = 0
-        for count, _, _, d_lo, _ in point_block_derivatives(p.f, pairs):
+        for count, _, _, d_lo, _ in point_block_derivatives(self.f, pairs):
             rows = slice(start, start + count)
             # boolean assignment fills row-major: point, then direction
             lo[rows][inside[face_of[rows]]] = d_lo
@@ -252,7 +254,7 @@ class _Context:
     @cached_property
     def tangent_dists(self) -> np.ndarray:
         """dist(d, T) per face and direction, T the tangent cone of Sbar."""
-        cone = self.problem.sbar.tangent_cone
+        cone = self.sbar.tangent_cone
         return np.array(self.per_face(lambda x: dist_to_cone(self.dirs, cone(x))))
 
     def primal_worst(self, alpha: float) -> tuple[float, int, int]:
@@ -280,7 +282,7 @@ class _Context:
         return np.subtract(self.gaps, out, out=out)
 
     def report(self, checker, margin, witness, labels, samples) -> WsmReport:
-        tol = self.problem.margin_tol
+        tol = self.margin_tol
         verdict = "holds" if margin >= -tol else "fails"
         return WsmReport(
             checker=checker,

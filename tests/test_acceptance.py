@@ -34,13 +34,13 @@ from ivwsm import (
     WsmProblem,
 )
 from ivwsm.cli import main
-from ivwsm.expr import ExprAst, ParseError, parse
+from ivwsm.expr import ParseError, parse
 from ivwsm.intervals import minkowski_sub
 from ivwsm.ivf import NonsmoothUncertainError
 from ivwsm.support import IntervalBoxSet
 
 from conftest import box_dist, cube, l1_ivf, point_box, random_convex_ivf, random_interval, vee_ivf, wsm_battery
-from test_expr import random_ast, to_source
+from test_expr import random_tree, tape_of, to_source
 from test_geometry import cone_ball_support_sampled
 from test_subdiff import sample_ex1_exterior, sample_ex1_interior
 
@@ -317,5 +317,5 @@ def test_a9_parser_robustness():
         gen = np.random.default_rng(1234)
         for _ in range(200):
             dimension = int(gen.integers(1, 4))
-            ast = ExprAst(random_ast(gen, dimension, int(gen.integers(1, 4))), dimension)
-            assert parse(to_source(ast), dimension) == ast
+            tree = random_tree(gen, dimension, int(gen.integers(1, 4)))
+            assert parse(to_source(tree), dimension).tape == tape_of(tree)

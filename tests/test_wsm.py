@@ -1,6 +1,8 @@
 """The five sharpness checkers, their concordance, and modulus estimation."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -361,6 +363,21 @@ class TestWithAlpha:
     def test_rejects_a_nonpositive_modulus(self):
         with pytest.raises(GuardError):
             vee_problem(0.2, grid=9).with_alpha(0.0)
+
+    def test_the_last_problem_to_go_frees_the_shared_context(self):
+        # no problem/context cycle: refcounting frees the grids, without
+        # waiting for the cycle collector
+        p = vee_problem(0.2, grid=9)
+        probe = p.with_alpha(0.3)
+        context = weakref.ref(p.context())
+        gc.disable()
+        try:
+            del p
+            assert context() is not None
+            del probe
+            assert context() is None
+        finally:
+            gc.enable()
 
 
 # -- per-point reference loops ----------------------------------------------
