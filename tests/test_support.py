@@ -118,6 +118,21 @@ class TestBoundedness:
         assert result.unbounded_direction[0] == -1.0
         assert oracle.support(result.unbounded_direction) is PLUS_INF
 
+    def test_box_bound_is_the_largest_corner_endpoint_per_axis(self):
+        # sum over axes of max(|L.lo|, |L.hi|, |U.lo|, |U.hi|), bit for bit
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 5, 8):
+            for scale in (1e-3, 1.0, 1e6):
+                l_lo = scale * rng.uniform(-2, 1, n)
+                l_hi = l_lo + scale * rng.uniform(0, 1, n)
+                u_lo = l_lo + scale * rng.uniform(0, 2, n)
+                u_hi = np.maximum(l_hi + scale * rng.uniform(0, 1, n), u_lo)
+                box = IntervalBoxSet(IVector(l_lo, l_hi), IVector(u_lo, u_hi))
+                corners = np.abs([l_lo, l_hi, u_lo, u_hi])
+                result = boundedness_check(box)
+                assert result.bounded
+                assert result.bound == float(np.sum(corners.max(axis=0)))
+
     def test_oracle_bound_covers_members(self):
         box = ex1_box()
         oracle = OracleIVecSet(1, lambda d: box.support(d))
