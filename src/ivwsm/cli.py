@@ -3,8 +3,9 @@
 Exit codes: 0 when every checker run holds, 1 when any fails, 2 on input
 errors and on objectives that cannot be evaluated or differentiated at
 some point (division by zero, overflow, a non-finite value, a kink inside
-the derivative probe range); the message names the point.  Besides the
-human-readable blocks, each checker emits one machine-readable line::
+the derivative probe range, a direction that leaves the domain at once);
+the message names the point.  Besides the human-readable blocks, each
+checker emits one machine-readable line::
 
     #DATA checker=<name> verdict=<holds|fails> margin=<float> witness=<floats> samples=<int>
 
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from .ivectors import IVector
-from .ivf import NonsmoothUncertainError, point_block_derivatives
+from .ivf import point_block_derivatives
 from .problems import ProblemFileError, build_problem, load_problem_file
 from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d
 from .support import FiniteIVecSet, default_directions, signed_basis
@@ -83,20 +84,17 @@ def _cmd_check(args) -> int:
     problem = _problem(args)
     if args.mode == "all":
         reports = check_all(problem)
-        printed_notes = False
-        for name in CHECKERS:
-            _print_report(reports[name])
-            if not printed_notes:
-                _print_notes(reports[name].notes)
-                printed_notes = True
+    else:
+        reports = {args.mode: CHECKERS[args.mode](problem)}
+    for i, report in enumerate(reports.values()):
+        _print_report(report)
+        if i == 0:
+            _print_notes(report.notes)
+    if args.mode == "all":
         agree = concordant(reports)
-        verdicts = ", ".join(f"{n}={reports[n].verdict}" for n in CHECKERS)
+        verdicts = ", ".join(f"{n}={r.verdict}" for n, r in reports.items())
         print(f"CONCORDANCE: {'agree' if agree else 'DISAGREE'} ({verdicts})")
-        return 0 if all(r.holds for r in reports.values()) else 1
-    report = CHECKERS[args.mode](problem)
-    _print_report(report)
-    _print_notes(report.notes)
-    return 0 if report.holds else 1
+    return 0 if all(r.holds for r in reports.values()) else 1
 
 
 def _cmd_modulus(args) -> int:
@@ -178,10 +176,10 @@ def _cmd_subdiff(args) -> int:
         # support values of the subgradient set = directional derivatives,
         # one pair per direction so a failure is that direction's own
         dirs = signed_basis(n)
-        ((_, _, _, lo, hi),) = point_block_derivatives(f, [(at, d[None]) for d in dirs])
         lines = [
             f"support along ({_fmt_vec(d)}): [{_fmt(d_lo)}, {_fmt(d_hi)}]"
-            for d, d_lo, d_hi in zip(dirs, lo, hi)
+            for _, _, block, lo, hi in point_block_derivatives(f, [(at, d[None]) for d in dirs])
+            for d, d_lo, d_hi in zip(block, lo, hi)
         ]
     if note is not None:
         lines.append(f"NOTE: {note}")
@@ -238,7 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, NonsmoothUncertainError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

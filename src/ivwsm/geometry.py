@@ -8,8 +8,8 @@ and distances to those cones are again per-axis clamps.
 
 Cone projection, membership and distance, and box membership and face
 codes, accept one vector or an (m, n) array of them, one result per row.
-A point's cones depend on it only through its face codes, so callers with
-many points build each cone once per face (``group_rows``).
+A point's cones depend only on its face codes, so callers with many points
+build each cone once per face (``group_rows``, ``OrthantCone.of_codes``).
 """
 
 from __future__ import annotations
@@ -73,6 +73,12 @@ class OrthantCone:
     def dimension(self) -> int:
         return len(self.tags)
 
+    @classmethod
+    def of_codes(cls, codes: np.ndarray) -> "OrthantCone":
+        """The tangent cone of a box at a point with these face codes
+        (``BoxSet.face_codes``): each axis's tag is its code."""
+        return cls(tuple(_TAGS[c] for c in codes.tolist()))
+
     def polar(self) -> "OrthantCone":
         return OrthantCone(tuple(_TAGS[3 - t] for t in self.tags))
 
@@ -99,10 +105,6 @@ class OrthantCone:
         # the bounds of both: nonneg with nonpos (or anything with zero)
         # meets only at the origin
         return OrthantCone(tuple(_TAGS[a | b] for a, b in zip(self.tags, other.tags)))
-
-    @property
-    def is_zero_cone(self) -> bool:
-        return all(t is Tag.ZERO for t in self.tags)
 
     def extreme_rays(self) -> list[np.ndarray]:
         """Unit generators: +-e_i on free axes, the signed e_i on ray axes."""
@@ -194,7 +196,7 @@ class BoxSet:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise ValueError(f"{x} is not a member of the box")
-        return OrthantCone(tuple(_TAGS[c] for c in self.face_codes(x).tolist()))
+        return OrthantCone.of_codes(self.face_codes(x))
 
     def normal_cone(self, x: Sequence[float]) -> OrthantCone:
         """Polar of the tangent cone at a member point."""

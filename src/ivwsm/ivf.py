@@ -23,11 +23,13 @@ subgradient set and the CLI's support values read it through
 :func:`point_block_derivatives`.  The one-point methods :meth:`Ivf.value`
 and :meth:`Ivf.dir_deriv` are one-row calls of these kernels, and
 :meth:`RestrictedIvf.dir_deriv` a one-row call of
-:meth:`RestrictedIvf.dir_derivs`, the one home of the +inf rule for
-directions that leave the feasible set; so each rule exists once.  A
-derivative call takes at most :data:`ROW_BLOCK` rows at a time, and
-:func:`point_block_derivatives` groups (point, directions) pairs into blocks
-of that size, so the temporary arrays of one call stay bounded.
+:meth:`RestrictedIvf.dir_derivs`, which gives +inf along directions that
+leave the feasible set; the checkers' table ``wsm._Context.deriv_lo``
+applies that rule once per face of the candidate grid, and a test holds
+its rows equal to ``dir_derivs``.  A derivative call takes at most
+:data:`ROW_BLOCK` rows at a time, and :func:`point_block_derivatives`
+groups (point, directions) pairs into blocks of that size, so the
+temporary arrays of one call stay bounded.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ class ModelError(ValueError):
     """The endpoint functions crossed: lower(x) > upper(x)."""
 
 
-class InfeasibleDirectionError(RuntimeError):
+class InfeasibleDirectionError(ValueError):
     """x + t*d leaves the domain for every small t > 0."""
 
 
-class NonsmoothUncertainError(RuntimeError):
+class NonsmoothUncertainError(ValueError):
     """Difference-quotient extrapolations failed to settle."""
 
 

@@ -106,22 +106,14 @@ class BoundednessResult:
 def boundedness_check(s: IVecSet) -> BoundednessResult:
     """Boundedness of the set, decided through its support values.
 
-    Finite sets and interval boxes are bounded by construction and return
-    an exact norm bound.  Oracle sets are probed over the signed basis: an
-    infinite support value pins down an unbounded direction; otherwise a
-    norm bound is assembled from the probes (each component's endpoints are
-    bounded by the support values along +-e_i).
+    Finite sets are bounded by construction and return an exact norm
+    bound.  Other sets are probed over the signed basis: an infinite
+    support value pins down an unbounded direction; otherwise a norm bound
+    is assembled from the probes (each component's endpoints are bounded
+    by the support values along +-e_i, exactly so for an interval box).
     """
     if isinstance(s, FiniteIVecSet):
         return BoundednessResult(True, max(vnorm(m) for m in s.members))
-    if isinstance(s, IntervalBoxSet):
-        bound = float(
-            np.maximum(
-                np.maximum(np.abs(s.lower.los), np.abs(s.lower.his)),
-                np.maximum(np.abs(s.upper.los), np.abs(s.upper.his)),
-            ).sum()
-        )
-        return BoundednessResult(True, bound)
     per_axis = np.zeros(s.dimension)
     for i, d in enumerate(signed_basis(s.dimension)):
         val = s.support(d)

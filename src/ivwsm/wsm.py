@@ -22,14 +22,15 @@ share one table of restricted directional derivatives, built on first use,
 and one table of margins (dual-b's support route is primal's table, by
 Moreau's decomposition); dual-e takes its derivatives in blocks of
 candidate points, dual-f in one call.  The cones of S and Sbar at a
-candidate point depend on it only through its face (``_Context.faces``),
-so the feasible directions, cone distances, members and dual-e's
-directions are built once per face.  Dual-e's directions repeat within a
-face, and dual-b's point-route pairs repeat across the grid (a pair reads
-its point only through F there and the coordinates its member does not
-zero); each distinct row or pair is tested once, in first-occurrence
-order, and every repeat still counts as a sample.  The definition checker
-and the modulus bisection read the same per-point margins
+candidate point depend on it only through its face codes, from which
+``_Context.faces`` builds them once per face; so are the feasible
+directions, cone distances, dual-b's members and dual-e's directions (both
+from ``_unit_members``).  Dual-e's directions repeat within a face, and
+dual-b's point-route pairs repeat across the grid (a pair reads its point
+only through F there and the coordinates its member does not zero); each
+distinct row or pair is tested once, in first-occurrence order, and every
+repeat still counts as a sample.  The definition checker and the modulus
+bisection read the same per-point margins
 (``_Context.definition_margins``), and they and dual-f read the same
 distances to Sbar (``_Context.dists``).  A NaN margin is never skipped: it
 is reported as the worst margin and fails.
@@ -45,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import BoxSet, dist_to_cone, group_rows, row_norms
+from .geometry import BoxSet, OrthantCone, dist_to_cone, group_rows, row_norms
 from .ivf import (
     Ivf,
     convexity_check,
@@ -217,19 +218,16 @@ class _Context:
         self.notes = tuple(notes)
 
     @cached_property
-    def faces(self) -> tuple[np.ndarray, np.ndarray]:
+    def faces(self) -> tuple[np.ndarray, list[tuple[OrthantCone, OrthantCone]]]:
         """The candidate grid grouped by face: the face of each ``sbar_grid``
-        row and the first row of each face.  A face is the pattern of
-        lower/upper-bound contacts with Sbar and with S on every axis
-        (``BoxSet.face_codes``), so the tangent and normal cones of both
-        sets, and all that the checkers build from them, are those at the
-        face's first row."""
-        g = self.sbar_grid
-        return group_rows(np.hstack([self.sbar.face_codes(g), self.s.face_codes(g)]))
-
-    def per_face(self, fn) -> list:
-        """``fn(x)`` at the first row x of each face, in face order."""
-        return [fn(x) for x in self.sbar_grid[self.faces[1]]]
+        row, and per face the tangent cones (T_S, T_Sbar) of S and Sbar.  A
+        face is the pattern of lower/upper-bound contacts with Sbar and
+        with S on every axis (``BoxSet.face_codes``), which are the cones'
+        tags; the normal cone of Sbar is ``T_Sbar.polar()``."""
+        g, cone, n = self.sbar_grid, OrthantCone.of_codes, self.sbar.dimension
+        codes = np.hstack([self.sbar.face_codes(g), self.s.face_codes(g)])
+        face_of, first = group_rows(codes)
+        return face_of, [(cone(c[n:]), cone(c[:n])) for c in codes[first]]
 
     @cached_property
     def deriv_lo(self) -> np.ndarray:
@@ -237,8 +235,8 @@ class _Context:
         per candidate grid point and one column per direction; +inf where
         the direction leaves S (found once per face).  Built on first use,
         block by block into this one array: the upper end is never kept."""
-        face_of = self.faces[0]
-        inside = np.array(self.per_face(lambda x: self.s.tangent_cone(x).contains(self.dirs)))
+        face_of, cones = self.faces
+        inside = np.array([t_s.contains(self.dirs) for t_s, _ in cones])
         face_dirs = [self.dirs[mask] for mask in inside]
         lo = np.full((len(face_of), len(self.dirs)), np.inf)
         pairs = ((x, face_dirs[f]) for x, f in zip(self.sbar_grid, face_of))
@@ -254,8 +252,7 @@ class _Context:
     @cached_property
     def tangent_dists(self) -> np.ndarray:
         """dist(d, T) per face and direction, T the tangent cone of Sbar."""
-        cone = self.sbar.tangent_cone
-        return np.array(self.per_face(lambda x: dist_to_cone(self.dirs, cone(x))))
+        return np.array([dist_to_cone(self.dirs, t_sbar) for _, t_sbar in self.faces[1]])
 
     def primal_worst(self, alpha: float) -> tuple[float, int, int]:
         """Margin, point and direction index of the first smallest (or first
@@ -359,14 +356,16 @@ def check_primal(p: WsmProblem) -> WsmReport:
     return ctx.report("primal", worst.margin, worst.witness, ("x", "d"), samples)
 
 
-def _cone_ball_points(cone, alpha: float, pool: np.ndarray) -> np.ndarray:
-    """Radius-alpha members of the cone-ball intersection, as rows: the
-    origin, the extreme rays and the clamped pool directions."""
+def _unit_members(cone: OrthantCone, pool: np.ndarray, scale: float) -> np.ndarray:
+    """Members of norm ``scale`` of the cone, as rows: the extreme rays,
+    then the pool directions projected onto the cone and rescaled (those
+    that project to near the origin are dropped); no rows for the zero
+    cone."""
     z = cone.project(pool)
     norms = row_norms(z)
     keep = norms > 1e-9
-    rays = [alpha * r for r in cone.extreme_rays()]
-    return np.vstack([np.zeros(cone.dimension), *rays, alpha * z[keep] / norms[keep, None]])
+    rays = [scale * r for r in cone.extreme_rays()]
+    return np.vstack([*rays, scale * z[keep] / norms[keep, None]])
 
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
@@ -403,9 +402,10 @@ def check_dual_normal_cone(p: WsmProblem) -> WsmReport:
     are those of a scan of every pair.
     """
     ctx = p.context()
-    face_of = ctx.faces[0]
+    face_of, cones = ctx.faces
     pool = ctx.dirs[: 2 * p.f.dimension + 16]
-    members = ctx.per_face(lambda x: _cone_ball_points(p.sbar.normal_cone(x), p.alpha, pool))
+    origin = np.zeros((1, p.f.dimension))
+    members = [np.vstack([origin, _unit_members(t.polar(), pool, p.alpha)]) for _, t in cones]
     distinct = [z[_first_occurrences(z)] for z in members]
     base_of, _ = group_rows(np.stack([ctx.flo_sbar, ctx.fhi_sbar], axis=1))
     # every (candidate point, distinct member of its face) pair, in scan order
@@ -452,22 +452,13 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
     those of the full scan.  Every row counts as a sample.
     """
     ctx = p.context()
-    face_of = ctx.faces[0]
-
-    def unit_dirs(x):
-        cone = p.s.tangent_cone(x).intersect(p.sbar.normal_cone(x))
-        if cone.is_zero_cone:
-            return None
-        z = cone.project(ctx.dirs)
-        norms = row_norms(z)
-        keep = norms > 1e-9
-        return np.vstack([*cone.extreme_rays(), z[keep] / norms[keep, None]])
-
-    face_dirs = ctx.per_face(unit_dirs)
-    distinct = [None if d is None else d[_first_occurrences(d)] for d in face_dirs]
-    samples = int(np.array([1 if d is None else len(d) for d in face_dirs])[face_of].sum())
+    face_of, cones = ctx.faces
+    face_dirs = [_unit_members(t_s.intersect(t.polar()), ctx.dirs, 1.0) for t_s, t in cones]
+    distinct = [d[_first_occurrences(d)] for d in face_dirs]
+    # an origin-only intersection has no rows, and counts one sample
+    samples = int(np.array([max(len(d), 1) for d in face_dirs])[face_of].sum())
     worst = _Worst()
-    pairs = ((x, distinct[f]) for x, f in zip(ctx.sbar_grid, face_of) if distinct[f] is not None)
+    pairs = ((x, distinct[f]) for x, f in zip(ctx.sbar_grid, face_of) if len(distinct[f]))
     for _, points, dirs, deriv_lo, _ in point_block_derivatives(p.f, pairs):
         worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), points, dirs)
     return ctx.report("dual-e", worst.margin, worst.witness, ("x", "d"), samples)

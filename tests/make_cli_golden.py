@@ -11,6 +11,10 @@ through ``cli.main`` in process.
 Run from the repository root only when the CLI output is meant to change::
 
     PYTHONPATH=src python3 tests/make_cli_golden.py
+
+Before it rewrites the file it prints the name of each run it adds,
+changes or removes, one per line, so a change lists its moved runs from
+this output.
 """
 
 from __future__ import annotations
@@ -69,6 +73,15 @@ def outcome(argv: list[str]) -> dict:
 
 def main() -> None:
     golden = {name: outcome(argv) for name, argv in corpus().items()}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name, result in golden.items():
+        if name not in old:
+            print(f"added: {name}")
+        elif result != old[name]:
+            print(f"changed: {name}")
+    for name in old:
+        if name not in golden:
+            print(f"removed: {name}")
     GOLDEN.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n")
 
 

@@ -455,6 +455,22 @@ class TestUnevaluableObjectives:
             "extrapolations -0.19999999999999998 and 0.0 disagree\n",
         )
 
+    def test_s_past_the_domain_within_tolerance_exits_two_in_dual_f(self, capsys):
+        # S passes the domain's containment check by its tolerance, and
+        # dual-f's ray from q = (-5e-13, 0) leaves the domain at once
+        path = str(REGRESSIONS / "s_past_domain_within_tolerance.txt")
+        for mode in ("all", "dual-f"):
+            assert main(["check", path, "--mode", mode]) == 2
+            assert capsys.readouterr() == (
+                "",
+                "error: no small-t feasibility: the direction [-5.000e-13  3.125e-02] "
+                "exits the domain immediately at [-5.e-13  0.e+00]\n",
+            )
+        for mode in ("definition", "primal", "dual-b", "dual-e"):
+            assert main(["check", path, "--mode", mode]) == 0
+        assert main(["modulus", path]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSubdiffCommand:
     def test_kink_box_printed(self, vee_file, capsys):
@@ -577,6 +593,22 @@ class TestSubdiffCommand:
             f"the {GRID_CAP}-point cap\n"
         )
         assert captured.out == ""
+
+    def test_support_values_in_more_dimensions_than_one_derivative_block(
+        self, tmp_path, capsys
+    ):
+        # 1025 axes give 2050 signed-basis directions, more than the 2048
+        # rows of one derivative block
+        n = 1025
+        path = tmp_path / "wide1025.txt"
+        path.write_text(
+            f"dimension: {n}\nlower: x1\nupper: x1 + 1\n"
+            f"domain: {' '.join(['-1 1'] * n)}\n"
+            f"S: {' '.join(['0 0'] * n)}\nSbar: {' '.join(['0 0'] * n)}\nalpha: 0.5\n"
+        )
+        assert main(["subdiff", str(path), "--at", " ".join(["0"] * n)]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("support along") == 2 * n and err == ""
 
     def test_failing_support_value_prints_no_partial_output(self, capsys):
         # the derivative along (1,0,0) settles; the one along (-1,0,0)

@@ -135,7 +135,7 @@ class TestConeOps:
         a = OrthantCone((Tag.FREE, Tag.NONPOS, Tag.NONNEG))
         b = OrthantCone((Tag.NONNEG, Tag.NONNEG, Tag.NONNEG))
         assert a.intersect(b).tags == (Tag.NONNEG, Tag.ZERO, Tag.NONNEG)
-        assert OrthantCone((Tag.ZERO,)).is_zero_cone
+        assert a.intersect(a.polar()).tags == (Tag.ZERO,) * 3
         # all 16 tag pairs, one per axis, against the case-by-case rule
         pairs = list(itertools.product(Tag, repeat=2))
         a = OrthantCone(tuple(s for s, _ in pairs))
