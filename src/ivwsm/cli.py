@@ -15,6 +15,7 @@ Identical input file and seed produce byte-identical ``#DATA`` lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -203,7 +204,10 @@ def _cmd_subdiff(args) -> int:
     return status
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``ivwsm`` argument parser, built on the first ``main`` call and
+    kept for the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="ivwsm",
         description="verify weak sharp minima of interval-valued objectives",
@@ -233,7 +237,11 @@ def main(argv=None) -> int:
     p_sub.add_argument("--probe", default=None, help="candidate interval vector: lo1 hi1 ...")
     p_sub.set_defaults(func=_cmd_subdiff)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

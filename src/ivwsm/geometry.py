@@ -215,10 +215,13 @@ class BoxSet:
             else:
                 axes.append(np.linspace(lo, hi, max(2, int(points_per_axis))))
         n = len(axes)
-        grid = np.empty((*(len(a) for a in axes), n))
+        # only free axes get an array dimension (NumPy allows 64); column j
+        # broadcasts axis j along them (no meshgrid copies), or a point
+        # axis's one value
+        free = [j for j, a in enumerate(axes) if len(a) > 1]
+        grid = np.empty((*(len(axes[j]) for j in free), n))
         for j, a in enumerate(axes):
-            # column j broadcasts axis j along the others (no meshgrid copies)
-            grid[..., j] = a.reshape([-1 if i == j else 1 for i in range(n)])
+            grid[..., j] = a.reshape([-1 if i == j else 1 for i in free])
         return grid.reshape(-1, n)
 
 

@@ -1,5 +1,9 @@
 """Problem files, CLI subcommands, exit codes, and report determinism."""
 
+import argparse
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +313,24 @@ def _wide_problem(free: int, s: str = "-1 1") -> str:
         f"domain: {' '.join(['-1 1'] * free)}\nS: {' '.join([s] * free)}\n"
         f"Sbar: {' '.join(['0 0'] * free)}\nalpha: 0.5\n"
     )
+
+
+@pytest.mark.parametrize("n", [64, 100])
+def test_point_candidates_past_numpys_64_dimensions_verify(tmp_path, capsys, n):
+    # the grid of a point S has no free axis; it used to take one array
+    # dimension per axis and exit 2 from 64 axes on
+    path = tmp_path / f"wide{n}.txt"
+    path.write_text(
+        f"dimension: {n}\nlower: x1\nupper: x1 + 1\n"
+        f"domain: {' '.join(['-1 1'] * n)}\n"
+        f"S: {' '.join(['0 0'] * n)}\nSbar: {' '.join(['0 0'] * n)}\nalpha: 0.1\n"
+    )
+    assert main(["check", str(path)]) == 0
+    out, err = capsys.readouterr()
+    data = [line for line in out.splitlines() if line.startswith("#DATA")]
+    assert len(data) == 5 and all(" verdict=holds " in line for line in data)
+    assert err == ""
+    assert main(["modulus", str(path)]) == 0
 
 
 class TestModulusCommand:
@@ -647,3 +669,67 @@ class TestConstantOnSbarGuard:
     def test_constant_objective_has_no_note(self, poly_file, capsys):
         main(["check", poly_file(), "--mode", "all"])
         assert not any("not constant" in line for line in capsys.readouterr().out.splitlines())
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once per process; a parse leaves
+    nothing behind that a later call could see."""
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # a parser built at import would cost every API-only caller
+        code = (
+            "import argparse\n"
+            "init, built = argparse.ArgumentParser.__init__, []\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import ivwsm.cli\n"
+            "print(len(built))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(ivwsm.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
+
+    def test_later_calls_construct_no_parser(self, vee_file, capsys, monkeypatch):
+        path = vee_file()
+        main(["check", path])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["check", path]) == 0
+        assert main(["modulus", path]) == 0
+        assert main(["subdiff", path, "--at", "0"]) == 0
+        assert built == []
+
+    def test_a_rejection_and_a_flag_leave_the_next_call_unchanged(self, vee_file, capsys):
+        path = vee_file()
+        ivwsm.cli._parser.cache_clear()
+        assert main(["check", path]) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as rejected:
+            main(["check", path, "--mode", "bogus"])
+        assert rejected.value.code == 2
+        assert main(["--grid", "9", "check", path]) == 0
+        capsys.readouterr()
+        assert main(["check", path]) == 0
+        assert capsys.readouterr() == first
+
+    def test_help_text_is_the_same_on_every_call(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as done:
+                main(["--help"])
+            assert done.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: ivwsm")

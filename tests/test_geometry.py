@@ -281,6 +281,20 @@ class TestBoxColumnKernels:
         assert grid.shape == expected.shape and grid.tobytes() == expected.tobytes()
         assert grid.flags.c_contiguous
 
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_point_axes_past_numpys_64_dimensions(self, n):
+        # only the free axes 3 and 40 span the grid; the other n - 2 columns
+        # hold their point values (meshgrid itself stops at 64 axes)
+        lo = np.linspace(-1.0, 1.0, n)
+        hi = lo.copy()
+        hi[[3, 40]] += 0.5
+        box = BoxSet(lo, hi)
+        grid = box.grid(5)
+        free = self.grid_reference(BoxSet(lo[[3, 40]], hi[[3, 40]]), 5)
+        expected = np.tile(lo, (len(free), 1))
+        expected[:, [3, 40]] = free
+        assert grid.shape == (25, n) and grid.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
     def test_project_equals_clip(self, n):
         rng = np.random.default_rng(n)
