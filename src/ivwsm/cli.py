@@ -109,9 +109,9 @@ def _cmd_modulus(args) -> int:
                 f"fails just above the estimate (alpha={_fmt(value + 2e-3)}): "
                 f"xbar=({_fmt_vec(a)}) x=({_fmt_vec(b)})"
             )
-        _print_notes(report.notes)
     else:
         print("no positive modulus passes on the grid")
+    _print_notes(problem.context().notes)
     print(f"estimated modulus: {_fmt(value)}")
     print(f"#DATA modulus={_fmt(value)}")
     return 0

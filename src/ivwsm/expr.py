@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -77,17 +77,19 @@ class EvalError(ArithmeticError):
     """Runtime evaluation failure (division by zero)."""
 
 
-_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_UINT = re.compile(r"[0-9]+$")
+#: One token at a position, named by its kind, or a run of whitespace (no
+#: group); a position where nothing matches is an unexpected character.
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|\s+"
+)
 #: Deepest nesting :func:`parse` accepts: the parser is inside at most this
 #: many grammar rules (four per parenthesized group, one per unary minus),
 #: so its recursive descent stays inside Python's recursion limit.
 MAX_DEPTH = 512
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | name | op | lparen | rparen | comma | eof
     text: str
     offset: int
@@ -96,35 +98,14 @@ class _Token:
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
     i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        # ASCII only: str.isdigit/isalpha accept more than the token patterns
-        if c.isascii() and c.isdigit():
-            m = _NUMBER.match(source, i)
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        if c.isascii() and c.isalpha():
-            m = _NAME.match(source, i)
-            tokens.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-        elif c == ",":
-            tokens.append(_Token("comma", c, i))
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-        i += 1
-    tokens.append(_Token("eof", "", n))
+    while i < len(source):
+        m = _TOKEN.match(source, i)
+        if m is None:
+            raise ParseError(f"unexpected character {source[i]!r}", i)
+        if m.lastgroup:
+            tokens.append(_Token(m.lastgroup, m.group(), i))
+        i = m.end()
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
@@ -174,7 +155,7 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             tok = self.peek()
-            if tok.kind != "number" or not _UINT.match(tok.text) or float(tok.text) >= 1e308:
+            if tok.kind != "number" or not tok.text.isdigit() or float(tok.text) >= 1e308:
                 raise ParseError("exponent must be a nonnegative integer below 1e308", tok.offset)
             self.advance()
             self.tape.append(("^", int(tok.text)))

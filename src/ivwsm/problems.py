@@ -56,7 +56,7 @@ class ProblemSpec:
     lines: dict[str, int]  # field name -> line of the key it came from
 
 
-def _parse_box(text: str, dimension: int, line: int) -> BoxSet:
+def _parse_box(text: str, line: int, dimension: int) -> BoxSet:
     try:
         values = [float(tok) for tok in text.split()]
     except ValueError:
@@ -92,38 +92,27 @@ def parse_problem_text(text: str) -> ProblemSpec:
         if key not in entries:
             raise ProblemFileError(f"missing required key {key!r}")
 
-    def text_of(key):
-        return entries[key][0]
+    def number(key, convert):
+        value, line = entries[key]
+        try:
+            return convert(value)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ProblemFileError(f"{key} must be {kind}", line)
 
-    def line_of(key):
-        return entries[key][1]
-
-    try:
-        dimension = int(text_of("dimension"))
-    except ValueError:
-        raise ProblemFileError("dimension must be an integer", line_of("dimension"))
+    dimension = number("dimension", int)
     if dimension < 1:
-        raise ProblemFileError("dimension must be >= 1", line_of("dimension"))
+        raise ProblemFileError("dimension must be >= 1", entries["dimension"][1])
     endpoints = {}
     for key in ("lower", "upper"):
+        source, line = entries[key]
         try:
-            endpoints[key] = parse(text_of(key), dimension)
+            endpoints[key] = parse(source, dimension)
         except ParseError as exc:
-            raise ProblemFileError(f"{key} expression: {exc}", line_of(key))
-    domain = _parse_box(text_of("domain"), dimension, line_of("domain"))
-    s = _parse_box(text_of("S"), dimension, line_of("S"))
-    sbar = _parse_box(text_of("Sbar"), dimension, line_of("Sbar"))
-    try:
-        alpha = float(text_of("alpha"))
-    except ValueError:
-        raise ProblemFileError("alpha must be a number", line_of("alpha"))
-    optional = {}
-    for key in OPTIONAL_KEYS:
-        if key in entries:
-            try:
-                optional[key] = int(text_of(key))
-            except ValueError:
-                raise ProblemFileError(f"{key} must be an integer", line_of(key))
+            raise ProblemFileError(f"{key} expression: {exc}", line)
+    domain, s, sbar = (_parse_box(*entries[key], dimension) for key in ("domain", "S", "Sbar"))
+    alpha = number("alpha", float)
+    optional = {key: number(key, int) for key in OPTIONAL_KEYS if key in entries}
     return ProblemSpec(
         dimension=dimension,
         lower=endpoints["lower"],
@@ -140,7 +129,7 @@ def parse_problem_text(text: str) -> ProblemSpec:
 
 def load_problem_file(path: str | Path) -> ProblemSpec:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}")
     return parse_problem_text(text)

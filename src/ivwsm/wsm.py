@@ -324,9 +324,10 @@ def check_definition(p: WsmProblem) -> WsmReport:
     the candidate point where that endpoint attains M.
     """
     ctx = p.context()
-    margins = ctx.definition_margins(p.alpha)
-    i = int(np.argmin(margins))
-    t = p.alpha * ctx.dists[i]
+    with np.errstate(over="ignore"):  # an overflow gives a -inf margin, a failure
+        margins = ctx.definition_margins(p.alpha)
+        i = int(np.argmin(margins))
+        t = p.alpha * ctx.dists[i]
     margin_lo = ctx.flo_s[i] - ctx.flo_sbar.max() - t
     margin_hi = ctx.fhi_s[i] - ctx.fhi_sbar.max() - t
     j = int(np.argmax(ctx.flo_sbar if margin_lo <= margin_hi else ctx.fhi_sbar))
@@ -473,7 +474,8 @@ def check_dual_f(p: WsmProblem) -> WsmReport:
     q = ctx.proj
     far = ctx.dists > 1e-12
     deriv_lo, _ = dir_derivatives(p.f, q[far], ctx.s_grid[far] - q[far])
-    worst.update_rows(deriv_lo - p.alpha * ctx.dists[far], ctx.s_grid[far], q[far])
+    with np.errstate(over="ignore"):  # an overflow gives a -inf margin, a failure
+        worst.update_rows(deriv_lo - p.alpha * ctx.dists[far], ctx.s_grid[far], q[far])
     samples = len(ctx.s_grid)
     return ctx.report("dual-f", worst.margin, worst.witness, ("y", "p"), samples)
 

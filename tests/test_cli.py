@@ -1,6 +1,7 @@
 """Problem files, CLI subcommands, exit codes, and report determinism."""
 
 import argparse
+import codecs
 import os
 import subprocess
 import sys
@@ -110,10 +111,12 @@ class TestProblemParsing:
             ("seed: 7", "seed: 7\ngrid: 2.5", 10, "grid must be an integer"),
             ("S: -1 1", "S: -1 one", 6, "box values must be numbers, got '-1 one'"),
             ("S: -1 1", "S: -1", 6, "box needs 2 values (lo/hi per axis), got 1"),
+            ("seed: 7", "seed: x", 9, "seed must be an integer"),
         ],
         ids=[
             "no-colon", "duplicate-key", "fractional-dimension", "zero-dimension",
             "alpha-not-a-number", "fractional-grid", "box-not-numbers", "box-too-short",
+            "seed-not-an-integer",
         ],
     )
     def test_file_error_reports_its_line(self, old, new, line, message):
@@ -122,6 +125,29 @@ class TestProblemParsing:
         with pytest.raises(ProblemFileError) as err:
             parse_problem_text(text.replace(old, new))
         assert str(err.value) == f"line {line}: {message}"
+
+    def test_errors_are_found_in_key_order_not_line_order(self):
+        text = VEE.format(alpha=0.2)
+        # a bad alpha on line 1 and a bad S on line 7: the boxes are read first
+        bad = "alpha: fast\n" + text.replace("alpha: 0.2\n", "").replace("S: -1 1", "S: -1 one")
+        with pytest.raises(ProblemFileError, match=r"^line 7: box values must be numbers"):
+            parse_problem_text(bad)
+        # a bad grid on line 1 and a bad alpha on line 9: alpha is read first
+        bad = "grid: 2.5\n" + text.replace("alpha: 0.2", "alpha: fast")
+        with pytest.raises(ProblemFileError, match=r"^line 9: alpha must be a number$"):
+            parse_problem_text(bad)
+
+    def test_a_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        text = VEE.format(alpha=0.2).encode()
+        data = []
+        for name, content in [("plain.txt", text), ("bom.txt", codecs.BOM_UTF8 + text)]:
+            path = tmp_path / name
+            path.write_bytes(content)
+            assert main(["check", str(path)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            data.append([line for line in out.splitlines() if line.startswith("#DATA")])
+        assert data[0] == data[1] and len(data[0]) == 5
 
     def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
         path = tmp_path / "latin.txt"
@@ -355,6 +381,19 @@ class TestModulusCommand:
     def test_missing_file_exits_two(self, capsys):
         assert main(["modulus", "/nonexistent/problem.txt"]) == 2
 
+    def test_no_positive_modulus_still_prints_the_notes(self, capsys):
+        path = str(PROBLEMS / "poly2d.txt")
+        main(["check", path, "--mode", "definition"])
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("NOTE: ")]
+        assert len(notes) == 1 and "convexity" in notes[0]
+        assert main(["modulus", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "no positive modulus passes on the grid",
+            *notes,
+            "estimated modulus: 0",
+            "#DATA modulus=0",
+        ]
+
     def test_probe_reuses_the_built_problem(self, vee_file, capsys, monkeypatch):
         calls = []
 
@@ -434,6 +473,17 @@ def test_an_alpha_near_the_float_limit_fails_with_nothing_on_stderr(capsys):
     assert err == "" and out.count("verdict=fails") == 5
     assert main(["modulus", path]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_alpha_times_a_distance_past_the_float_range_fails_silently(capsys):
+    # alpha * dist(x, Sbar) = 2e308 is inf: the definition and dual-f
+    # margins are -inf, failures, and no overflow warning is printed
+    path = str(REGRESSIONS / "alpha_times_distance_overflow.txt")
+    assert main(["check", path, "--mode", "all"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("verdict=fails") == 5
+    for checker in ("definition", "dual-f"):
+        assert f"#DATA checker={checker} verdict=fails margin=-inf" in out
 
 
 class TestUnevaluableObjectives:

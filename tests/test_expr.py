@@ -8,6 +8,8 @@ them, and :func:`eval_node_reference` evaluates them one Python float
 operation per node.
 """
 
+import re
+import string
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivwsm import EvalError, ParseError, evaluate, parse
-from ivwsm.expr import MAX_DEPTH
+from ivwsm.expr import MAX_DEPTH, _tokenize, _Token
 
 Node = Union["Const", "Var", "Neg", "Abs", "Bin", "Pow", "MinMax"]
 
@@ -492,3 +494,85 @@ class TestFuzz:
                 outcomes["error"] += 1
             # anything else propagates and fails the test
         assert outcomes["error"] > 100  # the corpus does exercise failures
+
+
+# The per-character tokenizer that the named-group pattern replaced, verbatim
+# with its two regexes: the reference the pattern must match token for token.
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+
+
+def reference_tokenize(source: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        # ASCII only: str.isdigit/isalpha accept more than the token patterns
+        if c.isascii() and c.isdigit():
+            m = _NUMBER.match(source, i)
+            tokens.append(_Token("number", m.group(), i))
+            i = m.end()
+            continue
+        if c.isascii() and c.isalpha():
+            m = _NAME.match(source, i)
+            tokens.append(_Token("name", m.group(), i))
+            i = m.end()
+            continue
+        if c in "+-*/^":
+            tokens.append(_Token("op", c, i))
+        elif c == "(":
+            tokens.append(_Token("lparen", c, i))
+        elif c == ")":
+            tokens.append(_Token("rparen", c, i))
+        elif c == ",":
+            tokens.append(_Token("comma", c, i))
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+        i += 1
+    tokens.append(_Token("eof", "", n))
+    return tokens
+
+
+def tokens_or_error(tokenize, source: str):
+    """Each token's (kind, text, offset), or the ParseError's message and
+    offset."""
+    try:
+        return [(tok.kind, tok.text, tok.offset) for tok in tokenize(source)]
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+TOKENIZER_ALPHABET = (
+    list("+-*/^(),.e" + string.ascii_letters + string.digits)
+    # whitespace, ASCII and not
+    + [" ", "\t", "\n", "\u00a0", "\u2003"]
+    # non-ASCII digits and letters: superscript two, Arabic-Indic three,
+    # e acute, fullwidth x
+    + ["\u00b2", "\u0663", "\u00e9", "\uff58"]
+)
+
+
+class TestTokenizer:
+    @settings(derandomize=True, database=None, max_examples=600)
+    @given(st.text(alphabet=st.sampled_from(TOKENIZER_ALPHABET), max_size=24))
+    def test_matches_the_per_character_reference(self, source):
+        assert tokens_or_error(_tokenize, source) == tokens_or_error(reference_tokenize, source)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("2x1", [("number", "2", 0), ("name", "x1", 1), ("eof", "", 3)]),
+            ("1e", [("number", "1", 0), ("name", "e", 1), ("eof", "", 2)]),
+            ("1e+5", [("number", "1e+5", 0), ("eof", "", 4)]),
+            (".5", ("unexpected character '.' (at offset 0)", 0)),
+            ("1.2.3", ("unexpected character '.' (at offset 3)", 3)),
+            ("x1\u00b2", ("unexpected character '\u00b2' (at offset 2)", 2)),
+        ],
+    )
+    def test_token_boundaries(self, source, expected):
+        assert tokens_or_error(_tokenize, source) == expected
+        assert tokens_or_error(reference_tokenize, source) == expected
