@@ -250,9 +250,11 @@ def _power(stack, exponent, rows):
     base = stack[-1]
     stack[-1] = out = np.float_power(base, float(exponent))
     # Python's float ** int raises where a finite base overflows
-    overflow = np.isinf(out) & np.isfinite(base)
+    overflow = np.isinf(out)
     if overflow.any() and len(rows):
-        raise OverflowError(f"'^{exponent}' overflows at x={rows[np.argmax(overflow)]}")
+        overflow &= np.isfinite(base)
+        if overflow.any():
+            raise OverflowError(f"'^{exponent}' overflows at x={rows[np.argmax(overflow)]}")
 
 
 def _extremum(beats):

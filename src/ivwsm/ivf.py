@@ -17,12 +17,12 @@ The kernels work on ``(m, n)`` arrays of points and directions:
 call when the endpoints carry batched forms (expression objectives always
 do), and loop over the rows otherwise.  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
-(finite endpoints, lower not above upper), and every derivative from
-:func:`dir_derivatives`, the one home of the analytic route; the 1-d
-subgradient set and the CLI's support values read it through
-:func:`point_block_derivatives`.  The one-point methods :meth:`Ivf.value`
-and :meth:`Ivf.dir_deriv` are one-row calls of these kernels, and
-:meth:`RestrictedIvf.dir_deriv` a one-row call of
+(finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
+upper), and every derivative from :func:`dir_derivatives`, the one home
+of the analytic route; the 1-d subgradient set and the CLI's support
+values read it through :func:`point_block_derivatives`.  The one-point
+methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` are one-row calls of
+these kernels, and :meth:`RestrictedIvf.dir_deriv` a one-row call of
 :meth:`RestrictedIvf.dir_derivs`, which gives +inf along directions that
 leave the feasible set; the checkers' table ``wsm._Context.deriv_lo``
 applies that rule once per face of the candidate grid, and a test holds
@@ -30,6 +30,10 @@ its rows equal to ``dir_derivs``.  A derivative call takes at most
 :data:`ROW_BLOCK` rows at a time, and :func:`point_block_derivatives`
 groups (point, directions) pairs into blocks of that size, so the
 temporary arrays of one call stay bounded.
+
+A block costs a fixed number of NumPy calls, so their per-call and per-row
+overheads are its cost: the numeric route works in place and takes row
+minima one column at a time, keeping the plain formulas' bits.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from .geometry import BoxSet, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 
 Endpoint = Callable[[np.ndarray], float]
-#: Batched endpoint: the values at each row of an (m, n) array of points.
+#: Batched endpoint: the values at each row of an (m, n) array of points, in
+#: a new float array (the numeric derivative writes its quotients into it).
 RowEndpoint = Callable[[np.ndarray], np.ndarray]
 
 #: Decreasing probe steps for one-sided difference quotients.
@@ -56,6 +61,9 @@ AGREEMENT_RTOL = 1e-4
 GRAD_MATCH_RTOL = 1e-5
 #: Slack allowed between lower(x) and upper(x) before declaring a model error.
 ENDPOINT_ORDER_TOL = 1e-9
+#: Largest endpoint magnitude :func:`endpoint_rows` accepts, so that the
+#: difference of any two endpoint values is finite.
+ENDPOINT_MAX = np.finfo(float).max / 2
 #: Chord-inequality slack of the sampled convexity check.
 CONVEXITY_TOL = 1e-9
 #: Most (point, direction) rows one batched derivative kernel call takes;
@@ -204,17 +212,29 @@ def endpoint_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lower and upper at each row of an (m, n) array of points.
 
     A non-finite value raises ValueError naming its point, as the
-    ``Interval`` constructor does for one point; lower above upper by more
-    than :data:`ENDPOINT_ORDER_TOL` raises ModelError naming its point, and
-    a smaller crossing (round-off at coinciding endpoints) gives both
+    ``Interval`` constructor does for one point, and so, after those, does
+    a value beyond :data:`ENDPOINT_MAX` in magnitude, whose differences
+    with other values could overflow; lower above upper by more than
+    :data:`ENDPOINT_ORDER_TOL` raises ModelError naming its point, and a
+    smaller crossing (round-off at coinciding endpoints) gives both
     endpoints the midpoint.
     """
     points = np.asarray(points, dtype=float)
     lo, hi = _rows(f.lower)(points), _rows(f.upper)(points)
-    for name, vals in (("lower", lo), ("upper", hi)):
-        i = _first(~np.isfinite(vals))
-        if i is not None:
-            raise ValueError(f"{name}({points[i]}) = {vals[i]} is not finite")
+    # NaN, inf and a value past ENDPOINT_MAX all fail one test, and then
+    # every non-finite value is reported before one that is only too large
+    if not ((np.abs(lo) <= ENDPOINT_MAX).all() and (np.abs(hi) <= ENDPOINT_MAX).all()):
+        for name, vals in (("lower", lo), ("upper", hi)):
+            i = _first(~np.isfinite(vals))
+            if i is not None:
+                raise ValueError(f"{name}({points[i]}) = {vals[i]} is not finite")
+        for name, vals in (("lower", lo), ("upper", hi)):
+            i = _first(np.abs(vals) > ENDPOINT_MAX)
+            if i is not None:
+                raise ValueError(
+                    f"{name}({points[i]}) = {vals[i]} exceeds {ENDPOINT_MAX:.9g} in "
+                    "magnitude, where differences of endpoint values overflow"
+                )
     i = _first(lo > hi + ENDPOINT_ORDER_TOL)
     if i is not None:
         x = points[i]
@@ -236,26 +256,40 @@ def _step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndar
     with np.errstate(divide="ignore", invalid="ignore"):
         t_exit /= dirs
     t_exit[~((dirs > 0) | (dirs < 0))] = np.inf
-    t_exit = t_exit.min(axis=1)
-    i = _first(t_exit <= 0)
+    # the row minimum by columns (NumPy reduces a short last axis row by
+    # row); a row with a NaN coordinate is NaN either way
+    columns = iter(t_exit.T)
+    t_min = next(columns).copy()
+    for column in columns:
+        np.minimum(t_min, column, out=t_min)
+    i = _first(t_min <= 0)
     if i is not None:
         raise InfeasibleDirectionError(
             f"no small-t feasibility: the direction {dirs[i]} exits the domain "
             f"immediately at {points[i]}"
         )
-    ratio = 0.5 * t_exit / STEP_SCHEDULE[0]
-    return np.where(ratio < 1.0, ratio, 1.0)
+    t_min *= 0.5
+    t_min /= STEP_SCHEDULE[0]
+    # min(ratio, 1.0), and 1.0 for NaN (the ratio is positive)
+    return np.fmin(t_min, 1.0, out=t_min)
 
 
-def _step_points(points: np.ndarray, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """x + t*d per row, with one (m, n) temporary."""
-    moved = t[:, None] * dirs
+def _quotient(g: RowEndpoint, points, dirs, g0, t: float, scale) -> np.ndarray:
+    """(g(x + h*d) - g(x)) / h per row pair, h = t * scale, in the array g
+    returns; x + h*d takes one (m, n) temporary, h is not kept."""
+    moved = (t * scale)[:, None] * dirs
     moved += points
-    return moved
+    q = g(moved)
+    q -= g0
+    q /= t * scale
+    return q
 
 
 def _richardson(qa, qb, ta, tb):
-    return (ta * qb - tb * qa) / (ta - tb)
+    e = ta * qb
+    e -= tb * qa
+    e /= ta - tb
+    return e
 
 
 def _one_sided_rows(
@@ -267,22 +301,23 @@ def _one_sided_rows(
     ``t * scale`` for t in :data:`STEP_SCHEDULE` (:func:`_step_scale`),
     removes the first-order error by extrapolation, and demands the last
     two extrapolations agree.  Each step array is formed where it is used
-    rather than kept, which bounds the temporaries of a block.
+    rather than kept, and the arithmetic runs in place, which bounds the
+    temporaries of a block.
     """
     g0 = g(points)
+    t0, t1, t2 = STEP_SCHEDULE
     # quotients that overflow give inf or NaN extrapolations, which raise
     # below naming the row, so the arithmetic on them passes silently
     with np.errstate(over="ignore", invalid="ignore"):
-        quotients = [
-            (g(_step_points(points, dirs, t * scale)) - g0) / (t * scale) for t in STEP_SCHEDULE
-        ]
-        t0, t1, t2 = STEP_SCHEDULE
-        e1 = _richardson(quotients[0], quotients[1], t0 * scale, t1 * scale)
-        e2 = _richardson(quotients[1], quotients[2], t1 * scale, t2 * scale)
+        q0, q1, q2 = (_quotient(g, points, dirs, g0, t, scale) for t in STEP_SCHEDULE)
+        e1 = _richardson(q0, q1, t0 * scale, t1 * scale)
+        e2 = _richardson(q1, q2, t1 * scale, t2 * scale)
         # max(1.0, |e1|, |e2|) with Python's first-wins semantics
-        size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
-        size = np.where(np.abs(e2) > size, np.abs(e2), size)
-        i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
+        size = np.fmax(np.abs(e1), 1.0)
+        np.fmax(size, np.abs(e2), out=size)
+        size *= AGREEMENT_RTOL
+        gap = np.subtract(e1, e2)
+        i = _first(np.abs(gap, out=gap) > size)
     if i is not None:
         raise NonsmoothUncertainError(
             f"nonsmooth-uncertain at x={points[i]} along d={dirs[i]}: "
@@ -319,11 +354,11 @@ def dir_derivatives(
         ]
         return tuple(np.concatenate(ends) for ends in zip(*parts))
     if f.analytic_dir_deriv is not None:
-        lo, hi = np.empty(len(points)), np.empty(len(points))
-        for i, (x, d) in enumerate(zip(points, dirs)):
-            value = f.analytic_dir_deriv(x, d)
-            lo[i], hi[i] = value.lo, value.hi
-        return lo, hi
+        values = [f.analytic_dir_deriv(x, d) for x, d in zip(points, dirs)]
+        return (
+            np.fromiter((value.lo for value in values), float, len(values)),
+            np.fromiter((value.hi for value in values), float, len(values)),
+        )
     scale = _step_scale(f.domain, points, dirs)
     d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
     d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
@@ -397,7 +432,7 @@ def convexity_check(f: Ivf, samples: int, seed: int) -> Optional[ConvexityCounte
 def lipschitz_estimate(f: Ivf, samples: int, seed: int) -> float:
     """Max sampled ratio ||F(x) gh- F(y)|| / ||x - y||.
 
-    A lower bound on any valid Lipschitz constant of the function.
+    A lower bound on any valid Lipschitz constant of the function, or inf.
     """
     n = f.dimension
     lo, span = f.domain.lo, f.domain.hi - f.domain.lo
@@ -411,5 +446,6 @@ def lipschitz_estimate(f: Ivf, samples: int, seed: int) -> float:
     lo_vals, hi_vals = endpoint_rows(f, pairs.reshape(-1, n))
     d_lo = lo_vals[0::2] - lo_vals[1::2]
     d_hi = hi_vals[0::2] - hi_vals[1::2]
-    ratios = np.maximum(np.abs(d_lo), np.abs(d_hi)) / gaps
+    with np.errstate(over="ignore"):  # a ratio past the float range reads inf
+        ratios = np.maximum(np.abs(d_lo), np.abs(d_hi)) / gaps
     return float(ratios.max(initial=0.0))

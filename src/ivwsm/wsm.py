@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -504,7 +505,8 @@ def estimate_modulus(p: WsmProblem) -> float:
 
     Bisects the definition predicate over (0, alpha_hi], where alpha_hi
     comes from a Lipschitz-based cap (no modulus can outgrow the slope of
-    the endpoints).  Returns 0 when not even a tiny modulus passes.
+    the endpoints), held to the largest float, and stops at adjacent
+    floats.  Returns 0 when not even a tiny modulus passes.
     """
     ctx = p.context()
     margins = np.empty_like(ctx.dists)
@@ -512,17 +514,22 @@ def estimate_modulus(p: WsmProblem) -> float:
     def passes(alpha: float) -> bool:
         return bool(ctx.definition_margins(alpha, margins).min() >= -p.margin_tol)
 
-    if not passes(1e-6):
-        return 0.0
-    lip = lipschitz_estimate(p.f, 400, p.seed)
-    hi = max(1.25 * lip, 1e-2)
-    if passes(hi):
-        return hi
-    lo = 1e-6
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
+    # an overflow of alpha * dist gives a -inf margin, a failure
+    with np.errstate(over="ignore"):
+        if not passes(1e-6):
+            return 0.0
+        lip = lipschitz_estimate(p.f, 400, p.seed)
+        hi = min(max(1.25 * lip, 1e-2), sys.float_info.max)
+        if passes(hi):
+            return hi
+        lo = 1e-6
+        while hi - lo > 1e-3:
+            # 0.5 * (lo + hi) bit for bit, without overflowing past 1e308
+            mid = 0.5 * lo + 0.5 * hi
+            if not lo < mid < hi:
+                break  # adjacent floats, which are more than 1e-3 apart past 4.5e12
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
     return lo

@@ -486,6 +486,69 @@ def test_alpha_times_a_distance_past_the_float_range_fails_silently(capsys):
         assert f"#DATA checker={checker} verdict=fails margin=-inf" in out
 
 
+def package_env() -> dict:
+    """The environment with the tested ``ivwsm`` first on PYTHONPATH, for
+    a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ivwsm.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+STEEP = """\
+dimension: 1
+lower: {scale}*abs(x1 + 1)
+upper: {scale}*abs(x1 + 1)
+domain: -1 1
+S: -1 1
+Sbar: -1 -1
+alpha: 1
+grid: 5
+"""
+
+
+@pytest.mark.parametrize(
+    "text, code, out, err",  # out: the last line printed, if any
+    [
+        # endpoint differences past the float range: no Lipschitz cap
+        (
+            (REGRESSIONS / "endpoints_near_float_max.txt").read_text(),
+            2,
+            "",
+            "error: lower([-1.]) = -1e+308 exceeds 8.98846567e+307 in magnitude, where "
+            "differences of endpoint values overflow\n",
+        ),
+        # finite endpoint differences, but the sampled slopes (1e311)
+        # overflow: the Lipschitz cap is inf, held to the largest float,
+        # where every modulus passes
+        (
+            "dimension: 1\nlower: 1e308*(1e3*x1)\nupper: 1e308*(1e3*x1)\n"
+            "domain: -1e-4 1e-4\nS: -1e-4 1e-4\nSbar: -1e-4 -1e-4\nalpha: 1\ngrid: 5\n",
+            0,
+            "#DATA modulus=1.79769313e+308",
+            "",
+        ),
+        # past 4.5e12 adjacent floats lie more than 1e-3 apart, so the
+        # bisection ends where lo and hi are adjacent
+        (STEEP.format(scale="4e307"), 0, "#DATA modulus=4e+307", ""),
+        (STEEP.format(scale="1e14"), 0, "#DATA modulus=1e+14", ""),
+    ],
+    ids=["endpoints-near-float-max", "infinite-cap", "modulus-4e307", "modulus-1e14"],
+)
+def test_modulus_ends_on_steep_objectives(tmp_path, text, code, out, err):
+    # in a subprocess with a timeout: a bisection that never ends fails
+    # the test instead of stopping the suite
+    path = tmp_path / "steep.txt"
+    path.write_text(text)
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ivwsm.cli", "modulus", str(path)],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (code, err)
+    assert run.stdout.splitlines()[-1:] == ([out] if out else [])
+
+
 class TestUnevaluableObjectives:
     """Objectives that cannot be evaluated or differentiated at a grid point
     end in exit 2 with the point named, never in a traceback."""
@@ -497,6 +560,10 @@ class TestUnevaluableObjectives:
             ("power_overflow.txt", "'^400' overflows at x=[-1.]"),
             ("kink_in_probe_range.txt", "nonsmooth-uncertain at x=[0.] along d=[1.]"),
             ("nonfinite_in_domain.txt", "lower([-9.66944729]) = inf is not finite"),
+            (
+                "endpoints_near_float_max.txt",
+                "lower([-1.]) = -1e+308 exceeds 8.98846567e+307 in magnitude",
+            ),
             ("crossed_outside_s.txt", "exceeds upper"),
             # S passes the domain's containment check by its tolerance, and
             # dual-f's ray from q = (-5e-13, 0) leaves the domain at once
@@ -737,12 +804,9 @@ class TestParserReuse:
             "import ivwsm.cli\n"
             "print(len(built))\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(ivwsm.cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
-        )
         run = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(),
+            timeout=120,
         )
         assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
 

@@ -393,6 +393,9 @@ class TestCompiledRows:
     def test_infinite_base_does_not_overflow(self):
         # Python's inf ** 2 is inf without an error; so is the tape's
         assert evaluate(parse("(x1*1e308*10)^2", 1), [1.0]) == np.inf
+        # among inf rows, the first whose base was finite is named
+        with pytest.raises(OverflowError, match=r"overflows at x=\[1\.\]"):
+            parse("(x1*1e300)^2", 1).rows(np.array([[1e9], [1.0], [2.0]]))
 
 
 # Precedence levels used by the printer: a child is parenthesized whenever

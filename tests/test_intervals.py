@@ -1,5 +1,7 @@
 """Interval arithmetic, the gH difference, dominance, and suprema."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,16 +25,77 @@ def corner_scale(k: float, a: Interval) -> Interval:
     return Interval(min(prods), max(prods))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 class TestConstruction:
+    @staticmethod
+    def message(lo, hi) -> str:
+        with pytest.raises(ValueError) as info:
+            Interval(lo, hi)
+        return str(info.value)
+
     def test_rejects_reversed_endpoints(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
+        assert self.message(1.0, 0.0) == "interval endpoints out of order: lo=1.0 > hi=0.0"
+        assert self.message(np.float64(2.5), np.int64(-3)) == (
+            "interval endpoints out of order: lo=2.5 > hi=-3.0"
+        )
+        assert self.message(5e-324, -0.0) == "interval endpoints out of order: lo=5e-324 > hi=-0.0"
 
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            Interval(float("nan"), 1.0)
-        with pytest.raises(ValueError):
-            Interval(0.0, float("inf"))
+        for lo, hi, shown in [
+            (NAN, 1.0, "[nan, 1.0]"),
+            (0.0, NAN, "[0.0, nan]"),
+            (NAN, NAN, "[nan, nan]"),
+            (0.0, INF, "[0.0, inf]"),
+            (-INF, 0.0, "[-inf, 0.0]"),
+            (-INF, INF, "[-inf, inf]"),
+            # finiteness is reported before order
+            (INF, 0.0, "[inf, 0.0]"),
+            (0.0, -INF, "[0.0, -inf]"),
+            (INF, INF, "[inf, inf]"),
+            (-INF, -INF, "[-inf, -inf]"),
+            (np.float64(NAN), np.float32(1), "[nan, 1.0]"),
+        ]:
+            assert self.message(lo, hi) == f"interval endpoints must be finite, got {shown}"
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (np.float64(0.25), np.float64(1.5)),
+            (np.int64(-2), np.int32(3)),
+            (np.float32(0.1), np.float16(0.5)),
+            (-1.7976931348623157e308, 1.7976931348623157e308),
+            (-0.0, 0.0),
+            (3, 3),
+        ],
+    )
+    def test_endpoints_are_stored_as_python_floats(self, lo, hi):
+        iv = Interval(lo, hi)
+        assert type(iv.lo) is float and type(iv.hi) is float
+        assert (iv.lo, iv.hi) == (float(lo), float(hi))
+        assert np.signbit(iv.lo) == np.signbit(float(lo))
+        assert vars(iv) == {"lo": float(lo), "hi": float(hi)}
+
+    def test_fields_are_frozen(self):
+        iv = Interval(0.0, 1.0)
+        for name in ("lo", "hi"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(iv, name, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del iv.lo
+        assert (iv.lo, iv.hi) == (0.0, 1.0)
+
+    def test_equality_and_hash_are_those_of_the_endpoint_pair(self):
+        a = Interval(np.float64(0.5), 2)
+        assert a == Interval(0.5, 2.0) and hash(a) == hash(Interval(0.5, 2.0))
+        assert hash(a) == hash((0.5, 2.0))
+        assert Interval(-0.0, 0.0) == Interval(0.0, 0.0)
+        assert hash(Interval(-0.0, 0.0)) == hash(Interval(0.0, 0.0))
+        assert a != Interval(0.5, 2.5) and a != (0.5, 2.0)
+        assert dataclasses.astuple(a) == (0.5, 2.0)
+        assert dataclasses.replace(a, hi=3) == Interval(0.5, 3.0)
+        assert len({a, Interval(0.5, 2.0), Interval(0.5, 2.5)}) == 2
 
     def test_degenerate_behaves_as_the_real(self):
         p = Interval.degenerate(3.5)

@@ -1,6 +1,7 @@
 """Evaluation, directional derivatives, gradients, convexity and Lipschitz
 estimation of interval-valued objectives."""
 
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -17,6 +18,7 @@ from ivwsm.intervals import is_finite
 from ivwsm import ivf as ivf_module
 from ivwsm.ivf import (
     AGREEMENT_RTOL,
+    ENDPOINT_MAX,
     ENDPOINT_ORDER_TOL,
     ROW_BLOCK,
     STEP_SCHEDULE,
@@ -24,6 +26,11 @@ from ivwsm.ivf import (
     InfeasibleDirectionError,
     ModelError,
     NonsmoothUncertainError,
+    _first,
+    _one_sided_rows,
+    _richardson,
+    _rows,
+    _step_scale,
     endpoint_rows,
     point_block_derivatives,
 )
@@ -230,6 +237,19 @@ class TestBatchedDerivatives:
         with pytest.raises(ValueError, match=r"lower\(\[1\.\]\) = inf is not finite"):
             endpoint_rows(f, np.array([[0.5], [1.0]]))
 
+    def test_an_endpoint_past_half_the_float_range_names_the_point(self):
+        f = Ivf.from_expressions("1e308*x1", "1e308*x1 + abs(x1)*1e308", cube(1, -2, 2))
+        assert ENDPOINT_MAX == np.finfo(float).max / 2
+        message = r"lower\(\[-1\.\]\) = -1e\+308 exceeds 8\.98846567e\+307 in magnitude"
+        with pytest.raises(ValueError, match=message):
+            endpoint_rows(f, np.array([[0.25], [-1.0], [-2.0 / 3]]))
+        # at 1, lower is 1e308 and upper inf: every non-finite value is
+        # reported first
+        with pytest.raises(ValueError, match=r"upper\(\[1\.\]\) = inf is not finite"):
+            endpoint_rows(f, np.array([[1.0]]))
+        with pytest.raises(ValueError, match=r"upper\(\[0\.5\]\) = 1e\+308 exceeds"):
+            endpoint_rows(f, np.array([[0.25], [0.5]]))
+
     def test_endpoints_crossing_within_the_order_tolerance_meet_at_the_midpoint(self):
         f = Ivf.from_expressions("max(x1, 1e-10)", "2*abs(x1)", cube(1, -1, 1))
         assert 1e-10 <= ENDPOINT_ORDER_TOL
@@ -343,6 +363,11 @@ class TestLipschitz:
     def test_identity(self):
         f = make_ivf(1, lambda x: x[0], lambda x: x[0], 0, 1)
         assert lipschitz_estimate(f, 4000, seed=5) == pytest.approx(1.0, abs=1e-2)
+
+    def test_a_slope_past_the_float_range_reads_inf_silently(self):
+        # slope 1e311 on [-1e-4, 1e-4], where the values stay below 1e307
+        f = Ivf.from_expressions("1e308*(1e3*x1)", "1e308*(1e3*x1)", cube(1, -1e-4, 1e-4))
+        assert lipschitz_estimate(f, 400, seed=0) == np.inf
 
 
 class TestSubgradientInequality:
@@ -488,3 +513,270 @@ class TestRowBlocks:
             table = ctx.deriv_lo
         assert table.shape == (len(ctx.sbar_grid), len(ctx.dirs))
         assert same_bits(table, rows)
+
+
+# The numeric kernel and the analytic loop as they were before their
+# arithmetic moved in place, verbatim: the kernel must give their results
+# bit for bit (signed zeros included) and raise their errors.
+
+
+def reference_step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    # per entry, the t at which x + t*d meets the bound it heads for
+    t_exit = np.where(dirs > 0, domain.hi, domain.lo)
+    t_exit -= points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_exit /= dirs
+    t_exit[~((dirs > 0) | (dirs < 0))] = np.inf
+    t_exit = t_exit.min(axis=1)
+    i = _first(t_exit <= 0)
+    if i is not None:
+        raise InfeasibleDirectionError(
+            f"no small-t feasibility: the direction {dirs[i]} exits the domain "
+            f"immediately at {points[i]}"
+        )
+    ratio = 0.5 * t_exit / STEP_SCHEDULE[0]
+    return np.where(ratio < 1.0, ratio, 1.0)
+
+
+def reference_step_points(points: np.ndarray, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    moved = t[:, None] * dirs
+    moved += points
+    return moved
+
+
+def reference_richardson(qa, qb, ta, tb):
+    return (ta * qb - tb * qa) / (ta - tb)
+
+
+def reference_one_sided_rows(g, points: np.ndarray, dirs: np.ndarray, scale: np.ndarray):
+    g0 = g(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotients = [
+            (g(reference_step_points(points, dirs, t * scale)) - g0) / (t * scale)
+            for t in STEP_SCHEDULE
+        ]
+        t0, t1, t2 = STEP_SCHEDULE
+        e1 = reference_richardson(quotients[0], quotients[1], t0 * scale, t1 * scale)
+        e2 = reference_richardson(quotients[1], quotients[2], t1 * scale, t2 * scale)
+        # max(1.0, |e1|, |e2|) with Python's first-wins semantics
+        size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
+        size = np.where(np.abs(e2) > size, np.abs(e2), size)
+        i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
+    if i is not None:
+        raise NonsmoothUncertainError(
+            f"nonsmooth-uncertain at x={points[i]} along d={dirs[i]}: "
+            f"extrapolations {e1[i]} and {e2[i]} disagree"
+        )
+    i = _first(~np.isfinite(e2))
+    if i is not None:
+        raise ValueError(
+            f"directional derivative {e2[i]} at x={points[i]} along d={dirs[i]} "
+            "is not finite"
+        )
+    return e2
+
+
+def reference_dir_derivatives(f: Ivf, points, dirs):
+    """One block (at most ROW_BLOCK rows) of dir_derivatives, through the
+    reference kernel and the reference analytic loop."""
+    points, dirs = np.broadcast_arrays(
+        np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
+    )
+    if f.analytic_dir_deriv is not None:
+        lo, hi = np.empty(len(points)), np.empty(len(points))
+        for i, (x, d) in enumerate(zip(points, dirs)):
+            value = f.analytic_dir_deriv(x, d)
+            lo[i], hi[i] = value.lo, value.hi
+        return lo, hi
+    scale = reference_step_scale(f.domain, points, dirs)
+    d_lo = reference_one_sided_rows(_rows(f.lower), points, dirs, scale)
+    d_hi = reference_one_sided_rows(_rows(f.upper), points, dirs, scale)
+    # min/max(d_lo, d_hi) with Python's first-wins semantics
+    return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+
+
+def kernel_block(rng: np.random.Generator, n: int, rows: int = 64):
+    """The box [-2, 2]^n and a block of points and directions in it: about
+    a fifth of the coordinates on a bound, and a tenth within 2e-3 of one
+    and heading for it (so the steps shrink); about a fifth of the
+    direction components 0.0 or -0.0, and the first direction all zero;
+    every row heads into the box or along its faces."""
+    points = rng.uniform(-2, 2, size=(rows, n))
+    dirs = rng.normal(size=(rows, n))
+    near = rng.random((rows, n)) < 0.1
+    points[near] = np.sign(points[near]) * (2.0 - rng.uniform(0, 2e-3, size=near.sum()))
+    dirs[near] = np.sign(points[near]) * (1.0 + np.abs(dirs[near]))
+    on = rng.random((rows, n)) < 0.2
+    points[on] = rng.choice([-2.0, 2.0], size=on.sum())
+    dirs[rng.random((rows, n)) < 0.2] = rng.choice([0.0, -0.0])
+    dirs[0] = 0.0
+    dirs[points == 2.0] = -np.abs(dirs[points == 2.0])
+    dirs[points == -2.0] = np.abs(dirs[points == -2.0])
+    return cube(n, -2, 2), points, dirs
+
+
+def outcome(call):
+    """What a call gives: its array or arrays, or the type and message of
+    the error it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def failed(result) -> bool:
+    return isinstance(result[0], type)
+
+
+def same_outcome(actual, expected) -> bool:
+    """The same error, or the same arrays bit for bit."""
+    if failed(actual) or failed(expected):
+        return failed(actual) and failed(expected) and actual == expected
+    if isinstance(expected, np.ndarray):
+        actual, expected = [actual], [expected]
+    return len(actual) == len(expected) and all(map(same_bits, actual, expected))
+
+
+KERNEL_SEEDS = range(32)
+
+
+class TestKernelMatchesTheReference:
+    """The numeric kernel and the analytic loop against their references on
+    derandomized blocks in 1 to 4 dimensions."""
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_step_scale(self, seed):
+        domain, points, dirs = kernel_block(np.random.default_rng(seed), 1 + seed % 4)
+        expected = reference_step_scale(domain, points, dirs)
+        assert (expected < 1.0).any() and (expected == 1.0).any()
+        assert same_bits(_step_scale(domain, points, dirs), expected)
+        # a component pointing out of a bound exits at once: the same error
+        out = points == 2.0
+        flipped = np.where(out, np.abs(dirs) + 1.0, dirs)
+        error = outcome(lambda: reference_step_scale(domain, points, flipped))
+        assert error[0] is InfeasibleDirectionError
+        assert outcome(lambda: _step_scale(domain, points, flipped)) == error
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_richardson(self, seed):
+        rng = np.random.default_rng(seed)
+        qa, qb = rng.normal(size=(2, 50)) * 10.0 ** rng.integers(-300, 300, size=(2, 50))
+        qa[:5], qb[3:8] = [0.0, -0.0, np.inf, -np.inf, np.nan], 0.0
+        qb[8:10] = -0.0
+        scale = rng.uniform(1e-3, 1.0, size=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_richardson(qa, qb, 1e-3 * scale, 1e-4 * scale)
+            assert same_bits(_richardson(qa, qb, 1e-3 * scale, 1e-4 * scale), expected)
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_numeric_route(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 4
+        domain, points, dirs = kernel_block(rng, n)
+        trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
+        f = Ivf.from_expressions(to_source(trees[0]), to_source(trees[1]), domain)
+        # the whole block, which raises if any row does, and the block of
+        # the rows that do not raise on their own
+        fine = [
+            i
+            for i, (x, d) in enumerate(zip(points[:, None], dirs[:, None]))
+            if not failed(outcome(lambda: reference_dir_derivatives(f, x, d)))
+        ]
+        assert len(fine) >= len(points) // 2
+        for rows in (slice(None), fine):
+            block = points[rows], dirs[rows]
+            expected = outcome(lambda: reference_dir_derivatives(f, *block))
+            assert same_outcome(outcome(lambda: dir_derivatives(f, *block)), expected)
+            scale = reference_step_scale(domain, *block)
+            for g in (f.lower.rows, f.upper.rows):
+                expected = outcome(lambda: reference_one_sided_rows(g, *block, scale))
+                assert same_outcome(outcome(lambda: _one_sided_rows(g, *block, scale)), expected)
+
+    @pytest.mark.parametrize(
+        "lower, upper, point, direction, error",
+        [
+            # the direction heads out of the domain at once
+            ("abs(x1)", "2*abs(x1)", [2.0, 0.5], [1.0, -1.0], InfeasibleDirectionError),
+            # a kink 5e-4 ahead
+            ("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", [0.0, 1.0], [1.0, 0.0],
+             NonsmoothUncertainError),
+            # every difference quotient overflows
+            ("x1*1e308*x2", "x1*1e308*x2 + 1", [0.0, 2.0], [1.0, 0.0], ValueError),
+        ],
+        ids=["infeasible", "nonsmooth", "not-finite"],
+    )
+    def test_numeric_errors_name_the_first_failing_row(
+        self, lower, upper, point, direction, error
+    ):
+        f = Ivf.from_expressions(lower, upper, cube(2, -2, 2))
+        points, dirs = [[0.5, 0.0], point, point], [[1.0, 0.0], direction, direction]
+        expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
+        assert expected[0] is error and str(np.array(point)) in expected[1]
+        assert outcome(lambda: dir_derivatives(f, points, dirs)) == expected
+
+    def test_a_lower_endpoint_error_wins_over_an_earlier_upper_one(self):
+        # upper has a kink ahead of the first row, lower ahead of the
+        # second: lower is differentiated first, so its error is raised
+        f = Ivf.from_expressions("abs(x1 - 0.5005)", "2*abs(x1 + 0.5005)", cube(1, -2, 2))
+        points, dirs = [[-0.5], [0.5]], [[-1.0], [1.0]]
+        expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
+        assert expected[0] is NonsmoothUncertainError and "x=[0.5]" in expected[1]
+        assert outcome(lambda: dir_derivatives(f, points, dirs)) == expected
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_analytic_route(self, seed):
+        f = random_convex_ivf(seed, 1 + seed % 4)
+        _, points, dirs = kernel_block(np.random.default_rng(seed), f.dimension)
+        points *= 0.75  # inside the objective's domain [-1.5, 1.5]^n
+        expected = reference_dir_derivatives(f, points, dirs)
+        assert same_outcome(dir_derivatives(f, points, dirs), expected)
+
+    def test_an_analytic_error_is_the_first_rows(self):
+        def deriv(x, d):
+            if x[0] > 0:
+                raise ValueError(f"no derivative at {x}")
+            return Interval(d[0], 2 * abs(d[0]))
+
+        f = make_ivf(1, abs, abs, -2, 2)
+        f = replace(f, analytic_dir_deriv=deriv)
+        points, dirs = [[-1.0], [0.5], [1.0]], [[1.0], [-1.0], [1.0]]
+        expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
+        assert expected == (ValueError, "no derivative at [0.5]")
+        assert outcome(lambda: dir_derivatives(f, points, dirs)) == expected
+
+    def test_the_agreement_test_near_its_threshold(self):
+        # rows whose extrapolations differ by about AGREEMENT_RTOL times the
+        # larger of 1, |e1| and |e2|, e1 or e2 the larger, so the nonsmooth
+        # test is decided within rounding of its threshold
+        t0, t1, _ = STEP_SCHEDULE
+        ends = []
+        for a in (1e4, -1e4, 3.0, 0.5):
+            for k in np.linspace(0.999, 1.001, 21):
+                gap = np.sign(a) * AGREEMENT_RTOL * max(abs(a), 1.0) * k
+                ends += [(a, a - gap), (a - gap, a)]
+        e1, e2 = np.array(ends).T
+        # quotients c0, c1 = c2 = e2 give the extrapolations e1 and e2
+        quotients = [(t0 * e2 - e1 * (t0 - t1)) / t1, e2, e2]
+
+        def g(points):
+            # called at the points, then at each step in turn: the rise over
+            # the points is the quotient times the step
+            call = next(calls)
+            if call == 0:
+                return np.zeros(len(points))
+            return quotients[call - 1][rows] * STEP_SCHEDULE[call - 1]
+
+        rows = np.arange(len(e1))
+        raised = 0
+        while len(rows):
+            block = rows[:, None].astype(float), np.ones((len(rows), 1)), np.ones(len(rows))
+            calls = iter(range(4))
+            expected = outcome(lambda: reference_one_sided_rows(g, *block))
+            calls = iter(range(4))
+            assert same_outcome(outcome(lambda: _one_sided_rows(g, *block)), expected)
+            if not failed(expected):
+                break
+            raised += 1
+            first = int(re.search(r"at x=\[(\d+)\.\]", expected[1]).group(1))
+            rows = rows[rows > first]
+        assert 10 < raised < len(e1) - 10
