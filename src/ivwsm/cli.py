@@ -2,10 +2,11 @@
 
 Exit codes: 0 when every checker run holds, 1 when any fails, 2 on input
 errors and on objectives that cannot be evaluated or differentiated at
-some point (division by zero, overflow, a non-finite value, a kink inside
-the derivative probe range, a direction that leaves the domain at once);
-the message names the point.  Besides the human-readable blocks, each
-checker emits one machine-readable line::
+some point (division by zero, overflow, a non-finite value or derivative,
+a direction that leaves the domain at once); the message names the point.
+Derivatives of problem files are exact, so a kink never makes them
+uncertain.  Besides the human-readable blocks, each checker emits one
+machine-readable line::
 
     #DATA checker=<name> verdict=<holds|fails> margin=<float> witness=<floats> samples=<int>
 

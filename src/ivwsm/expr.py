@@ -24,11 +24,16 @@ The parser emits a flat post-order tape of ``(opcode, arg)`` instructions
 (:attr:`ExprAst.tape`), each right after its operands.
 :meth:`ExprAst.rows` runs the tape on a value stack over the rows of an
 ``(m, n)`` array of points, one NumPy rule per opcode (:data:`_RULES`);
-:func:`evaluate` is a one-row call of it.
+:func:`evaluate` is a one-row call of it.  :meth:`ExprAst.tangent_rows`
+runs the same rules and, after each, a tangent rule (:data:`_TANGENTS`),
+which gives the exact one-sided directional derivative along a row of
+directions: every operation here is smooth or piecewise linear, so the
+derivative needs no difference quotient and no step.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -63,6 +68,28 @@ class ExprAst:
         (value,) = stack
         # a tape of constants only gives one scalar: broadcast it once
         return value if np.ndim(value) else np.full(len(points), value)
+
+    def tangent_rows(self, points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The m values of the expression at the rows of an (m, n) array of
+        points, and its exact one-sided derivatives along the matching rows
+        of dirs: one pass that runs each instruction's rule (:data:`_RULES`)
+        and then its tangent rule (:data:`_TANGENTS`) on the operands' values."""
+        stack, tangents = [], []
+        with np.errstate(all="ignore"):
+            for opcode, arg in self.tape:
+                first = len(stack) - _ARITY.get(opcode, arg)
+                operands, operand_tangents = stack[first:], tangents[first:]
+                del tangents[first:]
+                _RULES[opcode](stack, arg, points)
+                tangents.append(
+                    _TANGENTS[opcode](arg, operands, stack[-1], operand_tangents, dirs)
+                )
+        (value,), (tangent,) = stack, tangents
+        m = len(points)
+        return (
+            value if np.ndim(value) else np.full(m, value),
+            tangent if np.ndim(tangent) else np.full(m, tangent),
+        )
 
 
 class ParseError(ValueError):
@@ -281,6 +308,40 @@ _RULES = {
     "^": _power,
     "min": _extremum(np.less),
     "max": _extremum(np.greater),
+}
+
+
+# Each tangent rule gives the one-sided derivative of an instruction's result
+# along the row's direction from the operands' values, the result and the
+# operands' derivatives (Griewank's piecewise-linear rules): the chain rule
+# where the operation is smooth, |t| for ``abs`` at 0, and for ``min``/``max``
+# the extremum of the derivatives of the arguments tied with the result.  A
+# constant's derivative is the scalar 0.0.  A rule's arguments (k, v, r, t,
+# d) are the instruction's arg, the operands' values, the result, the
+# operands' derivatives and the direction rows.
+
+
+def _extremum_tangent(pick, untied):
+    return lambda k, v, r, t, d: functools.reduce(
+        pick, [np.where(value == r, tangent, untied) for value, tangent in zip(v, t)]
+    )
+
+
+#: How many operands each opcode takes; ``min`` and ``max`` take their arg.
+_ARITY = {"const": 0, "var": 0, "neg": 1, "abs": 1, "^": 1, "+": 2, "-": 2, "*": 2, "/": 2}
+
+_TANGENTS = {
+    "const": lambda k, v, r, t, d: 0.0,
+    "var": lambda k, v, r, t, d: d[:, k].copy(),
+    "neg": lambda k, v, r, t, d: -t[0],
+    "abs": lambda k, v, r, t, d: np.where(v[0] == 0.0, abs(t[0]), np.sign(v[0]) * t[0]),
+    "+": lambda k, v, r, t, d: t[0] + t[1],
+    "-": lambda k, v, r, t, d: t[0] - t[1],
+    "*": lambda k, v, r, t, d: t[0] * v[1] + v[0] * t[1],
+    "/": lambda k, v, r, t, d: (t[0] - r * t[1]) / v[1],
+    "^": lambda k, v, r, t, d: k * np.float_power(v[0], k - 1.0) * t[0] if k else 0.0,
+    "min": _extremum_tangent(np.minimum, np.inf),
+    "max": _extremum_tangent(np.maximum, -np.inf),
 }
 
 

@@ -7,10 +7,13 @@ check probes.  One-sided directional derivatives of the endpoints exist
 everywhere for convex endpoints; the interval-valued directional
 derivative is the interval spanned by the two endpoint derivatives.
 
-Numeric directional derivatives use three decreasing steps and first-order
-extrapolation.  Two successive extrapolations must agree; disagreement is
-reported as "nonsmooth-uncertain" rather than guessed through, since it
-means a kink sits inside the probe range.
+Endpoints with a tangent form (a parsed expression's
+:meth:`~ivwsm.expr.ExprAst.tangent_rows`) get exact one-sided derivatives
+from one pass over their tapes, kinks included.  Other endpoints get
+numeric ones: three decreasing steps and first-order extrapolation.  Two
+successive extrapolations must agree; disagreement is reported as
+"nonsmooth-uncertain" rather than guessed through, since it means a kink
+sits inside the probe range.
 
 The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
@@ -33,7 +36,9 @@ temporary arrays of one call stay bounded.
 
 A block costs a fixed number of NumPy calls, so their per-call and per-row
 overheads are its cost: the numeric route works in place and takes row
-minima one column at a time, keeping the plain formulas' bits.
+minima one column at a time, keeping the plain formulas' bits, and the
+exact route makes one tape pass per endpoint where the numeric one makes
+four.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ ENDPOINT_ORDER_TOL = 1e-9
 #: Largest endpoint magnitude :func:`endpoint_rows` accepts, so that the
 #: difference of any two endpoint values is finite.
 ENDPOINT_MAX = np.finfo(float).max / 2
-#: Chord-inequality slack of the sampled convexity check.
+#: Chord-inequality slack of the sampled convexity check, relative to the
+#: size of the chord's terms (and absolute below size 1).
 CONVEXITY_TOL = 1e-9
 #: Most (point, direction) rows one batched derivative kernel call takes;
 #: longer calls run block by block.
@@ -104,7 +110,9 @@ class Ivf:
     to build them from expression text.  An endpoint with a ``rows``
     attribute (a parsed :class:`ExprAst` has one) is evaluated at every row
     of an (m, n) array in one call; other endpoints are called once per
-    row.  ``analytic_dir_deriv``, when supplied, replaces the numeric
+    row.  Endpoints that both have ``tangent_rows`` (as parsed expressions
+    do) are differentiated exactly, others numerically.
+    ``analytic_dir_deriv``, when supplied, replaces the exact or numeric
     directional derivative (:func:`dir_derivatives`).
     """
 
@@ -246,10 +254,10 @@ def endpoint_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The factor, per row pair of points and dirs, on the steps of
-    :data:`STEP_SCHEDULE`: below 1 where x + t*d leaves the domain box
-    closer than twice the largest step."""
+def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The largest t, per row pair of points and dirs, with x + t*d in the
+    domain box (inf along a zero direction); InfeasibleDirectionError names
+    the first row where it is not positive."""
     # per entry, the t at which x + t*d meets the bound it heads for
     t_exit = np.where(dirs > 0, domain.hi, domain.lo)
     t_exit -= points
@@ -268,6 +276,14 @@ def _step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndar
             f"no small-t feasibility: the direction {dirs[i]} exits the domain "
             f"immediately at {points[i]}"
         )
+    return t_min
+
+
+def _step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The factor, per row pair of points and dirs, on the steps of
+    :data:`STEP_SCHEDULE`: below 1 where x + t*d leaves the domain box
+    closer than twice the largest step."""
+    t_min = _exit_steps(domain, points, dirs)
     t_min *= 0.5
     t_min /= STEP_SCHEDULE[0]
     # min(ratio, 1.0), and 1.0 for NaN (the ratio is positive)
@@ -323,13 +339,18 @@ def _one_sided_rows(
             f"nonsmooth-uncertain at x={points[i]} along d={dirs[i]}: "
             f"extrapolations {e1[i]} and {e2[i]} disagree"
         )
-    i = _first(~np.isfinite(e2))
+    return _finite(e2, points, dirs)
+
+
+def _finite(derivs: np.ndarray, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """derivs, once ValueError has named the first row where it is not finite."""
+    i = _first(~np.isfinite(derivs))
     if i is not None:
         raise ValueError(
-            f"directional derivative {e2[i]} at x={points[i]} along d={dirs[i]} "
+            f"directional derivative {derivs[i]} at x={points[i]} along d={dirs[i]} "
             "is not finite"
         )
-    return e2
+    return derivs
 
 
 def dir_derivatives(
@@ -340,7 +361,10 @@ def dir_derivatives(
     ``points`` and ``dirs`` broadcast against each other, so one point with
     (k, n) directions works.  Returns the lower and upper endpoint arrays:
     the analytic derivative when supplied (one call per row), otherwise the
-    span of the two endpoint derivatives.  More than :data:`ROW_BLOCK` rows
+    span of the two endpoint derivatives, exact when both endpoints carry
+    ``tangent_rows`` and numeric otherwise; both routes raise the same
+    errors for a direction that leaves the domain at once and for a
+    derivative that is not finite.  More than :data:`ROW_BLOCK` rows
     run block by block, so an error names the first failing row of the
     first block that has one.
     """
@@ -359,9 +383,14 @@ def dir_derivatives(
             np.fromiter((value.lo for value in values), float, len(values)),
             np.fromiter((value.hi for value in values), float, len(values)),
         )
-    scale = _step_scale(f.domain, points, dirs)
-    d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
-    d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
+    exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
+    if None in exact:
+        scale = _step_scale(f.domain, points, dirs)
+        d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
+        d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
+    else:
+        _exit_steps(f.domain, points, dirs)
+        d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in exact)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
 
@@ -405,8 +434,9 @@ def convexity_check(f: Ivf, samples: int, seed: int) -> Optional[ConvexityCounte
 
     Draws random (x1, x2, lambda) triples from domain x domain x [0, 1] and
     tests the chord inequality for each endpoint function, up to
-    :data:`CONVEXITY_TOL`; the first violation in draw order (lower before
-    upper) is returned.
+    :data:`CONVEXITY_TOL` times ``max(1, |lam*g(x1)| + |(1-lam)*g(x2)| +
+    |g(mid)|)``, so round-off at any scale passes; the first violation in
+    draw order (lower before upper) is returned.
     """
     n = f.dimension
     lo, span = f.domain.lo, f.domain.hi - f.domain.lo
@@ -417,10 +447,16 @@ def convexity_check(f: Ivf, samples: int, seed: int) -> Optional[ConvexityCounte
     lam = draws[:, 2 * n]
     mid = lam[:, None] * x1 + (1 - lam)[:, None] * x2
     values = [endpoint_rows(f, p) for p in (x1, x2, mid)]
-    gaps = np.stack(  # (samples, 2): lower, upper
-        [gm - (lam * g1 + (1 - lam) * g2) for g1, g2, gm in zip(*values)], axis=1
-    )
-    k = _first(gaps.ravel() > CONVEXITY_TOL)
+    chords = [(lam * g1, (1 - lam) * g2, gm) for g1, g2, gm in zip(*values)]
+    gaps = np.stack([gm - (a + b) for a, b, gm in chords], axis=1)  # (samples, 2)
+    over = gaps > CONVEXITY_TOL
+    if over.any():
+        # and past CONVEXITY_TOL * (|a| + |b| + |gm|), scaled before the
+        # last sum, which could pass the float range near ENDPOINT_MAX
+        sizes = [CONVEXITY_TOL * (abs(a) + abs(b)) + CONVEXITY_TOL * abs(gm)
+                 for a, b, gm in chords]
+        over &= gaps > np.stack(sizes, axis=1)
+    k = _first(over.ravel())
     if k is None:
         return None
     i, j = divmod(k, 2)

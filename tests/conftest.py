@@ -3,7 +3,8 @@ sharpness battery used by the checker-concordance tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,6 +69,15 @@ def make_ivf(
             b = _du(x, d)
             return Interval(min(a, b), max(a, b))
     return Ivf(n, lower, upper, cube(n, lo, hi), analytic)
+
+
+def numeric_ivf(lower: str, upper: str, domain: BoxSet) -> Ivf:
+    """``Ivf.from_expressions`` with endpoints that carry only the batched
+    ``rows`` form, so their derivatives take the numeric route, as those
+    of an opaque callable do."""
+    f = Ivf.from_expressions(lower, upper, domain)
+    return replace(f, lower=SimpleNamespace(rows=f.lower.rows),
+                   upper=SimpleNamespace(rows=f.upper.rows))
 
 
 def vee_ivf(c_lo: float = 0.25, c_hi: float = 1.0, center: float = 0.0,

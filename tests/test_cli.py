@@ -558,7 +558,6 @@ class TestUnevaluableObjectives:
         [
             ("division_by_zero.txt", "division by zero at x=[0.]"),
             ("power_overflow.txt", "'^400' overflows at x=[-1.]"),
-            ("kink_in_probe_range.txt", "nonsmooth-uncertain at x=[0.] along d=[1.]"),
             ("nonfinite_in_domain.txt", "lower([-9.66944729]) = inf is not finite"),
             (
                 "endpoints_near_float_max.txt",
@@ -592,13 +591,24 @@ class TestUnevaluableObjectives:
         assert main(["modulus", str(REGRESSIONS / "crossed_outside_s.txt")]) == 2
         assert "exceeds upper" in capsys.readouterr().err
 
+    def test_kink_in_probe_range_ends_in_a_verdict(self, capsys):
+        # lower is minimal on [0, 1e-4], not only at Sbar = {0}: the exact
+        # derivatives there are 0, so the derivative checkers fail, while
+        # the grid misses the segment and the definition holds
+        assert main(["check", str(REGRESSIONS / "kink_in_probe_range.txt"), "--mode", "all"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[-1] == (
+            "CONCORDANCE: DISAGREE (definition=holds, primal=fails, dual-b=fails, "
+            "dual-e=fails, dual-f=fails)"
+        )
+
     def test_dual_e_kink_names_the_first_failing_direction(self, capsys):
-        # the first candidate point's first direction meets the kink
-        assert main(["check", str(REGRESSIONS / "kink_dual_e_2d.txt"), "--mode", "dual-e"]) == 2
-        assert capsys.readouterr() == (
-            "",
-            "error: nonsmooth-uncertain at x=[ 0.  -0.5] along d=[1. 0.]: "
-            "extrapolations -0.19999999999999998 and 0.0 disagree\n",
+        # the first candidate point's first direction runs along the flat
+        # segment [0, 1e-4] of lower, where the derivative is 0
+        assert main(["check", str(REGRESSIONS / "kink_dual_e_2d.txt"), "--mode", "dual-e"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[-1] == (
+            "#DATA checker=dual-e verdict=fails margin=-0.5 witness=0,-0.5;1,0 samples=1192"
         )
 
 
@@ -657,6 +667,11 @@ class TestSubdiffCommand:
         assert "NOTE: declared-convex objective failed" in capsys.readouterr().out
         assert main(["subdiff", vee_file(), "--at", "0"]) == 0
         assert "NOTE" not in capsys.readouterr().out
+        # convex at scale 1e14, where the guard's round-off is about 1e-2
+        path = REGRESSIONS / "large_scale_convex.txt"
+        for command in (["check", str(path)], ["modulus", str(path)]):
+            assert main(command) == 0
+            assert "NOTE" not in capsys.readouterr().out
 
     def test_point_outside_domain_exits_two(self, vee_file, capsys):
         assert main(["subdiff", vee_file(), "--at", "3.0"]) == 2
@@ -740,13 +755,30 @@ class TestSubdiffCommand:
         out, err = capsys.readouterr()
         assert out.count("support along") == 2 * n and err == ""
 
-    def test_failing_support_value_prints_no_partial_output(self, capsys):
-        # the derivative along (1,0,0) settles; the one along (-1,0,0)
-        # probes across the kink at x1 = 0 and fails
-        assert main(["subdiff", str(PROBLEMS / "strip3d.txt"), "--at", "1e-5 0 0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: nonsmooth-uncertain")
-        assert captured.out == ""
+    def test_failing_support_value_prints_no_partial_output(self, tmp_path, capsys):
+        # the derivatives along (1,0) and (-1,0) are finite; the one along
+        # (0,1) is 1e200 * 1e200 and overflows
+        path = tmp_path / "steep_x2.txt"
+        path.write_text(
+            "dimension: 2\nlower: abs(x1) + 1e200*abs(x2)*1e200\n"
+            "upper: 2*abs(x1) + 1e200*abs(x2)*1e200\ndomain: -1 1 -1 1\n"
+            "S: -1 1 -1 1\nSbar: 0 0 0 0\nalpha: 0.5\n"
+        )
+        assert main(["subdiff", str(path), "--at", "0.5 0"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: directional derivative inf at x=[0.5 0. ] along d=[0. 1.] is not finite\n",
+        )
+
+    def test_support_values_beside_a_kink_are_exact(self, capsys):
+        # the kink at x1 = 0 sits 1e-5 behind --at, inside the numeric
+        # probe range; the exact derivatives do not probe
+        assert main(["subdiff", str(PROBLEMS / "strip3d.txt"), "--at", "1e-5 0 0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[:2] == [
+            "support along (1,0,0): [1, 2.00002]",
+            "support along (-1,0,0): [-2.00002, -1]",
+        ]
 
 
 L1_SEGMENT = """\

@@ -8,7 +8,8 @@ from ``abs``, ``max`` and ``^`` of affine forms or from a weighted
 distance to Sbar (so that some problems are sharp), and they sample the
 extremes on purpose: alpha at 1e-300 and 1e308, degenerate boxes, Sbar on
 a face of S, ``--at`` on a face of S, and the flags ``--tol 0``, ``--tol
-nan``, ``--tol inf`` and ``--dirs 0``.
+nan``, ``--tol inf`` and ``--dirs 0``.  A second run of the fuzzer adds
+coefficients of 1e150 to 1e308.
 One mutation of a valid file may be drawn: an unknown key, a duplicate
 key, a stray character in an expression, or a non-number in a number key.
 """
@@ -23,6 +24,9 @@ from hypothesis import strategies as st
 from ivwsm.cli import main
 
 COEFFICIENTS = (-2, -1, -0.5, 0, 0.5, 1, 3)
+#: Coefficients near the top of the float range, where values, their
+#: differences and derivatives overflow.
+MAGNITUDES = (1e150, -3e200, 1e250, -1e300, 4e307, 1.7e308)
 ALPHAS = ("1e-300", "0.001", "0.1", "0.5", "2", "1e308")
 #: Fractions of an enclosing box's width at which a sub-box's ends sit:
 #: 0 and 1 put them on its faces, equal draws make them degenerate.
@@ -34,18 +38,23 @@ MUTATIONS = ("unknown", "duplicate", "stray", "non-number")
 
 
 @st.composite
-def affine(draw, n):
-    terms = [f"{draw(st.sampled_from(COEFFICIENTS))}"]
-    terms += [f"{draw(st.sampled_from(COEFFICIENTS))}*x{i}" for i in range(1, n + 1)]
+def affine(draw, n, coefficients):
+    terms = [f"{draw(st.sampled_from(coefficients))}"]
+    terms += [f"{draw(st.sampled_from(coefficients))}*x{i}" for i in range(1, n + 1)]
     return " + ".join(terms)
 
 
 @st.composite
-def endpoint(draw, n):
-    a = draw(affine(n))
+def endpoint(draw, n, coefficients):
+    a = draw(affine(n, coefficients))
     return draw(
         st.sampled_from(
-            [a, f"abs({a})", f"max({a}, {draw(affine(n))})", f"({a})^{draw(st.integers(2, 3))}"]
+            [
+                a,
+                f"abs({a})",
+                f"max({a}, {draw(affine(n, coefficients))})",
+                f"({a})^{draw(st.integers(2, 3))}",
+            ]
         )
     )
 
@@ -60,8 +69,9 @@ def sub_box(draw, lo, hi):
 
 
 @st.composite
-def runs(draw):
-    """The text of one problem file and the argument lists to run on it."""
+def runs(draw, coefficients):
+    """The text of one problem file, its affine forms' coefficients drawn
+    from ``coefficients``, and the argument lists to run on it."""
     n = draw(st.integers(1, 3))
     domain, s, sbar = [], [], []
     for _ in range(n):
@@ -78,9 +88,9 @@ def runs(draw):
             for i, (w, (lo, hi)) in enumerate(zip(weights, sbar), start=1)
         )
     else:
-        lower = draw(endpoint(n))
+        lower = draw(endpoint(n, coefficients))
     gap = draw(st.sampled_from(("0", "0.5", "2")))
-    upper = draw(st.sampled_from([f"{lower} + {gap}", draw(endpoint(n))]))
+    upper = draw(st.sampled_from([f"{lower} + {gap}", draw(endpoint(n, coefficients))]))
     fields = {
         "dimension": n,
         "lower": lower,
@@ -135,8 +145,18 @@ def run(argv):
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(runs())
+@given(runs(COEFFICIENTS))
 def test_every_run_keeps_the_exit_code_contract(tmp_path_factory, case):
+    check_contract(tmp_path_factory, case)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(runs(COEFFICIENTS + MAGNITUDES))
+def test_near_the_top_of_the_float_range(tmp_path_factory, case):
+    check_contract(tmp_path_factory, case)
+
+
+def check_contract(tmp_path_factory, case):
     text, argvs = case
     path = tmp_path_factory.mktemp("fuzz") / "problem.txt"
     path.write_text(text)

@@ -398,6 +398,113 @@ class TestCompiledRows:
             parse("(x1*1e300)^2", 1).rows(np.array([[1e9], [1.0], [2.0]]))
 
 
+def tangent_node_reference(node: Node, point, direction) -> tuple[float, float]:
+    """Reference oracle for :meth:`ExprAst.tangent_rows`: the value and the
+    one-sided derivative along ``direction`` of a tree at one point, by the
+    piecewise-linear rules, one Python float operation each."""
+    value = eval_node_reference(node, point)
+    if isinstance(node, Const):
+        return value, 0.0
+    if isinstance(node, Var):
+        return value, float(direction[node.index - 1])
+    if isinstance(node, Neg):
+        return value, -tangent_node_reference(node.operand, point, direction)[1]
+    if isinstance(node, Abs):
+        v, t = tangent_node_reference(node.operand, point, direction)
+        if v != v:
+            return value, np.nan
+        return value, (t if v > 0 else -t if v < 0 else abs(t))
+    if isinstance(node, Pow):
+        v, t = tangent_node_reference(node.base, point, direction)
+        k = node.exponent
+        return value, (0.0 if k == 0 else k * v ** (k - 1) * t)
+    if isinstance(node, MinMax):
+        tied = [t for v, t in (tangent_node_reference(a, point, direction) for a in node.args)
+                if v == value]
+        if any(t != t for t in tied):
+            return value, np.nan
+        if not tied:  # a NaN first argument
+            return value, np.inf if node.op == "min" else -np.inf
+        return value, (min(tied) if node.op == "min" else max(tied))
+    a, ta = tangent_node_reference(node.left, point, direction)
+    b, tb = tangent_node_reference(node.right, point, direction)
+    if node.op == "+":
+        return value, ta + tb
+    if node.op == "-":
+        return value, ta - tb
+    if node.op == "*":
+        return value, ta * b + a * tb
+    return value, (ta - value * tb) / b
+
+
+class TestTangentRows:
+    """One pass over the tape gives the values of :meth:`ExprAst.rows` and
+    the exact one-sided derivatives along the rows of a direction array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+    def test_values_and_derivatives_match_the_references(self, seed, count):
+        rng = np.random.default_rng(seed)
+        dimension = int(rng.integers(1, 4))
+        tree = random_tree(rng, dimension, int(rng.integers(1, 5)))
+        ast = parse(to_source(tree), dimension)
+        points = rng.uniform(-3, 3, size=(count, dimension))
+        # exact zeros reach kinks, zero denominators and min/max ties
+        points[rng.random(points.shape) < 0.3] = 0.0
+        dirs = rng.normal(size=(count, dimension))
+        dirs[rng.random(dirs.shape) < 0.2] = 0.0
+        try:
+            expected = ast.rows(points)
+        except (EvalError, OverflowError) as exc:
+            # the value rules raise first, for the same row
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                ast.tangent_rows(points, dirs)
+            return
+        values, tangents = ast.tangent_rows(points, dirs)
+        assert same_bits(values, expected)
+        reference = [tangent_node_reference(tree, x, d)[1] for x, d in zip(points, dirs)]
+        # equal values, counting any two NaNs and the two zeros as equal
+        assert np.array_equal(tangents, reference, equal_nan=True)
+        # the derivative is positively homogeneous in the direction, exactly
+        assert same_bits(ast.tangent_rows(points, 2 * dirs)[1], 2 * tangents)
+
+    @pytest.mark.parametrize("source", ["max(x1, -x1)", "abs(x1)", "max(-x1, x1)"])
+    def test_a_kink_at_zero_rises_both_ways(self, source):
+        dirs = np.array([[1.0], [-1.0]])
+        values, tangents = parse(source, 1).tangent_rows(np.zeros((2, 1)), dirs)
+        assert list(values) == [0.0, 0.0] and list(tangents) == [1.0, 1.0]
+
+    def test_min_takes_the_least_derivative_of_its_tied_arguments(self):
+        ast = parse("min(x1, 2*x1, x1^2, x2)", 2)
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 5.0], [1.0, 1.0]])
+        dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, -3.0], [0.5, 0.25]])
+        values, tangents = ast.tangent_rows(points, dirs)
+        # at (0, 5) x2 is not tied; at (1, 1) 2*x1 is not, and the tied
+        # x1, x1^2 and x2 rise by 0.5, 1 and 0.25
+        assert list(values) == [0.0, 0.0, 0.0, 1.0]
+        assert list(tangents) == [0.0, -2.0, 0.0, 0.25]
+        ast = parse("min(x1, 2*x1, x2)", 2)
+        dirs = np.array([[1.0, 3.0], [-1.0, 0.0], [1.0, -3.0]])
+        _, tangents = ast.tangent_rows(np.zeros((3, 2)), dirs)
+        assert list(tangents) == [1.0, -2.0, -3.0]
+        ast = parse("max(x1, 2*x1, x2)", 2)
+        _, tangents = ast.tangent_rows(np.zeros((1, 2)), np.array([[-1.0, -3.0]]))
+        assert list(tangents) == [-1.0]
+
+    def test_errors_are_those_of_the_values(self):
+        dirs = np.ones((2, 1))
+        with pytest.raises(EvalError, match=r"division by zero at x=\[0\.\]"):
+            parse("1 / x1", 1).tangent_rows(np.array([[2.0], [0.0]]), dirs)
+        with pytest.raises(OverflowError, match=r"overflows at x=\[-1\.\]"):
+            parse("(10*x1)^400", 1).tangent_rows(np.array([[0.5], [-1.0]]), dirs)
+
+    @pytest.mark.parametrize("source", CONSTANT_ROOTS)
+    def test_constant_roots_give_zero_derivatives(self, source):
+        values, tangents = parse(source, 2).tangent_rows(np.ones((3, 2)), np.ones((3, 2)))
+        assert values.shape == tangents.shape == (3,)
+        assert list(tangents) == [0.0] * 3
+
+
 # Precedence levels used by the printer: a child is parenthesized whenever
 # its level is below what its syntactic slot requires.
 _ADD, _MUL, _POW, _ATOM = 1, 2, 3, 4

@@ -35,7 +35,7 @@ from ivwsm.ivf import (
     point_block_derivatives,
 )
 
-from conftest import cube, make_ivf, quad_ivf, random_convex_ivf, vee_ivf
+from conftest import cube, make_ivf, numeric_ivf, quad_ivf, random_convex_ivf, vee_ivf
 from test_expr import eval_node_reference, random_tree, same_bits, to_source
 
 
@@ -142,6 +142,20 @@ class TestConvexityCheck:
         assert counter.endpoint == "lower"
         assert counter.violation > 1e-9
 
+    @pytest.mark.parametrize(
+        "lower, upper", [("1e14*abs(x1)", "2e14*abs(x1)"), ("8e307*x1", "8e307*x1 + 1e307")]
+    )
+    def test_round_off_at_large_scale_passes(self, lower, upper):
+        # the chords' round-off is about 1e-2 and 1e292, far past an
+        # absolute 1e-9, but a tiny share of the values
+        f = Ivf.from_expressions(lower, upper, cube(1, -1, 1))
+        assert convexity_check(f, 300, seed=1) is None
+
+    def test_a_relative_violation_is_still_found_at_large_scale(self):
+        f = Ivf.from_expressions("-1e14*x1^2", "1e14", cube(1, -1, 1))
+        counter = convexity_check(f, 300, seed=1)
+        assert counter is not None and counter.endpoint == "lower" and counter.violation > 1e11
+
     def test_poly_example_is_not_convex(self):
         # both endpoints carry indefinite Hessians on the box; the sampled
         # guard must find a violation on one of them
@@ -181,7 +195,7 @@ class TestBatchedDerivatives:
         n = int(rng.integers(1, 4))
         trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
         domain = cube(n, -2, 2)
-        f = Ivf.from_expressions(to_source(trees[0]), to_source(trees[1]), domain)
+        f = numeric_ivf(to_source(trees[0]), to_source(trees[1]), domain)
         points = rng.uniform(-2, 2, size=(10, n))
         points[rng.random(points.shape) < 0.15] = 2.0  # on the boundary
         dirs = rng.normal(size=(10, n))
@@ -257,23 +271,104 @@ class TestBatchedDerivatives:
         assert list(lo) == [0.5 * 1e-10, 0.5] and list(hi) == [0.5 * 1e-10, 1.0]
 
     def test_a_non_finite_derivative_names_the_point_and_direction(self):
-        # every difference quotient overflows, so the extrapolations are NaN
-        f = Ivf.from_expressions("x1*1e308*1e308", "x1*1e308*1e308 + 1", cube(1, -1, 1))
-        message = r"directional derivative nan at x=\[0\.\] along d=\[1\.\] is not finite"
-        with pytest.raises(ValueError, match=message):
-            dir_derivatives(f, np.array([[0.0]]), np.array([[1.0]]))
+        # every difference quotient overflows, so the extrapolations are NaN;
+        # the exact derivative 1e308 * 1e308 overflows to inf
+        for make, value in ((numeric_ivf, "nan"), (Ivf.from_expressions, "inf")):
+            f = make("x1*1e308*1e308", "x1*1e308*1e308 + 1", cube(1, -1, 1))
+            message = rf"directional derivative {value} at x=\[0\.\] along d=\[1\.\] is not finite"
+            with pytest.raises(ValueError, match=message):
+                dir_derivatives(f, np.array([[0.0]]), np.array([[1.0]]))
 
     def test_replaced_endpoint_is_the_one_evaluated(self):
-        f = Ivf.from_expressions("abs(x1)", "2*abs(x1)", cube(1, -1, 1))
+        f = numeric_ivf("abs(x1)", "2*abs(x1)", cube(1, -1, 1))
         g = replace(f, lower=lambda x: abs(x[0]) - 1.0)
         lo, hi = endpoint_rows(g, np.array([[0.5], [-1.0]]))
         assert list(lo) == [-0.5, 0.0] and list(hi) == [1.0, 2.0]
         assert g.dir_deriv([0.5], [1.0]) == f.dir_deriv([0.5], [1.0])
 
     def test_kink_message_names_the_point(self):
-        f = Ivf.from_expressions("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(1, -1, 1))
+        f = numeric_ivf("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(1, -1, 1))
         with pytest.raises(NonsmoothUncertainError, match=r"at x=\[0\.\] along d=\[1\.\]"):
             f.dir_deriv([0.0], [1.0])
+
+
+def convex_sources(rng: np.random.Generator, n: int) -> tuple[str, str]:
+    """Seeded convex endpoint pair in n variables, lower below upper: a
+    squared affine form, a weighted kink and a max of two affine forms."""
+
+    def affine():
+        a = np.round(rng.normal(size=n + 1), 3)
+        return " + ".join([f"{a[0]}"] + [f"{c}*x{i}" for i, c in enumerate(a[1:], start=1)])
+
+    w = round(float(rng.uniform(0.1, 2.0)), 3)
+    lower = f"({affine()})^2 + {w}*abs({affine()}) + max({affine()}, {affine()})"
+    return lower, f"{lower} + ({affine()})^2 + 0.5"
+
+
+class TestExactDerivatives:
+    """Expression endpoints take the exact route: one tangent pass over
+    each tape instead of difference quotients."""
+
+    def test_agrees_with_the_numeric_route_away_from_kinks(self):
+        # the numeric route raises within a probe step of a kink, so the
+        # rows where it settles are the rows away from kinks
+        compared = 0
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            n = 1 + seed % 3
+            sources = convex_sources(rng, n)
+            exact = Ivf.from_expressions(*sources, cube(n, -2, 2))
+            numeric = numeric_ivf(*sources, cube(n, -2, 2))
+            for x, d in zip(rng.uniform(-1.5, 1.5, (16, n)), rng.normal(size=(16, n))):
+                try:
+                    expected = numeric.dir_deriv(x, d)
+                except NonsmoothUncertainError:
+                    continue
+                assert_close_interval(exact.dir_deriv(x, d), expected, tol=1e-5)
+                compared += 1
+        assert compared >= 0.9 * 24 * 16
+
+    def test_a_kink_inside_the_probe_range_gives_the_one_sided_derivative(self):
+        f = Ivf.from_expressions("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(1, -1, 1))
+        assert f.dir_deriv([0.0], [1.0]) == Interval(-2.0, -1.0)
+        assert f.dir_deriv([5e-4], [1.0]) == Interval(1.0, 2.0)
+        assert f.dir_deriv([5e-4], [-1.0]) == Interval(1.0, 2.0)
+
+    def test_an_infeasible_direction_raises_the_numeric_routes_error(self):
+        points, dirs = [[0.5, 0.0], [2.0, 0.5], [2.0, 0.5]], [[1.0, 0.0], [1.0, -1.0], [1.0, 0.0]]
+        raised = [
+            outcome(lambda: dir_derivatives(make("abs(x1)", "2*abs(x1)", cube(2, -2, 2)),
+                                            points, dirs))
+            for make in (Ivf.from_expressions, numeric_ivf)
+        ]
+        assert raised[0][0] is InfeasibleDirectionError and "at [2.  0.5]" in raised[0][1]
+        assert raised[0] == raised[1]
+
+    def test_a_failing_block_raises_the_first_failing_points_own_error(self):
+        # lower's derivative overflows only at b along +1, upper's at a along
+        # -1 and at b: the kernel checks lower first, but on its own a fails
+        # first
+        ramp = "max(x1 - 0.5, 0)*1e308*1e308"
+        f = Ivf.from_expressions(ramp, f"{ramp} + max(-x1 - 0.5, 0)*1e308*1e308", cube(1, -2, 2))
+        a, b = np.array([-0.5]), np.array([0.5])
+        pairs = [(a, np.array([[-1.0]])), (b, np.array([[1.0]]))]
+        expected = _message(lambda: dir_derivatives(f, a, pairs[0][1]))
+        assert expected == (ValueError, "directional derivative inf at x=[-0.5] along d=[-1.] "
+                                        "is not finite")
+        assert "x=[0.5]" in _message(lambda: dir_derivatives(f, [a, b], [[-1.0], [1.0]]))[1]
+        assert _message(lambda: list(point_block_derivatives(f, pairs))) == expected
+
+    def test_never_raises_nonsmooth_uncertain(self):
+        # random tapes at random points, on and near the domain's faces
+        for seed in KERNEL_SEEDS:
+            rng = np.random.default_rng(seed)
+            n = 1 + seed % 4
+            domain, points, dirs = kernel_block(rng, n)
+            trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
+            f = Ivf.from_expressions(to_source(trees[0]), to_source(trees[1]), domain)
+            for x, d in zip(points, dirs):
+                result = outcome(lambda: dir_derivatives(f, x, d[None]))
+                assert not failed(result) or result[0] is not NonsmoothUncertainError
 
 
 class TestSampledGuardsDrawOneStream:
@@ -434,14 +529,15 @@ class TestRowBlocks:
     results and errors of one-row and one-point calls."""
 
     def test_a_call_longer_than_one_block_equals_row_by_row_calls(self):
-        f = Ivf.from_expressions("abs(x1) + x2^2", "2*abs(x1) + x2^2 + 1", cube(2, -2, 2))
         rng = np.random.default_rng(5)
         points = rng.uniform(-1.5, 1.5, size=(ROW_BLOCK + 37, 2))
         dirs = rng.normal(size=(ROW_BLOCK + 37, 2))
-        lo, hi = dir_derivatives(f, points, dirs)
-        rows = [dir_derivatives(f, x[None], d[None]) for x, d in zip(points, dirs)]
-        assert same_bits(lo, [r_lo[0] for r_lo, _ in rows])
-        assert same_bits(hi, [r_hi[0] for _, r_hi in rows])
+        for make in (Ivf.from_expressions, numeric_ivf):
+            f = make("abs(x1) + x2^2", "2*abs(x1) + x2^2 + 1", cube(2, -2, 2))
+            lo, hi = dir_derivatives(f, points, dirs)
+            rows = [dir_derivatives(f, x[None], d[None]) for x, d in zip(points, dirs)]
+            assert same_bits(lo, [r_lo[0] for r_lo, _ in rows])
+            assert same_bits(hi, [r_hi[0] for _, r_hi in rows])
 
     @pytest.mark.parametrize(
         "bad_point, bad_dir, error",
@@ -453,7 +549,7 @@ class TestRowBlocks:
     def test_an_error_only_in_the_second_block_names_its_first_row(
         self, bad_point, bad_dir, error
     ):
-        f = Ivf.from_expressions("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(2, -2, 2))
+        f = numeric_ivf("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(2, -2, 2))
         points = np.tile([-1.0, 0.5], (ROW_BLOCK + 10, 1))
         dirs = np.tile([1.0, 0.0], (ROW_BLOCK + 10, 1))
         for i in (ROW_BLOCK + 3, ROW_BLOCK + 7):
@@ -466,7 +562,7 @@ class TestRowBlocks:
     def test_a_failing_block_raises_the_first_failing_points_own_error(self):
         # one block: lower has a kink only near b, upper near a and b; the
         # kernel checks lower first, but on its own a fails first
-        f = Ivf.from_expressions(
+        f = numeric_ivf(
             "abs(x1 - 0.5005)", "2*abs(x1 - 0.5005) + abs(x1 + 0.5005)", cube(1, -2, 2)
         )
         a, b = np.array([-0.5]), np.array([0.5])
@@ -674,7 +770,7 @@ class TestKernelMatchesTheReference:
         n = 1 + seed % 4
         domain, points, dirs = kernel_block(rng, n)
         trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
-        f = Ivf.from_expressions(to_source(trees[0]), to_source(trees[1]), domain)
+        f = numeric_ivf(to_source(trees[0]), to_source(trees[1]), domain)
         # the whole block, which raises if any row does, and the block of
         # the rows that do not raise on their own
         fine = [
@@ -708,7 +804,7 @@ class TestKernelMatchesTheReference:
     def test_numeric_errors_name_the_first_failing_row(
         self, lower, upper, point, direction, error
     ):
-        f = Ivf.from_expressions(lower, upper, cube(2, -2, 2))
+        f = numeric_ivf(lower, upper, cube(2, -2, 2))
         points, dirs = [[0.5, 0.0], point, point], [[1.0, 0.0], direction, direction]
         expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
         assert expected[0] is error and str(np.array(point)) in expected[1]
@@ -717,7 +813,7 @@ class TestKernelMatchesTheReference:
     def test_a_lower_endpoint_error_wins_over_an_earlier_upper_one(self):
         # upper has a kink ahead of the first row, lower ahead of the
         # second: lower is differentiated first, so its error is raised
-        f = Ivf.from_expressions("abs(x1 - 0.5005)", "2*abs(x1 + 0.5005)", cube(1, -2, 2))
+        f = numeric_ivf("abs(x1 - 0.5005)", "2*abs(x1 + 0.5005)", cube(1, -2, 2))
         points, dirs = [[-0.5], [0.5]], [[-1.0], [1.0]]
         expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
         assert expected[0] is NonsmoothUncertainError and "x=[0.5]" in expected[1]
