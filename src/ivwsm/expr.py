@@ -24,7 +24,11 @@ The parser emits a flat post-order tape of ``(opcode, arg)`` instructions
 (:attr:`ExprAst.tape`), each right after its operands.
 :meth:`ExprAst.rows` runs the tape on a value stack over the rows of an
 ``(m, n)`` array of points, one NumPy rule per opcode (:data:`_RULES`);
-:func:`evaluate` is a one-row call of it.  :meth:`ExprAst.tangent_rows`
+:func:`evaluate` is a one-row call of it.  :meth:`ExprAst.on_grid` runs the
+same rules on a tensor-product grid's broadcast axes, which gives the bits
+and errors of ``rows`` on the grid's points with one value per combination
+of the axes an intermediate reads; ``ivf.endpoint_rows`` is where the
+values of an objective come from, by either route.  :meth:`ExprAst.tangent_rows`
 runs the same rules and, after each, a tangent rule (:data:`_TANGENTS`),
 which gives the exact one-sided directional derivative along a row of
 directions: every operation here is smooth or piecewise linear, so the
@@ -60,14 +64,29 @@ class ExprAst:
 
     def rows(self, points: np.ndarray) -> np.ndarray:
         """The m values of the expression at the rows of an (m, n) array."""
+        value = self._run(points.T)
+        # a tape of constants only gives one scalar: broadcast it once
+        return value if np.ndim(value) else np.full(len(points), value)
+
+    def on_grid(self, grid) -> np.ndarray:
+        """The values of the expression at the points of a tensor-product
+        grid (a :class:`~ivwsm.geometry.GridAxes`), in its point order: the
+        tape runs on the grid's broadcast-shaped columns, so each value
+        holds one entry per combination of the axes it reads, and only the
+        result fills the grid.  Its bits and errors are those of
+        :meth:`rows` on the grid's points."""
+        return grid.fill(self._run(grid.columns))
+
+    def _run(self, columns) -> np.ndarray:
+        """The value of the tape with variable k read as ``columns[k]``
+        (one scalar for a tape of constants only)."""
         stack = []
         # inf and NaN propagate silently, as in Python float arithmetic
         with np.errstate(all="ignore"):
             for opcode, arg in self.tape:
-                _RULES[opcode](stack, arg, points)
+                _RULES[opcode](stack, arg, columns)
         (value,) = stack
-        # a tape of constants only gives one scalar: broadcast it once
-        return value if np.ndim(value) else np.full(len(points), value)
+        return value
 
     def tangent_rows(self, points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The m values of the expression at the rows of an (m, n) array of
@@ -75,12 +94,13 @@ class ExprAst:
         of dirs: one pass that runs each instruction's rule (:data:`_RULES`)
         and then its tangent rule (:data:`_TANGENTS`) on the operands' values."""
         stack, tangents = [], []
+        columns = points.T
         with np.errstate(all="ignore"):
             for opcode, arg in self.tape:
                 first = len(stack) - _ARITY.get(opcode, arg)
                 operands, operand_tangents = stack[first:], tangents[first:]
                 del tangents[first:]
-                _RULES[opcode](stack, arg, points)
+                _RULES[opcode](stack, arg, columns)
                 tangents.append(
                     _TANGENTS[opcode](arg, operands, stack[-1], operand_tangents, dirs)
                 )
@@ -259,33 +279,47 @@ def parse(source: str, dimension: int) -> ExprAst:
 # every row matches a scalar evaluation bit for bit: ``^`` is
 # ``np.float_power`` (``np.power`` rounds small integer powers differently),
 # and ``min``/``max`` keep the first of equal or NaN arguments, as Python's
-# builtins do.  Where Python raises, the rule raises for the first offending
-# row and names it.  A constant is one float64 scalar, not a column, so a
-# subtree of constants is computed once; its error names the first row,
-# where every row fails (and zero rows raise nothing, as for a column).
+# builtins do.  A rule reads variable k as ``columns[k]``, a column of the
+# points or a broadcast-shaped grid axis (``ExprAst.on_grid``).  Where Python
+# raises, the rule raises for the first offending point and names it
+# (:func:`_first_point`).  A constant is one float64 scalar, not a column, so
+# a subtree of constants is computed once; its error names the first point,
+# where every point fails (and zero points raise nothing, as for a column).
 
 
-def _divide(stack, arg, rows):
+def _first_point(columns, mask):
+    """The first point, in row (C) order, where mask holds, with mask and
+    the columns broadcast to the points' shape; None when there are none."""
+    shape = np.broadcast_shapes(np.shape(mask), *(np.shape(c) for c in columns))
+    if 0 in shape:
+        return None
+    at = np.unravel_index(int(np.argmax(np.broadcast_to(mask, shape))), shape)
+    return np.array([np.broadcast_to(c, shape)[at] for c in columns])
+
+
+def _divide(stack, arg, columns):
     denominator = stack.pop()
     zero = denominator == 0.0
-    if zero.any() and len(rows):
-        raise EvalError(f"division by zero at x={rows[np.argmax(zero)]}")
+    x = _first_point(columns, zero) if zero.any() else None
+    if x is not None:
+        raise EvalError(f"division by zero at x={x}")
     stack[-1] = stack[-1] / denominator
 
 
-def _power(stack, exponent, rows):
+def _power(stack, exponent, columns):
     base = stack[-1]
     stack[-1] = out = np.float_power(base, float(exponent))
     # Python's float ** int raises where a finite base overflows
     overflow = np.isinf(out)
-    if overflow.any() and len(rows):
+    if overflow.any():
         overflow &= np.isfinite(base)
-        if overflow.any():
-            raise OverflowError(f"'^{exponent}' overflows at x={rows[np.argmax(overflow)]}")
+        x = _first_point(columns, overflow) if overflow.any() else None
+        if x is not None:
+            raise OverflowError(f"'^{exponent}' overflows at x={x}")
 
 
 def _extremum(beats):
-    def rule(stack, count, rows):
+    def rule(stack, count, columns):
         best, *rest = stack[-count:]
         del stack[-count:]
         for value in rest:
@@ -296,14 +330,14 @@ def _extremum(beats):
 
 
 _RULES = {
-    "const": lambda stack, value, rows: stack.append(value),
-    "var": lambda stack, column, rows: stack.append(rows[:, column].copy()),
-    "neg": lambda stack, arg, rows: stack.append(-stack.pop()),
-    "abs": lambda stack, arg, rows: stack.append(abs(stack.pop())),
+    "const": lambda stack, value, columns: stack.append(value),
+    "var": lambda stack, k, columns: stack.append(columns[k].copy()),
+    "neg": lambda stack, arg, columns: stack.append(-stack.pop()),
+    "abs": lambda stack, arg, columns: stack.append(abs(stack.pop())),
     # pop(-2) takes the left operand, then pop() the right one
-    "+": lambda stack, arg, rows: stack.append(stack.pop(-2) + stack.pop()),
-    "-": lambda stack, arg, rows: stack.append(stack.pop(-2) - stack.pop()),
-    "*": lambda stack, arg, rows: stack.append(stack.pop(-2) * stack.pop()),
+    "+": lambda stack, arg, columns: stack.append(stack.pop(-2) + stack.pop()),
+    "-": lambda stack, arg, columns: stack.append(stack.pop(-2) - stack.pop()),
+    "*": lambda stack, arg, columns: stack.append(stack.pop(-2) * stack.pop()),
     "/": _divide,
     "^": _power,
     "min": _extremum(np.less),

@@ -202,27 +202,68 @@ class BoxSet:
         """Polar of the tangent cone at a member point."""
         return self.tangent_cone(x).polar()
 
+    def grid_axes(self, points_per_axis: int) -> "GridAxes":
+        """The regular grid over the box, held by its axes: ``points_per_axis``
+        values on each free axis, the one value of each point axis."""
+        k = max(2, int(points_per_axis))
+        return GridAxes(
+            [
+                np.linspace(lo, hi, k) if hi > lo else np.array([lo])
+                for lo, hi in zip(self.lo, self.hi)
+            ]
+        )
+
     def grid(self, points_per_axis: int) -> np.ndarray:
         """Regular grid over the box, point axes contributing a single value.
 
         Rows enumerate points in C-order over the axes, so iteration order
         (and hence any argmin witness) is deterministic.
         """
-        axes = []
-        for lo, hi in zip(self.lo, self.hi):
-            if hi - lo <= 0:
-                axes.append(np.array([lo]))
-            else:
-                axes.append(np.linspace(lo, hi, max(2, int(points_per_axis))))
-        n = len(axes)
-        # only free axes get an array dimension (NumPy allows 64); column j
-        # broadcasts axis j along them (no meshgrid copies), or a point
-        # axis's one value
-        free = [j for j, a in enumerate(axes) if len(a) > 1]
-        grid = np.empty((*(len(axes[j]) for j in free), n))
-        for j, a in enumerate(axes):
-            grid[..., j] = a.reshape([-1 if i == j else 1 for i in free])
+        return self.grid_axes(points_per_axis).points()
+
+
+class GridAxes:
+    """A tensor-product grid, held by its axes: ``axes[j]`` holds the values
+    of coordinate j (one on a point axis).
+
+    Only free axes get an array dimension (NumPy allows 64): ``columns[j]``
+    is ``axes[j]`` shaped to broadcast along them, with a length-1 dimension
+    on the other free axes (and on every one for a point axis), and
+    ``shape`` is their lengths.  An elementwise operation on the columns
+    gives the bits it gives on the columns of :meth:`points`, with one value
+    per combination of the axes it reads.  The points are numbered in C
+    order over the free axes, as the rows of :meth:`points`.
+    """
+
+    def __init__(self, axes: list[np.ndarray]):
+        self.axes = axes
+        self.free = [j for j, a in enumerate(axes) if len(a) > 1]
+        self.shape = tuple(len(axes[j]) for j in self.free)
+        self.columns = [
+            a.reshape([-1 if i == j else 1 for i in self.free]) for j, a in enumerate(axes)
+        ]
+
+    def points(self) -> np.ndarray:
+        """The (N, n) array of the points, one row each."""
+        n = len(self.axes)
+        grid = np.empty((*self.shape, n))
+        for j, column in enumerate(self.columns):
+            grid[..., j] = column
         return grid.reshape(-1, n)
+
+    def point(self, i: int) -> np.ndarray:
+        """Point i, row i of :meth:`points`, read from the axes."""
+        at = dict(zip(self.free, np.unravel_index(i, self.shape)))
+        return np.array([a[at.get(j, 0)] for j, a in enumerate(self.axes)])
+
+    def fill(self, values) -> np.ndarray:
+        """Values that broadcast along the free axes (a full-shaped array or
+        a scalar), as a flat array of one value per point, in point order."""
+        if np.shape(values) != self.shape:
+            out = np.empty(self.shape)
+            out[...] = values
+            values = out
+        return values.reshape(-1)
 
 
 def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

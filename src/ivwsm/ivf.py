@@ -18,7 +18,10 @@ sits inside the probe range.
 The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
 call when the endpoints carry batched forms (expression objectives always
-do), and loop over the rows otherwise.  Every value of F comes from
+do), and loop over the rows otherwise.  :func:`endpoint_rows` also takes a
+tensor-product grid by its axes (:class:`~ivwsm.geometry.GridAxes`), which
+expression endpoints evaluate on the axes (:meth:`~ivwsm.expr.ExprAst.on_grid`) and
+other endpoints on the grid's points.  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
 upper), and every derivative from :func:`dir_derivatives`, the one home
@@ -49,7 +52,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expr import parse
-from .geometry import BoxSet, row_norms
+from .geometry import BoxSet, GridAxes, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 
 Endpoint = Callable[[np.ndarray], float]
@@ -216,8 +219,21 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return int(np.argmax(mask)) if mask.any() else None
 
 
-def endpoint_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lower and upper at each row of an (m, n) array of points.
+def _values(g: Endpoint, points) -> np.ndarray:
+    """g at each row of an (m, n) array, or at each point of a grid: on its
+    axes where g runs on a grid (a parsed expression does), else on the
+    grid's materialized points."""
+    if isinstance(points, GridAxes):
+        on_grid = getattr(g, "on_grid", None)
+        if on_grid is not None:
+            return on_grid(points)
+        points = points.points()
+    return _rows(g)(points)
+
+
+def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
+    """lower and upper at each row of an (m, n) array of points, or at each
+    point of a :class:`~ivwsm.geometry.GridAxes` in its point order.
 
     A non-finite value raises ValueError naming its point, as the
     ``Interval`` constructor does for one point, and so, after those, does
@@ -225,27 +241,31 @@ def endpoint_rows(f: Ivf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with other values could overflow; lower above upper by more than
     :data:`ENDPOINT_ORDER_TOL` raises ModelError naming its point, and a
     smaller crossing (round-off at coinciding endpoints) gives both
-    endpoints the midpoint.
+    endpoints the midpoint.  A grid's point is built only to be named.
     """
-    points = np.asarray(points, dtype=float)
-    lo, hi = _rows(f.lower)(points), _rows(f.upper)(points)
+    if isinstance(points, GridAxes):
+        point = points.point
+    else:
+        points = np.asarray(points, dtype=float)
+        point = points.__getitem__
+    lo, hi = _values(f.lower, points), _values(f.upper, points)
     # NaN, inf and a value past ENDPOINT_MAX all fail one test, and then
     # every non-finite value is reported before one that is only too large
     if not ((np.abs(lo) <= ENDPOINT_MAX).all() and (np.abs(hi) <= ENDPOINT_MAX).all()):
         for name, vals in (("lower", lo), ("upper", hi)):
             i = _first(~np.isfinite(vals))
             if i is not None:
-                raise ValueError(f"{name}({points[i]}) = {vals[i]} is not finite")
+                raise ValueError(f"{name}({point(i)}) = {vals[i]} is not finite")
         for name, vals in (("lower", lo), ("upper", hi)):
             i = _first(np.abs(vals) > ENDPOINT_MAX)
             if i is not None:
                 raise ValueError(
-                    f"{name}({points[i]}) = {vals[i]} exceeds {ENDPOINT_MAX:.9g} in "
+                    f"{name}({point(i)}) = {vals[i]} exceeds {ENDPOINT_MAX:.9g} in "
                     "magnitude, where differences of endpoint values overflow"
                 )
     i = _first(lo > hi + ENDPOINT_ORDER_TOL)
     if i is not None:
-        x = points[i]
+        x = point(i)
         raise ModelError(f"lower({x}) = {lo[i]} exceeds upper({x}) = {hi[i]}")
     tied = lo > hi
     if tied.any():

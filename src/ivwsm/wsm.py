@@ -34,6 +34,14 @@ bisection read the same per-point margins
 (``_Context.definition_margins``), and they and dual-f read the same
 distances to Sbar (``_Context.dists``).  A NaN margin is never skipped: it
 is reported as the worst margin and fails.
+
+The context holds the feasible grid by its axes (``_Context.s_axes``).
+Its endpoint values and its distances to Sbar are elementwise work on
+the broadcast axes, so they have the bits of the same work on the
+grid's rows, and only the results take one entry per point.  The
+``(N, n)`` grid and its projection onto Sbar are built when a checker
+reads them (dual-b and dual-f), so the definition checker and the
+modulus bisection never build them.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import BoxSet, OrthantCone, dist_to_cone, group_rows, row_norms
+from .geometry import BoxSet, GridAxes, OrthantCone, dist_to_cone, group_rows, row_norms
 from .ivf import (
     Ivf,
     convexity_check,
@@ -177,11 +185,15 @@ class WsmReport:
 
 
 class _Context:
-    """Shared grid, directions and cached endpoint values for one problem.
+    """Shared grids, directions and cached endpoint values for one problem.
 
-    It keeps the parts of the problem it reads, not the problem, which
-    holds it: without that cycle, refcounting frees a problem's grids as
-    soon as the problem goes."""
+    The feasible grid is ``s_axes``, its per-axis arrays; ``flo_s``,
+    ``fhi_s`` and ``dists`` hold one value per point, in the order of the
+    rows of ``s_grid``, which is built (with ``proj``) only when read.  The
+    candidate grid ``sbar_grid`` is built at once.  The context keeps the
+    parts of the problem it reads, not the problem, which holds it: without
+    that cycle, refcounting frees a problem's grids as soon as the problem
+    goes."""
 
     def __init__(self, p: WsmProblem):
         self.f, self.s, self.sbar, self.margin_tol = p.f, p.s, p.sbar, p.margin_tol
@@ -190,21 +202,12 @@ class _Context:
         if k < p.grid:
             notes.append(f"grid density reduced to {k} points per axis (cap {GRID_CAP})")
         self.grid_per_axis = k
-        self.s_grid = p.s.grid(k)
+        self.s_axes = p.s.grid_axes(k)
         self.sbar_grid = p.sbar.grid(k)
         self.dirs = default_directions(p.f.dimension, p.seed, p.n_dirs)
-        self.flo_s, self.fhi_s = endpoint_rows(p.f, self.s_grid)
+        self.flo_s, self.fhi_s = endpoint_rows(p.f, self.s_axes)
         self.flo_sbar, self.fhi_sbar = endpoint_rows(p.f, self.sbar_grid)
-        # projection of each feasible grid point onto Sbar, and its distance
-        self.proj = p.sbar.project(self.s_grid)
-        offsets = self.s_grid - self.proj
-        if offsets.shape[1] < 8:
-            # np.linalg.norm(axis=1) sums a row's squares in column order
-            # below 8 columns (in 8 partial sums from 8 on), so a sum of the
-            # squared columns has its bits without its per-row reduction
-            self.dists = np.sqrt(sum(column * column for column in offsets.T))
-        else:
-            self.dists = np.linalg.norm(offsets, axis=1)
+        self.dists = _distances(self.s_axes, p.sbar)
         note = convexity_note(p.f, p.seed)
         if note is not None:
             notes.append(note)
@@ -217,6 +220,17 @@ class _Context:
                 "not guaranteed"
             )
         self.notes = tuple(notes)
+
+    @cached_property
+    def s_grid(self) -> np.ndarray:
+        """The feasible grid's points, one row each, in the order of
+        ``flo_s``, ``fhi_s`` and ``dists``."""
+        return self.s_axes.points()
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        """The projection onto Sbar of each row of ``s_grid``."""
+        return self.sbar.project(self.s_grid)
 
     @cached_property
     def faces(self) -> tuple[np.ndarray, list[tuple[OrthantCone, OrthantCone]]]:
@@ -294,6 +308,40 @@ class _Context:
         )
 
 
+def _distances(grid: GridAxes, box: BoxSet) -> np.ndarray:
+    """dist(x, box) at each point of the grid, from the per-axis offsets of
+    the grid's columns to their clamps into the box, squared and summed in
+    the order in which ``np.linalg.norm(..., axis=1)`` sums a row: the bits
+    of the norms of the rows of ``points - box.project(points)``."""
+    squares = []
+    for column, lo, hi in zip(grid.columns, box.lo, box.hi):
+        offset = column - np.clip(column, lo, hi)
+        squares.append(offset * offset)
+    return grid.fill(np.sqrt(_row_sum_order(squares)))
+
+
+def _row_sum_order(terms: list):
+    """The sum of the terms in the order of NumPy's pairwise sum of one
+    contiguous row: in sequence below 8 terms; up to 128, in 8 partial sums
+    (term i in sum i % 8) combined pairwise, then the rest in sequence; past
+    128, the sums of the two halves, split at a multiple of 8."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum_order(terms[:half]) + _row_sum_order(terms[half:])
+    if n < 8:
+        total, rest = terms[0], terms[1:]
+    else:
+        r = terms[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [a + b for a, b in zip(r, terms[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = terms[n - n % 8 :]
+    for term in rest:
+        total = total + term
+    return total
+
+
 class _Worst:
     """Deterministic running minimum with its witness; the first NaN margin
     wins over every number, so it is reported rather than skipped."""
@@ -332,8 +380,8 @@ def check_definition(p: WsmProblem) -> WsmReport:
     margin_lo = ctx.flo_s[i] - ctx.flo_sbar.max() - t
     margin_hi = ctx.fhi_s[i] - ctx.fhi_sbar.max() - t
     j = int(np.argmax(ctx.flo_sbar if margin_lo <= margin_hi else ctx.fhi_sbar))
-    witness = (ctx.sbar_grid[j].copy(), ctx.s_grid[i].copy())
-    samples = len(ctx.s_grid) * len(ctx.sbar_grid)
+    witness = (ctx.sbar_grid[j].copy(), ctx.s_axes.point(i))
+    samples = len(ctx.dists) * len(ctx.sbar_grid)
     return ctx.report(
         "definition", float(margins[i]), witness, ("xbar", "x"), samples
     )

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivwsm import EvalError, ParseError, evaluate, parse
+from ivwsm import BoxSet, EvalError, ParseError, evaluate, parse
 from ivwsm.expr import MAX_DEPTH, _tokenize, _Token
 
 Node = Union["Const", "Var", "Neg", "Abs", "Bin", "Pow", "MinMax"]
@@ -363,6 +363,30 @@ class TestCompiledRows:
             return
         assert same_bits(ast.rows(points), expected)
         assert same_bits([evaluate(ast, x) for x in points], expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_on_grid_equals_rows_on_the_grids_points(self, seed):
+        # the bits, or the exception and the point it names
+        rng = np.random.default_rng(seed)
+        dimension = int(rng.integers(1, 5))
+        tree = random_tree(rng, dimension, int(rng.integers(1, 5)))
+        ast = parse(to_source(tree), dimension)
+        # point axes, zeros on the axes, and values whose powers overflow
+        lo = rng.choice([-2.0, -1.0, 0.0, 0.5], size=dimension)
+        hi = lo + rng.choice([0.0, 1.0, 2.0, 1e100], size=dimension)
+        grid = BoxSet(lo, hi).grid_axes(int(rng.integers(2, 6)))
+        outcomes = []
+        for route in (lambda: ast.on_grid(grid), lambda: ast.rows(grid.points())):
+            try:
+                outcomes.append(route())
+            except (EvalError, OverflowError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        on_grid, rows = outcomes
+        if isinstance(rows, tuple):
+            assert on_grid == rows
+        else:
+            assert on_grid.dtype == np.float64 and same_bits(on_grid, rows)
 
     def test_errors_name_the_offending_point(self):
         with pytest.raises(EvalError, match=r"division by zero at x=\[0\.\]"):

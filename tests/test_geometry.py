@@ -281,6 +281,22 @@ class TestBoxColumnKernels:
         assert grid.shape == expected.shape and grid.tobytes() == expected.tobytes()
         assert grid.flags.c_contiguous
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([0.5], [0.5]), ([-1.0], [1.0]), ([-1.0, 0.3, -2.0], [1.0, 0.3, 0.5]),
+         ([0.1, -1.0, 0.0, -0.7], [0.1, 1.0, 0.0, 0.9])],
+    )
+    def test_grid_axes_name_and_fill_their_points(self, lo, hi):
+        grid = BoxSet(np.array(lo), np.array(hi)).grid_axes(4)
+        points = grid.points()
+        assert points.tobytes() == BoxSet(np.array(lo), np.array(hi)).grid(4).tobytes()
+        for i, row in enumerate(points):
+            assert grid.point(i).tobytes() == row.tobytes()
+        # a column filled out to one value per point is that column of the points
+        for j, column in enumerate(grid.columns):
+            assert grid.fill(column).tobytes() == points[:, j].tobytes()
+        assert grid.fill(np.float64(-0.0)).tobytes() == np.full(len(points), -0.0).tobytes()
+
     @pytest.mark.parametrize("n", [64, 100])
     def test_point_axes_past_numpys_64_dimensions(self, n):
         # only the free axes 3 and 40 span the grid; the other n - 2 columns

@@ -1,11 +1,15 @@
 """The five sharpness checkers, their concordance, and modulus estimation."""
 
 import gc
+import io
+import itertools
 import tracemalloc
 import weakref
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ivwsm import (
     BoxSet,
@@ -26,11 +30,15 @@ from ivwsm import (
 )
 from pathlib import Path
 
-from ivwsm import build_problem, cone_ball_support, dist_to_cone, ivf, load_problem_file, wsm
-from ivwsm.geometry import Tag, row_norms
+from ivwsm import build_problem, cli, cone_ball_support, dist_to_cone, ivf, load_problem_file, wsm
+from ivwsm.expr import parse
+from ivwsm.geometry import GridAxes, Tag, row_norms
+from ivwsm.problems import parse_problem_text
 from ivwsm.wsm import _Worst
 
 from conftest import box_dist, cube, l1_ivf, make_ivf, point_box, vee_ivf, wsm_battery
+from make_cli_golden import FILES, ROOT
+from test_cli_fuzz import COEFFICIENTS, MAGNITUDES, runs
 from test_expr import same_bits
 
 
@@ -244,6 +252,138 @@ class TestContextDistances:
         expected = np.linalg.norm(ctx.s_grid - ctx.proj, axis=1)
         assert len(ctx.s_grid) == 3 ** int(free.sum())
         assert ctx.dists.tobytes() == expected.tobytes()
+
+
+def materialized_context(p: WsmProblem) -> dict:
+    """``s_grid``, ``flo_s``, ``fhi_s``, ``proj`` and ``dists`` computed on
+    the rows of S's grid, listed point by point, in the order the context
+    builds them (then Sbar's values and the convexity guard), so that it
+    raises what that build raises."""
+    k = wsm.grid_density(p.s, p.grid)
+    axes = [np.linspace(lo, hi, k) if hi > lo else [lo] for lo, hi in zip(p.s.lo, p.s.hi)]
+    grid = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, p.s.dimension)
+    flo, fhi = ivf.endpoint_rows(p.f, grid)
+    ivf.endpoint_rows(p.f, p.sbar.grid(k))
+    proj = p.sbar.project(grid)
+    dists = np.linalg.norm(grid - proj, axis=1)
+    wsm.convexity_note(p.f, p.seed)
+    return {"s_grid": grid, "flo_s": flo, "fhi_s": fhi, "proj": proj, "dists": dists}
+
+
+def assert_routes_agree(p: WsmProblem) -> bool:
+    """The context, which reads S's grid by its axes, holds the arrays of
+    :func:`materialized_context` byte for byte, or raises its exception
+    with its message; True when they raise."""
+    try:
+        expected = materialized_context(p)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            p.context()
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return True
+    ctx = p.context()
+    for name, value in expected.items():
+        got = getattr(ctx, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape, value.tobytes())
+    return False
+
+
+def l1_source(n: int, weights, centre) -> str:
+    terms = zip(map(float, weights), map(float, centre))
+    return " + ".join(f"{w!r}*abs(x{i} - {c!r})" for i, (w, c) in enumerate(terms, 1))
+
+
+class TestGridRoute:
+    """The context reads S's grid by its axes (``_Context.s_axes``): the
+    endpoint values and distances equal those computed on the grid's rows,
+    and its errors are theirs."""
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_every_shipped_and_regression_file(self, name):
+        assert_routes_agree(build_problem(load_problem_file(ROOT / name)))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(runs(COEFFICIENTS + MAGNITUDES))
+    def test_the_fuzzers_files(self, case):
+        try:
+            p = build_problem(parse_problem_text(case[0]))
+        except ValueError:  # a mutated file
+            return
+        assert_routes_agree(p)
+
+    @pytest.mark.parametrize("n_free", range(8, 13))
+    def test_eight_to_twelve_free_axes(self, n_free):
+        # three point axes among the free ones, and a box Sbar, so that the
+        # offsets vary and the 8-partial-sum order of the norm applies
+        n = n_free + 3
+        rng = np.random.default_rng(n_free)
+        free = np.isin(np.arange(n), rng.choice(n, n_free, replace=False))
+        at = rng.uniform(-0.9, 0.9, size=n)
+        s = BoxSet(np.where(free, -1.0, at), np.where(free, 1.0, at))
+        sbar = BoxSet(np.where(free, rng.uniform(-0.6, 0.0, n), at),
+                      np.where(free, rng.uniform(0.0, 0.6, n), at))
+        lower = l1_source(n, np.round(rng.uniform(0.5, 1.0, n), 3), np.zeros(n))
+        upper = f"{lower} + (x1 - x2)^2 + 1/(3 + x{n})"
+        f = Ivf.from_expressions(lower, upper, cube(n, -2, 2))
+        p = WsmProblem(f=f, s=s, sbar=sbar, alpha=0.5, grid=3, n_dirs=4)
+        assert not assert_routes_agree(p)
+        assert len(p.context().s_axes.shape) == n_free
+
+    @pytest.mark.parametrize("n", [64, 100, 140])
+    def test_a_point_candidate_past_64_dimensions(self, n):
+        rng = np.random.default_rng(n)
+        free = np.isin(np.arange(n), [2, 11, 60, n - 3])
+        at = np.round(rng.uniform(-0.9, 0.9, size=n), 3)
+        s = BoxSet(np.where(free, -1.0, at), np.where(free, 1.0, at))
+        f = Ivf.from_expressions(
+            l1_source(n, [0.75] * n, at), l1_source(n, [1.5] * n, at) + " + 0.5", cube(n, -2, 2)
+        )
+        p = WsmProblem(f=f, s=s, sbar=point_box(*at), alpha=0.5, grid=9, n_dirs=4)
+        assert not assert_routes_agree(p)
+        assert check_definition(p).holds
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ("x1 + 1/(x1 + x2 - 0.5)", "x1 + 3"),  # zero at (-0.5, 1), a 2-d mask
+            ("(1e200*x2 + 1e200)^2 + x1", "x1 + 1"),  # overflow from x2 = -0.5 on
+            ("1e308*x1 + 1e308*x2", "1e308*x1 + 1e308*x2 + 1"),  # inf, then too large
+            ("x1 + x2", "0.5 - x1*x2"),  # crossing
+            ("x1", "x1 + 1/x2"),  # the upper endpoint fails
+        ],
+    )
+    def test_a_failing_point_is_named_as_on_the_rows(self, lower, upper):
+        f = Ivf.from_expressions(lower, upper, cube(2, -2, 2))
+        p = WsmProblem(f=f, s=cube(2, -1, 1), sbar=point_box(0.0, 0.0), alpha=0.5, grid=5)
+        assert assert_routes_agree(p)
+
+    def test_an_opaque_endpoint_reads_the_materialized_points(self):
+        lower = parse("abs(x1) + 0.5*abs(x2)", 2)
+        f = Ivf(2, lower, lambda x: 2 * abs(x[0]) + abs(x[1]) + 1.0, cube(2, -2, 2))
+        p = WsmProblem(f=f, s=cube(2, -1, 1), sbar=point_box(0.0, 0.0), alpha=0.5, grid=7)
+        assert not assert_routes_agree(p)
+
+    @pytest.mark.parametrize(
+        "name", [name for name in FILES if "problems/" in name or "weighted_l1" in name]
+    )
+    def test_definition_and_modulus_never_build_the_grid_of_s(self, name, monkeypatch):
+        name = str(ROOT / name)
+        built = []
+        points = GridAxes.points
+        monkeypatch.setattr(GridAxes, "points", lambda grid: built.append(grid) or points(grid))
+        p = build_problem(load_problem_file(name))
+        check_definition(p)
+        estimate_modulus(p)
+        ctx = p.context()
+        assert all(grid is not ctx.s_axes for grid in built)
+        assert "s_grid" not in vars(ctx) and "proj" not in vars(ctx)
+        # nor through the command line
+        refuse = property(lambda ctx: pytest.fail("the grid of S was built"))
+        monkeypatch.setattr(wsm._Context, "s_grid", refuse)
+        monkeypatch.setattr(wsm._Context, "proj", refuse)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["check", name, "--mode", "definition"]) in (0, 1)
+            assert cli.main(["modulus", name]) == 0
 
 
 class TestEstimateModulus:
