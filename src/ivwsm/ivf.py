@@ -274,10 +274,31 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _raise_infeasible(points: np.ndarray, dirs: np.ndarray, blocked: np.ndarray) -> None:
+    """InfeasibleDirectionError naming the first row where blocked holds."""
+    i = _first(blocked)
+    if i is not None:
+        raise InfeasibleDirectionError(
+            f"no small-t feasibility: the direction {dirs[i]} exits the domain "
+            f"immediately at {points[i]}"
+        )
+
+
+def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> None:
+    """InfeasibleDirectionError at the first row pair of points and dirs
+    where x + t*d leaves the domain box for every small t > 0: a direction
+    heads past a bound its point is on or beyond.  A zero or NaN direction
+    coordinate heads nowhere, and a NaN point coordinate meets no bound."""
+    blocked = (dirs > 0) & (points >= domain.hi)
+    blocked |= (dirs < 0) & (points <= domain.lo)
+    _raise_infeasible(points, dirs, blocked.any(axis=1))
+
+
 def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """The largest t, per row pair of points and dirs, with x + t*d in the
     domain box (inf along a zero direction); InfeasibleDirectionError names
-    the first row where it is not positive."""
+    the first row where it is not positive, which includes a step that
+    underflows to 0."""
     # per entry, the t at which x + t*d meets the bound it heads for
     t_exit = np.where(dirs > 0, domain.hi, domain.lo)
     t_exit -= points
@@ -290,12 +311,7 @@ def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndar
     t_min = next(columns).copy()
     for column in columns:
         np.minimum(t_min, column, out=t_min)
-    i = _first(t_min <= 0)
-    if i is not None:
-        raise InfeasibleDirectionError(
-            f"no small-t feasibility: the direction {dirs[i]} exits the domain "
-            f"immediately at {points[i]}"
-        )
+    _raise_infeasible(points, dirs, t_min <= 0)
     return t_min
 
 
@@ -409,7 +425,7 @@ def dir_derivatives(
         d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
         d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
     else:
-        _exit_steps(f.domain, points, dirs)
+        _require_feasible(f.domain, points, dirs)
         d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in exact)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)

@@ -344,6 +344,28 @@ class TestExactDerivatives:
         assert raised[0][0] is InfeasibleDirectionError and "at [2.  0.5]" in raised[0][1]
         assert raised[0] == raised[1]
 
+    def test_a_step_that_underflows_is_not_an_infeasible_direction(self):
+        # x1 = 1 - 2**-53 lies inside [-1, 1], so it may move along +1e308:
+        # the exact route tests bounds, not the exit step (1 - x1)/1e308,
+        # which underflows to 0 and makes the numeric route raise
+        x, d = [[1 - 2**-53]], [[1e308]]
+        exact = Ivf.from_expressions("abs(x1)", "abs(x1) + 1", cube(1, -1, 1))
+        lo, hi = dir_derivatives(exact, x, d)
+        assert (lo[0], hi[0]) == (1e308, 1e308)
+        numeric = numeric_ivf("abs(x1)", "abs(x1) + 1", cube(1, -1, 1))
+        assert _message(lambda: dir_derivatives(numeric, x, d))[0] is InfeasibleDirectionError
+        # on the bound, or past it, both routes raise the same error; a zero
+        # or NaN direction coordinate heads nowhere, as before
+        for make in (Ivf.from_expressions, numeric_ivf):
+            f = make("abs(x1)", "abs(x1) + 1", cube(2, -1, 1))
+            for point in ([1.0, 0.0], [1.5, 0.0]):
+                error = _message(lambda: dir_derivatives(f, [point], [[1e-300, 0.0]]))
+                assert error[0] is InfeasibleDirectionError
+            lo, hi = dir_derivatives(f, [[1.0, 0.5]], [[0.0, -1.0]])
+            assert (lo[0], hi[0]) == (0.0, 0.0)
+            error = _message(lambda: dir_derivatives(f, [[1.0, 0.5]], [[np.nan, 1.0]]))
+            assert error[0] is ValueError and "not finite" in error[1]
+
     def test_a_failing_block_raises_the_first_failing_points_own_error(self):
         # lower's derivative overflows only at b along +1, upper's at a along
         # -1 and at b: the kernel checks lower first, but on its own a fails
