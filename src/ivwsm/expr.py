@@ -112,6 +112,13 @@ class ExprAst:
         )
 
 
+def format_point(x) -> str:
+    """A point or direction as an error message names it: the shortest
+    repr of each coordinate, which parses back to the same float (NumPy's
+    default print precision of 8 digits can name one point as another)."""
+    return str(np.asarray(x, dtype=float).tolist())
+
+
 class ParseError(ValueError):
     """Syntax or range error, pointing at a byte offset of the source."""
 
@@ -302,7 +309,7 @@ def _divide(stack, arg, columns):
     zero = denominator == 0.0
     x = _first_point(columns, zero) if zero.any() else None
     if x is not None:
-        raise EvalError(f"division by zero at x={x}")
+        raise EvalError(f"division by zero at x={format_point(x)}")
     stack[-1] = stack[-1] / denominator
 
 
@@ -315,7 +322,7 @@ def _power(stack, exponent, columns):
         overflow &= np.isfinite(base)
         x = _first_point(columns, overflow) if overflow.any() else None
         if x is not None:
-            raise OverflowError(f"'^{exponent}' overflows at x={x}")
+            raise OverflowError(f"'^{exponent}' overflows at x={format_point(x)}")
 
 
 def _extremum(beats):

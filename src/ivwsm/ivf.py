@@ -51,7 +51,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import parse
+from .expr import format_point, parse
 from .geometry import BoxSet, GridAxes, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 
@@ -139,7 +139,7 @@ class Ivf:
         :func:`endpoint_rows`)."""
         x = np.asarray(x, dtype=float)
         if not self.domain.contains(x):
-            raise DomainError(f"{x} is outside the domain box")
+            raise DomainError(f"{format_point(x)} is outside the domain box")
         lo, hi = endpoint_rows(self, x[None, :])
         return Interval(lo[0], hi[0])
 
@@ -198,7 +198,7 @@ class RestrictedIvf:
         x = np.asarray(x, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
         if not self.feasible.contains(x):
-            raise DomainError(f"{x} is outside the feasible set")
+            raise DomainError(f"{format_point(x)} is outside the feasible set")
         inside = self.feasible.tangent_cone(x).contains(dirs)
         lo, hi = np.full(len(dirs), np.inf), np.full(len(dirs), np.inf)
         lo[inside], hi[inside] = dir_derivatives(self.base, x, dirs[inside])
@@ -255,17 +255,17 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
         for name, vals in (("lower", lo), ("upper", hi)):
             i = _first(~np.isfinite(vals))
             if i is not None:
-                raise ValueError(f"{name}({point(i)}) = {vals[i]} is not finite")
+                raise ValueError(f"{name}({format_point(point(i))}) = {vals[i]} is not finite")
         for name, vals in (("lower", lo), ("upper", hi)):
             i = _first(np.abs(vals) > ENDPOINT_MAX)
             if i is not None:
                 raise ValueError(
-                    f"{name}({point(i)}) = {vals[i]} exceeds {ENDPOINT_MAX:.9g} in "
+                    f"{name}({format_point(point(i))}) = {vals[i]} exceeds {ENDPOINT_MAX:.9g} in "
                     "magnitude, where differences of endpoint values overflow"
                 )
     i = _first(lo > hi + ENDPOINT_ORDER_TOL)
     if i is not None:
-        x = point(i)
+        x = format_point(point(i))
         raise ModelError(f"lower({x}) = {lo[i]} exceeds upper({x}) = {hi[i]}")
     tied = lo > hi
     if tied.any():
@@ -279,8 +279,8 @@ def _raise_infeasible(points: np.ndarray, dirs: np.ndarray, blocked: np.ndarray)
     i = _first(blocked)
     if i is not None:
         raise InfeasibleDirectionError(
-            f"no small-t feasibility: the direction {dirs[i]} exits the domain "
-            f"immediately at {points[i]}"
+            f"no small-t feasibility: the direction {format_point(dirs[i])} exits the "
+            f"domain immediately at {format_point(points[i])}"
         )
 
 
@@ -372,7 +372,8 @@ def _one_sided_rows(
         i = _first(np.abs(gap, out=gap) > size)
     if i is not None:
         raise NonsmoothUncertainError(
-            f"nonsmooth-uncertain at x={points[i]} along d={dirs[i]}: "
+            f"nonsmooth-uncertain at x={format_point(points[i])} "
+            f"along d={format_point(dirs[i])}: "
             f"extrapolations {e1[i]} and {e2[i]} disagree"
         )
     return _finite(e2, points, dirs)
@@ -383,8 +384,8 @@ def _finite(derivs: np.ndarray, points: np.ndarray, dirs: np.ndarray) -> np.ndar
     i = _first(~np.isfinite(derivs))
     if i is not None:
         raise ValueError(
-            f"directional derivative {derivs[i]} at x={points[i]} along d={dirs[i]} "
-            "is not finite"
+            f"directional derivative {derivs[i]} at x={format_point(points[i])} "
+            f"along d={format_point(dirs[i])} is not finite"
         )
     return derivs
 

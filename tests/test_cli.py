@@ -516,7 +516,7 @@ grid: 5
             (REGRESSIONS / "endpoints_near_float_max.txt").read_text(),
             2,
             "",
-            "error: lower([-1.]) = -1e+308 exceeds 8.98846567e+307 in magnitude, where "
+            "error: lower([-1.0]) = -1e+308 exceeds 8.98846567e+307 in magnitude, where "
             "differences of endpoint values overflow\n",
         ),
         # finite endpoint differences, but the sampled slopes (1e311)
@@ -556,20 +556,20 @@ class TestUnevaluableObjectives:
     @pytest.mark.parametrize(
         "name, message",
         [
-            ("division_by_zero.txt", "division by zero at x=[0.]"),
-            ("power_overflow.txt", "'^400' overflows at x=[-1.]"),
-            ("nonfinite_in_domain.txt", "lower([-9.66944729]) = inf is not finite"),
+            ("division_by_zero.txt", "division by zero at x=[0.0]"),
+            ("power_overflow.txt", "'^400' overflows at x=[-1.0]"),
+            ("nonfinite_in_domain.txt", "lower([-9.669447289429417]) = inf is not finite"),
             (
                 "endpoints_near_float_max.txt",
-                "lower([-1.]) = -1e+308 exceeds 8.98846567e+307 in magnitude",
+                "lower([-1.0]) = -1e+308 exceeds 8.98846567e+307 in magnitude",
             ),
             ("crossed_outside_s.txt", "exceeds upper"),
             # S passes the domain's containment check by its tolerance, and
             # dual-f's ray from q = (-5e-13, 0) leaves the domain at once
             (
                 "s_past_domain_within_tolerance.txt",
-                "the direction [-5.000e-13  3.125e-02] exits the domain immediately "
-                "at [-5.e-13  0.e+00]",
+                "the direction [-5e-13, 0.03125] exits the domain immediately "
+                "at [-5e-13, 0.0]",
             ),
         ],
     )
@@ -689,7 +689,7 @@ class TestSubdiffCommand:
             (
                 "crossed_outside_s.txt",
                 ["--at", "0.25", "--probe", "0 0.5"],
-                "lower([-3.]) = 12.0 exceeds upper([-3.])",
+                "lower([-3.0]) = 12.0 exceeds upper([-3.0])",
             ),
             ("vee1d.txt", ["--at", "zero"], "--at must be a list of numbers, got 'zero'"),
             ("vee1d.txt", ["--at", "0 0"], "--at needs 1 values, got 2"),
@@ -767,7 +767,7 @@ class TestSubdiffCommand:
         assert main(["subdiff", str(path), "--at", "0.5 0"]) == 2
         assert capsys.readouterr() == (
             "",
-            "error: directional derivative inf at x=[0.5 0. ] along d=[0. 1.] is not finite\n",
+            "error: directional derivative inf at x=[0.5, 0.0] along d=[0.0, 1.0] is not finite\n",
         )
 
     def test_support_values_beside_a_kink_are_exact(self, capsys):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivwsm import BoxSet, EvalError, ParseError, evaluate, parse
-from ivwsm.expr import MAX_DEPTH, _tokenize, _Token
+from ivwsm.expr import MAX_DEPTH, _tokenize, _Token, format_point
 
 Node = Union["Const", "Var", "Neg", "Abs", "Bin", "Pow", "MinMax"]
 
@@ -388,16 +388,24 @@ class TestCompiledRows:
         else:
             assert on_grid.dtype == np.float64 and same_bits(on_grid, rows)
 
+    def test_a_named_point_parses_back_to_its_floats(self):
+        point = [1 - 2**-53, -0.0, 5e-324, 1e-05, 1.7976931348623157e308, np.inf, 0.1 + 0.2]
+        text = format_point(np.array(point))
+        assert text.startswith("[") and text.endswith("]")
+        assert same_bits([float(v) for v in text[1:-1].split(", ")], point)
+        with pytest.raises(EvalError, match=re.escape(f"at x={format_point([1 - 2**-53])}")):
+            parse(f"1 / (x1 - {1 - 2**-53!r})", 1).rows(np.array([[1.0], [1 - 2**-53]]))
+
     def test_errors_name_the_offending_point(self):
-        with pytest.raises(EvalError, match=r"division by zero at x=\[0\.\]"):
+        with pytest.raises(EvalError, match=r"division by zero at x=\[0\.0\]"):
             parse("1 / x1", 1).rows(np.array([[2.0], [0.0]]))
-        with pytest.raises(OverflowError, match=r"overflows at x=\[-1\.\]"):
+        with pytest.raises(OverflowError, match=r"overflows at x=\[-1\.0\]"):
             parse("(10*x1)^400", 1).rows(np.array([[0.5], [-1.0]]))
         # a constant subtree fails at every row, so the first is named
         for source in ("1/0", "x1 + 1/0"):
-            with pytest.raises(EvalError, match=r"division by zero at x=\[2\.\]"):
+            with pytest.raises(EvalError, match=r"division by zero at x=\[2\.0\]"):
                 parse(source, 1).rows(np.array([[2.0], [0.0]]))
-        with pytest.raises(OverflowError, match=r"overflows at x=\[2\.\]"):
+        with pytest.raises(OverflowError, match=r"overflows at x=\[2\.0\]"):
             parse("10^400", 1).rows(np.array([[2.0], [0.0]]))
         # no row, no error: as when the constant was a column of m values
         for source in ("1/0", "10^400"):
@@ -418,7 +426,7 @@ class TestCompiledRows:
         # Python's inf ** 2 is inf without an error; so is the tape's
         assert evaluate(parse("(x1*1e308*10)^2", 1), [1.0]) == np.inf
         # among inf rows, the first whose base was finite is named
-        with pytest.raises(OverflowError, match=r"overflows at x=\[1\.\]"):
+        with pytest.raises(OverflowError, match=r"overflows at x=\[1\.0\]"):
             parse("(x1*1e300)^2", 1).rows(np.array([[1e9], [1.0], [2.0]]))
 
 
@@ -517,9 +525,9 @@ class TestTangentRows:
 
     def test_errors_are_those_of_the_values(self):
         dirs = np.ones((2, 1))
-        with pytest.raises(EvalError, match=r"division by zero at x=\[0\.\]"):
+        with pytest.raises(EvalError, match=r"division by zero at x=\[0\.0\]"):
             parse("1 / x1", 1).tangent_rows(np.array([[2.0], [0.0]]), dirs)
-        with pytest.raises(OverflowError, match=r"overflows at x=\[-1\.\]"):
+        with pytest.raises(OverflowError, match=r"overflows at x=\[-1\.0\]"):
             parse("(10*x1)^400", 1).tangent_rows(np.array([[0.5], [-1.0]]), dirs)
 
     @pytest.mark.parametrize("source", CONSTANT_ROOTS)
