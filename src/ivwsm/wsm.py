@@ -313,11 +313,8 @@ def _distances(grid: GridAxes, box: BoxSet) -> np.ndarray:
     the grid's columns to their clamps into the box, squared and summed in
     the order in which ``np.linalg.norm(..., axis=1)`` sums a row: the bits
     of the norms of the rows of ``points - box.project(points)``."""
-    squares = []
-    for column, lo, hi in zip(grid.columns, box.lo, box.hi):
-        offset = column - np.clip(column, lo, hi)
-        squares.append(offset * offset)
-    return grid.fill(np.sqrt(_row_sum_order(squares)))
+    offsets = [c - c.clip(lo, hi) for c, lo, hi in zip(grid.columns, box.lo, box.hi)]
+    return grid.fill(np.sqrt(_row_sum_order([offset * offset for offset in offsets])))
 
 
 def _row_sum_order(terms: list):
