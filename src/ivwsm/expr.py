@@ -25,14 +25,13 @@ The parser emits a flat post-order tape of ``(opcode, arg)`` instructions
 :meth:`ExprAst.rows` runs the tape on a value stack over the rows of an
 ``(m, n)`` array of points, one NumPy rule per opcode (:data:`_RULES`);
 :func:`evaluate` is a one-row call of it.  :meth:`ExprAst.on_grid` runs the
-same rules on a tensor-product grid's broadcast axes, which gives the bits
-and errors of ``rows`` on the grid's points with one value per combination
-of the axes an intermediate reads; ``ivf.endpoint_rows`` is where the
-values of an objective come from, by either route.  :meth:`ExprAst.tangent_rows`
-runs the same rules and, after each, a tangent rule (:data:`_TANGENTS`),
-which gives the exact one-sided directional derivative along a row of
-directions: every operation here is smooth or piecewise linear, so the
-derivative needs no difference quotient and no step.
+same rules on a grid's broadcast axes, with the bits and errors of ``rows``
+on the grid's points; an objective's values come from ``ivf.endpoint_rows``
+by either route.  :meth:`ExprAst.tangent_rows` runs the same rules and,
+after each, a tangent rule (:data:`_TANGENTS`), which gives the exact
+one-sided directional derivative along a row of directions: every
+operation here is smooth or piecewise linear, so the derivative needs no
+difference quotient and no step.
 """
 
 from __future__ import annotations
@@ -69,17 +68,14 @@ class ExprAst:
         return value if np.ndim(value) else np.full(len(points), value)
 
     def on_grid(self, grid) -> np.ndarray:
-        """The values of the expression at the points of a tensor-product
-        grid (a :class:`~ivwsm.geometry.GridAxes`), in its point order: the
-        tape runs on the grid's broadcast-shaped columns, so each value
-        holds one entry per combination of the axes it reads, and only the
-        result fills the grid.  Its bits and errors are those of
-        :meth:`rows` on the grid's points."""
+        """The values at the points of a :class:`~ivwsm.geometry.GridAxes`:
+        the tape runs on its broadcast columns and only the result fills
+        the grid, with the bits and errors of :meth:`rows` on its points."""
         return grid.fill(self._run(grid.columns))
 
     def _run(self, columns) -> np.ndarray:
-        """The value of the tape with variable k read as ``columns[k]``
-        (one scalar for a tape of constants only)."""
+        """The tape's value, variable k read as ``columns[k]`` (a scalar
+        for a tape of constants only)."""
         stack = []
         # inf and NaN propagate silently, as in Python float arithmetic
         with np.errstate(all="ignore"):
@@ -113,9 +109,8 @@ class ExprAst:
 
 
 def format_point(x) -> str:
-    """A point or direction as an error message names it: the shortest
-    repr of each coordinate, which parses back to the same float (NumPy's
-    default print precision of 8 digits can name one point as another)."""
+    """A point as error messages name it: each coordinate's shortest repr,
+    which parses back to the same float."""
     return str(np.asarray(x, dtype=float).tolist())
 
 
@@ -287,16 +282,17 @@ def parse(source: str, dimension: int) -> ExprAst:
 # ``np.float_power`` (``np.power`` rounds small integer powers differently),
 # and ``min``/``max`` keep the first of equal or NaN arguments, as Python's
 # builtins do.  A rule reads variable k as ``columns[k]``, a column of the
-# points or a broadcast-shaped grid axis (``ExprAst.on_grid``).  Where Python
-# raises, the rule raises for the first offending point and names it
-# (:func:`_first_point`).  A constant is one float64 scalar, not a column, so
+# points or a broadcast grid axis.  Where Python raises, the rule raises for
+# the first offending point and names it.  A constant is one float64 scalar, not a column, so
 # a subtree of constants is computed once; its error names the first point,
 # where every point fails (and zero points raise nothing, as for a column).
 
 
 def _first_point(columns, mask):
-    """The first point, in row (C) order, where mask holds, with mask and
-    the columns broadcast to the points' shape; None when there are none."""
+    """The first point, in row order, where mask holds, or None when there
+    is none."""
+    if not mask.any():
+        return None
     shape = np.broadcast_shapes(np.shape(mask), *(np.shape(c) for c in columns))
     if 0 in shape:
         return None
@@ -306,8 +302,7 @@ def _first_point(columns, mask):
 
 def _divide(stack, arg, columns):
     denominator = stack.pop()
-    zero = denominator == 0.0
-    x = _first_point(columns, zero) if zero.any() else None
+    x = _first_point(columns, denominator == 0.0)
     if x is not None:
         raise EvalError(f"division by zero at x={format_point(x)}")
     stack[-1] = stack[-1] / denominator
@@ -319,8 +314,7 @@ def _power(stack, exponent, columns):
     # Python's float ** int raises where a finite base overflows
     overflow = np.isinf(out)
     if overflow.any():
-        overflow &= np.isfinite(base)
-        x = _first_point(columns, overflow) if overflow.any() else None
+        x = _first_point(columns, overflow & np.isfinite(base))
         if x is not None:
             raise OverflowError(f"'^{exponent}' overflows at x={format_point(x)}")
 

@@ -203,8 +203,7 @@ class BoxSet:
         return self.tangent_cone(x).polar()
 
     def grid_axes(self, points_per_axis: int) -> "GridAxes":
-        """The regular grid over the box, held by its axes: ``points_per_axis``
-        values on each free axis, the one value of each point axis."""
+        """The regular grid over the box, held by its axes."""
         k = max(2, int(points_per_axis))
         return GridAxes(
             [
@@ -226,13 +225,10 @@ class GridAxes:
     """A tensor-product grid, held by its axes: ``axes[j]`` holds the values
     of coordinate j (one on a point axis).
 
-    Only free axes get an array dimension (NumPy allows 64): ``columns[j]``
-    is ``axes[j]`` shaped to broadcast along them, with a length-1 dimension
-    on the other free axes (and on every one for a point axis), and
-    ``shape`` is their lengths.  An elementwise operation on the columns
-    gives the bits it gives on the columns of :meth:`points`, with one value
-    per combination of the axes it reads.  The points are numbered in C
-    order over the free axes, as the rows of :meth:`points`.
+    Only free axes get an array dimension (NumPy allows 64), of lengths
+    ``shape``: ``columns[j]`` is ``axes[j]`` shaped to broadcast along them.
+    An elementwise operation on the columns gives the bits it gives on the
+    columns of :meth:`points`, whose rows number the points in C order.
     """
 
     def __init__(self, axes: list[np.ndarray]):
@@ -244,7 +240,7 @@ class GridAxes:
         ]
 
     def points(self) -> np.ndarray:
-        """The (N, n) array of the points, one row each."""
+        """The (N, n) array of the points."""
         n = len(self.axes)
         grid = np.empty((*self.shape, n))
         for j, column in enumerate(self.columns):
@@ -252,13 +248,12 @@ class GridAxes:
         return grid.reshape(-1, n)
 
     def point(self, i: int) -> np.ndarray:
-        """Point i, row i of :meth:`points`, read from the axes."""
+        """Row i of :meth:`points`, read from the axes."""
         at = dict(zip(self.free, np.unravel_index(i, self.shape)))
         return np.array([a[at.get(j, 0)] for j, a in enumerate(self.axes)])
 
     def fill(self, values) -> np.ndarray:
-        """Values that broadcast along the free axes (a full-shaped array or
-        a scalar), as a flat array of one value per point, in point order."""
+        """Values that broadcast along the free axes, one per point."""
         if np.shape(values) != self.shape:
             out = np.empty(self.shape)
             out[...] = values

@@ -19,9 +19,8 @@ The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
 call when the endpoints carry batched forms (expression objectives always
 do), and loop over the rows otherwise.  :func:`endpoint_rows` also takes a
-tensor-product grid by its axes (:class:`~ivwsm.geometry.GridAxes`), which
-expression endpoints evaluate on the axes (:meth:`~ivwsm.expr.ExprAst.on_grid`) and
-other endpoints on the grid's points.  Every value of F comes from
+grid by its axes (:class:`~ivwsm.geometry.GridAxes`), on which expression
+endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
 upper), and every derivative from :func:`dir_derivatives`, the one home
@@ -219,18 +218,6 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return int(np.argmax(mask)) if mask.any() else None
 
 
-def _values(g: Endpoint, points) -> np.ndarray:
-    """g at each row of an (m, n) array, or at each point of a grid: on its
-    axes where g runs on a grid (a parsed expression does), else on the
-    grid's materialized points."""
-    if isinstance(points, GridAxes):
-        on_grid = getattr(g, "on_grid", None)
-        if on_grid is not None:
-            return on_grid(points)
-        points = points.points()
-    return _rows(g)(points)
-
-
 def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     """lower and upper at each row of an (m, n) array of points, or at each
     point of a :class:`~ivwsm.geometry.GridAxes` in its point order.
@@ -241,14 +228,19 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     with other values could overflow; lower above upper by more than
     :data:`ENDPOINT_ORDER_TOL` raises ModelError naming its point, and a
     smaller crossing (round-off at coinciding endpoints) gives both
-    endpoints the midpoint.  A grid's point is built only to be named.
+    endpoints the midpoint.
     """
     if isinstance(points, GridAxes):
+        # expression endpoints run on the axes, others on the points
         point = points.point
+        lo, hi = (
+            g.on_grid(points) if hasattr(g, "on_grid") else _rows(g)(points.points())
+            for g in (f.lower, f.upper)
+        )
     else:
         points = np.asarray(points, dtype=float)
         point = points.__getitem__
-    lo, hi = _values(f.lower, points), _values(f.upper, points)
+        lo, hi = _rows(f.lower)(points), _rows(f.upper)(points)
     # NaN, inf and a value past ENDPOINT_MAX all fail one test, and then
     # every non-finite value is reported before one that is only too large
     if not ((np.abs(lo) <= ENDPOINT_MAX).all() and (np.abs(hi) <= ENDPOINT_MAX).all()):
@@ -286,9 +278,8 @@ def _raise_infeasible(points: np.ndarray, dirs: np.ndarray, blocked: np.ndarray)
 
 def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> None:
     """InfeasibleDirectionError at the first row pair of points and dirs
-    where x + t*d leaves the domain box for every small t > 0: a direction
-    heads past a bound its point is on or beyond.  A zero or NaN direction
-    coordinate heads nowhere, and a NaN point coordinate meets no bound."""
+    where x + t*d leaves the domain box for every small t > 0: where d heads
+    past a bound x is on or beyond (a zero or NaN d_i heads nowhere)."""
     blocked = (dirs > 0) & (points >= domain.hi)
     blocked |= (dirs < 0) & (points <= domain.lo)
     _raise_infeasible(points, dirs, blocked.any(axis=1))
@@ -297,8 +288,7 @@ def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> N
 def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """The largest t, per row pair of points and dirs, with x + t*d in the
     domain box (inf along a zero direction); InfeasibleDirectionError names
-    the first row where it is not positive, which includes a step that
-    underflows to 0."""
+    the first row where it is not positive (or underflows to 0)."""
     # per entry, the t at which x + t*d meets the bound it heads for
     t_exit = np.where(dirs > 0, domain.hi, domain.lo)
     t_exit -= points

@@ -35,13 +35,11 @@ bisection read the same per-point margins
 distances to Sbar (``_Context.dists``).  A NaN margin is never skipped: it
 is reported as the worst margin and fails.
 
-The context holds the feasible grid by its axes (``_Context.s_axes``).
-Its endpoint values and its distances to Sbar are elementwise work on
-the broadcast axes, so they have the bits of the same work on the
-grid's rows, and only the results take one entry per point.  The
-``(N, n)`` grid and its projection onto Sbar are built when a checker
-reads them (dual-b and dual-f), so the definition checker and the
-modulus bisection never build them.
+The context holds the feasible grid by its axes (``_Context.s_axes``):
+its endpoint values and distances to Sbar are elementwise work on the
+broadcast axes, with the bits of that work on the grid's rows.  The
+``(N, n)`` grid and its projection onto Sbar are built only for dual-b and
+dual-f, never for the definition checker or the modulus bisection.
 """
 
 from __future__ import annotations
@@ -187,13 +185,11 @@ class WsmReport:
 class _Context:
     """Shared grids, directions and cached endpoint values for one problem.
 
-    The feasible grid is ``s_axes``, its per-axis arrays; ``flo_s``,
-    ``fhi_s`` and ``dists`` hold one value per point, in the order of the
-    rows of ``s_grid``, which is built (with ``proj``) only when read.  The
-    candidate grid ``sbar_grid`` is built at once.  The context keeps the
-    parts of the problem it reads, not the problem, which holds it: without
-    that cycle, refcounting frees a problem's grids as soon as the problem
-    goes."""
+    The feasible grid is ``s_axes``; ``flo_s``, ``fhi_s`` and ``dists``
+    follow the rows of ``s_grid``, which is built (with ``proj``) only when
+    read.  It keeps the parts of the problem it reads, not the problem,
+    which holds it: without that cycle, refcounting frees a problem's grids
+    as soon as the problem goes."""
 
     def __init__(self, p: WsmProblem):
         self.f, self.s, self.sbar, self.margin_tol = p.f, p.s, p.sbar, p.margin_tol
@@ -223,8 +219,7 @@ class _Context:
 
     @cached_property
     def s_grid(self) -> np.ndarray:
-        """The feasible grid's points, one row each, in the order of
-        ``flo_s``, ``fhi_s`` and ``dists``."""
+        """The feasible grid's points, one row each."""
         return self.s_axes.points()
 
     @cached_property
@@ -309,19 +304,17 @@ class _Context:
 
 
 def _distances(grid: GridAxes, box: BoxSet) -> np.ndarray:
-    """dist(x, box) at each point of the grid, from the per-axis offsets of
-    the grid's columns to their clamps into the box, squared and summed in
-    the order in which ``np.linalg.norm(..., axis=1)`` sums a row: the bits
-    of the norms of the rows of ``points - box.project(points)``."""
+    """dist(x, box) at each point of the grid, from its columns' offsets to
+    their clamps into the box: the bits of ``np.linalg.norm(points -
+    box.project(points), axis=1)``."""
     offsets = [c - c.clip(lo, hi) for c, lo, hi in zip(grid.columns, box.lo, box.hi)]
     return grid.fill(np.sqrt(_row_sum_order([offset * offset for offset in offsets])))
 
 
 def _row_sum_order(terms: list):
-    """The sum of the terms in the order of NumPy's pairwise sum of one
-    contiguous row: in sequence below 8 terms; up to 128, in 8 partial sums
-    (term i in sum i % 8) combined pairwise, then the rest in sequence; past
-    128, the sums of the two halves, split at a multiple of 8."""
+    """The sum of the terms in the order NumPy sums a contiguous row: in
+    sequence below 8 terms, in 8 partial sums (term i in sum i % 8) up to
+    128, and past 128 by halves split at a multiple of 8."""
     n = len(terms)
     if n > 128:
         half = n // 2 - n // 2 % 8
