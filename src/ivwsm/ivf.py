@@ -266,14 +266,12 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _raise_infeasible(points: np.ndarray, dirs: np.ndarray, blocked: np.ndarray) -> None:
-    """InfeasibleDirectionError naming the first row where blocked holds."""
-    i = _first(blocked)
-    if i is not None:
-        raise InfeasibleDirectionError(
-            f"no small-t feasibility: the direction {format_point(dirs[i])} exits the "
-            f"domain immediately at {format_point(points[i])}"
-        )
+def _infeasible(points: np.ndarray, dirs: np.ndarray, i: int) -> InfeasibleDirectionError:
+    """The error for row i, whose direction leaves the domain at once."""
+    return InfeasibleDirectionError(
+        f"no small-t feasibility: the direction {format_point(dirs[i])} exits the "
+        f"domain immediately at {format_point(points[i])}"
+    )
 
 
 def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> None:
@@ -282,7 +280,10 @@ def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> N
     past a bound x is on or beyond (a zero or NaN d_i heads nowhere)."""
     blocked = (dirs > 0) & (points >= domain.hi)
     blocked |= (dirs < 0) & (points <= domain.lo)
-    _raise_infeasible(points, dirs, blocked.any(axis=1))
+    # the first blocked entry in row order is in the first blocked row
+    k = _first(blocked.ravel())
+    if k is not None:
+        raise _infeasible(points, dirs, k // dirs.shape[1])
 
 
 def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -301,7 +302,9 @@ def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndar
     t_min = next(columns).copy()
     for column in columns:
         np.minimum(t_min, column, out=t_min)
-    _raise_infeasible(points, dirs, t_min <= 0)
+    i = _first(t_min <= 0)
+    if i is not None:
+        raise _infeasible(points, dirs, i)
     return t_min
 
 
