@@ -10,6 +10,8 @@ Cone projection, membership and distance, and box membership and face
 codes, accept one vector or an (m, n) array of them, one result per row.
 A point's cones depend only on its face codes, so callers with many points
 build each cone once per face (``group_rows``, ``OrthantCone.of_codes``).
+A box's regular grid can be held by its axes (``GridAxes``), so that
+elementwise work over it need not build its ``(N, n)`` array of points.
 """
 
 from __future__ import annotations
