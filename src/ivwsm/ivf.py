@@ -277,9 +277,11 @@ def _infeasible(points: np.ndarray, dirs: np.ndarray, i: int) -> InfeasibleDirec
 def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> None:
     """InfeasibleDirectionError at the first row pair of points and dirs
     where x + t*d leaves the domain box for every small t > 0: where d heads
-    past a bound x is on or beyond (a zero or NaN d_i heads nowhere)."""
+    past a bound x is on or beyond, or is infinite (a zero or NaN d_i heads
+    nowhere)."""
     blocked = (dirs > 0) & (points >= domain.hi)
     blocked |= (dirs < 0) & (points <= domain.lo)
+    blocked |= np.isinf(dirs)
     # the first blocked entry in row order is in the first blocked row
     k = _first(blocked.ravel())
     if k is not None:

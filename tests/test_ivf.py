@@ -358,17 +358,21 @@ class TestExactDerivatives:
         # named at round-trip precision, not as the bound [1.]
         assert error == (InfeasibleDirectionError, "no small-t feasibility: the direction "
                          "[1e+308] exits the domain immediately at [0.9999999999999999]")
-        # on the bound, or past it, both routes raise the same error; a zero
-        # or NaN direction coordinate heads nowhere, as before
+        # on the bound, past it, or along an infinite coordinate, both routes
+        # raise the same error; a zero or NaN direction coordinate heads
+        # nowhere, as before
+        errors = []
         for make in (Ivf.from_expressions, numeric_ivf):
             f = make("abs(x1)", "abs(x1) + 1", cube(2, -1, 1))
-            for point in ([1.0, 0.0], [1.5, 0.0]):
-                error = _message(lambda: dir_derivatives(f, [point], [[1e-300, 0.0]]))
-                assert error[0] is InfeasibleDirectionError
+            for point, d in (([1.0, 0.0], [1e-300, 0.0]), ([1.5, 0.0], [1e-300, 0.0]),
+                             ([0.0, 0.0], [0.0, -np.inf])):
+                errors.append(_message(lambda: dir_derivatives(f, [point], [d])))
+                assert errors[-1][0] is InfeasibleDirectionError
             lo, hi = dir_derivatives(f, [[1.0, 0.5]], [[0.0, -1.0]])
             assert (lo[0], hi[0]) == (0.0, 0.0)
             error = _message(lambda: dir_derivatives(f, [[1.0, 0.5]], [[np.nan, 1.0]]))
             assert error[0] is ValueError and "not finite" in error[1]
+        assert errors[:3] == errors[3:]
 
     def test_a_failing_block_raises_the_first_failing_points_own_error(self):
         # lower's derivative overflows only at b along +1, upper's at a along
