@@ -37,10 +37,10 @@ groups (point, directions) pairs into blocks of that size, so the
 temporary arrays of one call stay bounded.
 
 A block costs a fixed number of NumPy calls, so their per-call and per-row
-overheads are its cost: the numeric route works in place and takes row
-minima one column at a time, keeping the plain formulas' bits, and the
-exact route makes one tape pass per endpoint where the numeric one makes
-four.
+overheads are its cost: the exact route makes one tape pass per endpoint
+where the numeric one makes four.  The numeric route keeps to the plain
+formulas and only reads the arrays an endpoint returns, so an endpoint may
+hand back a cached or read-only array.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .geometry import BoxSet, GridAxes, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 
 Endpoint = Callable[[np.ndarray], float]
-#: Batched endpoint: the values at each row of an (m, n) array of points, in
-#: a new float array (the numeric derivative writes its quotients into it).
+#: Batched endpoint: the values at each row of an (m, n) array of points, as
+#: a float array (read, never written).
 RowEndpoint = Callable[[np.ndarray], np.ndarray]
 
 #: Decreasing probe steps for one-sided difference quotients.
@@ -288,55 +288,27 @@ def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> N
         raise _infeasible(points, dirs, k // dirs.shape[1])
 
 
-def _exit_steps(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The largest t, per row pair of points and dirs, with x + t*d in the
-    domain box (inf along a zero direction); InfeasibleDirectionError names
-    the first row where it is not positive (or underflows to 0)."""
-    # per entry, the t at which x + t*d meets the bound it heads for
-    t_exit = np.where(dirs > 0, domain.hi, domain.lo)
-    t_exit -= points
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_exit /= dirs
-    t_exit[~((dirs > 0) | (dirs < 0))] = np.inf
-    # the row minimum by columns (NumPy reduces a short last axis row by
-    # row); a row with a NaN coordinate is NaN either way
-    columns = iter(t_exit.T)
-    t_min = next(columns).copy()
-    for column in columns:
-        np.minimum(t_min, column, out=t_min)
-    i = _first(t_min <= 0)
-    if i is not None:
-        raise _infeasible(points, dirs, i)
-    return t_min
-
-
 def _step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """The factor, per row pair of points and dirs, on the steps of
     :data:`STEP_SCHEDULE`: below 1 where x + t*d leaves the domain box
-    closer than twice the largest step."""
-    t_min = _exit_steps(domain, points, dirs)
-    t_min *= 0.5
-    t_min /= STEP_SCHEDULE[0]
+    closer than twice the largest step.  InfeasibleDirectionError names the
+    first row whose exit step is not positive (or underflows to 0)."""
+    # per entry, the t at which x + t*d meets the bound it heads for, inf
+    # where d_i heads nowhere (0 or NaN)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_exit = (np.where(dirs > 0, domain.hi, domain.lo) - points) / dirs
+    t_exit[~((dirs > 0) | (dirs < 0))] = np.inf
+    t_exit = t_exit.min(axis=1)
+    i = _first(t_exit <= 0)
+    if i is not None:
+        raise _infeasible(points, dirs, i)
+    ratio = 0.5 * t_exit / STEP_SCHEDULE[0]
     # min(ratio, 1.0), and 1.0 for NaN (the ratio is positive)
-    return np.fmin(t_min, 1.0, out=t_min)
-
-
-def _quotient(g: RowEndpoint, points, dirs, g0, t: float, scale) -> np.ndarray:
-    """(g(x + h*d) - g(x)) / h per row pair, h = t * scale, in the array g
-    returns; x + h*d takes one (m, n) temporary, h is not kept."""
-    moved = (t * scale)[:, None] * dirs
-    moved += points
-    q = g(moved)
-    q -= g0
-    q /= t * scale
-    return q
+    return np.where(ratio < 1.0, ratio, 1.0)
 
 
 def _richardson(qa, qb, ta, tb):
-    e = ta * qb
-    e -= tb * qa
-    e /= ta - tb
-    return e
+    return (ta * qb - tb * qa) / (ta - tb)
 
 
 def _one_sided_rows(
@@ -344,27 +316,23 @@ def _one_sided_rows(
 ) -> np.ndarray:
     """Right directional derivative of g at each row pair of points and dirs.
 
-    Evaluates (g(x + t d) - g(x)) / t on the three decreasing steps
-    ``t * scale`` for t in :data:`STEP_SCHEDULE` (:func:`_step_scale`),
+    Evaluates (g(x + h d) - g(x)) / h on the three decreasing steps
+    ``h = t * scale`` for t in :data:`STEP_SCHEDULE` (:func:`_step_scale`),
     removes the first-order error by extrapolation, and demands the last
-    two extrapolations agree.  Each step array is formed where it is used
-    rather than kept, and the arithmetic runs in place, which bounds the
-    temporaries of a block.
+    two extrapolations agree.  The arrays g returns are only read.
     """
     g0 = g(points)
-    t0, t1, t2 = STEP_SCHEDULE
+    h0, h1, h2 = (t * scale for t in STEP_SCHEDULE)
     # quotients that overflow give inf or NaN extrapolations, which raise
     # below naming the row, so the arithmetic on them passes silently
     with np.errstate(over="ignore", invalid="ignore"):
-        q0, q1, q2 = (_quotient(g, points, dirs, g0, t, scale) for t in STEP_SCHEDULE)
-        e1 = _richardson(q0, q1, t0 * scale, t1 * scale)
-        e2 = _richardson(q1, q2, t1 * scale, t2 * scale)
+        q0, q1, q2 = ((g(h[:, None] * dirs + points) - g0) / h for h in (h0, h1, h2))
+        e1 = _richardson(q0, q1, h0, h1)
+        e2 = _richardson(q1, q2, h1, h2)
         # max(1.0, |e1|, |e2|) with Python's first-wins semantics
-        size = np.fmax(np.abs(e1), 1.0)
-        np.fmax(size, np.abs(e2), out=size)
-        size *= AGREEMENT_RTOL
-        gap = np.subtract(e1, e2)
-        i = _first(np.abs(gap, out=gap) > size)
+        size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
+        size = np.where(np.abs(e2) > size, np.abs(e2), size)
+        i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
     if i is not None:
         raise NonsmoothUncertainError(
             f"nonsmooth-uncertain at x={format_point(points[i])} "

@@ -71,13 +71,23 @@ def make_ivf(
     return Ivf(n, lower, upper, cube(n, lo, hi), analytic)
 
 
+def _read_only(rows: Callable) -> Callable:
+    def read_only_rows(points):
+        out = rows(points)
+        out.flags.writeable = False
+        return out
+
+    return read_only_rows
+
+
 def numeric_ivf(lower: str, upper: str, domain: BoxSet) -> Ivf:
     """``Ivf.from_expressions`` with endpoints that carry only the batched
     ``rows`` form, so their derivatives take the numeric route, as those
-    of an opaque callable do."""
+    of an opaque callable do.  The arrays they return are read-only, so
+    every caller also checks that the kernels only read them."""
     f = Ivf.from_expressions(lower, upper, domain)
-    return replace(f, lower=SimpleNamespace(rows=f.lower.rows),
-                   upper=SimpleNamespace(rows=f.upper.rows))
+    return replace(f, lower=SimpleNamespace(rows=_read_only(f.lower.rows)),
+                   upper=SimpleNamespace(rows=_read_only(f.upper.rows)))
 
 
 def vee_ivf(c_lo: float = 0.25, c_hi: float = 1.0, center: float = 0.0,

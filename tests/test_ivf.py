@@ -3,6 +3,7 @@ estimation of interval-valued objectives."""
 
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -90,6 +91,31 @@ class TestDirDerivative:
         f = make_ivf(1, lambda x: abs(x[0] - 5e-4), lambda x: 2 * abs(x[0] - 5e-4), -1, 1)
         with pytest.raises(NonsmoothUncertainError):
             f.dir_deriv([0.0], [1.0])
+
+    def test_an_endpoint_may_return_its_cached_array(self):
+        # rows memoises by the points' bytes and returns the cached array
+        # itself: the kernel only reads it, so the cache keeps g's values
+        # and an identical call gives the same derivative
+        def memoised(g):
+            cache = {}
+
+            def rows(points):
+                key = points.tobytes()
+                if key not in cache:
+                    cache[key] = np.array([g(x) for x in points])
+                return cache[key]
+
+            return SimpleNamespace(rows=rows, g=g, cache=cache)
+
+        ends = memoised(lambda x: x[0] ** 2), memoised(lambda x: 2 * x[0] ** 2)
+        f = Ivf(1, *ends, cube(1, -1, 1))
+        for _ in range(3):
+            assert_close_interval(f.dir_deriv([0.5], [1.0]), Interval(1.0, 2.0), 1e-6)
+        for end in ends:
+            assert len(end.cache) == 4  # the point and its three steps
+            for key, values in end.cache.items():
+                points = np.frombuffer(key).reshape(-1, 1)
+                assert same_bits(values, [end.g(x) for x in points])
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(3)
@@ -641,9 +667,9 @@ class TestRowBlocks:
         assert same_bits(table, rows)
 
 
-# The numeric kernel and the analytic loop as they were before their
-# arithmetic moved in place, verbatim: the kernel must give their results
-# bit for bit (signed zeros included) and raise their errors.
+# The numeric kernel and the analytic loop in their plain formulas, kept
+# apart from the code they check: the kernel must give their results bit
+# for bit (signed zeros included) and raise their errors.
 
 
 def reference_step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
