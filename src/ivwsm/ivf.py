@@ -23,9 +23,9 @@ grid by its axes (:class:`~ivwsm.geometry.GridAxes`), on which expression
 endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
-upper), and every derivative from :func:`dir_derivatives`, the one home
-of the analytic route; the 1-d subgradient set and the CLI's support
-values read it through :func:`point_block_derivatives`.  The one-point
+upper), and every derivative from :func:`dir_derivatives` or, for (point,
+directions) pairs, :func:`point_block_derivatives`, which the checkers, the
+1-d subgradient set and the CLI's support values read.  The one-point
 methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` are one-row calls of
 these kernels, and :meth:`RestrictedIvf.dir_deriv` a one-row call of
 :meth:`RestrictedIvf.dir_derivs`, which gives +inf along directions that
@@ -40,12 +40,17 @@ A block costs a fixed number of NumPy calls, so their per-call and per-row
 overheads are its cost: the exact route makes one tape pass per endpoint
 where the numeric one makes four.  The numeric route keeps to the plain
 formulas and only reads the arrays an endpoint returns, so an endpoint may
-hand back a cached or read-only array.
+hand back a cached or read-only array.  An analytic derivative is called
+once per (point, direction) row, in point-then-direction order, on read-only
+arrays it must not keep, which :func:`point_block_derivatives` lists once
+per block and direction array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,7 +120,8 @@ class Ivf:
     row.  Endpoints that both have ``tangent_rows`` (as parsed expressions
     do) are differentiated exactly, others numerically.
     ``analytic_dir_deriv``, when supplied, replaces the exact or numeric
-    directional derivative (:func:`dir_derivatives`).
+    directional derivative (:func:`dir_derivatives`), called on one (point,
+    direction) row of read-only 1-d arrays at a time.
     """
 
     dimension: int
@@ -342,6 +348,17 @@ def _one_sided_rows(
     return _finite(e2, points, dirs)
 
 
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float).view()
+    a.flags.writeable = False
+    return a
+
+
+def _ends(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper endpoint arrays of a list of intervals."""
+    return tuple(np.fromiter(map(attrgetter(e), values), float, len(values)) for e in ("lo", "hi"))
+
+
 def _finite(derivs: np.ndarray, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """derivs, once ValueError has named the first row where it is not finite."""
     i = _first(~np.isfinite(derivs))
@@ -378,11 +395,7 @@ def dir_derivatives(
         ]
         return tuple(np.concatenate(ends) for ends in zip(*parts))
     if f.analytic_dir_deriv is not None:
-        values = [f.analytic_dir_deriv(x, d) for x, d in zip(points, dirs)]
-        return (
-            np.fromiter((value.lo for value in values), float, len(values)),
-            np.fromiter((value.hi for value in values), float, len(values)),
-        )
+        return _ends(list(map(f.analytic_dir_deriv, _read_only(points), _read_only(dirs))))
     exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
     if None in exact:
         scale = _step_scale(f.domain, points, dirs)
@@ -421,7 +434,13 @@ def _block_derivatives(f: Ivf, block: list) -> tuple:
     points = np.repeat([x for x, _ in block], [len(d) for _, d in block], axis=0)
     dirs = np.concatenate([d for _, d in block])
     try:
-        lo, hi = dir_derivatives(f, points, dirs)
+        if f.analytic_dir_deriv is None:
+            lo, hi = dir_derivatives(f, points, dirs)
+        else:  # the read-only rows of each distinct direction array, once
+            rows = {id(d): d for _, d in block}
+            rows = {key: list(_read_only(d)) for key, d in rows.items()}
+            calls = (map(f.analytic_dir_deriv, repeat(_read_only(x)), rows[id(d)]) for x, d in block)
+            lo, hi = _ends(list(chain.from_iterable(calls)))
     except Exception:
         for x, d in block:
             dir_derivatives(f, x, d)

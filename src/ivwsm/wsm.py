@@ -187,12 +187,13 @@ class _Context:
 
     The feasible grid is ``s_axes``; ``flo_s``, ``fhi_s`` and ``dists``
     follow the rows of ``s_grid``, which is built (with ``proj``) only when
-    read.  It keeps the parts of the problem it reads, not the problem,
-    which holds it: without that cycle, refcounting frees a problem's grids
-    as soon as the problem goes."""
+    read, like the seeded directions ``dirs``.  It keeps the parts
+    of the problem it reads, not the problem, which holds it: without that
+    cycle, refcounting frees a problem's grids as soon as the problem goes."""
 
     def __init__(self, p: WsmProblem):
         self.f, self.s, self.sbar, self.margin_tol = p.f, p.s, p.sbar, p.margin_tol
+        self.seed, self.n_dirs = p.seed, p.n_dirs
         k = grid_density(p.s, p.grid)
         notes = []
         if k < p.grid:
@@ -200,7 +201,6 @@ class _Context:
         self.grid_per_axis = k
         self.s_axes = p.s.grid_axes(k)
         self.sbar_grid = p.sbar.grid(k)
-        self.dirs = default_directions(p.f.dimension, p.seed, p.n_dirs)
         self.flo_s, self.fhi_s = endpoint_rows(p.f, self.s_axes)
         self.flo_sbar, self.fhi_sbar = endpoint_rows(p.f, self.sbar_grid)
         self.dists = _distances(self.s_axes, p.sbar)
@@ -216,6 +216,11 @@ class _Context:
                 "not guaranteed"
             )
         self.notes = tuple(notes)
+
+    @cached_property
+    def dirs(self) -> np.ndarray:
+        """The seeded directions the derivative checkers sample."""
+        return default_directions(self.f.dimension, self.seed, self.n_dirs)
 
     @cached_property
     def s_grid(self) -> np.ndarray:
@@ -278,7 +283,8 @@ class _Context:
     def gaps(self) -> np.ndarray:
         """The smaller endpoint gap g(x) - max of g over the candidate grid,
         g either endpoint, at each feasible grid point."""
-        return np.minimum(self.flo_s - self.flo_sbar.max(), self.fhi_s - self.fhi_sbar.max())
+        gaps = np.subtract(self.flo_s, self.flo_sbar.max())
+        return np.minimum(gaps, self.fhi_s - self.fhi_sbar.max(), out=gaps)
 
     def definition_margins(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Margin of the defining inequality at each feasible grid point,

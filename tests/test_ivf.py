@@ -1,7 +1,9 @@
 """Evaluation, directional derivatives, gradients, convexity and Lipschitz
 estimation of interval-valued objectives."""
 
+import itertools
 import re
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -17,6 +19,9 @@ from ivwsm import dir_derivatives, lipschitz_estimate, scalar_mul, subdiff_suppo
 from ivwsm import PLUS_INF, EvalError, add, inf_family, interval_norm, sup_family
 from ivwsm.intervals import is_finite
 from ivwsm import ivf as ivf_module
+from ivwsm import subdiff, wsm
+from ivwsm.support import signed_basis
+from ivwsm.wsm import check_all
 from ivwsm.expr import format_point
 from ivwsm.ivf import (
     AGREEMENT_RTOL,
@@ -38,6 +43,7 @@ from ivwsm.ivf import (
 )
 
 from conftest import cube, make_ivf, numeric_ivf, quad_ivf, random_convex_ivf, vee_ivf
+from conftest import wsm_battery
 from test_expr import eval_node_reference, random_tree, same_bits, to_source
 
 
@@ -665,6 +671,166 @@ class TestRowBlocks:
             table = ctx.deriv_lo
         assert table.shape == (len(ctx.sbar_grid), len(ctx.dirs))
         assert same_bits(table, rows)
+
+
+def row_by_row_blocks(f: Ivf, pairs):
+    """point_block_derivatives as one block, with an ``Ivf.dir_deriv`` call
+    per row."""
+    pairs = list(pairs)
+    rows = [(x, d) for x, dirs in pairs for d in np.asarray(dirs, dtype=float)]
+    values = [f.dir_deriv(x, d) for x, d in rows]
+    points, dirs = (np.reshape([row[k] for row in rows], (-1, f.dimension)) for k in (0, 1))
+    lo, hi = (np.array([getattr(v, end) for v in values], float) for end in ("lo", "hi"))
+    yield len(pairs), points, dirs, lo, hi
+
+
+def recording(f: Ivf, record) -> Ivf:
+    """f with its analytic derivative reporting each call's arguments to
+    ``record`` before it runs."""
+    call = f.analytic_dir_deriv
+
+    def deriv(x, d):
+        record(x, d)
+        return call(x, d)
+
+    return replace(f, analytic_dir_deriv=deriv)
+
+
+ANALYTIC_CASES = {case.name: case for case in wsm_battery()}
+
+
+class TestAnalyticBlocks:
+    """A supplied derivative callback is called once per (point, direction)
+    row, in point-then-direction order, on read-only views of the pair's
+    point and of its direction array's rows, which are listed once per
+    block; the results and errors are those of row-by-row calls."""
+
+    def problem(self, name: str, grid: int = 5, n_dirs: int = 16):
+        case = ANALYTIC_CASES[name]
+        return WsmProblem(f=case.f, s=case.s, sbar=case.sbar, alpha=case.nominal_alpha,
+                          grid=grid, seed=3, n_dirs=n_dirs)
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_CASES))
+    def test_the_table_equals_row_by_row_calls(self, name):
+        p = self.problem(name)
+        ctx = p.context()
+        expected = [
+            [p.f.dir_deriv(x, d).lo if p.s.tangent_cone(x).contains(d[None])[0] else np.inf
+             for d in ctx.dirs]
+            for x in ctx.sbar_grid
+        ]
+        assert same_bits(ctx.deriv_lo, expected)
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_CASES))
+    def test_dual_e_equals_row_by_row_calls(self, name):
+        block = wsm.check_dual_e(self.problem(name))
+        with mock.patch.object(wsm, "point_block_derivatives", row_by_row_blocks):
+            row = wsm.check_dual_e(self.problem(name))
+        assert same_bits(block.worst_margin, row.worst_margin)
+        assert (block.witness is None) == (row.witness is None)
+        if row.witness is not None:
+            assert all(map(same_bits, block.witness, row.witness))
+        assert (block.verdict, block.samples_evaluated) == (row.verdict, row.samples_evaluated)
+
+    @pytest.mark.parametrize("at", [-0.5, 0.0, 0.25, 1e-13])
+    def test_subdiff_1d_equals_row_by_row_calls(self, at):
+        for f in (vee_ivf(), vee_ivf(0.5, 1.0, center=0.25), quad_ivf()):
+            block = subdiff.subdiff_1d(f, [at])
+            with mock.patch.object(subdiff, "point_block_derivatives", row_by_row_blocks):
+                row = subdiff.subdiff_1d(f, [at])
+            assert type(block) is type(row)
+            assert repr(block) == repr(row)
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_CASES))
+    def test_per_direction_pairs_equal_row_by_row_calls(self, name):
+        f, n = ANALYTIC_CASES[name].f, ANALYTIC_CASES[name].f.dimension
+        rng = np.random.default_rng(len(name))
+        for x in rng.uniform(-1, 1, size=(3, n)):
+            pairs = [(x, d[None]) for d in signed_basis(n)]
+            blocks = list(point_block_derivatives(f, pairs))
+            rows = list(row_by_row_blocks(f, pairs))
+            for end in (1, 2, 3, 4):
+                assert same_bits(np.concatenate([b[end] for b in blocks]),
+                                 np.concatenate([r[end] for r in rows]))
+
+    def test_the_callback_reads_read_only_one_d_float_arrays(self):
+        seen = []
+        p = self.problem("l1-n3")
+        f = recording(p.f, lambda x, d: seen.append((x, d)))
+        p = WsmProblem(f=f, s=p.s, sbar=p.sbar, alpha=p.alpha, grid=5, seed=3, n_dirs=16)
+        check_all(p)
+        f.dir_deriv([0.5, 0.0, -0.5], [1.0, 0.0, 0.0])
+        list(point_block_derivatives(f, [([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]])]))
+        assert len(seen) > 100
+        for array in itertools.chain.from_iterable(seen):
+            assert (array.ndim, array.dtype, array.flags.writeable) == (1, np.float64, False)
+
+    @pytest.mark.parametrize("argument", [0, 1])
+    def test_a_writing_callback_raises_and_changes_nothing(self, argument):
+        def write(*args):
+            args[argument][0] = 7.0
+
+        p = self.problem("l1-n2")
+        p = WsmProblem(f=recording(p.f, write), s=p.s, sbar=p.sbar, alpha=p.alpha, grid=5)
+        ctx = p.context()
+        grid, dirs = ctx.sbar_grid.copy(), ctx.dirs.copy()
+        for call in (lambda: ctx.deriv_lo, lambda: wsm.check_dual_e(p),
+                     lambda: wsm.check_dual_f(p)):
+            assert _message(call)[0] is ValueError
+        assert same_bits(ctx.sbar_grid, grid) and same_bits(ctx.dirs, dirs)
+
+    @pytest.mark.parametrize("first", ["raises", "returns None"])
+    def test_a_failing_block_raises_the_first_failing_points_own_error(self, first):
+        # b's call raises; a's returns None, which fails only once its
+        # values are read, after b's call in a block of both
+        def deriv(x, d):
+            if x[0] > 0:
+                raise ValueError(f"no derivative at {format_point(x)}")
+            if x[0] < 0 and first == "returns None":
+                return None
+            return Interval(d[0], 2 * abs(d[0]))
+
+        f = replace(make_ivf(1, abs, abs, -2, 2), analytic_dir_deriv=deriv)
+        dirs = np.array([[1.0], [-1.0]])
+        pairs = [([-0.5], dirs), ([0.0], dirs), ([0.5], dirs), ([1.0], dirs)]
+        failing = pairs[0] if first == "returns None" else pairs[2]
+        expected = _message(lambda: dir_derivatives(f, *failing))
+        assert expected == (
+            (AttributeError, "'NoneType' object has no attribute 'lo'")
+            if first == "returns None" else (ValueError, "no derivative at [0.5]")
+        )
+        assert _message(lambda: list(point_block_derivatives(f, pairs))) == expected
+
+    @pytest.mark.parametrize("block", [1, 10, ROW_BLOCK])
+    def test_the_table_calls_once_per_feasible_pair_in_order(self, block):
+        calls = []
+        p = self.problem("l1-n3")
+        f = recording(p.f, lambda x, d: calls.append((x.tobytes(), d.tobytes())))
+        p = WsmProblem(f=f, s=p.s, sbar=cube(3, -0.5, 1), alpha=p.alpha, grid=5, seed=3,
+                       n_dirs=7)
+        ctx = p.context()
+        with mock.patch.object(ivf_module, "ROW_BLOCK", block):
+            ctx.deriv_lo
+        assert calls == [
+            (x.tobytes(), d.tobytes())
+            for x in ctx.sbar_grid for d in ctx.dirs[p.s.tangent_cone(x).contains(ctx.dirs)]
+        ]
+
+    def test_row_views_live_one_block_at_a_time(self):
+        views, most = [], []
+        p = self.problem("l1-n3")
+
+        def record(x, d):
+            views.append(weakref.ref(d))
+            most.append(sum(view() is not None for view in views))
+
+        p = WsmProblem(f=recording(p.f, record), s=p.s, sbar=cube(3, -0.5, 1), alpha=p.alpha,
+                       grid=5, seed=3, n_dirs=7)
+        # a block holds at most 13 rows, a face's most: its 7 + 6 directions
+        with mock.patch.object(ivf_module, "ROW_BLOCK", 13):
+            p.context().deriv_lo
+        assert len(views) > 100 and max(most) <= 13
+        assert all(view() is None for view in views)
 
 
 # The numeric kernel and the analytic loop in their plain formulas, kept

@@ -385,6 +385,33 @@ class TestGridRoute:
             assert cli.main(["check", name, "--mode", "definition"]) in (0, 1)
             assert cli.main(["modulus", name]) == 0
 
+    @pytest.mark.parametrize(
+        "name", [name for name in FILES if "problems/" in name or "weighted_l1" in name]
+    )
+    def test_definition_and_modulus_never_draw_the_directions(self, name, monkeypatch):
+        name = str(ROOT / name)
+
+        def run():
+            p = build_problem(load_problem_file(name))
+            report, modulus = check_definition(p), estimate_modulus(p)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                codes = cli.main(["check", name, "--mode", "definition"]), cli.main(["modulus", name])
+            data = [line for line in out.getvalue().splitlines() if line.startswith("#DATA")]
+            return p.context(), report, modulus, codes, data
+
+        expected = run()
+        monkeypatch.setattr(wsm, "default_directions",
+                            lambda *args: pytest.fail("the directions were drawn"))
+        ctx, report, *rest = run()
+        assert "dirs" not in vars(ctx)
+        assert rest == list(expected[2:]) and rest[2]
+        assert same_bits(report.worst_margin, expected[1].worst_margin)
+        assert all(map(same_bits, report.witness, expected[1].witness))
+        # the gaps, formed in place, are the minimum of the two endpoint gaps
+        gaps = np.minimum(ctx.flo_s - ctx.flo_sbar.max(), ctx.fhi_s - ctx.fhi_sbar.max())
+        assert same_bits(ctx.gaps, gaps)
+
 
 class TestEstimateModulus:
     def test_vee_recovers_quarter(self):
