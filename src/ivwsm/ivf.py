@@ -7,13 +7,16 @@ check probes.  One-sided directional derivatives of the endpoints exist
 everywhere for convex endpoints; the interval-valued directional
 derivative is the interval spanned by the two endpoint derivatives.
 
-Endpoints with a tangent form (a parsed expression's
-:meth:`~ivwsm.expr.ExprAst.tangent_rows`) get exact one-sided derivatives
-from one pass over their tapes, kinks included.  Other endpoints get
-numeric ones: three decreasing steps and first-order extrapolation.  Two
-successive extrapolations must agree; disagreement is reported as
-"nonsmooth-uncertain" rather than guessed through, since it means a kink
-sits inside the probe range.
+One function (``_block_kernel``) chooses each derivative's route: a
+supplied analytic derivative, called per row; exact one-sided derivatives
+from one pass over the tapes, kinks included, for endpoints with a tangent
+form (a parsed expression's :meth:`~ivwsm.expr.ExprAst.tangent_rows`);
+numeric ones otherwise: three decreasing steps and first-order
+extrapolation.  Two successive extrapolations must agree; disagreement is
+reported as "nonsmooth-uncertain" rather than guessed through, since it
+means a kink sits inside the probe range.  Every route first raises the
+same InfeasibleDirectionError where a direction leaves the domain at once;
+an error raised inside an analytic callback names no point.
 
 The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
@@ -25,16 +28,15 @@ endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes fro
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
 upper), and every derivative from :func:`dir_derivatives` or, for (point,
 directions) pairs, :func:`point_block_derivatives`, which the checkers, the
-1-d subgradient set and the CLI's support values read.  The one-point
-methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` are one-row calls of
-these kernels, and :meth:`RestrictedIvf.dir_deriv` a one-row call of
+1-d subgradient set and the CLI's support values read.  These kernels
+take points as given, since the checkers pass points of S.  The one-point
+methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` raise DomainError
+outside the domain and are otherwise one-row calls of them, and
+:meth:`RestrictedIvf.dir_deriv` a one-row call of
 :meth:`RestrictedIvf.dir_derivs`, which gives +inf along directions that
 leave the feasible set; the checkers' table ``wsm._Context.deriv_lo``
-applies that rule once per face of the candidate grid, and a test holds
-its rows equal to ``dir_derivs``.  A derivative call takes at most
-:data:`ROW_BLOCK` rows at a time, and :func:`point_block_derivatives`
-groups (point, directions) pairs into blocks of that size, so the
-temporary arrays of one call stay bounded.
+applies that rule once per face of the candidate grid.  Blocks of at most
+:data:`ROW_BLOCK` rows keep the temporary arrays of one call bounded.
 
 A block costs a fixed number of NumPy calls, so their per-call and per-row
 overheads are its cost: the exact route makes one tape pass per endpoint
@@ -119,9 +121,9 @@ class Ivf:
     of an (m, n) array in one call; other endpoints are called once per
     row.  Endpoints that both have ``tangent_rows`` (as parsed expressions
     do) are differentiated exactly, others numerically.
-    ``analytic_dir_deriv``, when supplied, replaces the exact or numeric
-    directional derivative (:func:`dir_derivatives`), called on one (point,
-    direction) row of read-only 1-d arrays at a time.
+    ``analytic_dir_deriv``, when supplied, replaces both under the same
+    contract (:func:`dir_derivatives`), called on one (point, direction)
+    row of read-only 1-d arrays at a time.
     """
 
     dimension: int
@@ -151,14 +153,15 @@ class Ivf:
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> Interval:
         """Interval directional derivative: the analytic one when supplied,
         else the span of the endpoint derivatives (a one-row call of
-        :func:`dir_derivatives`)."""
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        lo, hi = dir_derivatives(self, x[None, :], d[None, :])
+        :meth:`dir_derivs`)."""
+        lo, hi = self.dir_derivs(x, np.asarray(d, dtype=float)[None, :])
         return Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays of :meth:`dir_deriv` at x along each row of dirs."""
+        x = np.asarray(x, dtype=float)
+        if not self.domain.contains(x):
+            raise DomainError(f"{format_point(x)} is outside the domain box")
         return dir_derivatives(self, x, dirs)
 
 
@@ -354,11 +357,6 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _ends(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and upper endpoint arrays of a list of intervals."""
-    return tuple(np.fromiter(map(attrgetter(e), values), float, len(values)) for e in ("lo", "hi"))
-
-
 def _finite(derivs: np.ndarray, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """derivs, once ValueError has named the first row where it is not finite."""
     i = _first(~np.isfinite(derivs))
@@ -370,6 +368,25 @@ def _finite(derivs: np.ndarray, points: np.ndarray, dirs: np.ndarray) -> np.ndar
     return derivs
 
 
+def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable) -> tuple:
+    """One block of :func:`dir_derivatives`, by the route chosen here only;
+    ``calls(g)`` yields the analytic derivative g's intervals in row order."""
+    _require_feasible(f.domain, points, dirs)
+    if f.analytic_dir_deriv is not None:
+        values = list(calls(f.analytic_dir_deriv))
+        return tuple(np.fromiter(map(attrgetter(e), values), float, len(values))
+                     for e in ("lo", "hi"))
+    exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
+    if None in exact:
+        scale = _step_scale(f.domain, points, dirs)
+        d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
+        d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
+    else:
+        d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in exact)
+    # min/max(d_lo, d_hi) with Python's first-wins semantics
+    return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+
+
 def dir_derivatives(
     f: Ivf, points: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -379,11 +396,11 @@ def dir_derivatives(
     (k, n) directions works.  Returns the lower and upper endpoint arrays:
     the analytic derivative when supplied (one call per row), otherwise the
     span of the two endpoint derivatives, exact when both endpoints carry
-    ``tangent_rows`` and numeric otherwise; both routes raise the same
-    errors for a direction that leaves the domain at once and for a
-    derivative that is not finite.  More than :data:`ROW_BLOCK` rows
-    run block by block, so an error names the first failing row of the
-    first block that has one.
+    ``tangent_rows`` and numeric otherwise; every route raises the same
+    error for a direction that leaves the domain at once, and the exact and
+    numeric ones for a derivative that is not finite.  Points are taken as
+    given.  More than :data:`ROW_BLOCK` rows run block by block, so an error
+    names the first failing row of the first block that has one.
     """
     points, dirs = np.broadcast_arrays(
         np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
@@ -394,18 +411,7 @@ def dir_derivatives(
             for i in range(0, len(points), ROW_BLOCK)
         ]
         return tuple(np.concatenate(ends) for ends in zip(*parts))
-    if f.analytic_dir_deriv is not None:
-        return _ends(list(map(f.analytic_dir_deriv, _read_only(points), _read_only(dirs))))
-    exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
-    if None in exact:
-        scale = _step_scale(f.domain, points, dirs)
-        d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
-        d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
-    else:
-        _require_feasible(f.domain, points, dirs)
-        d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in exact)
-    # min/max(d_lo, d_hi) with Python's first-wins semantics
-    return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+    return _block_kernel(f, points, dirs, lambda g: map(g, _read_only(points), _read_only(dirs)))
 
 
 def point_block_derivatives(f: Ivf, pairs):
@@ -417,7 +423,7 @@ def point_block_derivatives(f: Ivf, pairs):
     yields the number of pairs in it, the stacked point rows, the direction
     rows and the lower and upper derivative arrays, in point-then-direction
     order.  A block that raises is redone one point at a time, so the error
-    is the one the first failing point raises on its own.
+    is the first failing point's own.  Points are taken as given.
     """
     block, rows = [], 0
     for x, dirs in pairs:
@@ -433,14 +439,13 @@ def point_block_derivatives(f: Ivf, pairs):
 def _block_derivatives(f: Ivf, block: list) -> tuple:
     points = np.repeat([x for x, _ in block], [len(d) for _, d in block], axis=0)
     dirs = np.concatenate([d for _, d in block])
+
+    def calls(g):  # on the read-only rows of each distinct direction array, listed once
+        rows = {id(d): list(_read_only(d)) for d in {id(d): d for _, d in block}.values()}
+        return chain.from_iterable(map(g, repeat(_read_only(x)), rows[id(d)]) for x, d in block)
+
     try:
-        if f.analytic_dir_deriv is None:
-            lo, hi = dir_derivatives(f, points, dirs)
-        else:  # the read-only rows of each distinct direction array, once
-            rows = {id(d): d for _, d in block}
-            rows = {key: list(_read_only(d)) for key, d in rows.items()}
-            calls = (map(f.analytic_dir_deriv, repeat(_read_only(x)), rows[id(d)]) for x, d in block)
-            lo, hi = _ends(list(chain.from_iterable(calls)))
+        lo, hi = _block_kernel(f, points, dirs, calls)
     except Exception:
         for x, d in block:
             dir_derivatives(f, x, d)

@@ -90,6 +90,21 @@ def numeric_ivf(lower: str, upper: str, domain: BoxSet) -> Ivf:
                    upper=SimpleNamespace(rows=_read_only(f.upper.rows)))
 
 
+def analytic_ivf(lower: str, upper: str, domain: BoxSet) -> Ivf:
+    """``Ivf.from_expressions`` with an analytic derivative that reads each
+    endpoint's exact one on its one (point, direction) row, so its
+    derivatives take the analytic route with the exact route's values.  The
+    callback tests nothing itself: a direction that leaves the domain gets
+    the tangents the tapes give."""
+    f = Ivf.from_expressions(lower, upper, domain)
+
+    def deriv(x, d):
+        a, b = (float(g.tangent_rows(x[None], d[None])[1][0]) for g in (f.lower, f.upper))
+        return Interval(min(a, b), max(a, b))
+
+    return replace(f, analytic_dir_deriv=deriv)
+
+
 def vee_ivf(c_lo: float = 0.25, c_hi: float = 1.0, center: float = 0.0,
             halfwidth: float = 2.0, analytic: bool = True) -> Ivf:
     """|x - center| * [c_lo, c_hi] on [center - halfwidth, center + halfwidth]."""

@@ -22,7 +22,7 @@ from ivwsm import ivf as ivf_module
 from ivwsm import subdiff, wsm
 from ivwsm.support import signed_basis
 from ivwsm.wsm import check_all
-from ivwsm.expr import format_point
+from ivwsm.expr import ExprAst, format_point, parse
 from ivwsm.ivf import (
     AGREEMENT_RTOL,
     ENDPOINT_MAX,
@@ -42,7 +42,8 @@ from ivwsm.ivf import (
     point_block_derivatives,
 )
 
-from conftest import cube, make_ivf, numeric_ivf, quad_ivf, random_convex_ivf, vee_ivf
+from conftest import analytic_ivf, cube, make_ivf, numeric_ivf, quad_ivf, random_convex_ivf
+from conftest import vee_ivf
 from conftest import wsm_battery
 from test_expr import eval_node_reference, random_tree, same_bits, to_source
 
@@ -324,6 +325,17 @@ class TestBatchedDerivatives:
         with pytest.raises(NonsmoothUncertainError, match=r"at x=\[0\.0\] along d=\[1\.0\]"):
             f.dir_deriv([0.0], [1.0])
 
+    def test_a_derivative_outside_the_domain_raises_the_values_error(self):
+        for make in ROUTES:
+            f = make("abs(x1)", "abs(x1) + 1", cube(1, -2, 2))
+            expected = _message(lambda: f.value([3.0]))
+            assert expected == (DomainError, "[3.0] is outside the domain box")
+            assert _message(lambda: f.dir_deriv([3.0], [-1.0])) == expected
+            assert _message(lambda: f.dir_derivs([3.0], [[-1.0]])) == expected
+            # the batched kernels take the points they are given
+            lo, hi = dir_derivatives(f, [[3.0]], [[-1.0]])
+            assert (lo[0], hi[0]) == pytest.approx((-1.0, -1.0))
+
 
 def convex_sources(rng: np.random.Generator, n: int) -> tuple[str, str]:
     """Seeded convex endpoint pair in n variables, lower below upper: a
@@ -336,6 +348,11 @@ def convex_sources(rng: np.random.Generator, n: int) -> tuple[str, str]:
     w = round(float(rng.uniform(0.1, 2.0)), 3)
     lower = f"({affine()})^2 + {w}*abs({affine()}) + max({affine()}, {affine()})"
     return lower, f"{lower} + ({affine()})^2 + 0.5"
+
+
+#: The three derivative routes, built from expression sources: exact,
+#: numeric and analytic.
+ROUTES = (Ivf.from_expressions, numeric_ivf, analytic_ivf)
 
 
 class TestExactDerivatives:
@@ -372,39 +389,58 @@ class TestExactDerivatives:
         raised = [
             outcome(lambda: dir_derivatives(make("abs(x1)", "2*abs(x1)", cube(2, -2, 2)),
                                             points, dirs))
-            for make in (Ivf.from_expressions, numeric_ivf)
+            for make in ROUTES
         ]
         assert raised[0][0] is InfeasibleDirectionError and "at [2.0, 0.5]" in raised[0][1]
-        assert raised[0] == raised[1]
+        assert raised[0] == raised[1] == raised[2]
 
     def test_a_step_that_underflows_is_not_an_infeasible_direction(self):
         # x1 = 1 - 2**-53 lies inside [-1, 1], so it may move along +1e308:
-        # the exact route tests bounds, not the exit step (1 - x1)/1e308,
+        # the feasibility test reads bounds, not the exit step (1 - x1)/1e308,
         # which underflows to 0 and makes the numeric route raise
         x, d = [[1 - 2**-53]], [[1e308]]
-        exact = Ivf.from_expressions("abs(x1)", "abs(x1) + 1", cube(1, -1, 1))
-        lo, hi = dir_derivatives(exact, x, d)
-        assert (lo[0], hi[0]) == (1e308, 1e308)
+        for make in (Ivf.from_expressions, analytic_ivf):
+            lo, hi = dir_derivatives(make("abs(x1)", "abs(x1) + 1", cube(1, -1, 1)), x, d)
+            assert (lo[0], hi[0]) == (1e308, 1e308)
         numeric = numeric_ivf("abs(x1)", "abs(x1) + 1", cube(1, -1, 1))
         error = _message(lambda: dir_derivatives(numeric, x, d))
         # named at round-trip precision, not as the bound [1.]
         assert error == (InfeasibleDirectionError, "no small-t feasibility: the direction "
                          "[1e+308] exits the domain immediately at [0.9999999999999999]")
-        # on the bound, past it, or along an infinite coordinate, both routes
-        # raise the same error; a zero or NaN direction coordinate heads
-        # nowhere, as before
+        # every route tests bounds first, so a later row on the bound heading
+        # out is named before the row whose step underflows, on the numeric
+        # route too
+        blocked = (InfeasibleDirectionError, "no small-t feasibility: the direction [1.0] "
+                   "exits the domain immediately at [1.0]")
+        for make in ROUTES:
+            f = make("abs(x1)", "abs(x1) + 1", cube(1, -1, 1))
+            assert _message(lambda: dir_derivatives(f, [x[0], [1.0]], [d[0], [1.0]])) == blocked
+        # on the bound, past it, or along an infinite coordinate, every route
+        # raises the same error through every entry point (a point past the
+        # bound is outside the domain, where Ivf.dir_deriv raises the
+        # DomainError of Ivf.value); a zero or NaN direction coordinate
+        # heads nowhere, as before
         errors = []
-        for make in (Ivf.from_expressions, numeric_ivf):
+        for make in ROUTES:
             f = make("abs(x1)", "abs(x1) + 1", cube(2, -1, 1))
             for point, d in (([1.0, 0.0], [1e-300, 0.0]), ([1.5, 0.0], [1e-300, 0.0]),
                              ([0.0, 0.0], [0.0, -np.inf])):
                 errors.append(_message(lambda: dir_derivatives(f, [point], [d])))
                 assert errors[-1][0] is InfeasibleDirectionError
+                pairs = [(point, np.array([d]))]
+                assert _message(lambda: list(point_block_derivatives(f, pairs))) == errors[-1]
+                one = errors[-1] if f.domain.contains(point) else _message(lambda: f.value(point))
+                assert _message(lambda: f.dir_deriv(point, d)) == one
             lo, hi = dir_derivatives(f, [[1.0, 0.5]], [[0.0, -1.0]])
             assert (lo[0], hi[0]) == (0.0, 0.0)
+            # the exact and numeric routes name the row; the analytic
+            # callback's Interval names no point
             error = _message(lambda: dir_derivatives(f, [[1.0, 0.5]], [[np.nan, 1.0]]))
-            assert error[0] is ValueError and "not finite" in error[1]
-        assert errors[:3] == errors[3:]
+            if make is analytic_ivf:
+                assert error == (ValueError, "interval endpoints must be finite, got [nan, nan]")
+            else:
+                assert error[0] is ValueError and "not finite" in error[1]
+        assert errors[:3] == errors[3:6] == errors[6:]
 
     def test_a_failing_block_raises_the_first_failing_points_own_error(self):
         # lower's derivative overflows only at b along +1, upper's at a along
@@ -431,6 +467,42 @@ class TestExactDerivatives:
             for x, d in zip(points, dirs):
                 result = outcome(lambda: dir_derivatives(f, x, d[None]))
                 assert not failed(result) or result[0] is not NonsmoothUncertainError
+
+
+class TestRouteSelection:
+    """One function picks the route of every derivative call: a supplied
+    analytic derivative, else the exact route when both endpoints carry
+    ``tangent_rows``, else the numeric route for both endpoints."""
+
+    @pytest.mark.parametrize("opaque", ["lower", "upper"])
+    def test_mixed_endpoints_take_the_numeric_route_for_both(self, opaque):
+        exact = Ivf.from_expressions("abs(x1) + x2^2", "2*abs(x1) + x2^2 + 1", cube(2, -2, 2))
+        g = getattr(exact, opaque)
+        mixed = replace(exact, **{opaque: lambda x: g(x)})  # no batched or tangent form
+        rng = np.random.default_rng(7)
+        points, dirs = rng.uniform(-1.5, 1.5, size=(16, 2)), rng.normal(size=(16, 2))
+        lo, hi = dir_derivatives(mixed, points, dirs)
+        ref_lo, ref_hi = reference_dir_derivatives(mixed, points, dirs)
+        assert same_bits(lo, ref_lo) and same_bits(hi, ref_hi)
+        # the exact route gives other bits, so the parsed endpoint was not
+        # differentiated exactly
+        exact_lo, exact_hi = dir_derivatives(exact, points, dirs)
+        assert not (same_bits(lo, exact_lo) and same_bits(hi, exact_hi))
+
+    def test_a_supplied_derivative_wins_over_two_tangent_forms(self):
+        calls = []
+        f = replace(recording(vee_ivf(0.5, 1.0), lambda x, d: calls.append((x[0], d[0]))),
+                    lower=parse("0.5*abs(x1)", 1), upper=parse("abs(x1)", 1))
+        tape = mock.Mock(side_effect=AssertionError("a tape ran"))
+        with mock.patch.object(ExprAst, "tangent_rows", tape), \
+                mock.patch.object(ExprAst, "_run", tape):
+            lo, hi = dir_derivatives(f, [[0.0], [1.0]], [[1.0], [-1.0]])
+            pairs = [([0.0], np.array([[1.0]])), ([1.0], np.array([[-1.0]]))]
+            ((_, _, _, block_lo, block_hi),) = point_block_derivatives(f, pairs)
+        assert list(lo) == [0.5, -1.0] and list(hi) == [1.0, -0.5]
+        assert same_bits(block_lo, lo) and same_bits(block_hi, hi)
+        assert calls == [(0.0, 1.0), (1.0, -1.0)] * 2
+        assert not tape.called
 
 
 class TestSampledGuardsDrawOneStream:

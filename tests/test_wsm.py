@@ -886,13 +886,13 @@ class TestFaces:
         p = build_problem(load_problem_file(PROBLEMS / "strip3d.txt"), grid=17)
         p.context()
         rows = []
-        original = ivf.dir_derivatives
+        original = ivf._block_kernel
 
-        def counted(f, points, dirs):
+        def counted(f, points, dirs, calls):
             rows.append(len(points))
-            return original(f, points, dirs)
+            return original(f, points, dirs, calls)
 
-        monkeypatch.setattr(ivf, "dir_derivatives", counted)
+        monkeypatch.setattr(ivf, "_block_kernel", counted)
         report = check_dual_e(p)
         assert (sum(rows), report.samples_evaluated) == (578, 38148)
 
