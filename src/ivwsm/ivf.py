@@ -21,8 +21,8 @@ an error raised inside an analytic callback names no point.
 The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
 call when the endpoints carry batched forms (expression objectives always
-do), and loop over the rows otherwise.  :func:`endpoint_rows` also takes a
-grid by its axes (:class:`~ivwsm.geometry.GridAxes`), on which expression
+do), and call other endpoints once per row.  :func:`endpoint_rows` also
+takes a grid by its axes (:class:`~ivwsm.geometry.GridAxes`), on which expression
 endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
@@ -42,10 +42,13 @@ A block costs a fixed number of NumPy calls, so their per-call and per-row
 overheads are its cost: the exact route makes one tape pass per endpoint
 where the numeric one makes four.  The numeric route keeps to the plain
 formulas and only reads the arrays an endpoint returns, so an endpoint may
-hand back a cached or read-only array.  An analytic derivative is called
-once per (point, direction) row, in point-then-direction order, on read-only
-arrays it must not keep, which :func:`point_block_derivatives` lists once
-per block and direction array.
+hand back a cached or read-only array.  Python callbacks are called once
+per row, on read-only 1-d float64 arrays they must not keep, and their
+results are collected with ``np.fromiter``: an endpoint without a batched
+form once per row of each evaluation, all of lower's rows before upper's,
+and an analytic derivative once per (point, direction) row, in
+point-then-direction order, on arrays which :func:`point_block_derivatives`
+lists once per block and direction array.
 """
 
 from __future__ import annotations
@@ -119,8 +122,10 @@ class Ivf:
     to build them from expression text.  An endpoint with a ``rows``
     attribute (a parsed :class:`ExprAst` has one) is evaluated at every row
     of an (m, n) array in one call; other endpoints are called once per
-    row.  Endpoints that both have ``tangent_rows`` (as parsed expressions
-    do) are differentiated exactly, others numerically.
+    row, on a read-only 1-d float64 array they must not keep, and must
+    return a real number (:func:`endpoint_rows`).  Endpoints that both have
+    ``tangent_rows`` (as parsed expressions do) are differentiated exactly,
+    others numerically.
     ``analytic_dir_deriv``, when supplied, replaces both under the same
     contract (:func:`dir_derivatives`), called on one (point, direction)
     row of read-only 1-d arrays at a time.
@@ -213,13 +218,39 @@ class RestrictedIvf:
         return lo, hi
 
 
-def _per_row(g: Endpoint) -> RowEndpoint:
-    return lambda points: np.array([float(g(x)) for x in points], dtype=float)
-
-
-def _rows(g: Endpoint) -> RowEndpoint:
+def _rows(g: Endpoint, name: str) -> RowEndpoint:
+    """g at each row of an (m, n) array: ``g.rows`` when g has it, else one
+    call per row on read-only views, redone row by row (:func:`_require_reals`)
+    where it fails or reads a NaN, as a None result does."""
     rows = getattr(g, "rows", None)
-    return rows if rows is not None else _per_row(g)
+    if rows is not None:
+        return rows
+
+    def per_row(points):
+        points = _read_only(points)
+        try:
+            values = np.fromiter(map(g, points), float, len(points))
+        except Exception:
+            _require_reals(g, name, points)
+            raise
+        if np.isnan(values).any():
+            _require_reals(g, name, points)
+        return values
+
+    return per_row
+
+
+def _require_reals(g: Endpoint, name: str, points: np.ndarray) -> None:
+    """g on each row in turn: the first failing row's own error, or a
+    ValueError naming the endpoint ``name`` and the first row whose result
+    ``float`` rejects."""
+    for x in points:
+        value = g(x)
+        try:
+            float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name}({format_point(x)}) returned a "
+                             f"{type(value).__name__}, not a real number") from None
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -231,7 +262,11 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     """lower and upper at each row of an (m, n) array of points, or at each
     point of a :class:`~ivwsm.geometry.GridAxes` in its point order.
 
-    A non-finite value raises ValueError naming its point, as the
+    An endpoint without a batched form is called once per point, all of
+    lower's points before upper's, on read-only 1-d float64 views it must
+    not keep (one that writes into its argument raises ValueError); a
+    result ``float`` rejects raises ValueError naming its point.  A
+    non-finite value raises ValueError naming its point, as the
     ``Interval`` constructor does for one point, and so, after those, does
     a value beyond :data:`ENDPOINT_MAX` in magnitude, whose differences
     with other values could overflow; lower above upper by more than
@@ -243,13 +278,13 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
         # expression endpoints run on the axes, others on the points
         point = points.point
         lo, hi = (
-            g.on_grid(points) if hasattr(g, "on_grid") else _rows(g)(points.points())
-            for g in (f.lower, f.upper)
+            g.on_grid(points) if hasattr(g, "on_grid") else _rows(g, name)(points.points())
+            for g, name in ((f.lower, "lower"), (f.upper, "upper"))
         )
     else:
         points = np.asarray(points, dtype=float)
         point = points.__getitem__
-        lo, hi = _rows(f.lower)(points), _rows(f.upper)(points)
+        lo, hi = _rows(f.lower, "lower")(points), _rows(f.upper, "upper")(points)
     # NaN, inf and a value past ENDPOINT_MAX all fail one test, and then
     # every non-finite value is reported before one that is only too large
     if not ((np.abs(lo) <= ENDPOINT_MAX).all() and (np.abs(hi) <= ENDPOINT_MAX).all()):
@@ -379,8 +414,8 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
     exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
     if None in exact:
         scale = _step_scale(f.domain, points, dirs)
-        d_lo = _one_sided_rows(_rows(f.lower), points, dirs, scale)
-        d_hi = _one_sided_rows(_rows(f.upper), points, dirs, scale)
+        d_lo = _one_sided_rows(_rows(f.lower, "lower"), points, dirs, scale)
+        d_hi = _one_sided_rows(_rows(f.upper, "upper"), points, dirs, scale)
     else:
         d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in exact)
     # min/max(d_lo, d_hi) with Python's first-wins semantics

@@ -2,10 +2,13 @@
 estimation of interval-valued objectives."""
 
 import itertools
+import math
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, is_dataclass, replace
+from fractions import Fraction
 from types import SimpleNamespace
+from typing import Callable
 from unittest import mock
 
 import numpy as np
@@ -36,7 +39,6 @@ from ivwsm.ivf import (
     _first,
     _one_sided_rows,
     _richardson,
-    _rows,
     _step_scale,
     endpoint_rows,
     point_block_derivatives,
@@ -905,6 +907,153 @@ class TestAnalyticBlocks:
         assert all(view() is None for view in views)
 
 
+def opaque(g, name: str, record) -> Callable:
+    """g as a plain callable (no batched or tangent form) that reports
+    ``name`` and its argument to ``record`` before it runs."""
+    def endpoint(x):
+        record(name, x)
+        return g(x)
+
+    return endpoint
+
+
+def opaque_ivf(f: Ivf, record) -> Ivf:
+    return replace(f, lower=opaque(f.lower, "lower", record),
+                   upper=opaque(f.upper, "upper", record))
+
+
+def plain_rows(g, name):
+    """The reference for the kernels' per-row adapter: one float(g(x)) per
+    row, on the rows of the array itself."""
+    return reference_rows(g)
+
+
+def same_result(a, b) -> bool:
+    """Equal results, their floats and arrays bit for bit."""
+    if is_dataclass(a):
+        a, b = astuple(a), astuple(b)
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(same_result, a, b))
+    if a is None or isinstance(a, str):
+        return a == b
+    return same_bits(a, b)
+
+
+class TestOpaqueEndpoints:
+    """An endpoint without a batched form is called once per row, all of
+    lower's rows before upper's, on read-only 1-d float64 views, and its
+    results are those of one float(g(x)) per row, bit for bit."""
+
+    CALLS = {
+        "rows": lambda f, points, dirs: endpoint_rows(f, points),
+        "grid": lambda f, points, dirs: endpoint_rows(f, cube(2, -1, 1).grid_axes(5)),
+        "value": lambda f, points, dirs: f.value(points[0]),
+        "convexity": lambda f, points, dirs: convexity_check(f, 50, seed=2),
+        "lipschitz": lambda f, points, dirs: lipschitz_estimate(f, 50, seed=2),
+        "numeric": lambda f, points, dirs: dir_derivatives(f, points, dirs),
+        "probes": lambda f, points, dirs: subdiff._gh_diff_rows(f, points[0], points),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_calls_see_read_only_rows_in_the_reference_order(self, call):
+        seen = []
+        f = opaque_ivf(
+            Ivf.from_expressions("abs(x1) - x2^2", "2*abs(x1) + 1", cube(2, -2, 2)),
+            lambda name, x: seen.append(
+                (name, x.tobytes(), x.ndim, x.dtype, x.flags.writeable)),
+        )
+        rng = np.random.default_rng(11)
+        points, dirs = rng.uniform(-1.5, 1.5, size=(16, 2)), rng.normal(size=(16, 2))
+        result = self.CALLS[call](f, points, dirs)
+        calls, seen[:] = list(seen), []
+        with mock.patch.object(ivf_module, "_rows", plain_rows):
+            expected = self.CALLS[call](f, points, dirs)
+        assert same_result(result, expected)
+        assert [c[:2] for c in calls] == [c[:2] for c in seen]
+        assert len(calls) >= 2 and {c[2:] for c in calls} == {(1, np.dtype(float), False)}
+
+    def test_a_writing_endpoint_raises_and_changes_nothing(self):
+        armed = []
+
+        def write(name, x):
+            if armed:
+                x[0] = 7.0
+
+        f = opaque_ivf(Ivf.from_expressions("abs(x1) + abs(x2)", "2*abs(x1) + abs(x2) + 1",
+                                            cube(2, -2, 2)), write)
+        p = WsmProblem(f=f, s=cube(2, -1, 1), sbar=cube(2, -0.5, 0.5), alpha=0.5, grid=5)
+        ctx = p.context()
+        grid, s_points = ctx.sbar_grid.copy(), ctx.s_axes.points()
+        armed.append(True)
+        for call in self.CALLS.values():
+            for points in (ctx.sbar_grid, ctx.s_axes.points()):
+                error = _message(lambda: call(f, points, np.ones((1, 2))))
+                assert error == (ValueError, "assignment destination is read-only")
+        assert _message(lambda: WsmProblem(f=f, s=p.s, sbar=p.sbar, alpha=0.5,
+                                           grid=5).context())[0] is ValueError
+        assert same_bits(ctx.sbar_grid, grid) and same_bits(ctx.s_axes.points(), s_points)
+
+    @pytest.mark.parametrize("kind", [
+        float, np.float64, np.float32, lambda v: int(v * 2**60), lambda v: v > 0,
+        lambda v: Fraction(v) / 3,
+    ], ids=["float", "float64", "float32", "int", "bool", "Fraction"])
+    @pytest.mark.parametrize("ends", ["opaque", "expr-lower", "expr-upper"])
+    def test_values_equal_float_of_each_result(self, kind, ends):
+        def lower(x):
+            return kind(x[0] - 0.7 * x[1] + 0.1)
+
+        def upper(x):
+            return kind(x[0] - 0.7 * x[1] + 3.1)
+
+        if ends == "expr-lower":
+            lower = parse("x1 - 1e20", 2)
+        elif ends == "expr-upper":
+            upper = parse("x1 + 1e20", 2)
+        f = Ivf(2, lower, upper, cube(2, -2, 2))
+        points = np.random.default_rng(3).uniform(-2, 2, size=(64, 2))
+        lo, hi = endpoint_rows(f, points)
+        assert same_bits(lo, reference_rows(lower)(points))
+        assert same_bits(hi, reference_rows(upper)(points))
+
+    @pytest.mark.parametrize("result, kind", [(None, "NoneType"), ([1.0], "list"),
+                                              ("abc", "str")])
+    @pytest.mark.parametrize("ends", ["opaque", "expr-upper"])
+    def test_a_result_that_is_not_a_real_number_names_its_point(self, result, kind, ends):
+        f = Ivf(1, lambda x: result if x[0] > 0 else 0.0,
+                parse("2 + x1", 1) if ends == "expr-upper" else (lambda x: 2.0 + x[0]),
+                cube(1, -2, 2))
+        points = np.array([[-1.0], [0.25], [0.5]])
+        message = "lower([0.25]) returned a " + kind + ", not a real number"
+        assert _message(lambda: endpoint_rows(f, points)) == (ValueError, message)
+        assert _message(lambda: f.value([0.25])) == (ValueError, message)
+        derivative = _message(lambda: dir_derivatives(f, [[0.25]], [[1.0]]))
+        assert derivative[0] is ValueError and "lower([0.25" in derivative[1]
+
+    def test_a_nan_result_is_still_not_finite(self):
+        f = Ivf(1, lambda x: math.nan if x[0] > 0 else 0.0, lambda x: 2.0, cube(1, -2, 2))
+        assert _message(lambda: endpoint_rows(f, [[-1.0], [0.5]])) == (
+            ValueError, "lower([0.5]) = nan is not finite")
+
+    def test_a_lower_endpoint_error_wins_over_an_earlier_upper_one(self):
+        # upper fails at the first row, lower only at the third
+        def failing(name, row):
+            def endpoint(x):
+                if x[0] == row:
+                    raise ValueError(f"{name} fails at {format_point(x)}")
+                return abs(x[0]) + (name == "upper")
+
+            return endpoint
+
+        f = Ivf(1, failing("lower", 0.5), failing("upper", -1.0), cube(1, -2, 2))
+        points = np.array([[-1.0], [0.0], [0.5], [1.0]])
+        for call in (lambda: endpoint_rows(f, points),
+                     lambda: dir_derivatives(f, points, [[1.0]])):
+            with mock.patch.object(ivf_module, "_rows", plain_rows):
+                expected = _message(call)
+            assert expected == (ValueError, "lower fails at [0.5]")
+            assert _message(call) == expected
+
+
 # The numeric kernel and the analytic loop in their plain formulas, kept
 # apart from the code they check: the kernel must give their results bit
 # for bit (signed zeros included) and raise their errors.
@@ -967,6 +1116,13 @@ def reference_one_sided_rows(g, points: np.ndarray, dirs: np.ndarray, scale: np.
     return e2
 
 
+def reference_rows(g):
+    """g at each row of an array: its batched form, else one float(g(x)) per row."""
+    rows = getattr(g, "rows", None)
+    return rows if rows is not None else (
+        lambda points: np.array([float(g(x)) for x in points], dtype=float))
+
+
 def reference_dir_derivatives(f: Ivf, points, dirs):
     """One block (at most ROW_BLOCK rows) of dir_derivatives, through the
     reference kernel and the reference analytic loop."""
@@ -980,8 +1136,8 @@ def reference_dir_derivatives(f: Ivf, points, dirs):
             lo[i], hi[i] = value.lo, value.hi
         return lo, hi
     scale = reference_step_scale(f.domain, points, dirs)
-    d_lo = reference_one_sided_rows(_rows(f.lower), points, dirs, scale)
-    d_hi = reference_one_sided_rows(_rows(f.upper), points, dirs, scale)
+    d_lo = reference_one_sided_rows(reference_rows(f.lower), points, dirs, scale)
+    d_hi = reference_one_sided_rows(reference_rows(f.upper), points, dirs, scale)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
 
