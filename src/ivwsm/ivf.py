@@ -15,8 +15,13 @@ numeric ones otherwise: three decreasing steps and first-order
 extrapolation.  Two successive extrapolations must agree; disagreement is
 reported as "nonsmooth-uncertain" rather than guessed through, since it
 means a kink sits inside the probe range.  Every route first raises the
-same InfeasibleDirectionError where a direction leaves the domain at once;
-an error raised inside an analytic callback names no point.
+same InfeasibleDirectionError where a direction leaves the domain at once
+(scanning a block entry by entry only where a coordinate reaches the
+smallest upper or the largest lower bound, or a direction is infinite),
+and every route raises ValueError naming the point
+and direction of a derivative that is not finite.  An analytic callback's
+result without real ``lo`` and ``hi`` raises ValueError naming them too,
+and an error raised inside the callback gains a note naming them.
 
 The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
@@ -243,7 +248,7 @@ def _rows(g: Endpoint, name: str) -> RowEndpoint:
 def _require_reals(g: Endpoint, name: str, points: np.ndarray) -> None:
     """g on each row in turn: the first failing row's own error, or a
     ValueError naming the endpoint ``name`` and the first row whose result
-    ``float`` rejects."""
+    ``float`` rejects or finds beyond the float range."""
     for x in points:
         value = g(x)
         try:
@@ -251,6 +256,9 @@ def _require_reals(g: Endpoint, name: str, points: np.ndarray) -> None:
         except (TypeError, ValueError):
             raise ValueError(f"{name}({format_point(x)}) returned a "
                              f"{type(value).__name__}, not a real number") from None
+        except OverflowError:
+            raise ValueError(f"{name}({format_point(x)}) returned a result beyond the "
+                             f"float range ({type(value).__name__})") from None
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -322,7 +330,14 @@ def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> N
     """InfeasibleDirectionError at the first row pair of points and dirs
     where x + t*d leaves the domain box for every small t > 0: where d heads
     past a bound x is on or beyond, or is infinite (a zero or NaN d_i heads
-    nowhere)."""
+    nowhere).  A block whose coordinates all lie strictly between the
+    largest lower and the smallest upper bound, so no point is on or past a
+    bound, and whose directions are all finite has no such row, and passes
+    on its extremes: flat reductions, where a test per entry pays for each
+    row of the short last axis.  A NaN coordinate fails that test."""
+    if (points.max(initial=-np.inf) < domain.hi.min()
+            and points.min(initial=np.inf) > domain.lo.max() and not np.isinf(dirs).any()):
+        return
     blocked = (dirs > 0) & (points >= domain.hi)
     blocked |= (dirs < 0) & (points <= domain.lo)
     blocked |= np.isinf(dirs)
@@ -408,9 +423,7 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
     ``calls(g)`` yields the analytic derivative g's intervals in row order."""
     _require_feasible(f.domain, points, dirs)
     if f.analytic_dir_deriv is not None:
-        values = list(calls(f.analytic_dir_deriv))
-        return tuple(np.fromiter(map(attrgetter(e), values), float, len(values))
-                     for e in ("lo", "hi"))
+        return _analytic(f.analytic_dir_deriv, points, dirs, calls)
     exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
     if None in exact:
         scale = _step_scale(f.domain, points, dirs)
@@ -420,6 +433,39 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
         d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in exact)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+
+
+def _analytic(g: Callable, points: np.ndarray, dirs: np.ndarray, calls: Callable) -> tuple:
+    """The analytic route: g's lower and upper ends, each finite
+    (:func:`_finite`).  Only after a failure are the rows redone one at a
+    time, to add a note naming the first failing row to an error raised
+    in g, or to raise ValueError naming the first row whose result has no
+    real ``lo`` and ``hi``."""
+    try:
+        values = list(calls(g))
+    except Exception as exc:
+        for x, d in zip(_read_only(points), _read_only(dirs)):
+            try:
+                g(x, d)
+            except Exception:
+                exc.add_note(f"raised by analytic_dir_deriv at x={format_point(x)} "
+                             f"along d={format_point(d)}")
+                break
+        raise
+    try:
+        ends = [np.fromiter(map(attrgetter(e), values), float, len(values)) for e in ("lo", "hi")]
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        for i, value in enumerate(values):
+            try:
+                float(value.lo), float(value.hi)
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"analytic_dir_deriv at x={format_point(points[i])} along "
+                    f"d={format_point(dirs[i])} returned a {type(value).__name__}, "
+                    "not an interval with real lo and hi"
+                ) from None
+        raise
+    return tuple(_finite(end, points, dirs) for end in ends)
 
 
 def dir_derivatives(
@@ -432,8 +478,8 @@ def dir_derivatives(
     the analytic derivative when supplied (one call per row), otherwise the
     span of the two endpoint derivatives, exact when both endpoints carry
     ``tangent_rows`` and numeric otherwise; every route raises the same
-    error for a direction that leaves the domain at once, and the exact and
-    numeric ones for a derivative that is not finite.  Points are taken as
+    error for a direction that leaves the domain at once, and for a
+    derivative that is not finite.  Points are taken as
     given.  More than :data:`ROW_BLOCK` rows run block by block, so an error
     names the first failing row of the first block that has one.
     """

@@ -20,16 +20,20 @@ witnesses taken from the first worst row in the grid-then-direction order,
 so the reports equal a pair-by-pair scan.  The primal and dual-b checkers
 share one table of restricted directional derivatives, built on first use,
 and one table of margins (dual-b's support route is primal's table, by
-Moreau's decomposition); dual-e takes its derivatives in blocks of
-candidate points, dual-f in one call.  The cones of S and Sbar at a
-candidate point depend on it only through its face codes, from which
-``_Context.faces`` builds them once per face; so are the feasible
-directions, cone distances, dual-b's members and dual-e's directions (both
-from ``_unit_members``).  Dual-e's directions repeat within a face, and
-dual-b's point-route pairs repeat across the grid (a pair reads its point
-only through F there and the coordinates its member does not zero); each
-distinct row or pair is tested once, in first-occurrence order, and every
-repeat still counts as a sample.  The definition checker and the modulus
+Moreau's decomposition), whose worst entry at one alpha both read from
+one build; dual-e takes its derivatives in blocks of candidate points,
+dual-f in one call.  The cones of S and Sbar at a candidate point depend
+on it only through its face codes, from which ``_Context.faces`` builds
+them once per face; so are the feasible directions, cone distances and
+dual-b's members (from ``_unit_members``).  Dual-e's directions depend on
+a face only through its cone T_S ∩ N_Sbar, so they are built once per
+distinct cone (all faces of a strip file share one), from the same
+``_unit_members``, and the faces of one cone share one direction array.
+Dual-e's directions repeat within a face, and dual-b's point-route pairs
+repeat across the grid (a pair reads its point only through F there and
+the coordinates its member does not zero); each distinct row or pair is
+tested once, in first-occurrence order, and every repeat still counts as
+a sample.  The definition checker and the modulus
 bisection read the same per-point margins
 (``_Context.definition_margins``), and they and dual-f read the same
 distances to Sbar (``_Context.dists``).  A NaN margin is never skipped: it
@@ -187,9 +191,12 @@ class _Context:
 
     The feasible grid is ``s_axes``; ``flo_s``, ``fhi_s`` and ``dists``
     follow the rows of ``s_grid``, which is built (with ``proj``) only when
-    read, like the seeded directions ``dirs``.  It keeps the parts
-    of the problem it reads, not the problem, which holds it: without that
-    cycle, refcounting frees a problem's grids as soon as the problem goes."""
+    read, like the seeded directions ``dirs``.  Nothing here depends on
+    alpha except the worst entry of primal's table at the last alpha asked
+    (``primal_worst``), which problems of other moduli sharing the context
+    (``WsmProblem.with_alpha``) recompute.  It keeps the parts of the
+    problem it reads, not the problem, which holds it: without that cycle,
+    refcounting frees a problem's grids as soon as the problem goes."""
 
     def __init__(self, p: WsmProblem):
         self.f, self.s, self.sbar, self.margin_tol = p.f, p.s, p.sbar, p.margin_tol
@@ -216,6 +223,7 @@ class _Context:
                 "not guaranteed"
             )
         self.notes = tuple(notes)
+        self._primal_worst = (None, None)
 
     @cached_property
     def dirs(self) -> np.ndarray:
@@ -272,12 +280,17 @@ class _Context:
     def primal_worst(self, alpha: float) -> tuple[float, int, int]:
         """Margin, point and direction index of the first smallest (or first
         NaN) entry, in row-major order, of primal's table deriv_lo - alpha *
-        tangent_dists, built in one array (gather, scale, subtract)."""
-        table = self.tangent_dists[self.faces[0]]
-        table *= alpha
-        np.subtract(self.deriv_lo, table, out=table)
-        i, j = divmod(int(np.argmin(table)), table.shape[1])
-        return float(table[i, j]), i, j
+        tangent_dists, built in one array (gather, scale, subtract) and
+        freed on return.  The answer for the last alpha asked is kept, so
+        primal and dual-b at one alpha build the table once; another alpha
+        builds it again."""
+        if self._primal_worst[0] != alpha:
+            table = self.tangent_dists[self.faces[0]]
+            table *= alpha
+            np.subtract(self.deriv_lo, table, out=table)
+            i, j = divmod(int(np.argmin(table)), table.shape[1])
+            self._primal_worst = alpha, (float(table[i, j]), i, j)
+        return self._primal_worst[1]
 
     @cached_property
     def gaps(self) -> np.ndarray:
@@ -489,18 +502,22 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
     intersection of the two cones; the degenerate interval
     alpha*||d|| must be dominated by the directional derivative.  An
     origin-only intersection is a vacuous pass at that point.  The
-    derivatives are taken in blocks of candidate points, the cones and
-    their unit directions once per face.  The unit directions of a face
-    repeat (on a ray or a line they are all +-e_i), so each point is
-    differentiated along the distinct rows only, in first-occurrence
-    order: the first smallest margin over them is at the first occurrence
-    of the first smallest over all rows, so the margin and witness are
-    those of the full scan.  Every row counts as a sample.
+    derivatives are taken in blocks of candidate points.  The intersection
+    is formed once per face and its unit directions once per distinct
+    intersection, one array shared by every face that meets in it, whose
+    rows ``point_block_derivatives`` lists once per block.  The unit
+    directions repeat (on a ray or a line they are all +-e_i), so each
+    point is differentiated along the distinct rows only, in
+    first-occurrence order: the first smallest margin over them is at the
+    first occurrence of the first smallest over all rows, so the margin
+    and witness are those of the full scan.  Every row counts as a sample.
     """
     ctx = p.context()
     face_of, cones = ctx.faces
-    face_dirs = [_unit_members(t_s.intersect(t.polar()), ctx.dirs, 1.0) for t_s, t in cones]
-    distinct = [d[_first_occurrences(d)] for d in face_dirs]
+    meets = [t_s.intersect(t.polar()) for t_s, t in cones]
+    members = {cone: _unit_members(cone, ctx.dirs, 1.0) for cone in dict.fromkeys(meets)}
+    built = {cone: (d, d[_first_occurrences(d)]) for cone, d in members.items()}
+    face_dirs, distinct = zip(*(built[cone] for cone in meets))
     # an origin-only intersection has no rows, and counts one sample
     samples = int(np.array([max(len(d), 1) for d in face_dirs])[face_of].sum())
     worst = _Worst()

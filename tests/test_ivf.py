@@ -38,6 +38,7 @@ from ivwsm.ivf import (
     NonsmoothUncertainError,
     _first,
     _one_sided_rows,
+    _require_feasible,
     _richardson,
     _step_scale,
     endpoint_rows,
@@ -436,10 +437,14 @@ class TestExactDerivatives:
             lo, hi = dir_derivatives(f, [[1.0, 0.5]], [[0.0, -1.0]])
             assert (lo[0], hi[0]) == (0.0, 0.0)
             # the exact and numeric routes name the row; the analytic
-            # callback's Interval names no point
+            # callback's Interval raises its own error, with a note naming it
             error = _message(lambda: dir_derivatives(f, [[1.0, 0.5]], [[np.nan, 1.0]]))
             if make is analytic_ivf:
                 assert error == (ValueError, "interval endpoints must be finite, got [nan, nan]")
+                with pytest.raises(ValueError) as info:
+                    dir_derivatives(f, [[1.0, 0.5]], [[np.nan, 1.0]])
+                assert info.value.__notes__ == [
+                    "raised by analytic_dir_deriv at x=[1.0, 0.5] along d=[nan, 1.0]"]
             else:
                 assert error[0] is ValueError and "not finite" in error[1]
         assert errors[:3] == errors[3:6] == errors[6:]
@@ -870,7 +875,8 @@ class TestAnalyticBlocks:
         failing = pairs[0] if first == "returns None" else pairs[2]
         expected = _message(lambda: dir_derivatives(f, *failing))
         assert expected == (
-            (AttributeError, "'NoneType' object has no attribute 'lo'")
+            (ValueError, "analytic_dir_deriv at x=[-0.5] along d=[1.0] returned a NoneType, "
+                         "not an interval with real lo and hi")
             if first == "returns None" else (ValueError, "no derivative at [0.5]")
         )
         assert _message(lambda: list(point_block_derivatives(f, pairs))) == expected
@@ -905,6 +911,74 @@ class TestAnalyticBlocks:
             p.context().deriv_lo
         assert len(views) > 100 and max(most) <= 13
         assert all(view() is None for view in views)
+
+
+class TestAnalyticContract:
+    """A supplied derivative is held to the other routes' contract: a value
+    that is not finite raises ValueError naming its point and direction, so
+    does a result without real ``lo`` and ``hi``, and an error raised in the
+    callback keeps its type and message and gains a note naming them."""
+
+    @staticmethod
+    def ivf(deriv) -> Ivf:
+        return replace(vee_ivf(), analytic_dir_deriv=deriv)
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_value_that_is_not_finite_names_its_row(self, end, value):
+        def deriv(x, d):
+            ends = {"lo": d[0], "hi": 2 * d[0]}
+            if x[0] > 0:
+                ends[end] = value
+            return SimpleNamespace(**ends)
+
+        f = self.ivf(deriv)
+        points, dirs = [[-0.5], [0.5], [1.0]], [[1.0], [-1.0], [1.0]]
+        assert _message(lambda: dir_derivatives(f, points, dirs)) == (
+            ValueError, f"directional derivative {value} at x=[0.5] along d=[-1.0] is not finite")
+        pairs = [(np.array(x), np.array([d])) for x, d in zip(points, dirs)]
+        assert _message(lambda: list(point_block_derivatives(f, pairs)))[1].startswith(
+            f"directional derivative {value} at x=[0.5]")
+
+    def test_an_infinite_derivative_never_reads_as_holds(self):
+        # the restricted table, dual-e and dual-f all read the callback
+        f = self.ivf(lambda x, d: SimpleNamespace(lo=np.inf, hi=np.inf))
+        p = WsmProblem(f=f, s=cube(1, -1, 1), sbar=cube(1, 0, 0), alpha=0.25, grid=5)
+        for checker in (wsm.check_primal, wsm.check_dual_normal_cone, wsm.check_dual_e,
+                        wsm.check_dual_f):
+            error = _message(lambda: checker(p))
+            assert error[0] is ValueError and "is not finite" in error[1]
+
+    @pytest.mark.parametrize("result, name", [((0.0, 1.0), "tuple"), (None, "NoneType"),
+                                              (SimpleNamespace(lo="a", hi=1.0), "SimpleNamespace"),
+                                              (SimpleNamespace(lo=0.0, hi=10**400),
+                                               "SimpleNamespace")])
+    def test_a_result_without_real_ends_names_its_row_and_type(self, result, name):
+        f = self.ivf(lambda x, d: result if x[0] > 0 else Interval(d[0], 2 * abs(d[0])))
+        expected = (ValueError, "analytic_dir_deriv at x=[0.5] along d=[-1.0] returned a "
+                                f"{name}, not an interval with real lo and hi")
+        points, dirs = [[-0.5], [0.5], [1.0]], [[1.0], [-1.0], [1.0]]
+        assert _message(lambda: dir_derivatives(f, points, dirs)) == expected
+        assert _message(lambda: f.dir_deriv([0.5], [-1.0])) == expected
+
+    def test_an_error_in_the_callback_gains_a_note_naming_its_row(self):
+        def deriv(x, d):
+            if x[0] > 0:
+                raise ZeroDivisionError("no derivative here")
+            return Interval(d[0], 2 * abs(d[0]))
+
+        f = self.ivf(deriv)
+        points, dirs = [[-0.5], [0.5], [1.0]], [[1.0], [-1.0], [1.0]]
+        with pytest.raises(ZeroDivisionError) as info:
+            dir_derivatives(f, points, dirs)
+        assert str(info.value) == "no derivative here"
+        assert info.value.__notes__ == [
+            "raised by analytic_dir_deriv at x=[0.5] along d=[-1.0]"]
+        pairs = [(np.array(x), np.array([d])) for x, d in zip(points, dirs)]
+        with pytest.raises(ZeroDivisionError) as info:
+            list(point_block_derivatives(f, pairs))
+        assert info.value.__notes__ == [
+            "raised by analytic_dir_deriv at x=[0.5] along d=[-1.0]"]
 
 
 def opaque(g, name: str, record) -> Callable:
@@ -1028,6 +1102,15 @@ class TestOpaqueEndpoints:
         assert _message(lambda: f.value([0.25])) == (ValueError, message)
         derivative = _message(lambda: dir_derivatives(f, [[0.25]], [[1.0]]))
         assert derivative[0] is ValueError and "lower([0.25" in derivative[1]
+
+    @pytest.mark.parametrize("ends", ["opaque", "expr-upper"])
+    def test_a_result_beyond_the_float_range_names_its_endpoint_and_point(self, ends):
+        f = Ivf(1, lambda x: 10**400 if x[0] > 0 else 0,
+                parse("2 + x1", 1) if ends == "expr-upper" else (lambda x: 2.0),
+                cube(1, -2, 2))
+        expected = (ValueError, "lower([0.5]) returned a result beyond the float range (int)")
+        assert _message(lambda: f.value([0.5])) == expected
+        assert _message(lambda: endpoint_rows(f, [[-1.0], [0.5], [1.0]])) == expected
 
     def test_a_nan_result_is_still_not_finite(self):
         f = Ivf(1, lambda x: math.nan if x[0] > 0 else 0.0, lambda x: 2.0, cube(1, -2, 2))
@@ -1327,3 +1410,86 @@ class TestKernelMatchesTheReference:
             first = int(re.search(r"at x=\[(\d+)\.0\]", expected[1]).group(1))
             rows = rows[rows > first]
         assert 10 < raised < len(e1) - 10
+
+
+def reference_require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> None:
+    """The feasibility test without its screen: every entry scanned."""
+    blocked = ((dirs > 0) & (points >= domain.hi)) | ((dirs < 0) & (points <= domain.lo))
+    i = _first((blocked | np.isinf(dirs)).any(axis=1))
+    if i is not None:
+        raise InfeasibleDirectionError(
+            f"no small-t feasibility: the direction {format_point(dirs[i])} exits the "
+            f"domain immediately at {format_point(points[i])}"
+        )
+
+
+class TestFeasibilityScreen:
+    """The feasibility test scans a block entry by entry only where a
+    coordinate reaches the smallest upper or the largest lower bound of the
+    domain, or a direction is infinite; it passes the same blocks and names
+    the same row as the scan of every entry."""
+
+    LOWER, UPPER = "x1^2 + x2^2", "2*x1^2 + x2^2 + 1"
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_blocks_with_and_without_a_blocked_row(self, seed):
+        rng = np.random.default_rng(seed)
+        domain, points, dirs = kernel_block(rng, 1 + seed % 4)
+        # with points on the bounds heading inward or along them, and with
+        # every point inside, where the scan is skipped
+        for block in (points, np.clip(points, -1.5, 1.5)):
+            assert _require_feasible(domain, block, dirs) is None
+            assert reference_require_feasible(domain, block, dirs) is None
+            # past a bound heading out, on each bound heading out, an
+            # infinite direction: each alone in a block inside the domain
+            rows = rng.choice(len(points), size=4, replace=False)
+            for k, (x, d) in enumerate(((2.5, 1.0), (2.0, 1.0), (-2.0, -1.0), (0.0, -np.inf))):
+                moved, heading = block.copy(), dirs.copy()
+                moved[rows[k:], 0], heading[rows[k:], 0] = x, d
+                error = outcome(lambda: reference_require_feasible(domain, moved, heading))
+                assert error[0] is InfeasibleDirectionError
+                assert format_point(moved[min(rows[k:])]) in error[1]
+                assert outcome(lambda: _require_feasible(domain, moved, heading)) == error
+
+    def test_axes_with_other_bounds_are_scanned_entry_by_entry(self):
+        # x2 = 5 lies past the smallest upper bound 1, but inside its axis;
+        # a NaN coordinate is scanned too, and heads nowhere
+        domain = BoxSet(np.array([-1.0, 0.0]), np.array([1.0, 10.0]))
+        points = np.array([[0.5, 5.0], [0.0, 9.0], [np.nan, 5.0]])
+        dirs = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
+        assert _require_feasible(domain, points, dirs) is None
+        for moved in ([0.0, 10.0], [0.5, 12.0]):
+            blocked = points.copy()
+            blocked[1] = moved
+            error = outcome(lambda: reference_require_feasible(domain, blocked, dirs))
+            assert error[0] is InfeasibleDirectionError and format_point(moved) in error[1]
+            assert outcome(lambda: _require_feasible(domain, blocked, dirs)) == error
+
+    @pytest.mark.parametrize("make", ROUTES, ids=["exact", "numeric", "analytic"])
+    def test_points_on_a_bound_heading_inward_pass_on_every_route(self, make):
+        f = make(self.LOWER, self.UPPER, cube(2, -1, 1))
+        points = [[1.0, 0.25], [-1.0, 1.0], [0.5, -1.0], [0.25, 0.5]]
+        dirs = [[-1.0, 0.5], [1.0, -1.0], [0.0, 1.0], [1.0, 1.0]]
+        # the span of 2 x.d and 4 x1 d1 + 2 x2 d2
+        lo, hi = dir_derivatives(f, points, dirs)
+        assert lo == pytest.approx([-3.75, -6.0, -2.0, 1.5])
+        assert hi == pytest.approx([-1.75, -4.0, -2.0, 2.0])
+
+    @pytest.mark.parametrize("make", ROUTES, ids=["exact", "numeric", "analytic"])
+    @pytest.mark.parametrize(
+        "point, direction",
+        [([2.0, 0.5], [1.0, 0.0]), ([2.5, 0.5], [1.0, 0.0]), ([0.5, -2.5], [0.5, -1.0]),
+         ([0.5, 0.5], [0.0, np.inf]), ([0.5, 0.5], [-np.inf, 0.0])],
+        ids=["on-a-bound", "past-a-bound", "past-the-lower-bound", "inf", "minus-inf"],
+    )
+    def test_a_blocked_row_raises_the_same_error_on_every_route(self, make, point, direction):
+        f = make(self.LOWER, self.UPPER, cube(2, -2, 2))
+        points = np.array([[0.5, 0.0], point, [-2.0, 0.5], point])
+        dirs = np.array([[1.0, 0.0], direction, [1.0, -1.0], [-1.0, 0.0]])
+        expected = (InfeasibleDirectionError, "no small-t feasibility: the direction "
+                    f"{format_point(dirs[1])} exits the domain immediately at "
+                    f"{format_point(points[1])}")
+        assert outcome(lambda: reference_require_feasible(f.domain, points, dirs)) == expected
+        assert _message(lambda: dir_derivatives(f, points, dirs)) == expected
+        pairs = [(x, d[None]) for x, d in zip(points, dirs)]
+        assert _message(lambda: list(point_block_derivatives(f, pairs))) == expected

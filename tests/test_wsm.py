@@ -1,5 +1,6 @@
 """The five sharpness checkers, their concordance, and modulus estimation."""
 
+import dataclasses
 import gc
 import io
 import itertools
@@ -653,6 +654,7 @@ def modulus_reference(p) -> float:
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+KINK_DUAL_E = Path(__file__).resolve().parent / "regressions" / "kink_dual_e_2d.txt"
 PROBLEM_FILES = sorted(PROBLEMS.glob("*.txt"))
 BATTERY = {case.name: case for case in wsm_battery()}
 
@@ -897,6 +899,34 @@ class TestFaces:
         assert (sum(rows), report.samples_evaluated) == (578, 38148)
 
     @pytest.mark.parametrize(
+        "path, faces, cones",
+        [(PROBLEMS / "strip3d.txt", 9, 1), (KINK_DUAL_E, 3, 3)],
+        ids=["strip3d", "kink_dual_e_2d"],
+    )
+    def test_dual_e_builds_directions_once_per_distinct_cone(
+        self, monkeypatch, path, faces, cones
+    ):
+        # every face of strip3d meets in one cone T_S ∩ N_Sbar, so its 9
+        # faces share one direction array; the kink file's 3 faces meet in
+        # 3 cones.  The report is the per-point loop's either way.
+        p = build_problem(load_problem_file(path))
+        p.context()
+        built = []
+        original = wsm._unit_members
+
+        def counted(cone, pool, scale):
+            built.append(cone)
+            return original(cone, pool, scale)
+
+        monkeypatch.setattr(wsm, "_unit_members", counted)
+        report = check_dual_e(p)
+        assert (len(p.context().faces[1]), len(built), len(set(built))) == (faces, cones, cones)
+        margin, witness, samples = dual_e_reference(build_problem(load_problem_file(path)))
+        assert same_bits(report.worst_margin, margin)
+        assert all(same_bits(a, b) for a, b in zip(report.witness, witness))
+        assert report.samples_evaluated == samples
+
+    @pytest.mark.parametrize(
         "grid, samples", [(17, 44931), (33, 169059)], ids=["grid-17", "grid-33"]
     )
     def test_dual_b_tests_each_distinct_pair_key_once(self, monkeypatch, grid, samples):
@@ -936,6 +966,56 @@ class TestDerivativeTableMemory:
             tracemalloc.stop()
         assert table.shape == (729, len(ctx.dirs))
         assert peak < 1.5 * table.nbytes
+
+
+class _Gathers:
+    """An array that counts the gathers (``a[index]``) read from it."""
+
+    def __init__(self, array: np.ndarray):
+        self.array, self.count = array, 0
+
+    def __getitem__(self, index):
+        self.count += 1
+        return self.array[index]
+
+
+class TestSupportTable:
+    """primal and dual-b read the support table's worst entry at one alpha
+    from one build; the context keeps that entry, never the table."""
+
+    def problem(self) -> WsmProblem:
+        return build_problem(load_problem_file(PROBLEMS / "strip3d.txt"))
+
+    def test_built_once_per_check_all_and_again_at_another_alpha(self):
+        p = self.problem()
+        ctx = p.context()
+        gathers = ctx.__dict__["tangent_dists"] = _Gathers(ctx.tangent_dists)
+        reports = check_all(p)
+        assert gathers.count == 1
+        probe = p.with_alpha(2 * p.alpha)
+        probe_reports = check_all(probe)
+        assert gathers.count == 2
+        check_all(p.with_alpha(p.alpha))
+        check_primal(p)
+        assert gathers.count == 3
+        # the reports are those of problems built afresh at each alpha
+        for problem, got in ((p, reports), (probe, probe_reports)):
+            fresh = check_all(dataclasses.replace(problem, _ctx=None))
+            for name in ("primal", "dual-b"):
+                assert same_bits(got[name].worst_margin, fresh[name].worst_margin)
+                assert all(map(same_bits, got[name].witness, fresh[name].witness))
+
+    def test_the_context_keeps_no_table_sized_array(self):
+        ctx = self.problem().context()
+        ctx.deriv_lo, ctx.tangent_dists
+        tracemalloc.start()
+        try:
+            ctx.primal_worst(0.5)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = ctx.deriv_lo.nbytes  # 289 x 134 floats
+        assert peak >= table and kept < table / 100
 
 
 class TestConstantOnSbarGuard:
