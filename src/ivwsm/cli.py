@@ -22,9 +22,8 @@ import sys
 import numpy as np
 
 from .ivectors import IVector
-from .ivf import point_block_derivatives
 from .problems import ProblemFileError, build_problem, load_problem_file
-from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d
+from .subdiff import is_subgradient, is_subgradient_directional, subdiff_1d, subdiff_support
 from .support import FiniteIVecSet, default_directions, signed_basis
 from .wsm import (
     CHECKERS,
@@ -175,13 +174,11 @@ def _cmd_subdiff(args) -> int:
                 f"hi={_fmt_vec(upper.los)},{_fmt_vec(upper.his)}",
             ]
     else:
-        # support values of the subgradient set = directional derivatives,
-        # one pair per direction so a failure is that direction's own
+        # one support call per direction, so a failure is that direction's own
         dirs = signed_basis(n)
         lines = [
-            f"support along ({_fmt_vec(d)}): [{_fmt(d_lo)}, {_fmt(d_hi)}]"
-            for _, _, block, lo, hi in point_block_derivatives(f, [(at, d[None]) for d in dirs])
-            for d, d_lo, d_hi in zip(block, lo, hi)
+            f"support along ({_fmt_vec(d)}): [{_fmt(s.lo)}, {_fmt(s.hi)}]"
+            for d, s in zip(dirs, map(subdiff_support(f, at).support, dirs))
         ]
     if note is not None:
         lines.append(f"NOTE: {note}")

@@ -91,9 +91,6 @@ class Interval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-ZERO = Interval(0.0, 0.0)
-
-
 class Dominance(IntEnum):
     """Classification of an ordered interval pair under the endpoint order.
 

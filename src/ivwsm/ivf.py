@@ -32,8 +32,8 @@ endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes fro
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
 upper), and every derivative from :func:`dir_derivatives` or, for (point,
-directions) pairs, :func:`point_block_derivatives`, which the checkers, the
-1-d subgradient set and the CLI's support values read.  These kernels
+directions) pairs, :func:`point_block_derivatives`, which the checkers'
+derivative table and dual-e read.  These kernels
 take points as given, since the checkers pass points of S.  The one-point
 methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` raise DomainError
 outside the domain and are otherwise one-row calls of them, and
@@ -126,9 +126,10 @@ class Ivf:
     ``lower``/``upper`` are scalar callables; use :meth:`from_expressions`
     to build them from expression text.  An endpoint with a ``rows``
     attribute (a parsed :class:`ExprAst` has one) is evaluated at every row
-    of an (m, n) array in one call; other endpoints are called once per
-    row, on a read-only 1-d float64 array they must not keep, and must
-    return a real number (:func:`endpoint_rows`).  Endpoints that both have
+    of an (m, n) array in one call, which must return shape (m,) (another
+    raises ValueError); other endpoints are called once per row, on a
+    read-only 1-d float64 array they must not keep, and must return a real
+    number (:func:`endpoint_rows`).  Endpoints that both have
     ``tangent_rows`` (as parsed expressions do) are differentiated exactly,
     others numerically.
     ``analytic_dir_deriv``, when supplied, replaces both under the same
@@ -224,12 +225,21 @@ class RestrictedIvf:
 
 
 def _rows(g: Endpoint, name: str) -> RowEndpoint:
-    """g at each row of an (m, n) array: ``g.rows`` when g has it, else one
-    call per row on read-only views, redone row by row (:func:`_require_reals`)
-    where it fails or reads a NaN, as a None result does."""
+    """g at each row of an (m, n) array: ``g.rows`` when g has it, whose
+    result must have shape (m,), else one call per row on read-only views,
+    redone row by row (:func:`_require_reals`) where it fails or reads a
+    NaN, as a None result does."""
     rows = getattr(g, "rows", None)
     if rows is not None:
-        return rows
+
+        def checked(points):
+            values = rows(points)
+            if np.shape(values) != (len(points),):
+                raise ValueError(f"{name}.rows returned shape {np.shape(values)} on "
+                                 f"points of shape {points.shape}, not ({len(points)},)")
+            return values
+
+        return checked
 
     def per_row(points):
         points = _read_only(points)
@@ -246,11 +256,16 @@ def _rows(g: Endpoint, name: str) -> RowEndpoint:
 
 
 def _require_reals(g: Endpoint, name: str, points: np.ndarray) -> None:
-    """g on each row in turn: the first failing row's own error, or a
-    ValueError naming the endpoint ``name`` and the first row whose result
-    ``float`` rejects or finds beyond the float range."""
+    """g on each row in turn: the first failing row's own error, with a note
+    naming the endpoint ``name`` and the row, or a ValueError naming them
+    for the first row whose result ``float`` rejects or finds beyond the
+    float range."""
     for x in points:
-        value = g(x)
+        try:
+            value = g(x)
+        except Exception as exc:
+            exc.add_note(f"raised by {name}({format_point(x)})")
+            raise
         try:
             float(value)
         except (TypeError, ValueError):
@@ -273,7 +288,8 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     An endpoint without a batched form is called once per point, all of
     lower's points before upper's, on read-only 1-d float64 views it must
     not keep (one that writes into its argument raises ValueError); a
-    result ``float`` rejects raises ValueError naming its point.  A
+    result ``float`` rejects raises ValueError naming its point, and an
+    error raised inside the endpoint gains a note naming it.  A
     non-finite value raises ValueError naming its point, as the
     ``Interval`` constructor does for one point, and so, after those, does
     a value beyond :data:`ENDPOINT_MAX` in magnitude, whose differences
@@ -437,20 +453,16 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
 
 def _analytic(g: Callable, points: np.ndarray, dirs: np.ndarray, calls: Callable) -> tuple:
     """The analytic route: g's lower and upper ends, each finite
-    (:func:`_finite`).  Only after a failure are the rows redone one at a
-    time, to add a note naming the first failing row to an error raised
-    in g, or to raise ValueError naming the first row whose result has no
-    real ``lo`` and ``hi``."""
+    (:func:`_finite`).  An error raised in g gains a note naming its row,
+    the one after the results collected before it; a result without real
+    ``lo`` and ``hi`` raises ValueError naming the first such row."""
+    values = []
     try:
-        values = list(calls(g))
+        values.extend(calls(g))
     except Exception as exc:
-        for x, d in zip(_read_only(points), _read_only(dirs)):
-            try:
-                g(x, d)
-            except Exception:
-                exc.add_note(f"raised by analytic_dir_deriv at x={format_point(x)} "
-                             f"along d={format_point(d)}")
-                break
+        i = len(values)
+        exc.add_note(f"raised by analytic_dir_deriv at x={format_point(points[i])} "
+                     f"along d={format_point(dirs[i])}")
         raise
     try:
         ends = [np.fromiter(map(attrgetter(e), values), float, len(values)) for e in ("lo", "hi")]

@@ -13,7 +13,7 @@ of the :mod:`ivwsm.support` set types:
   support value of the subgradient set along h *is* the directional
   derivative along h, so nothing beyond ``Ivf.dir_deriv`` is needed;
 * ``IntervalBoxSet`` in one dimension, between the corners -F'(x; -1) and
-  F'(x; +1), which that identity gives from one derivative call;
+  F'(x; +1), which that identity gives as support values along -1 and +1;
 * ``FiniteIVecSet`` with one member, the interval gradient, only from
   ``subdiff_1d`` at a point where both endpoints are differentiable.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .intervals import is_finite
 from .ivectors import IVector
-from .ivf import GRAD_MATCH_RTOL, Ivf, RestrictedIvf, endpoint_rows, point_block_derivatives
+from .ivf import GRAD_MATCH_RTOL, Ivf, RestrictedIvf, endpoint_rows
 from .support import FiniteIVecSet, IntervalBoxSet, OracleIVecSet
 
 MEMBERSHIP_SLACK = 1e-9
@@ -148,7 +148,7 @@ def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | Interva
 
     By the support identity the set is the box between the corners
     -F'(x; -1) (with its endpoints swapped, so lower not above upper) and
-    F'(x; +1), both read from one derivative call.  For convex endpoints
+    F'(x; +1), one :func:`subdiff_support` call per side.  For convex endpoints
     the corners agree exactly when both endpoints are differentiable; then
     the box collapses and the singleton gradient is returned instead.
     Otherwise corners that cross (a concave kink) raise ValueError naming x.
@@ -159,10 +159,10 @@ def subdiff_1d(f: Ivf, xbar: float | Sequence[float]) -> FiniteIVecSet | Interva
     lo_b, hi_b = f.domain.lo[0], f.domain.hi[0]
     if not (lo_b < x[0] < hi_b):
         raise ValueError(f"xbar={x[0]} is not interior to the domain [{lo_b}, {hi_b}]")
-    # one (point, direction) pair per side, so a failure is that side's own
-    ((_, _, _, lo, hi),) = point_block_derivatives(f, [(x, [[1.0]]), (x, [[-1.0]])])
-    upper = IVector(lo[:1], hi[:1])  # F'(x; +1)
-    lower = IVector(-hi[1:], -lo[1:])  # -F'(x; -1), endpoints swapped
+    # one support call per side, so a failure is that side's own
+    up, down = map(subdiff_support(f, x).support, ([1.0], [-1.0]))
+    upper = IVector([up.lo], [up.hi])  # F'(x; +1)
+    lower = IVector([-down.hi], [-down.lo])  # -F'(x; -1), endpoints swapped
     if _agree(upper.los[0], lower.los[0]) and _agree(upper.his[0], lower.his[0]):
         return FiniteIVecSet((upper,))
     if lower.los[0] > upper.los[0] or lower.his[0] > upper.his[0]:
@@ -180,6 +180,6 @@ def _agree(a: float, b: float) -> bool:
 
 def subdiff_support(f: IvfLike, xbar: Sequence[float]) -> OracleIVecSet:
     """Canonical representation: the support value along d is the
-    directional derivative along d."""
+    directional derivative along d, one ``f.dir_deriv`` call."""
     xbar = np.asarray(xbar, dtype=float)
     return OracleIVecSet(f.dimension, lambda d: f.dir_deriv(xbar, d))

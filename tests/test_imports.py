@@ -107,16 +107,38 @@ def unread_names(sources: list[str], readers: list[str], checked) -> list[str]:
                 continue
             checked_names.extend((name, node) for name in names if checked(name))
     trees += [ast.parse(source) for source in readers]
+    modules = [_module_names(tree) for tree in trees]
     unread = []
     for name, definition in checked_names:
         inside = {id(n) for n in ast.walk(definition)}
         if not any(
-            id(node) not in inside and name in _names_read(node)
-            for tree in trees
+            id(node) not in inside and name in _names_read(node, names)
+            for tree, names in zip(trees, modules)
             for node in ast.walk(tree)
         ):
             unread.append(name)
     return unread
+
+
+def _module_names(tree: ast.AST) -> set[str]:
+    """The names the tree's ``import m`` and ``import m as n`` statements
+    bind, each a module.  A from-import may bind a module or a class, so
+    its names are left out: an attribute of a class (``Tag.ZERO``) is not a
+    read of the module-level name it spells."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _is_module(node: ast.expr, modules: set[str]) -> bool:
+    """Whether an expression is a module: a name in ``modules``, or an
+    attribute of one (``ivwsm.wsm``)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in modules
 
 
 def unread_private_names(sources: list[str]) -> list[str]:
@@ -132,13 +154,14 @@ def unread_public_names(sources: list[str], readers: list[str]) -> list[str]:
     return unread_names(sources, readers, lambda name: name[:1] != "_")
 
 
-def _names_read(node: ast.AST) -> set[str]:
-    """The names one syntax node reads: a loaded name, an attribute, an
-    imported name or the names of a quoted annotation."""
+def _names_read(node: ast.AST, modules: set[str]) -> set[str]:
+    """The names one syntax node reads: a loaded name, an attribute of a
+    module (a name in ``modules``, or an attribute of one), an imported
+    name or the names of a quoted annotation."""
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         return {node.id}
     if isinstance(node, ast.Attribute):
-        return {node.attr}
+        return {node.attr} if _is_module(node.value, modules) else set()
     if isinstance(node, ast.ImportFrom):
         return {alias.name for alias in node.names}
     if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
@@ -187,7 +210,6 @@ PAPER_API = {
     "vstar": "componentwise operations on I(R)^n",
     "cone_ball_support": "support of a cone in the alpha-ball (dual-b, Moreau)",
     "boundedness_check": "bounded gH-subdifferential at interior points",
-    "subdiff_support": "support function of the gH-subdifferential = the gH-directional derivative",
 }
 
 
@@ -211,9 +233,18 @@ def test_the_check_finds_an_unread_public_name():
         "    pass\n",
         "def by_script():\n"
         "    pass\n",
+        "ZERO = 0\n"
+        "class Kind:\n"
+        "    ZERO = 1\n"
+        "def kind_zero():\n"
+        "    return Kind.ZERO\n",
     ]
-    script = "from ivwsm.b import by_script\nprint(by_script(), used)\n"
-    assert unread_public_names(package, [script]) == ["SPARE", "recursive", "Unused"]
+    script = (
+        "import ivwsm.c\n"
+        "from ivwsm.b import by_script\n"
+        "print(by_script(), used, ivwsm.c.kind_zero())\n"
+    )
+    assert unread_public_names(package, [script]) == ["SPARE", "recursive", "Unused", "ZERO"]
 
 
 def unread_methods(sources: list[str], readers: list[str]) -> list[str]:

@@ -213,6 +213,11 @@ class TestDominance:
         assert not ext_leq(PLUS_INF, Interval(5, 9))
         assert ext_leq(MINUS_INF, Interval(-1, 0))
         assert ext_leq(PLUS_INF, PLUS_INF)
+        assert not ext_leq(Interval(0, 1), MINUS_INF)
+        assert ext_leq(MINUS_INF, MINUS_INF)
+        # finite intervals compare by dominance
+        assert ext_leq(Interval(0, 1), Interval(1, 2))
+        assert not ext_leq(Interval(1, 2), Interval(0, 1))
 
 
 class TestNorm:

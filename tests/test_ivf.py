@@ -811,15 +811,6 @@ class TestAnalyticBlocks:
             assert all(map(same_bits, block.witness, row.witness))
         assert (block.verdict, block.samples_evaluated) == (row.verdict, row.samples_evaluated)
 
-    @pytest.mark.parametrize("at", [-0.5, 0.0, 0.25, 1e-13])
-    def test_subdiff_1d_equals_row_by_row_calls(self, at):
-        for f in (vee_ivf(), vee_ivf(0.5, 1.0, center=0.25), quad_ivf()):
-            block = subdiff.subdiff_1d(f, [at])
-            with mock.patch.object(subdiff, "point_block_derivatives", row_by_row_blocks):
-                row = subdiff.subdiff_1d(f, [at])
-            assert type(block) is type(row)
-            assert repr(block) == repr(row)
-
     @pytest.mark.parametrize("name", sorted(ANALYTIC_CASES))
     def test_per_direction_pairs_equal_row_by_row_calls(self, name):
         f, n = ANALYTIC_CASES[name].f, ANALYTIC_CASES[name].f.dimension
@@ -962,7 +953,10 @@ class TestAnalyticContract:
         assert _message(lambda: f.dir_deriv([0.5], [-1.0])) == expected
 
     def test_an_error_in_the_callback_gains_a_note_naming_its_row(self):
+        calls = []
+
         def deriv(x, d):
+            calls.append(x[0])
             if x[0] > 0:
                 raise ZeroDivisionError("no derivative here")
             return Interval(d[0], 2 * abs(d[0]))
@@ -974,11 +968,47 @@ class TestAnalyticContract:
         assert str(info.value) == "no derivative here"
         assert info.value.__notes__ == [
             "raised by analytic_dir_deriv at x=[0.5] along d=[-1.0]"]
+        # the failing row is found without calling the callback again
+        assert calls == [-0.5, 0.5]
         pairs = [(np.array(x), np.array([d])) for x, d in zip(points, dirs)]
+        calls.clear()
         with pytest.raises(ZeroDivisionError) as info:
             list(point_block_derivatives(f, pairs))
         assert info.value.__notes__ == [
             "raised by analytic_dir_deriv at x=[0.5] along d=[-1.0]"]
+        # the block, then its redo one pair at a time
+        assert calls == [-0.5, 0.5] * 2
+
+    def test_a_failing_table_calls_each_row_up_to_the_failure_twice(self):
+        # once in its block and once in the block's redo, one pair at a time
+        calls = []
+        case = ANALYTIC_CASES["l1-n2"]
+
+        def deriv(x, d):
+            calls.append((x.tobytes(), d.tobytes()))
+            if x[0] > 0.3 and x[1] > 0.3 and raising:
+                raise ZeroDivisionError("no derivative here")
+            return case.f.analytic_dir_deriv(x, d)
+
+        def table():
+            p = WsmProblem(f=replace(case.f, analytic_dir_deriv=deriv), s=case.s,
+                           sbar=cube(2, -0.5, 1), alpha=1.0, grid=9, seed=3, n_dirs=16)
+            p.context().deriv_lo
+
+        raising = False
+        table()
+        rows, calls[:] = list(calls), []
+        failing = next(i for i, (x, _) in enumerate(rows)
+                       if min(np.frombuffer(x)) > 0.3)
+        assert len(rows) <= ROW_BLOCK  # one block
+        raising = True
+        with pytest.raises(ZeroDivisionError) as info:
+            table()
+        x, d = (np.frombuffer(b) for b in rows[failing])
+        assert info.value.__notes__ == [
+            f"raised by analytic_dir_deriv at x={format_point(x)} along d={format_point(d)}"]
+        assert calls == rows[: failing + 1] * 2
+        assert len(calls) == 1952
 
 
 def opaque(g, name: str, record) -> Callable:
@@ -1111,6 +1141,44 @@ class TestOpaqueEndpoints:
         expected = (ValueError, "lower([0.5]) returned a result beyond the float range (int)")
         assert _message(lambda: f.value([0.5])) == expected
         assert _message(lambda: endpoint_rows(f, [[-1.0], [0.5], [1.0]])) == expected
+
+    @pytest.mark.parametrize("call", ["rows", "value", "numeric"])
+    @pytest.mark.parametrize("name", ["lower", "upper"])
+    def test_an_error_raised_in_an_endpoint_gains_a_note_naming_its_point(self, name, call):
+        def raising(x):
+            if x[0] >= 0.52:
+                raise ZeroDivisionError("no value here")
+            return abs(x[0]) + 1.0
+
+        ends = {"lower": lambda x: abs(x[0]), "upper": lambda x: abs(x[0]) + 2.0, name: raising}
+        f = Ivf(1, ends["lower"], ends["upper"], cube(1, -2, 2))
+        points = np.arange(101)[:, None] / 100
+        calls = {"rows": lambda: endpoint_rows(f, points),
+                 "value": lambda: f.value([0.52]),
+                 "numeric": lambda: dir_derivatives(f, points, [[1.0]])}
+        with pytest.raises(ZeroDivisionError) as info:
+            calls[call]()
+        assert str(info.value) == "no value here"
+        assert info.value.__notes__ == [f"raised by {name}([0.52])"]
+
+    @pytest.mark.parametrize("rows, shape", [
+        (lambda points: np.abs(points[:, :1]), lambda m: (m, 1)),
+        (lambda points: np.abs(points[1:, 0]), lambda m: (m - 1,)),
+    ], ids=["column", "one-short"])
+    @pytest.mark.parametrize("name", ["lower", "upper"])
+    def test_a_batched_result_of_another_shape_names_its_endpoint(self, name, rows, shape):
+        ends = {"lower": parse("abs(x1)", 2), "upper": parse("abs(x1) + abs(x2) + 1", 2),
+                name: SimpleNamespace(rows=rows)}
+        f = Ivf(2, ends["lower"], ends["upper"], cube(2, -1, 1))
+
+        def message(m):
+            return f"{name}.rows returned shape {shape(m)} on points of shape ({m}, 2), not ({m},)"
+
+        points = np.array([[0.5, 0.0], [-0.5, 0.5], [0.0, 1.0]])
+        assert _message(lambda: endpoint_rows(f, points)) == (ValueError, message(3))
+        assert _message(lambda: f.value([0.5, 0.0])) == (ValueError, message(1))
+        p = WsmProblem(f=f, s=cube(2, -1, 1), sbar=cube(2, 0, 0), alpha=0.5, grid=5)
+        assert _message(lambda: wsm.estimate_modulus(p)) == (ValueError, message(25))
 
     def test_a_nan_result_is_still_not_finite(self):
         f = Ivf(1, lambda x: math.nan if x[0] > 0 else 0.0, lambda x: 2.0, cube(1, -2, 2))

@@ -1,0 +1,99 @@
+"""Validation paths of the constructors, set types and membership tests:
+each malformed input raises its documented error, and the edge cases next
+to them give their documented results."""
+
+import numpy as np
+import pytest
+
+from ivwsm import (
+    BoxSet,
+    FiniteIVecSet,
+    Interval,
+    IntervalBoxSet,
+    IVector,
+    Ivf,
+    OracleIVecSet,
+    OrthantCone,
+    RestrictedIvf,
+    Tag,
+    cone_ball_support,
+    is_subgradient,
+    parse,
+)
+
+from conftest import cube, vee_ivf
+
+NAN, INF = float("nan"), float("inf")
+
+
+def ivec(*pairs) -> IVector:
+    return IVector.from_intervals([Interval(lo, hi) for lo, hi in pairs])
+
+
+ERRORS = {
+    "box-ragged": (lambda: BoxSet(np.zeros(2), np.ones(1)),
+                   "box bounds must be equal-length nonempty vectors"),
+    "box-empty": (lambda: BoxSet(np.zeros(0), np.zeros(0)),
+                  "box bounds must be equal-length nonempty vectors"),
+    "box-inf": (lambda: BoxSet(np.zeros(1), np.array([INF])), "box bounds must be finite"),
+    "box-nan": (lambda: BoxSet(np.array([NAN]), np.ones(1)), "box bounds must be finite"),
+    "ivf-dimension": (lambda: Ivf(2, abs, abs, cube(1, -1, 1)),
+                      "domain dimension does not match the declared dimension"),
+    "parse-dimension-0": (lambda: parse("1", 0), "dimension must be >= 1"),
+    "cone-intersect-dimensions": (
+        lambda: OrthantCone((Tag.FREE,)).intersect(OrthantCone((Tag.FREE, Tag.FREE))),
+        "cone dimension mismatch"),
+    "cone-ball-alpha-0": (lambda: cone_ball_support(OrthantCone((Tag.FREE,)), 0.0, [1.0]),
+                          "alpha must be positive"),
+    "finite-set-empty": (lambda: FiniteIVecSet(()), "finite set must be nonempty"),
+    "finite-set-dimensions": (lambda: FiniteIVecSet((ivec((0, 1)), ivec((0, 1), (0, 1)))),
+                              "members must share one dimension"),
+    "box-set-corner-dimensions": (lambda: IntervalBoxSet(ivec((0, 1)), ivec((0, 1), (0, 1))),
+                                  "corner dimension mismatch"),
+    "box-set-crossed-corners": (lambda: IntervalBoxSet(ivec((0, 2)), ivec((1, 1))),
+                                "lower corner must dominate the upper corner"),
+    "box-set-support-length": (
+        lambda: IntervalBoxSet(ivec((0, 1)), ivec((1, 2))).support([1.0, 0.0]),
+        "direction dimension mismatch"),
+    "oracle-support-length": (
+        lambda: OracleIVecSet(2, lambda d: Interval(0, 0)).support([1.0]),
+        "direction has length 1, set dimension 2"),
+    "ivector-2d-endpoints": (lambda: IVector(np.zeros((1, 2)), np.ones((1, 2))),
+                             "expected a 1-d array, got shape (1, 2)"),
+    "subgradient-xbar-outside": (
+        lambda: is_subgradient(RestrictedIvf(vee_ivf(), cube(1, 0, 1)), [-0.5],
+                               IVector.zeros(1), [[0.5]]),
+        "xbar must lie in the effective domain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_a_malformed_input_raises_its_value_error(case):
+    call, message = ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_a_finite_set_has_its_members_dimension():
+    assert FiniteIVecSet((ivec((0, 1), (2, 3)), ivec((1, 1), (0, 0)))).dimension == 2
+
+
+def test_an_interval_vector_equals_no_other_type():
+    v = ivec((0, 1))
+    assert v.__eq__(3) is NotImplemented
+    assert v != 3 and not v == 3
+
+
+def test_an_interval_repr_shows_short_endpoints():
+    assert repr(Interval(0.5, 2)) == "[0.5, 2]"
+
+
+def test_a_one_d_probe_list_is_a_column_of_probes():
+    f, g = vee_ivf(), IVector.degenerate([0.5])
+    flat = is_subgradient(f, [0.0], g, [-1.0, 0.5, 1.5])
+    column = is_subgradient(f, [0.0], g, [[-1.0], [0.5], [1.5]])
+    # at x = 1.5: F(x) gh- F(0) = [0.375, 1.5] against the pairing 0.75
+    assert (flat.member, flat.margin) == (column.member, column.margin) == (False, -0.375)
+    assert np.array_equal(flat.witness, column.witness) and np.array_equal(flat.witness, [1.5])
