@@ -34,9 +34,10 @@ endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes fro
 upper), and every derivative from :func:`dir_derivatives` or, for (point,
 directions) pairs, :func:`point_block_derivatives`, which the checkers'
 derivative table and dual-e read.  These kernels
-take points as given, since the checkers pass points of S.  The one-point
-methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` raise DomainError
-outside the domain and are otherwise one-row calls of them, and
+take points as given, since the checkers pass points of S, once their
+rows have n entries.  The one-point methods :meth:`Ivf.value` and
+:meth:`Ivf.dir_deriv` raise DomainError outside the domain (ValueError
+for another shape than (n,)) and are otherwise one-row calls of them, and
 :meth:`RestrictedIvf.dir_deriv` a one-row call of
 :meth:`RestrictedIvf.dir_derivs`, which gives +inf along directions that
 leave the feasible set; the checkers' table ``wsm._Context.deriv_lo``
@@ -48,10 +49,10 @@ overheads are its cost: the exact route makes one tape pass per endpoint
 where the numeric one makes four.  The numeric route keeps to the plain
 formulas and only reads the arrays an endpoint returns, so an endpoint may
 hand back a cached or read-only array.  Python callbacks are called once
-per row, on read-only 1-d float64 arrays they must not keep, and their
-results are collected with ``np.fromiter``: an endpoint without a batched
-form once per row of each evaluation, all of lower's rows before upper's,
-and an analytic derivative once per (point, direction) row, in
+per row, on read-only 1-d float64 arrays they must not keep, by one
+adapter (:func:`_collect`): an endpoint without a batched form once per
+row of each evaluation, all of lower's rows before upper's, and an
+analytic derivative once per (point, direction) row, in
 point-then-direction order, on arrays which :func:`point_block_derivatives`
 lists once per block and direction array.
 """
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -127,9 +128,9 @@ class Ivf:
     to build them from expression text.  An endpoint with a ``rows``
     attribute (a parsed :class:`ExprAst` has one) is evaluated at every row
     of an (m, n) array in one call, which must return shape (m,) (another
-    raises ValueError); other endpoints are called once per row, on a
-    read-only 1-d float64 array they must not keep, and must return a real
-    number (:func:`endpoint_rows`).  Endpoints that both have
+    raises ValueError); other endpoints are called once per row of an
+    evaluation, on a read-only 1-d float64 array they must not keep, and
+    must return a real number (:func:`endpoint_rows`).  Endpoints that both have
     ``tangent_rows`` (as parsed expressions do) are differentiated exactly,
     others numerically.
     ``analytic_dir_deriv``, when supplied, replaces both under the same
@@ -155,25 +156,19 @@ class Ivf:
     def value(self, x: Sequence[float]) -> Interval:
         """[lower(x), upper(x)] at a point of the domain (a one-row call of
         :func:`endpoint_rows`)."""
-        x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x):
-            raise DomainError(f"{format_point(x)} is outside the domain box")
-        lo, hi = endpoint_rows(self, x[None, :])
+        lo, hi = endpoint_rows(self, _point_in(self.domain, x, "domain box"))
         return Interval(lo[0], hi[0])
 
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> Interval:
         """Interval directional derivative: the analytic one when supplied,
         else the span of the endpoint derivatives (a one-row call of
         :meth:`dir_derivs`)."""
-        lo, hi = self.dir_derivs(x, np.asarray(d, dtype=float)[None, :])
+        lo, hi = self.dir_derivs(x, d)
         return Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays of :meth:`dir_deriv` at x along each row of dirs."""
-        x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x):
-            raise DomainError(f"{format_point(x)} is outside the domain box")
-        return dir_derivatives(self, x, dirs)
+        return dir_derivatives(self, _point_in(self.domain, x, "domain box"), dirs)
 
 
 @dataclass(frozen=True)
@@ -198,15 +193,15 @@ class RestrictedIvf:
         return self.base.domain
 
     def value(self, x: Sequence[float]) -> ExtInterval:
-        if not self.feasible.contains(x):
+        if np.shape(x) == (self.dimension,) and not self.feasible.contains(x):
             return PLUS_INF
-        return self.base.value(x)
+        return self.base.value(x)  # which rejects another shape
 
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> ExtInterval:
         """Directional derivative of the restriction at a feasible point:
         the PLUS_INF marker along a direction leaving the feasible box (a
         one-row call of :meth:`dir_derivs`)."""
-        lo, hi = self.dir_derivs(x, np.asarray(d, dtype=float)[None, :])
+        lo, hi = self.dir_derivs(x, d)
         return PLUS_INF if lo[0] == np.inf else Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,21 +209,38 @@ class RestrictedIvf:
         x along each row of dirs: +inf along a row leaving the feasible box
         (the quotient is +inf for every small step), elsewhere the base
         function's, which the restriction equals near x."""
-        x = np.asarray(x, dtype=float)
-        dirs = np.asarray(dirs, dtype=float)
-        if not self.feasible.contains(x):
-            raise DomainError(f"{format_point(x)} is outside the feasible set")
+        x = _point_in(self.feasible, x, "feasible set")
+        dirs = _require_rows(dirs, self.dimension, "directions")
         inside = self.feasible.tangent_cone(x).contains(dirs)
         lo, hi = np.full(len(dirs), np.inf), np.full(len(dirs), np.inf)
         lo[inside], hi[inside] = dir_derivatives(self.base, x, dirs[inside])
         return lo, hi
 
 
+def _point_in(box: BoxSet, x, where: str) -> np.ndarray:
+    """x as a float array, once ValueError has rejected a shape other than
+    (n,) and DomainError, naming ``where``, a point outside box."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (box.dimension,):
+        raise ValueError(f"x of shape {x.shape} is not a point of {box.dimension} entries")
+    if not box.contains(x):
+        raise DomainError(f"{format_point(x)} is outside the {where}")
+    return x
+
+
+def _require_rows(a, n: int, what: str) -> np.ndarray:
+    """a as an (m, n) float array, a 1-d a as its one row, once ValueError
+    has rejected another shape."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 2 or a.shape[-1:] != (n,):
+        raise ValueError(f"{what} of shape {a.shape} are not rows of {n} entries")
+    return a.reshape(-1, n)
+
+
 def _rows(g: Endpoint, name: str) -> RowEndpoint:
     """g at each row of an (m, n) array: ``g.rows`` when g has it, whose
     result must have shape (m,), else one call per row on read-only views,
-    redone row by row (:func:`_require_reals`) where it fails or reads a
-    NaN, as a None result does."""
+    collected by :func:`_collect`."""
     rows = getattr(g, "rows", None)
     if rows is not None:
 
@@ -243,37 +255,47 @@ def _rows(g: Endpoint, name: str) -> RowEndpoint:
 
     def per_row(points):
         points = _read_only(points)
-        try:
-            values = np.fromiter(map(g, points), float, len(points))
-        except Exception:
-            _require_reals(g, name, points)
-            raise
-        if np.isnan(values).any():
-            _require_reals(g, name, points)
-        return values
+        return _collect(map(g, points), lambda i: f"{name}({format_point(points[i])})",
+                        (None,), "a real number")[0]
 
     return per_row
 
 
-def _require_reals(g: Endpoint, name: str, points: np.ndarray) -> None:
-    """g on each row in turn: the first failing row's own error, with a note
-    naming the endpoint ``name`` and the row, or a ValueError naming them
-    for the first row whose result ``float`` rejects or finds beyond the
-    float range."""
-    for x in points:
-        try:
-            value = g(x)
-        except Exception as exc:
-            exc.add_note(f"raised by {name}({format_point(x)})")
-            raise
-        try:
-            float(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{name}({format_point(x)}) returned a "
-                             f"{type(value).__name__}, not a real number") from None
-        except OverflowError:
-            raise ValueError(f"{name}({format_point(x)}) returned a result beyond the "
-                             f"float range ({type(value).__name__})") from None
+def _collect(results: Iterable, row: Callable[[int], str], ends: tuple, wanted: str) -> list:
+    """The results ``results`` yields, one call per row, consumed once (so
+    no row is called twice), as float64 arrays: per entry of ``ends``, the
+    results themselves (None) or that attribute of each.  An error raised
+    in a call gains the note ``raised by {row(i)}``, i the number of results
+    collected before it.  Only if the conversion fails or reads a NaN (as
+    NumPy reads None) are the results scanned: the first that ``float``
+    rejects raises ValueError naming ``row(i)``, its type and ``wanted``,
+    or the float range for a number beyond it."""
+    values = []
+    try:
+        values.extend(results)
+    except Exception as exc:
+        exc.add_note(f"raised by {row(len(values))}")
+        raise
+    rejected = (AttributeError, TypeError, ValueError, OverflowError)
+    try:
+        arrays, error = [np.fromiter(values if end is None else map(attrgetter(end), values),
+                                     float, len(values)) for end in ends], None
+    except rejected as exc:
+        arrays, error = None, exc
+    if error is not None or any(np.isnan(a).any() for a in arrays):
+        for i, value in enumerate(values):
+            for end in ends:
+                try:
+                    float(value if end is None else getattr(value, end))
+                except rejected as exc:
+                    kind = type(value).__name__
+                    if end is None and isinstance(exc, OverflowError):
+                        raise ValueError(f"{row(i)} returned a result beyond the float "
+                                         f"range ({kind})") from None
+                    raise ValueError(f"{row(i)} returned a {kind}, not {wanted}") from None
+        if error is not None:
+            raise error
+    return arrays
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -282,8 +304,9 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 
 def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
-    """lower and upper at each row of an (m, n) array of points, or at each
-    point of a :class:`~ivwsm.geometry.GridAxes` in its point order.
+    """lower and upper at each row of an (m, n) array of points (or of one
+    (n,) row; another shape raises ValueError), or at each point of a
+    :class:`~ivwsm.geometry.GridAxes` in its point order.
 
     An endpoint without a batched form is called once per point, all of
     lower's points before upper's, on read-only 1-d float64 views it must
@@ -306,7 +329,7 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
             for g, name in ((f.lower, "lower"), (f.upper, "upper"))
         )
     else:
-        points = np.asarray(points, dtype=float)
+        points = _require_rows(points, f.dimension, "points")
         point = points.__getitem__
         lo, hi = _rows(f.lower, "lower")(points), _rows(f.upper, "upper")(points)
     # NaN, inf and a value past ENDPOINT_MAX all fail one test, and then
@@ -439,7 +462,11 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
     ``calls(g)`` yields the analytic derivative g's intervals in row order."""
     _require_feasible(f.domain, points, dirs)
     if f.analytic_dir_deriv is not None:
-        return _analytic(f.analytic_dir_deriv, points, dirs, calls)
+        ends = _collect(calls(f.analytic_dir_deriv),
+                        lambda i: f"analytic_dir_deriv at x={format_point(points[i])} "
+                                  f"along d={format_point(dirs[i])}",
+                        ("lo", "hi"), "an interval with real lo and hi")
+        return tuple(_finite(end, points, dirs) for end in ends)
     exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
     if None in exact:
         scale = _step_scale(f.domain, points, dirs)
@@ -451,41 +478,13 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
 
 
-def _analytic(g: Callable, points: np.ndarray, dirs: np.ndarray, calls: Callable) -> tuple:
-    """The analytic route: g's lower and upper ends, each finite
-    (:func:`_finite`).  An error raised in g gains a note naming its row,
-    the one after the results collected before it; a result without real
-    ``lo`` and ``hi`` raises ValueError naming the first such row."""
-    values = []
-    try:
-        values.extend(calls(g))
-    except Exception as exc:
-        i = len(values)
-        exc.add_note(f"raised by analytic_dir_deriv at x={format_point(points[i])} "
-                     f"along d={format_point(dirs[i])}")
-        raise
-    try:
-        ends = [np.fromiter(map(attrgetter(e), values), float, len(values)) for e in ("lo", "hi")]
-    except (AttributeError, TypeError, ValueError, OverflowError):
-        for i, value in enumerate(values):
-            try:
-                float(value.lo), float(value.hi)
-            except (AttributeError, TypeError, ValueError, OverflowError):
-                raise ValueError(
-                    f"analytic_dir_deriv at x={format_point(points[i])} along "
-                    f"d={format_point(dirs[i])} returned a {type(value).__name__}, "
-                    "not an interval with real lo and hi"
-                ) from None
-        raise
-    return tuple(_finite(end, points, dirs) for end in ends)
-
-
 def dir_derivatives(
     f: Ivf, points: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interval directional derivative at each row pair of points and dirs.
 
-    ``points`` and ``dirs`` broadcast against each other, so one point with
+    ``points`` and ``dirs``, each (m, n) or one (n,) row (another shape
+    raises ValueError), broadcast against each other, so one point with
     (k, n) directions works.  Returns the lower and upper endpoint arrays:
     the analytic derivative when supplied (one call per row), otherwise the
     span of the two endpoint derivatives, exact when both endpoints carry
@@ -495,9 +494,8 @@ def dir_derivatives(
     given.  More than :data:`ROW_BLOCK` rows run block by block, so an error
     names the first failing row of the first block that has one.
     """
-    points, dirs = np.broadcast_arrays(
-        np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
-    )
+    points, dirs = np.broadcast_arrays(_require_rows(points, f.dimension, "points"),
+                                       _require_rows(dirs, f.dimension, "directions"))
     if len(points) > ROW_BLOCK:
         parts = [
             dir_derivatives(f, points[i : i + ROW_BLOCK], dirs[i : i + ROW_BLOCK])

@@ -943,6 +943,9 @@ class TestAnalyticContract:
     @pytest.mark.parametrize("result, name", [((0.0, 1.0), "tuple"), (None, "NoneType"),
                                               (SimpleNamespace(lo="a", hi=1.0), "SimpleNamespace"),
                                               (SimpleNamespace(lo=0.0, hi=10**400),
+                                               "SimpleNamespace"),
+                                              # NumPy reads None as a NaN, not a real end
+                                              (SimpleNamespace(lo=None, hi=1.0),
                                                "SimpleNamespace")])
     def test_a_result_without_real_ends_names_its_row_and_type(self, result, name):
         f = self.ivf(lambda x, d: result if x[0] > 0 else Interval(d[0], 2 * abs(d[0])))
@@ -1123,15 +1126,24 @@ class TestOpaqueEndpoints:
                                               ("abc", "str")])
     @pytest.mark.parametrize("ends", ["opaque", "expr-upper"])
     def test_a_result_that_is_not_a_real_number_names_its_point(self, result, kind, ends):
-        f = Ivf(1, lambda x: result if x[0] > 0 else 0.0,
+        calls = []
+
+        def lower(x):
+            calls.append(x[0])
+            return result if x[0] > 0 else 0.0
+
+        f = Ivf(1, lower,
                 parse("2 + x1", 1) if ends == "expr-upper" else (lambda x: 2.0 + x[0]),
                 cube(1, -2, 2))
         points = np.array([[-1.0], [0.25], [0.5]])
         message = "lower([0.25]) returned a " + kind + ", not a real number"
         assert _message(lambda: endpoint_rows(f, points)) == (ValueError, message)
+        assert calls == [-1.0, 0.25, 0.5]  # each row once, the scan reads the results
+        calls.clear()
         assert _message(lambda: f.value([0.25])) == (ValueError, message)
         derivative = _message(lambda: dir_derivatives(f, [[0.25]], [[1.0]]))
         assert derivative[0] is ValueError and "lower([0.25" in derivative[1]
+        assert calls == [0.25, 0.25]
 
     @pytest.mark.parametrize("ends", ["opaque", "expr-upper"])
     def test_a_result_beyond_the_float_range_names_its_endpoint_and_point(self, ends):
@@ -1145,7 +1157,10 @@ class TestOpaqueEndpoints:
     @pytest.mark.parametrize("call", ["rows", "value", "numeric"])
     @pytest.mark.parametrize("name", ["lower", "upper"])
     def test_an_error_raised_in_an_endpoint_gains_a_note_naming_its_point(self, name, call):
+        seen = []
+
         def raising(x):
+            seen.append(x[0])
             if x[0] >= 0.52:
                 raise ZeroDivisionError("no value here")
             return abs(x[0]) + 1.0
@@ -1160,6 +1175,8 @@ class TestOpaqueEndpoints:
             calls[call]()
         assert str(info.value) == "no value here"
         assert info.value.__notes__ == [f"raised by {name}([0.52])"]
+        # rows 0.00 to 0.52, each once: the note comes from the rows collected
+        assert seen == ([0.52] if call == "value" else list(points[:53, 0]))
 
     @pytest.mark.parametrize("rows, shape", [
         (lambda points: np.abs(points[:, :1]), lambda m: (m, 1)),
@@ -1181,9 +1198,16 @@ class TestOpaqueEndpoints:
         assert _message(lambda: wsm.estimate_modulus(p)) == (ValueError, message(25))
 
     def test_a_nan_result_is_still_not_finite(self):
-        f = Ivf(1, lambda x: math.nan if x[0] > 0 else 0.0, lambda x: 2.0, cube(1, -2, 2))
+        calls = []
+
+        def lower(x):
+            calls.append(x[0])
+            return math.nan if x[0] > 0 else 0.0
+
+        f = Ivf(1, lower, lambda x: 2.0, cube(1, -2, 2))
         assert _message(lambda: endpoint_rows(f, [[-1.0], [0.5]])) == (
             ValueError, "lower([0.5]) = nan is not finite")
+        assert calls == [-1.0, 0.5]
 
     def test_a_lower_endpoint_error_wins_over_an_earlier_upper_one(self):
         # upper fails at the first row, lower only at the third

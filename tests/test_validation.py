@@ -17,9 +17,12 @@ from ivwsm import (
     RestrictedIvf,
     Tag,
     cone_ball_support,
+    dir_derivatives,
     is_subgradient,
     parse,
+    subdiff_support,
 )
+from ivwsm.ivf import endpoint_rows
 
 from conftest import cube, vee_ivf
 
@@ -28,6 +31,10 @@ NAN, INF = float("nan"), float("inf")
 
 def ivec(*pairs) -> IVector:
     return IVector.from_intervals([Interval(lo, hi) for lo, hi in pairs])
+
+
+F2 = Ivf.from_expressions("abs(x1) + abs(x2)", "2*abs(x1) + abs(x2) + 1", cube(2, -1, 1))
+OPAQUE2 = Ivf(2, lambda x: abs(x[0]), lambda x: abs(x[0]) + 1, cube(2, -1, 1))
 
 
 ERRORS = {
@@ -64,6 +71,28 @@ ERRORS = {
         lambda: is_subgradient(RestrictedIvf(vee_ivf(), cube(1, 0, 1)), [-0.5],
                                IVector.zeros(1), [[0.5]]),
         "xbar must lie in the effective domain"),
+    # points and directions of another length than the function's dimension
+    "dir-deriv-direction-length": (lambda: F2.dir_deriv([0.1, 0.1], [1.0]),
+                                   "directions of shape (1,) are not rows of 2 entries"),
+    "support-point-length": (lambda: subdiff_support(F2, [0.1]).support([1, 0]),
+                             "x of shape (1,) is not a point of 2 entries"),
+    "restricted-dir-deriv-direction-length": (
+        lambda: RestrictedIvf(F2, cube(2, -1, 1)).dir_deriv([0.1, 0.1], [1.0]),
+        "directions of shape (1,) are not rows of 2 entries"),
+    "restricted-value-point-length": (lambda: RestrictedIvf(F2, cube(2, 0, 1)).value([-0.5]),
+                                      "x of shape (1,) is not a point of 2 entries"),
+    "opaque-value-point-length": (lambda: OPAQUE2.value([0.5]),
+                                  "x of shape (1,) is not a point of 2 entries"),
+    "expr-value-point-length": (lambda: F2.value([0.5]),
+                                "x of shape (1,) is not a point of 2 entries"),
+    "value-three-vector": (lambda: F2.value([0.5, 0.5, 0.5]),
+                           "x of shape (3,) is not a point of 2 entries"),
+    "dir-derivatives-point-length": (lambda: dir_derivatives(F2, [[0.1]], [[1.0, 0.0]]),
+                                     "points of shape (1, 1) are not rows of 2 entries"),
+    "endpoint-rows-point-length": (lambda: endpoint_rows(OPAQUE2, [[0.1, 0.2, 0.3]]),
+                                   "points of shape (1, 3) are not rows of 2 entries"),
+    "endpoint-rows-three-axes": (lambda: endpoint_rows(OPAQUE2, np.zeros((1, 1, 2))),
+                                 "points of shape (1, 1, 2) are not rows of 2 entries"),
 }
 
 
@@ -74,6 +103,14 @@ def test_a_malformed_input_raises_its_value_error(case):
         call()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("f", [F2, OPAQUE2], ids=["expr", "opaque"])
+def test_a_one_d_point_or_direction_is_one_row(f):
+    # one row of two entries, not two rows of one
+    assert np.array_equal(endpoint_rows(f, [0.1, 0.2]), endpoint_rows(f, [[0.1, 0.2]]))
+    assert np.array_equal(dir_derivatives(f, [0.1, 0.2], [1.0, -1.0]),
+                          dir_derivatives(f, [[0.1, 0.2]], [[1.0, -1.0]]))
 
 
 def test_a_finite_set_has_its_members_dimension():
