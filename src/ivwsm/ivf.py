@@ -278,8 +278,9 @@ def _collect(results: Iterable, row: Callable[[int], str], ends: tuple, wanted: 
         raise
     rejected = (AttributeError, TypeError, ValueError, OverflowError)
     try:
-        arrays, error = [np.fromiter(values if end is None else map(attrgetter(end), values),
-                                     float, len(values)) for end in ends], None
+        arrays = [np.fromiter(values if end is None else map(attrgetter(end), values),
+                              float, len(values)) for end in ends]
+        error = None
     except rejected as exc:
         arrays, error = None, exc
     if error is not None or any(np.isnan(a).any() for a in arrays):
