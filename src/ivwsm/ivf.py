@@ -163,7 +163,7 @@ class Ivf:
         """Interval directional derivative: the analytic one when supplied,
         else the span of the endpoint derivatives (a one-row call of
         :meth:`dir_derivs`)."""
-        lo, hi = self.dir_derivs(x, d)
+        lo, hi = self.dir_derivs(x, _vector(d, self.dimension, "d", "direction"))
         return Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +201,7 @@ class RestrictedIvf:
         """Directional derivative of the restriction at a feasible point:
         the PLUS_INF marker along a direction leaving the feasible box (a
         one-row call of :meth:`dir_derivs`)."""
-        lo, hi = self.dir_derivs(x, d)
+        lo, hi = self.dir_derivs(x, _vector(d, self.dimension, "d", "direction"))
         return PLUS_INF if lo[0] == np.inf else Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,12 +220,19 @@ class RestrictedIvf:
 def _point_in(box: BoxSet, x, where: str) -> np.ndarray:
     """x as a float array, once ValueError has rejected a shape other than
     (n,) and DomainError, naming ``where``, a point outside box."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (box.dimension,):
-        raise ValueError(f"x of shape {x.shape} is not a point of {box.dimension} entries")
+    x = _vector(x, box.dimension, "x", "point")
     if not box.contains(x):
         raise DomainError(f"{format_point(x)} is outside the {where}")
     return x
+
+
+def _vector(a, n: int, name: str, kind: str) -> np.ndarray:
+    """a as an (n,) float array, once ValueError, naming ``name`` and
+    ``kind``, has rejected another shape."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"{name} of shape {a.shape} is not a {kind} of {n} entries")
+    return a
 
 
 def _require_rows(a, n: int, what: str) -> np.ndarray:

@@ -73,12 +73,20 @@ ERRORS = {
         "xbar must lie in the effective domain"),
     # points and directions of another length than the function's dimension
     "dir-deriv-direction-length": (lambda: F2.dir_deriv([0.1, 0.1], [1.0]),
-                                   "directions of shape (1,) are not rows of 2 entries"),
+                                   "d of shape (1,) is not a direction of 2 entries"),
+    "dir-deriv-two-directions": (lambda: F2.dir_deriv([0.1, 0.1], [[1.0, 0.0], [0.0, 1.0]]),
+                                 "d of shape (2, 2) is not a direction of 2 entries"),
+    "support-two-directions": (
+        lambda: subdiff_support(F2, [0.1, 0.1]).support([[1.0, 0.0], [0.0, 1.0]]),
+        "d of shape (2, 2) is not a direction of 2 entries"),
     "support-point-length": (lambda: subdiff_support(F2, [0.1]).support([1, 0]),
                              "x of shape (1,) is not a point of 2 entries"),
     "restricted-dir-deriv-direction-length": (
         lambda: RestrictedIvf(F2, cube(2, -1, 1)).dir_deriv([0.1, 0.1], [1.0]),
-        "directions of shape (1,) are not rows of 2 entries"),
+        "d of shape (1,) is not a direction of 2 entries"),
+    "restricted-dir-deriv-two-directions": (
+        lambda: RestrictedIvf(F2, cube(2, -1, 1)).dir_deriv([0.1, 0.1], [[1.0, 0.0]]),
+        "d of shape (1, 2) is not a direction of 2 entries"),
     "restricted-value-point-length": (lambda: RestrictedIvf(F2, cube(2, 0, 1)).value([-0.5]),
                                       "x of shape (1,) is not a point of 2 entries"),
     "opaque-value-point-length": (lambda: OPAQUE2.value([0.5]),
