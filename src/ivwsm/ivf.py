@@ -33,11 +33,10 @@ endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes fro
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
 upper), and every derivative from :func:`dir_derivatives` or, for (point,
 directions) pairs, :func:`point_block_derivatives`, which the checkers'
-derivative table and dual-e read.  These kernels
-take points as given, since the checkers pass points of S, once their
-rows have n entries.  The one-point methods :meth:`Ivf.value` and
-:meth:`Ivf.dir_deriv` raise DomainError outside the domain (ValueError
-for another shape than (n,)) and are otherwise one-row calls of them, and
+derivative table and dual-e read.  These kernels take rows of n entries
+and points as given, since the checkers pass points of S.  The one-point
+methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` take (n,) arrays,
+raise DomainError outside the domain and are otherwise one-row calls, and
 :meth:`RestrictedIvf.dir_deriv` a one-row call of
 :meth:`RestrictedIvf.dir_derivs`, which gives +inf along directions that
 leave the feasible set; the checkers' table ``wsm._Context.deriv_lo``
@@ -130,9 +129,9 @@ class Ivf:
     of an (m, n) array in one call, which must return shape (m,) (another
     raises ValueError); other endpoints are called once per row of an
     evaluation, on a read-only 1-d float64 array they must not keep, and
-    must return a real number (:func:`endpoint_rows`).  Endpoints that both have
-    ``tangent_rows`` (as parsed expressions do) are differentiated exactly,
-    others numerically.
+    must return a real number (:func:`endpoint_rows`).  Endpoints that both
+    have ``tangent_rows`` (as parsed expressions do) are differentiated
+    exactly, others numerically.
     ``analytic_dir_deriv``, when supplied, replaces both under the same
     contract (:func:`dir_derivatives`), called on one (point, direction)
     row of read-only 1-d arrays at a time.
@@ -193,9 +192,8 @@ class RestrictedIvf:
         return self.base.domain
 
     def value(self, x: Sequence[float]) -> ExtInterval:
-        if np.shape(x) == (self.dimension,) and not self.feasible.contains(x):
-            return PLUS_INF
-        return self.base.value(x)  # which rejects another shape
+        x = _vector(x, self.dimension, "x", "point")
+        return self.base.value(x) if self.feasible.contains(x) else PLUS_INF
 
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> ExtInterval:
         """Directional derivative of the restriction at a feasible point:
@@ -218,8 +216,7 @@ class RestrictedIvf:
 
 
 def _point_in(box: BoxSet, x, where: str) -> np.ndarray:
-    """x as a float array, once ValueError has rejected a shape other than
-    (n,) and DomainError, naming ``where``, a point outside box."""
+    """x by :func:`_vector`, once DomainError has rejected it outside box."""
     x = _vector(x, box.dimension, "x", "point")
     if not box.contains(x):
         raise DomainError(f"{format_point(x)} is outside the {where}")
@@ -227,8 +224,7 @@ def _point_in(box: BoxSet, x, where: str) -> np.ndarray:
 
 
 def _vector(a, n: int, name: str, kind: str) -> np.ndarray:
-    """a as an (n,) float array, once ValueError, naming ``name`` and
-    ``kind``, has rejected another shape."""
+    """a as an (n,) float array, once ValueError has rejected another shape."""
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
         raise ValueError(f"{name} of shape {a.shape} is not a {kind} of {n} entries")
@@ -236,8 +232,7 @@ def _vector(a, n: int, name: str, kind: str) -> np.ndarray:
 
 
 def _require_rows(a, n: int, what: str) -> np.ndarray:
-    """a as an (m, n) float array, a 1-d a as its one row, once ValueError
-    has rejected another shape."""
+    """a as (m, n) float rows, (n,) as one, once ValueError has rejected another shape."""
     a = np.asarray(a, dtype=float)
     if a.ndim > 2 or a.shape[-1:] != (n,):
         raise ValueError(f"{what} of shape {a.shape} are not rows of {n} entries")
@@ -269,14 +264,13 @@ def _rows(g: Endpoint, name: str) -> RowEndpoint:
 
 
 def _collect(results: Iterable, row: Callable[[int], str], ends: tuple, wanted: str) -> list:
-    """The results ``results`` yields, one call per row, consumed once (so
-    no row is called twice), as float64 arrays: per entry of ``ends``, the
-    results themselves (None) or that attribute of each.  An error raised
-    in a call gains the note ``raised by {row(i)}``, i the number of results
-    collected before it.  Only if the conversion fails or reads a NaN (as
-    NumPy reads None) are the results scanned: the first that ``float``
-    rejects raises ValueError naming ``row(i)``, its type and ``wanted``,
-    or the float range for a number beyond it."""
+    """The results of ``results``, one call per row, each row called once,
+    as float64 arrays: per entry of ``ends``, the results (None) or that
+    attribute of each.  An error raised in a call gains the note ``raised
+    by {row(i)}``, i the count collected before it.  Only if the conversion
+    fails or reads a NaN (NumPy reads None so) are the results scanned: the
+    first that ``float`` rejects raises ValueError naming ``row(i)``, its
+    type and ``wanted``, or the float range for a number beyond it."""
     values = []
     try:
         values.extend(results)
@@ -312,9 +306,8 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 
 def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
-    """lower and upper at each row of an (m, n) array of points (or of one
-    (n,) row; another shape raises ValueError), or at each point of a
-    :class:`~ivwsm.geometry.GridAxes` in its point order.
+    """lower and upper at each row of (m, n) points or one (n,) row, or at
+    each point of a :class:`~ivwsm.geometry.GridAxes` in its point order.
 
     An endpoint without a batched form is called once per point, all of
     lower's points before upper's, on read-only 1-d float64 views it must
