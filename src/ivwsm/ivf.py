@@ -7,28 +7,27 @@ check probes.  One-sided directional derivatives of the endpoints exist
 everywhere for convex endpoints; the interval-valued directional
 derivative is the interval spanned by the two endpoint derivatives.
 
-One function (``_block_kernel``) chooses each derivative's route: a
-supplied analytic derivative, called per row; exact one-sided derivatives
-from one pass over the tapes, kinks included, for endpoints with a tangent
-form (a parsed expression's :meth:`~ivwsm.expr.ExprAst.tangent_rows`);
-numeric ones otherwise: three decreasing steps and first-order
-extrapolation.  Two successive extrapolations must agree; disagreement is
-reported as "nonsmooth-uncertain" rather than guessed through, since it
-means a kink sits inside the probe range.  Every route first raises the
+One function (``_block_kernel``) chooses each derivative's route, of two:
+a supplied analytic derivative, called per row, or exact one-sided
+derivatives from one pass over the tapes, kinks included, for endpoints
+that both carry a tangent form (a parsed expression's
+:meth:`~ivwsm.expr.ExprAst.tangent_rows`).  An objective with neither
+raises ValueError before it reads any row; its values, and with them the
+sampled guards, need only the endpoints.  Both routes first raise the
 same InfeasibleDirectionError where a direction leaves the domain at once
 (scanning a block entry by entry only where a coordinate reaches the
 smallest upper or the largest lower bound, or a direction is infinite),
-and every route raises ValueError naming the point
-and direction of a derivative that is not finite.  An analytic callback's
-result without real ``lo`` and ``hi`` raises ValueError naming them too,
-and an error raised inside the callback gains a note naming them.
+and both raise ValueError naming the point and direction of a derivative
+that is not finite.  An analytic callback's result without real ``lo``
+and ``hi`` raises ValueError naming them too, and an error raised inside
+the callback gains a note naming them.
 
 The kernels work on ``(m, n)`` arrays of points and directions:
-:func:`endpoint_rows` and :func:`dir_derivatives` evaluate every row in one
-call when the endpoints carry batched forms (expression objectives always
-do), and call other endpoints once per row.  :func:`endpoint_rows` also
-takes a grid by its axes (:class:`~ivwsm.geometry.GridAxes`), on which expression
-endpoints run (:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes from
+:func:`endpoint_rows` evaluates every row in one call when the endpoints
+carry batched forms (expression objectives always do), and calls other
+endpoints once per row.  It also takes a grid by its axes
+(:class:`~ivwsm.geometry.GridAxes`), on which expression endpoints run
+(:meth:`~ivwsm.expr.ExprAst.on_grid`).  Every value of F comes from
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
 upper), and every derivative from :func:`dir_derivatives` or, for (point,
@@ -44,14 +43,11 @@ applies that rule once per face of the candidate grid.  Blocks of at most
 :data:`ROW_BLOCK` rows keep the temporary arrays of one call bounded.
 
 A block costs a fixed number of NumPy calls, so their per-call and per-row
-overheads are its cost: the exact route makes one tape pass per endpoint
-where the numeric one makes four.  The numeric route keeps to the plain
-formulas and only reads the arrays an endpoint returns, so an endpoint may
-hand back a cached or read-only array.  Python callbacks are called once
-per row, on read-only 1-d float64 arrays they must not keep, by one
-adapter (:func:`_collect`): an endpoint without a batched form once per
-row of each evaluation, all of lower's rows before upper's, and an
-analytic derivative once per (point, direction) row, in
+overheads are its cost: the exact route makes one tape pass per endpoint.
+Python callbacks are called once per row, on read-only 1-d float64 arrays
+they must not keep, by one adapter (:func:`_collect`): an endpoint without
+a batched form once per row of each evaluation, all of lower's rows before
+upper's, and an analytic derivative once per (point, direction) row, in
 point-then-direction order, on arrays which :func:`point_block_derivatives`
 lists once per block and direction array.
 """
@@ -74,10 +70,6 @@ Endpoint = Callable[[np.ndarray], float]
 #: a float array (read, never written).
 RowEndpoint = Callable[[np.ndarray], np.ndarray]
 
-#: Decreasing probe steps for one-sided difference quotients.
-STEP_SCHEDULE = (1e-3, 1e-4, 1e-5)
-#: Two successive extrapolated estimates must agree this tightly (relative).
-AGREEMENT_RTOL = 1e-4
 #: One-sided derivatives from both sides must agree this tightly (relative)
 #: for a point to count as differentiable.
 GRAD_MATCH_RTOL = 1e-5
@@ -106,10 +98,6 @@ class InfeasibleDirectionError(ValueError):
     """x + t*d leaves the domain for every small t > 0."""
 
 
-class NonsmoothUncertainError(ValueError):
-    """Difference-quotient extrapolations failed to settle."""
-
-
 @dataclass
 class ConvexityCounterexample:
     x1: np.ndarray
@@ -129,12 +117,12 @@ class Ivf:
     of an (m, n) array in one call, which must return shape (m,) (another
     raises ValueError); other endpoints are called once per row of an
     evaluation, on a read-only 1-d float64 array they must not keep, and
-    must return a real number (:func:`endpoint_rows`).  Endpoints that both
-    have ``tangent_rows`` (as parsed expressions do) are differentiated
-    exactly, others numerically.
-    ``analytic_dir_deriv``, when supplied, replaces both under the same
-    contract (:func:`dir_derivatives`), called on one (point, direction)
-    row of read-only 1-d arrays at a time.
+    must return a real number (:func:`endpoint_rows`).  Derivatives come
+    from ``analytic_dir_deriv`` when supplied, called on one (point,
+    direction) row of read-only 1-d arrays at a time, else exactly from
+    endpoints that both have ``tangent_rows`` (as parsed expressions do);
+    with neither, every derivative raises ValueError
+    (:func:`dir_derivatives`), while values need only the endpoints.
     """
 
     dimension: int
@@ -307,7 +295,8 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     """lower and upper at each row of (m, n) points or one (n,) row, or at
-    each point of a :class:`~ivwsm.geometry.GridAxes` in its point order.
+    each point of an n-d :class:`~ivwsm.geometry.GridAxes` in its point
+    order (another shape or dimension raises ValueError).
 
     An endpoint without a batched form is called once per point, all of
     lower's points before upper's, on read-only 1-d float64 views it must
@@ -323,6 +312,9 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     endpoints the midpoint.
     """
     if isinstance(points, GridAxes):
+        if len(points.axes) != f.dimension:
+            raise ValueError(f"a grid of dimension {len(points.axes)} has no points of "
+                             f"{f.dimension} entries")
         # expression endpoints run on the axes, others on the points
         point = points.point
         lo, hi = (
@@ -358,14 +350,6 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _infeasible(points: np.ndarray, dirs: np.ndarray, i: int) -> InfeasibleDirectionError:
-    """The error for row i, whose direction leaves the domain at once."""
-    return InfeasibleDirectionError(
-        f"no small-t feasibility: the direction {format_point(dirs[i])} exits the "
-        f"domain immediately at {format_point(points[i])}"
-    )
-
-
 def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> None:
     """InfeasibleDirectionError at the first row pair of points and dirs
     where x + t*d leaves the domain box for every small t > 0: where d heads
@@ -384,61 +368,11 @@ def _require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> N
     # the first blocked entry in row order is in the first blocked row
     k = _first(blocked.ravel())
     if k is not None:
-        raise _infeasible(points, dirs, k // dirs.shape[1])
-
-
-def _step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The factor, per row pair of points and dirs, on the steps of
-    :data:`STEP_SCHEDULE`: below 1 where x + t*d leaves the domain box
-    closer than twice the largest step.  InfeasibleDirectionError names the
-    first row whose exit step is not positive (or underflows to 0)."""
-    # per entry, the t at which x + t*d meets the bound it heads for, inf
-    # where d_i heads nowhere (0 or NaN)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_exit = (np.where(dirs > 0, domain.hi, domain.lo) - points) / dirs
-    t_exit[~((dirs > 0) | (dirs < 0))] = np.inf
-    t_exit = t_exit.min(axis=1)
-    i = _first(t_exit <= 0)
-    if i is not None:
-        raise _infeasible(points, dirs, i)
-    ratio = 0.5 * t_exit / STEP_SCHEDULE[0]
-    # min(ratio, 1.0), and 1.0 for NaN (the ratio is positive)
-    return np.where(ratio < 1.0, ratio, 1.0)
-
-
-def _richardson(qa, qb, ta, tb):
-    return (ta * qb - tb * qa) / (ta - tb)
-
-
-def _one_sided_rows(
-    g: RowEndpoint, points: np.ndarray, dirs: np.ndarray, scale: np.ndarray
-) -> np.ndarray:
-    """Right directional derivative of g at each row pair of points and dirs.
-
-    Evaluates (g(x + h d) - g(x)) / h on the three decreasing steps
-    ``h = t * scale`` for t in :data:`STEP_SCHEDULE` (:func:`_step_scale`),
-    removes the first-order error by extrapolation, and demands the last
-    two extrapolations agree.  The arrays g returns are only read.
-    """
-    g0 = g(points)
-    h0, h1, h2 = (t * scale for t in STEP_SCHEDULE)
-    # quotients that overflow give inf or NaN extrapolations, which raise
-    # below naming the row, so the arithmetic on them passes silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        q0, q1, q2 = ((g(h[:, None] * dirs + points) - g0) / h for h in (h0, h1, h2))
-        e1 = _richardson(q0, q1, h0, h1)
-        e2 = _richardson(q1, q2, h1, h2)
-        # max(1.0, |e1|, |e2|) with Python's first-wins semantics
-        size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
-        size = np.where(np.abs(e2) > size, np.abs(e2), size)
-        i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
-    if i is not None:
-        raise NonsmoothUncertainError(
-            f"nonsmooth-uncertain at x={format_point(points[i])} "
-            f"along d={format_point(dirs[i])}: "
-            f"extrapolations {e1[i]} and {e2[i]} disagree"
+        i = k // dirs.shape[1]
+        raise InfeasibleDirectionError(
+            f"no small-t feasibility: the direction {format_point(dirs[i])} exits the "
+            f"domain immediately at {format_point(points[i])}"
         )
-    return _finite(e2, points, dirs)
 
 
 def _read_only(a) -> np.ndarray:
@@ -461,6 +395,10 @@ def _finite(derivs: np.ndarray, points: np.ndarray, dirs: np.ndarray) -> np.ndar
 def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable) -> tuple:
     """One block of :func:`dir_derivatives`, by the route chosen here only;
     ``calls(g)`` yields the analytic derivative g's intervals in row order."""
+    tangents = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
+    if f.analytic_dir_deriv is None and None in tangents:
+        raise ValueError("derivatives need analytic_dir_deriv or endpoints with "
+                         f"tangent_rows ({('lower', 'upper')[tangents.index(None)]} has none)")
     _require_feasible(f.domain, points, dirs)
     if f.analytic_dir_deriv is not None:
         ends = _collect(calls(f.analytic_dir_deriv),
@@ -468,13 +406,7 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
                                   f"along d={format_point(dirs[i])}",
                         ("lo", "hi"), "an interval with real lo and hi")
         return tuple(_finite(end, points, dirs) for end in ends)
-    exact = [getattr(g, "tangent_rows", None) for g in (f.lower, f.upper)]
-    if None in exact:
-        scale = _step_scale(f.domain, points, dirs)
-        d_lo = _one_sided_rows(_rows(f.lower, "lower"), points, dirs, scale)
-        d_hi = _one_sided_rows(_rows(f.upper, "upper"), points, dirs, scale)
-    else:
-        d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in exact)
+    d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in tangents)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
 
@@ -488,12 +420,13 @@ def dir_derivatives(
     raises ValueError), broadcast against each other, so one point with
     (k, n) directions works.  Returns the lower and upper endpoint arrays:
     the analytic derivative when supplied (one call per row), otherwise the
-    span of the two endpoint derivatives, exact when both endpoints carry
-    ``tangent_rows`` and numeric otherwise; every route raises the same
-    error for a direction that leaves the domain at once, and for a
-    derivative that is not finite.  Points are taken as
-    given.  More than :data:`ROW_BLOCK` rows run block by block, so an error
-    names the first failing row of the first block that has one.
+    span of the two endpoints' exact derivatives, which needs both to carry
+    ``tangent_rows``; with neither, ValueError names an endpoint that lacks
+    them before any row is read.  Both routes raise the same error for a
+    direction that leaves the domain at once, and for a derivative that is
+    not finite.  Points are taken as given.  More than :data:`ROW_BLOCK`
+    rows run block by block, so an error names the first failing row of
+    the first block that has one.
     """
     points, dirs = np.broadcast_arrays(_require_rows(points, f.dimension, "points"),
                                        _require_rows(dirs, f.dimension, "directions"))

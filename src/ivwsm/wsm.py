@@ -115,8 +115,9 @@ def convexity_note(f: Ivf, seed: int) -> Optional[str]:
 class WsmProblem:
     """One verification instance; the objective is declared convex.
 
-    Construction rejects an out-of-range setting and sets that do not nest
-    (Sbar inside S inside the domain) with a GuardError naming the setting.
+    Construction rejects an out-of-range setting, sets of another dimension
+    than the objective's and sets that do not nest (Sbar inside S inside
+    the domain) with a GuardError naming the setting.
     The declared convexity is probed by a sampled guard when the context is
     built; a counterexample does not abort the checkers (grid verdicts are
     still well-defined and useful) but is attached to every report as a
@@ -149,6 +150,10 @@ class WsmProblem:
             raise GuardError(
                 "n_dirs", f"n_dirs must be between 0 and {DIRS_CAP}, got {self.n_dirs}"
             )
+        for name, label, box in (("s", "S", self.s), ("sbar", "Sbar", self.sbar)):
+            if box.dimension != self.f.dimension:
+                raise GuardError(name, f"{label} has dimension {box.dimension}, "
+                                       f"the objective {self.f.dimension}")
         if not self.s.contains_box(self.sbar):
             raise GuardError("sbar", "Sbar is not contained in S")
         if not self.f.domain.contains_box(self.s):

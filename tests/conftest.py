@@ -4,7 +4,6 @@ sharpness battery used by the checker-concordance tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,25 +70,6 @@ def make_ivf(
     return Ivf(n, lower, upper, cube(n, lo, hi), analytic)
 
 
-def _read_only(rows: Callable) -> Callable:
-    def read_only_rows(points):
-        out = rows(points)
-        out.flags.writeable = False
-        return out
-
-    return read_only_rows
-
-
-def numeric_ivf(lower: str, upper: str, domain: BoxSet) -> Ivf:
-    """``Ivf.from_expressions`` with endpoints that carry only the batched
-    ``rows`` form, so their derivatives take the numeric route, as those
-    of an opaque callable do.  The arrays they return are read-only, so
-    every caller also checks that the kernels only read them."""
-    f = Ivf.from_expressions(lower, upper, domain)
-    return replace(f, lower=SimpleNamespace(rows=_read_only(f.lower.rows)),
-                   upper=SimpleNamespace(rows=_read_only(f.upper.rows)))
-
-
 def analytic_ivf(lower: str, upper: str, domain: BoxSet) -> Ivf:
     """``Ivf.from_expressions`` with an analytic derivative that reads each
     endpoint's exact one on its one (point, direction) row, so its
@@ -106,7 +86,7 @@ def analytic_ivf(lower: str, upper: str, domain: BoxSet) -> Ivf:
 
 
 def vee_ivf(c_lo: float = 0.25, c_hi: float = 1.0, center: float = 0.0,
-            halfwidth: float = 2.0, analytic: bool = True) -> Ivf:
+            halfwidth: float = 2.0) -> Ivf:
     """|x - center| * [c_lo, c_hi] on [center - halfwidth, center + halfwidth]."""
 
     def lower(x):
@@ -121,14 +101,12 @@ def vee_ivf(c_lo: float = 0.25, c_hi: float = 1.0, center: float = 0.0,
     def d_upper(x, d):
         return c_hi * _one_sided_abs(x[0] - center, d[0])
 
-    if not analytic:
-        d_lower = d_upper = None
     return make_ivf(1, lower, upper, center - halfwidth, center + halfwidth,
                     d_lower, d_upper)
 
 
 def l1_ivf(n: int, c_lo: float, c_hi: float, halfwidth: float = 2.0,
-           shift: float = 0.0, analytic: bool = True) -> Ivf:
+           shift: float = 0.0) -> Ivf:
     """||x||_1 scaled into [c_lo, c_hi], optionally with a constant width shift."""
 
     def lower(x):
@@ -146,12 +124,10 @@ def l1_ivf(n: int, c_lo: float, c_hi: float, halfwidth: float = 2.0,
     def d_upper(x, d):
         return c_hi * d_sum(x, d)
 
-    if not analytic:
-        d_lower = d_upper = None
     return make_ivf(n, lower, upper, -halfwidth, halfwidth, d_lower, d_upper)
 
 
-def quad_ivf(gap: float = 1.0, halfwidth: float = 2.0, analytic: bool = True) -> Ivf:
+def quad_ivf(gap: float = 1.0, halfwidth: float = 2.0) -> Ivf:
     """[x^2, x^2 + gap] in one dimension."""
 
     def lower(x):
@@ -163,17 +139,11 @@ def quad_ivf(gap: float = 1.0, halfwidth: float = 2.0, analytic: bool = True) ->
     def d_both(x, d):
         return 2.0 * x[0] * d[0]
 
-    if not analytic:
-        return make_ivf(1, lower, upper, -halfwidth, halfwidth)
     return make_ivf(1, lower, upper, -halfwidth, halfwidth, d_both, d_both)
 
 
-def random_convex_ivf(seed: int, n: Optional[int] = None, analytic: bool = True) -> Ivf:
-    """Seeded convex objective: PSD quadratic plus axis kinks per endpoint.
-
-    The upper endpoint is the lower one plus another PSD quadratic and a
-    nonnegative constant, so the pair stays ordered everywhere.
-    """
+def _random_convex_terms(seed: int, n: Optional[int]) -> tuple:
+    """The seeded dimension and coefficients of :func:`random_convex_ivf`."""
     rng = np.random.default_rng(seed)
     if n is None:
         n = int(rng.integers(1, 4))
@@ -186,6 +156,17 @@ def random_convex_ivf(seed: int, n: Optional[int] = None, analytic: bool = True)
     a2 = rng.normal(size=(n, n))
     q2 = a2.T @ a2 / (2 * n)
     c2 = float(rng.uniform(0.5, 2))
+    return n, q1, b1, c1, w, anchors, q2, c2
+
+
+def random_convex_ivf(seed: int, n: Optional[int] = None) -> Ivf:
+    """Seeded convex objective: PSD quadratic plus axis kinks per endpoint,
+    with its hand-written directional derivative.
+
+    The upper endpoint is the lower one plus another PSD quadratic and a
+    nonnegative constant, so the pair stays ordered everywhere.
+    """
+    n, q1, b1, c1, w, anchors, q2, c2 = _random_convex_terms(seed, n)
 
     def lower(x):
         x = np.asarray(x, dtype=float)
@@ -209,9 +190,23 @@ def random_convex_ivf(seed: int, n: Optional[int] = None, analytic: bool = True)
         d = np.asarray(d, dtype=float)
         return d_lower(x, d) + float((q2 @ x) @ d)
 
-    if not analytic:
-        d_lower = d_upper = None
     return make_ivf(n, lower, upper, -1.5, 1.5, d_lower, d_upper)
+
+
+def random_convex_expr_ivf(seed: int, n: Optional[int] = None) -> Ivf:
+    """:func:`random_convex_ivf` as expression text, so its derivatives take
+    the exact route; its values agree to round-off."""
+    n, q1, b1, c1, w, anchors, q2, c2 = _random_convex_terms(seed, n)
+    x = [f"x{i}" for i in range(1, n + 1)]
+
+    def quadratic(q):
+        return [f"{float(0.5 * q[i, j])!r}*{x[i]}*{x[j]}" for i in range(n) for j in range(n)]
+
+    lower = " + ".join([*quadratic(q1), *(f"{b!r}*{xi}" for b, xi in zip(b1.tolist(), x)),
+                        repr(c1), *(f"{wi!r}*abs({xi} - {ai!r})"
+                                    for wi, xi, ai in zip(w.tolist(), x, anchors.tolist()))])
+    upper = " + ".join([lower, *quadratic(q2), repr(c2)])
+    return Ivf.from_expressions(lower, upper, cube(n, -1.5, 1.5))
 
 
 @dataclass

@@ -771,8 +771,8 @@ class TestSubdiffCommand:
         )
 
     def test_support_values_beside_a_kink_are_exact(self, capsys):
-        # the kink at x1 = 0 sits 1e-5 behind --at, inside the numeric
-        # probe range; the exact derivatives do not probe
+        # the kink at x1 = 0 sits 1e-5 behind --at; the exact derivatives
+        # read the tape at --at itself, so the kink does not blur them
         assert main(["subdiff", str(PROBLEMS / "strip3d.txt"), "--at", "1e-5 0 0"]) == 0
         out, err = capsys.readouterr()
         assert err == "" and out.splitlines()[:2] == [

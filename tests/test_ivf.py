@@ -3,7 +3,6 @@ estimation of interval-valued objectives."""
 
 import itertools
 import math
-import re
 import weakref
 from dataclasses import astuple, is_dataclass, replace
 from fractions import Fraction
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 from ivwsm import BoxSet, Interval, Ivf, RestrictedIvf, WsmProblem, boundedness_check, dominance
 from ivwsm import convexity_check, gh_difference
-from ivwsm import dir_derivatives, lipschitz_estimate, scalar_mul, subdiff_support
+from ivwsm import check_primal, dir_derivatives, lipschitz_estimate, scalar_mul, subdiff_support
 from ivwsm import PLUS_INF, EvalError, add, inf_family, interval_norm, sup_family
 from ivwsm.intervals import is_finite
 from ivwsm import ivf as ivf_module
@@ -27,28 +26,22 @@ from ivwsm.support import signed_basis
 from ivwsm.wsm import check_all
 from ivwsm.expr import ExprAst, format_point, parse
 from ivwsm.ivf import (
-    AGREEMENT_RTOL,
     ENDPOINT_MAX,
     ENDPOINT_ORDER_TOL,
     ROW_BLOCK,
-    STEP_SCHEDULE,
     DomainError,
     InfeasibleDirectionError,
     ModelError,
-    NonsmoothUncertainError,
     _first,
-    _one_sided_rows,
     _require_feasible,
-    _richardson,
-    _step_scale,
     endpoint_rows,
     point_block_derivatives,
 )
 
-from conftest import analytic_ivf, cube, make_ivf, numeric_ivf, quad_ivf, random_convex_ivf
-from conftest import vee_ivf
+from conftest import _one_sided_abs, analytic_ivf, cube, make_ivf, quad_ivf, random_convex_ivf
+from conftest import random_convex_expr_ivf, vee_ivf
 from conftest import wsm_battery
-from test_expr import eval_node_reference, random_tree, same_bits, to_source
+from test_expr import random_tree, same_bits, tangent_node_reference, to_source
 
 
 def poly2d_ivf() -> Ivf:
@@ -79,33 +72,31 @@ class TestEval:
 
 
 class TestDirDerivative:
+    VEE = "0.25*abs(x1)", "abs(x1)"
+
     def test_vee_at_kink_both_sides(self):
-        f = vee_ivf(analytic=False)
-        assert_close_interval(f.dir_deriv([0.0], [1.0]), Interval(0.25, 1.0))
-        assert_close_interval(f.dir_deriv([0.0], [-1.0]), Interval(0.25, 1.0))
+        f = Ivf.from_expressions(*self.VEE, cube(1, -2, 2))
+        assert f.dir_deriv([0.0], [1.0]) == Interval(0.25, 1.0)
+        assert f.dir_deriv([0.0], [-1.0]) == Interval(0.25, 1.0)
 
     def test_smooth_point(self):
-        f = quad_ivf(analytic=False)
-        assert_close_interval(f.dir_deriv([1.0], [1.0]), Interval(2.0, 2.0))
+        f = Ivf.from_expressions("x1^2", "x1^2 + 1", cube(1, -2, 2))
+        assert f.dir_deriv([1.0], [1.0]) == Interval(2.0, 2.0)
 
     def test_zero_direction(self):
-        f = quad_ivf(analytic=False)
+        f = Ivf.from_expressions("x1^2", "x1^2 + 1", cube(1, -2, 2))
         assert f.dir_deriv([1.0], [0.0]) == Interval(0.0, 0.0)
 
     def test_infeasible_direction(self):
-        f = vee_ivf()  # domain [-2, 2]
+        f = Ivf.from_expressions(*self.VEE, cube(1, -2, 2))
         with pytest.raises(InfeasibleDirectionError):
-            replace(f, analytic_dir_deriv=None).dir_deriv([2.0], [1.0])
-
-    def test_kink_inside_probe_range_is_flagged(self):
-        f = make_ivf(1, lambda x: abs(x[0] - 5e-4), lambda x: 2 * abs(x[0] - 5e-4), -1, 1)
-        with pytest.raises(NonsmoothUncertainError):
-            f.dir_deriv([0.0], [1.0])
+            f.dir_deriv([2.0], [1.0])
 
     def test_an_endpoint_may_return_its_cached_array(self):
         # rows memoises by the points' bytes and returns the cached array
-        # itself: the kernel only reads it, so the cache keeps g's values
-        # and an identical call gives the same derivative
+        # itself, read-only: endpoint_rows only reads it, also where the
+        # endpoints cross within the order tolerance, so the cache keeps
+        # g's values and an identical call gives the same values
         def memoised(g):
             cache = {}
 
@@ -113,23 +104,26 @@ class TestDirDerivative:
                 key = points.tobytes()
                 if key not in cache:
                     cache[key] = np.array([g(x) for x in points])
+                    cache[key].flags.writeable = False
                 return cache[key]
 
             return SimpleNamespace(rows=rows, g=g, cache=cache)
 
-        ends = memoised(lambda x: x[0] ** 2), memoised(lambda x: 2 * x[0] ** 2)
+        ends = (memoised(lambda x: x[0] ** 2 + 1e-10 * (x[0] == 0)),
+                memoised(lambda x: 2 * x[0] ** 2))
         f = Ivf(1, *ends, cube(1, -1, 1))
+        points = np.array([[0.5], [0.0], [-1.0]])
         for _ in range(3):
-            assert_close_interval(f.dir_deriv([0.5], [1.0]), Interval(1.0, 2.0), 1e-6)
+            lo, hi = endpoint_rows(f, points)
+            assert list(lo) == [0.25, 0.5 * 1e-10, 1.0] and list(hi) == [0.5, 0.5 * 1e-10, 2.0]
         for end in ends:
-            assert len(end.cache) == 4  # the point and its three steps
+            assert len(end.cache) == 1
             for key, values in end.cache.items():
-                points = np.frombuffer(key).reshape(-1, 1)
-                assert same_bits(values, [end.g(x) for x in points])
+                assert same_bits(values, [end.g(x) for x in np.frombuffer(key).reshape(-1, 1)])
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(3)
-        f = random_convex_ivf(17, analytic=False)
+        f = random_convex_expr_ivf(17)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, f.dimension)
             d = rng.normal(size=f.dimension)
@@ -146,25 +140,18 @@ def assert_close_interval(actual: Interval, expected: Interval, tol: float = 1e-
     assert actual.hi == pytest.approx(expected.hi, abs=tol)
 
 
-class TestNumericMatchesAnalytic:
+class TestExactMatchesAnalytic:
     def test_twenty_seeded_objectives(self):
+        # one objective as expression text (the exact route) and with its
+        # hand-written derivative (the analytic route)
         rng = np.random.default_rng(2718)
         for seed in range(20):
-            with_analytic = random_convex_ivf(seed)
-            numeric = random_convex_ivf(seed, analytic=False)
-            compared = 0
+            exact, analytic = random_convex_expr_ivf(seed), random_convex_ivf(seed)
             for _ in range(12):
-                x = rng.uniform(-1.2, 1.2, numeric.dimension)
-                d = rng.normal(size=numeric.dimension)
+                x = rng.uniform(-1.2, 1.2, exact.dimension)
+                d = rng.normal(size=exact.dimension)
                 d /= np.linalg.norm(d)
-                try:
-                    num = numeric.dir_deriv(x, d)
-                except NonsmoothUncertainError:
-                    continue  # a kink sits inside the probe range at this draw
-                ana = with_analytic.dir_deriv(x, d)
-                assert_close_interval(num, ana, tol=1e-5)
-                compared += 1
-            assert compared >= 8
+                assert_close_interval(exact.dir_deriv(x, d), analytic.dir_deriv(x, d), tol=1e-9)
 
 
 class TestConvexityCheck:
@@ -200,28 +187,7 @@ class TestConvexityCheck:
         assert counter is not None
 
 
-def one_sided_reference(g, x, d, domain) -> float:
-    """Reference oracle: the difference-quotient rules for one scalar pair."""
-    t_exit = np.inf
-    for xi, di, lo, hi in zip(x, d, domain.lo, domain.hi):
-        if di > 0:
-            t_exit = min(t_exit, (hi - xi) / di)
-        elif di < 0:
-            t_exit = min(t_exit, (lo - xi) / di)
-    if t_exit <= 0:
-        raise InfeasibleDirectionError("exits immediately")
-    scale = min(1.0, 0.5 * t_exit / STEP_SCHEDULE[0])
-    steps = [t * scale for t in STEP_SCHEDULE]
-    g0 = float(g(x))
-    q = [(float(g(x + t * d)) - g0) / t for t in steps]
-    e1 = (steps[0] * q[1] - steps[1] * q[0]) / (steps[0] - steps[1])
-    e2 = (steps[1] * q[2] - steps[2] * q[1]) / (steps[1] - steps[2])
-    if abs(e1 - e2) > AGREEMENT_RTOL * max(1.0, abs(e1), abs(e2)):
-        raise NonsmoothUncertainError("unsettled")
-    return e2
-
-
-RAISES = (EvalError, OverflowError, ValueError, InfeasibleDirectionError, NonsmoothUncertainError)
+RAISES = (EvalError, OverflowError, ValueError)
 
 
 class TestBatchedDerivatives:
@@ -232,7 +198,7 @@ class TestBatchedDerivatives:
         n = int(rng.integers(1, 4))
         trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
         domain = cube(n, -2, 2)
-        f = numeric_ivf(to_source(trees[0]), to_source(trees[1]), domain)
+        f = Ivf.from_expressions(to_source(trees[0]), to_source(trees[1]), domain)
         points = rng.uniform(-2, 2, size=(10, n))
         points[rng.random(points.shape) < 0.15] = 2.0  # on the boundary
         dirs = rng.normal(size=(10, n))
@@ -242,17 +208,8 @@ class TestBatchedDerivatives:
             try:
                 one = f.dir_deriv(x, d)
             except RAISES:
-                one = None
-            try:
-                ref = [
-                    one_sided_reference(lambda p, t=t: eval_node_reference(t, p), x, d, domain)
-                    for t in trees
-                ]
-            except RAISES:
-                ref = None
-            if ref is None or not np.isfinite(ref).all():
-                assert one is None  # the batched rules raise where the reference does
-                continue
+                continue  # a direction heading out, or a value or derivative out of range
+            ref = [tangent_node_reference(t, x, d)[1] for t in trees]
             assert (one.lo, one.hi) == (min(ref), max(ref))
             kept.append(i)
             expected.append((one.lo, one.hi))
@@ -308,25 +265,19 @@ class TestBatchedDerivatives:
         assert list(lo) == [0.5 * 1e-10, 0.5] and list(hi) == [0.5 * 1e-10, 1.0]
 
     def test_a_non_finite_derivative_names_the_point_and_direction(self):
-        # every difference quotient overflows, so the extrapolations are NaN;
         # the exact derivative 1e308 * 1e308 overflows to inf
-        for make, value in ((numeric_ivf, "nan"), (Ivf.from_expressions, "inf")):
-            f = make("x1*1e308*1e308", "x1*1e308*1e308 + 1", cube(1, -1, 1))
-            message = rf"directional derivative {value} at x=\[0\.0\] along d=\[1\.0\] is not finite"
-            with pytest.raises(ValueError, match=message):
-                dir_derivatives(f, np.array([[0.0]]), np.array([[1.0]]))
+        f = Ivf.from_expressions("x1*1e308*1e308", "x1*1e308*1e308 + 1", cube(1, -1, 1))
+        message = r"directional derivative inf at x=\[0\.0\] along d=\[1\.0\] is not finite"
+        with pytest.raises(ValueError, match=message):
+            dir_derivatives(f, np.array([[0.0]]), np.array([[1.0]]))
 
     def test_replaced_endpoint_is_the_one_evaluated(self):
-        f = numeric_ivf("abs(x1)", "2*abs(x1)", cube(1, -1, 1))
+        f = Ivf.from_expressions("abs(x1)", "2*abs(x1)", cube(1, -1, 1))
         g = replace(f, lower=lambda x: abs(x[0]) - 1.0)
         lo, hi = endpoint_rows(g, np.array([[0.5], [-1.0]]))
         assert list(lo) == [-0.5, 0.0] and list(hi) == [1.0, 2.0]
-        assert g.dir_deriv([0.5], [1.0]) == f.dir_deriv([0.5], [1.0])
-
-    def test_kink_message_names_the_point(self):
-        f = numeric_ivf("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(1, -1, 1))
-        with pytest.raises(NonsmoothUncertainError, match=r"at x=\[0\.0\] along d=\[1\.0\]"):
-            f.dir_deriv([0.0], [1.0])
+        g = replace(f, lower=parse("abs(x1) - x1", 1))
+        assert g.dir_deriv([0.5], [1.0]) == Interval(0.0, 2.0)
 
     def test_a_derivative_outside_the_domain_raises_the_values_error(self):
         for make in ROUTES:
@@ -340,46 +291,50 @@ class TestBatchedDerivatives:
             assert (lo[0], hi[0]) == pytest.approx((-1.0, -1.0))
 
 
-def convex_sources(rng: np.random.Generator, n: int) -> tuple[str, str]:
+def convex_sources(rng: np.random.Generator, n: int) -> tuple[str, str, Callable]:
     """Seeded convex endpoint pair in n variables, lower below upper: a
-    squared affine form, a weighted kink and a max of two affine forms."""
+    squared affine form, a weighted kink and a max of two affine forms;
+    and their hand-written directional derivative at x along d."""
+    forms = []
 
     def affine():
-        a = np.round(rng.normal(size=n + 1), 3)
+        forms.append(np.round(rng.normal(size=n + 1), 3))
+        a = forms[-1]
         return " + ".join([f"{a[0]}"] + [f"{c}*x{i}" for i, c in enumerate(a[1:], start=1)])
 
     w = round(float(rng.uniform(0.1, 2.0)), 3)
     lower = f"({affine()})^2 + {w}*abs({affine()}) + max({affine()}, {affine()})"
-    return lower, f"{lower} + ({affine()})^2 + 0.5"
+    upper = f"{lower} + ({affine()})^2 + 0.5"
+
+    def deriv(x, d):
+        # each affine form's value at x and slope along d
+        (v0, t0), (v1, t1), (v2, t2), (v3, t3), (v4, t4) = (
+            (a[0] + a[1:] @ x, a[1:] @ d) for a in forms)
+        lo = 2 * v0 * t0 + w * _one_sided_abs(v1, t1) + (
+            t2 if v2 > v3 else t3 if v3 > v2 else max(t2, t3))
+        hi = lo + 2 * v4 * t4
+        return Interval(min(lo, hi), max(lo, hi))
+
+    return lower, upper, deriv
 
 
-#: The three derivative routes, built from expression sources: exact,
-#: numeric and analytic.
-ROUTES = (Ivf.from_expressions, numeric_ivf, analytic_ivf)
+#: The two derivative routes, built from expression sources: exact and
+#: analytic.
+ROUTES = (Ivf.from_expressions, analytic_ivf)
 
 
 class TestExactDerivatives:
     """Expression endpoints take the exact route: one tangent pass over
     each tape instead of difference quotients."""
 
-    def test_agrees_with_the_numeric_route_away_from_kinks(self):
-        # the numeric route raises within a probe step of a kink, so the
-        # rows where it settles are the rows away from kinks
-        compared = 0
+    def test_equals_a_hand_written_derivative(self):
         for seed in range(24):
             rng = np.random.default_rng(seed)
             n = 1 + seed % 3
-            sources = convex_sources(rng, n)
-            exact = Ivf.from_expressions(*sources, cube(n, -2, 2))
-            numeric = numeric_ivf(*sources, cube(n, -2, 2))
+            lower, upper, deriv = convex_sources(rng, n)
+            exact = Ivf.from_expressions(lower, upper, cube(n, -2, 2))
             for x, d in zip(rng.uniform(-1.5, 1.5, (16, n)), rng.normal(size=(16, n))):
-                try:
-                    expected = numeric.dir_deriv(x, d)
-                except NonsmoothUncertainError:
-                    continue
-                assert_close_interval(exact.dir_deriv(x, d), expected, tol=1e-5)
-                compared += 1
-        assert compared >= 0.9 * 24 * 16
+                assert_close_interval(exact.dir_deriv(x, d), deriv(x, d), tol=1e-9)
 
     def test_a_kink_inside_the_probe_range_gives_the_one_sided_derivative(self):
         f = Ivf.from_expressions("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(1, -1, 1))
@@ -387,7 +342,7 @@ class TestExactDerivatives:
         assert f.dir_deriv([5e-4], [1.0]) == Interval(1.0, 2.0)
         assert f.dir_deriv([5e-4], [-1.0]) == Interval(1.0, 2.0)
 
-    def test_an_infeasible_direction_raises_the_numeric_routes_error(self):
+    def test_an_infeasible_direction_raises_the_same_error_on_both_routes(self):
         points, dirs = [[0.5, 0.0], [2.0, 0.5], [2.0, 0.5]], [[1.0, 0.0], [1.0, -1.0], [1.0, 0.0]]
         raised = [
             outcome(lambda: dir_derivatives(make("abs(x1)", "2*abs(x1)", cube(2, -2, 2)),
@@ -395,24 +350,18 @@ class TestExactDerivatives:
             for make in ROUTES
         ]
         assert raised[0][0] is InfeasibleDirectionError and "at [2.0, 0.5]" in raised[0][1]
-        assert raised[0] == raised[1] == raised[2]
+        assert raised[0] == raised[1]
 
     def test_a_step_that_underflows_is_not_an_infeasible_direction(self):
         # x1 = 1 - 2**-53 lies inside [-1, 1], so it may move along +1e308:
         # the feasibility test reads bounds, not the exit step (1 - x1)/1e308,
-        # which underflows to 0 and makes the numeric route raise
+        # which underflows to 0
         x, d = [[1 - 2**-53]], [[1e308]]
-        for make in (Ivf.from_expressions, analytic_ivf):
+        for make in ROUTES:
             lo, hi = dir_derivatives(make("abs(x1)", "abs(x1) + 1", cube(1, -1, 1)), x, d)
             assert (lo[0], hi[0]) == (1e308, 1e308)
-        numeric = numeric_ivf("abs(x1)", "abs(x1) + 1", cube(1, -1, 1))
-        error = _message(lambda: dir_derivatives(numeric, x, d))
-        # named at round-trip precision, not as the bound [1.]
-        assert error == (InfeasibleDirectionError, "no small-t feasibility: the direction "
-                         "[1e+308] exits the domain immediately at [0.9999999999999999]")
-        # every route tests bounds first, so a later row on the bound heading
-        # out is named before the row whose step underflows, on the numeric
-        # route too
+        # in a block with a later row on the bound heading out, that row is
+        # named, not the one whose step underflows
         blocked = (InfeasibleDirectionError, "no small-t feasibility: the direction [1.0] "
                    "exits the domain immediately at [1.0]")
         for make in ROUTES:
@@ -436,8 +385,8 @@ class TestExactDerivatives:
                 assert _message(lambda: f.dir_deriv(point, d)) == one
             lo, hi = dir_derivatives(f, [[1.0, 0.5]], [[0.0, -1.0]])
             assert (lo[0], hi[0]) == (0.0, 0.0)
-            # the exact and numeric routes name the row; the analytic
-            # callback's Interval raises its own error, with a note naming it
+            # the exact route names the row; the analytic callback's
+            # Interval raises its own error, with a note naming it
             error = _message(lambda: dir_derivatives(f, [[1.0, 0.5]], [[np.nan, 1.0]]))
             if make is analytic_ivf:
                 assert error == (ValueError, "interval endpoints must be finite, got [nan, nan]")
@@ -447,7 +396,7 @@ class TestExactDerivatives:
                     "raised by analytic_dir_deriv at x=[1.0, 0.5] along d=[nan, 1.0]"]
             else:
                 assert error[0] is ValueError and "not finite" in error[1]
-        assert errors[:3] == errors[3:6] == errors[6:]
+        assert errors[:3] == errors[3:]
 
     def test_a_failing_block_raises_the_first_failing_points_own_error(self):
         # lower's derivative overflows only at b along +1, upper's at a along
@@ -463,38 +412,36 @@ class TestExactDerivatives:
         assert "x=[0.5]" in _message(lambda: dir_derivatives(f, [a, b], [[-1.0], [1.0]]))[1]
         assert _message(lambda: list(point_block_derivatives(f, pairs))) == expected
 
-    def test_never_raises_nonsmooth_uncertain(self):
-        # random tapes at random points, on and near the domain's faces
-        for seed in KERNEL_SEEDS:
-            rng = np.random.default_rng(seed)
-            n = 1 + seed % 4
-            domain, points, dirs = kernel_block(rng, n)
-            trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
-            f = Ivf.from_expressions(to_source(trees[0]), to_source(trees[1]), domain)
-            for x, d in zip(points, dirs):
-                result = outcome(lambda: dir_derivatives(f, x, d[None]))
-                assert not failed(result) or result[0] is not NonsmoothUncertainError
-
 
 class TestRouteSelection:
     """One function picks the route of every derivative call: a supplied
     analytic derivative, else the exact route when both endpoints carry
-    ``tangent_rows``, else the numeric route for both endpoints."""
+    ``tangent_rows``; an objective with neither has no derivatives."""
 
-    @pytest.mark.parametrize("opaque", ["lower", "upper"])
-    def test_mixed_endpoints_take_the_numeric_route_for_both(self, opaque):
-        exact = Ivf.from_expressions("abs(x1) + x2^2", "2*abs(x1) + x2^2 + 1", cube(2, -2, 2))
-        g = getattr(exact, opaque)
-        mixed = replace(exact, **{opaque: lambda x: g(x)})  # no batched or tangent form
-        rng = np.random.default_rng(7)
-        points, dirs = rng.uniform(-1.5, 1.5, size=(16, 2)), rng.normal(size=(16, 2))
-        lo, hi = dir_derivatives(mixed, points, dirs)
-        ref_lo, ref_hi = reference_dir_derivatives(mixed, points, dirs)
-        assert same_bits(lo, ref_lo) and same_bits(hi, ref_hi)
-        # the exact route gives other bits, so the parsed endpoint was not
-        # differentiated exactly
-        exact_lo, exact_hi = dir_derivatives(exact, points, dirs)
-        assert not (same_bits(lo, exact_lo) and same_bits(hi, exact_hi))
+    @pytest.mark.parametrize("opaque", ["lower", "upper", "both"])
+    def test_an_objective_with_neither_provider_raises_one_named_error(self, opaque):
+        exact = Ivf.from_expressions("abs(x1) + abs(x2)", "2*abs(x1) + abs(x2) + 1",
+                                     cube(2, -2, 2))
+        names = ("lower", "upper") if opaque == "both" else (opaque,)
+        # each a plain callable, with no batched or tangent form
+        f = replace(exact, **{name: (lambda x, g=getattr(exact, name): g(x)) for name in names})
+        expected = (ValueError, "derivatives need analytic_dir_deriv or endpoints with "
+                                f"tangent_rows ({names[0]} has none)")
+        p = WsmProblem(f=f, s=cube(2, -1, 1), sbar=cube(2, 0, 0), alpha=0.5, grid=5)
+        # raised before any row is read: a direction heading out, no rows
+        for call in (lambda: f.dir_deriv([0.5, 0.0], [1.0, 0.0]),
+                     lambda: f.dir_deriv([2.0, 0.0], [1.0, 0.0]),
+                     lambda: dir_derivatives(f, [[0.5, 0.0]], [[1.0, 0.0]]),
+                     lambda: dir_derivatives(f, np.empty((0, 2)), np.empty((0, 2))),
+                     lambda: subdiff_support(f, [0.5, 0.0]).support([1.0, 0.0]),
+                     lambda: check_primal(p)):
+            assert _message(call) == expected
+        # values need only the endpoints, and answer as the expressions do
+        q = WsmProblem(f=exact, s=p.s, sbar=p.sbar, alpha=0.5, grid=5)
+        assert f.value([0.5, -0.25]) == exact.value([0.5, -0.25]) == Interval(0.75, 2.25)
+        assert same_result(wsm.check_definition(p), wsm.check_definition(q))
+        assert wsm.check_definition(p).holds
+        assert wsm.estimate_modulus(p) == wsm.estimate_modulus(q) > 0.5
 
     def test_a_supplied_derivative_wins_over_two_tangent_forms(self):
         calls = []
@@ -646,10 +593,7 @@ class TestLipschitzAgainstSubgradientBound:
             checked = 0
             for x in inner.grid(5):
                 oracle = subdiff_support(f, x)
-                try:
-                    result = boundedness_check(oracle)
-                except NonsmoothUncertainError:
-                    continue
+                result = boundedness_check(oracle)
                 assert result.bounded
                 bound = max(bound, result.bound)
                 checked += 1
@@ -673,7 +617,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(5)
         points = rng.uniform(-1.5, 1.5, size=(ROW_BLOCK + 37, 2))
         dirs = rng.normal(size=(ROW_BLOCK + 37, 2))
-        for make in (Ivf.from_expressions, numeric_ivf):
+        for make in ROUTES:
             f = make("abs(x1) + x2^2", "2*abs(x1) + x2^2 + 1", cube(2, -2, 2))
             lo, hi = dir_derivatives(f, points, dirs)
             rows = [dir_derivatives(f, x[None], d[None]) for x, d in zip(points, dirs)]
@@ -683,14 +627,15 @@ class TestRowBlocks:
     @pytest.mark.parametrize(
         "bad_point, bad_dir, error",
         [
-            ([0.0, 0.0], [1.0, 0.0], NonsmoothUncertainError),  # kink at x1 = 5e-4
+            ([0.5, 0.0], [1.0, 0.0], ValueError),  # the derivative overflows
             ([2.0, 0.0], [1.0, 0.0], InfeasibleDirectionError),  # exits the domain
         ],
     )
     def test_an_error_only_in_the_second_block_names_its_first_row(
         self, bad_point, bad_dir, error
     ):
-        f = numeric_ivf("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", cube(2, -2, 2))
+        ramp = "max(x1, 0)*1e308*1e308"
+        f = Ivf.from_expressions(ramp, f"{ramp} + 1", cube(2, -2, 2))
         points = np.tile([-1.0, 0.5], (ROW_BLOCK + 10, 1))
         dirs = np.tile([1.0, 0.0], (ROW_BLOCK + 10, 1))
         for i in (ROW_BLOCK + 3, ROW_BLOCK + 7):
@@ -699,18 +644,6 @@ class TestRowBlocks:
         expected = _message(lambda: dir_derivatives(f, points[first], dirs[first]))
         assert expected[0] is error
         assert _message(lambda: dir_derivatives(f, points, dirs)) == expected
-
-    def test_a_failing_block_raises_the_first_failing_points_own_error(self):
-        # one block: lower has a kink only near b, upper near a and b; the
-        # kernel checks lower first, but on its own a fails first
-        f = numeric_ivf(
-            "abs(x1 - 0.5005)", "2*abs(x1 - 0.5005) + abs(x1 + 0.5005)", cube(1, -2, 2)
-        )
-        a, b = np.array([-0.5]), np.array([0.5])
-        pairs = [(a, np.array([[-1.0]])), (b, np.array([[1.0]]))]
-        expected = _message(lambda: dir_derivatives(f, a, pairs[0][1]))
-        assert "x=[-0.5]" in expected[1]
-        assert _message(lambda: list(point_block_derivatives(f, pairs))) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -730,7 +663,7 @@ class TestRowBlocks:
     ):
         # Sbar's bounds sit on the faces of S = [-1, 1]^n or inside it, and
         # an axis of Sbar may be a point, so the table spans many faces
-        f = random_convex_ivf(seed, n, analytic=analytic)
+        f = random_convex_ivf(seed, n) if analytic else random_convex_expr_ivf(seed, n)
         s = cube(n, -1, 1)
         ends = np.sort(np.reshape(bounds[: 2 * n], (n, 2)), axis=1)
         p = WsmProblem(f=f, s=s, sbar=BoxSet(ends[:, 0], ends[:, 1]), alpha=1.0, grid=grid,
@@ -744,7 +677,7 @@ class TestRowBlocks:
         with mock.patch.object(ivf_module, "ROW_BLOCK", block):
             try:
                 rows = one_point_rows()
-            except (NonsmoothUncertainError, InfeasibleDirectionError):
+            except InfeasibleDirectionError:
                 assert _message(lambda: ctx.deriv_lo) == _message(one_point_rows)
                 return
             table = ctx.deriv_lo
@@ -1057,7 +990,6 @@ class TestOpaqueEndpoints:
         "value": lambda f, points, dirs: f.value(points[0]),
         "convexity": lambda f, points, dirs: convexity_check(f, 50, seed=2),
         "lipschitz": lambda f, points, dirs: lipschitz_estimate(f, 50, seed=2),
-        "numeric": lambda f, points, dirs: dir_derivatives(f, points, dirs),
         "probes": lambda f, points, dirs: subdiff._gh_diff_rows(f, points[0], points),
     }
 
@@ -1141,9 +1073,7 @@ class TestOpaqueEndpoints:
         assert calls == [-1.0, 0.25, 0.5]  # each row once, the scan reads the results
         calls.clear()
         assert _message(lambda: f.value([0.25])) == (ValueError, message)
-        derivative = _message(lambda: dir_derivatives(f, [[0.25]], [[1.0]]))
-        assert derivative[0] is ValueError and "lower([0.25" in derivative[1]
-        assert calls == [0.25, 0.25]
+        assert calls == [0.25]
 
     @pytest.mark.parametrize("ends", ["opaque", "expr-upper"])
     def test_a_result_beyond_the_float_range_names_its_endpoint_and_point(self, ends):
@@ -1154,7 +1084,7 @@ class TestOpaqueEndpoints:
         assert _message(lambda: f.value([0.5])) == expected
         assert _message(lambda: endpoint_rows(f, [[-1.0], [0.5], [1.0]])) == expected
 
-    @pytest.mark.parametrize("call", ["rows", "value", "numeric"])
+    @pytest.mark.parametrize("call", ["rows", "value"])
     @pytest.mark.parametrize("name", ["lower", "upper"])
     def test_an_error_raised_in_an_endpoint_gains_a_note_naming_its_point(self, name, call):
         seen = []
@@ -1169,8 +1099,7 @@ class TestOpaqueEndpoints:
         f = Ivf(1, ends["lower"], ends["upper"], cube(1, -2, 2))
         points = np.arange(101)[:, None] / 100
         calls = {"rows": lambda: endpoint_rows(f, points),
-                 "value": lambda: f.value([0.52]),
-                 "numeric": lambda: dir_derivatives(f, points, [[1.0]])}
+                 "value": lambda: f.value([0.52])}
         with pytest.raises(ZeroDivisionError) as info:
             calls[call]()
         assert str(info.value) == "no value here"
@@ -1221,74 +1150,14 @@ class TestOpaqueEndpoints:
 
         f = Ivf(1, failing("lower", 0.5), failing("upper", -1.0), cube(1, -2, 2))
         points = np.array([[-1.0], [0.0], [0.5], [1.0]])
-        for call in (lambda: endpoint_rows(f, points),
-                     lambda: dir_derivatives(f, points, [[1.0]])):
-            with mock.patch.object(ivf_module, "_rows", plain_rows):
-                expected = _message(call)
-            assert expected == (ValueError, "lower fails at [0.5]")
-            assert _message(call) == expected
+        with mock.patch.object(ivf_module, "_rows", plain_rows):
+            expected = _message(lambda: endpoint_rows(f, points))
+        assert expected == (ValueError, "lower fails at [0.5]")
+        assert _message(lambda: endpoint_rows(f, points)) == expected
 
 
-# The numeric kernel and the analytic loop in their plain formulas, kept
-# apart from the code they check: the kernel must give their results bit
-# for bit (signed zeros included) and raise their errors.
-
-
-def reference_step_scale(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    # per entry, the t at which x + t*d meets the bound it heads for
-    t_exit = np.where(dirs > 0, domain.hi, domain.lo)
-    t_exit -= points
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_exit /= dirs
-    t_exit[~((dirs > 0) | (dirs < 0))] = np.inf
-    t_exit = t_exit.min(axis=1)
-    i = _first(t_exit <= 0)
-    if i is not None:
-        raise InfeasibleDirectionError(
-            f"no small-t feasibility: the direction {format_point(dirs[i])} exits the "
-            f"domain immediately at {format_point(points[i])}"
-        )
-    ratio = 0.5 * t_exit / STEP_SCHEDULE[0]
-    return np.where(ratio < 1.0, ratio, 1.0)
-
-
-def reference_step_points(points: np.ndarray, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    moved = t[:, None] * dirs
-    moved += points
-    return moved
-
-
-def reference_richardson(qa, qb, ta, tb):
-    return (ta * qb - tb * qa) / (ta - tb)
-
-
-def reference_one_sided_rows(g, points: np.ndarray, dirs: np.ndarray, scale: np.ndarray):
-    g0 = g(points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        quotients = [
-            (g(reference_step_points(points, dirs, t * scale)) - g0) / (t * scale)
-            for t in STEP_SCHEDULE
-        ]
-        t0, t1, t2 = STEP_SCHEDULE
-        e1 = reference_richardson(quotients[0], quotients[1], t0 * scale, t1 * scale)
-        e2 = reference_richardson(quotients[1], quotients[2], t1 * scale, t2 * scale)
-        # max(1.0, |e1|, |e2|) with Python's first-wins semantics
-        size = np.where(np.abs(e1) > 1.0, np.abs(e1), 1.0)
-        size = np.where(np.abs(e2) > size, np.abs(e2), size)
-        i = _first(np.abs(e1 - e2) > AGREEMENT_RTOL * size)
-    if i is not None:
-        raise NonsmoothUncertainError(
-            f"nonsmooth-uncertain at x={format_point(points[i])} "
-            f"along d={format_point(dirs[i])}: "
-            f"extrapolations {e1[i]} and {e2[i]} disagree"
-        )
-    i = _first(~np.isfinite(e2))
-    if i is not None:
-        raise ValueError(
-            f"directional derivative {e2[i]} at x={format_point(points[i])} "
-            f"along d={format_point(dirs[i])} is not finite"
-        )
-    return e2
+# The analytic loop in its plain formula, kept apart from the code it
+# checks: the kernel must give its results bit for bit and raise its errors.
 
 
 def reference_rows(g):
@@ -1299,28 +1168,22 @@ def reference_rows(g):
 
 
 def reference_dir_derivatives(f: Ivf, points, dirs):
-    """One block (at most ROW_BLOCK rows) of dir_derivatives, through the
-    reference kernel and the reference analytic loop."""
+    """One block (at most ROW_BLOCK rows) of dir_derivatives of an objective
+    with an analytic derivative, through the reference loop."""
     points, dirs = np.broadcast_arrays(
         np.asarray(points, dtype=float), np.asarray(dirs, dtype=float)
     )
-    if f.analytic_dir_deriv is not None:
-        lo, hi = np.empty(len(points)), np.empty(len(points))
-        for i, (x, d) in enumerate(zip(points, dirs)):
-            value = f.analytic_dir_deriv(x, d)
-            lo[i], hi[i] = value.lo, value.hi
-        return lo, hi
-    scale = reference_step_scale(f.domain, points, dirs)
-    d_lo = reference_one_sided_rows(reference_rows(f.lower), points, dirs, scale)
-    d_hi = reference_one_sided_rows(reference_rows(f.upper), points, dirs, scale)
-    # min/max(d_lo, d_hi) with Python's first-wins semantics
-    return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+    lo, hi = np.empty(len(points)), np.empty(len(points))
+    for i, (x, d) in enumerate(zip(points, dirs)):
+        value = f.analytic_dir_deriv(x, d)
+        lo[i], hi[i] = value.lo, value.hi
+    return lo, hi
 
 
 def kernel_block(rng: np.random.Generator, n: int, rows: int = 64):
     """The box [-2, 2]^n and a block of points and directions in it: about
     a fifth of the coordinates on a bound, and a tenth within 2e-3 of one
-    and heading for it (so the steps shrink); about a fifth of the
+    and heading for it; about a fifth of the
     direction components 0.0 or -0.0, and the first direction all zero;
     every row heads into the box or along its faces."""
     points = rng.uniform(-2, 2, size=(rows, n))
@@ -1363,87 +1226,8 @@ KERNEL_SEEDS = range(32)
 
 
 class TestKernelMatchesTheReference:
-    """The numeric kernel and the analytic loop against their references on
-    derandomized blocks in 1 to 4 dimensions."""
-
-    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
-    def test_step_scale(self, seed):
-        domain, points, dirs = kernel_block(np.random.default_rng(seed), 1 + seed % 4)
-        expected = reference_step_scale(domain, points, dirs)
-        assert (expected < 1.0).any() and (expected == 1.0).any()
-        assert same_bits(_step_scale(domain, points, dirs), expected)
-        # a component pointing out of a bound exits at once: the same error
-        out = points == 2.0
-        flipped = np.where(out, np.abs(dirs) + 1.0, dirs)
-        error = outcome(lambda: reference_step_scale(domain, points, flipped))
-        assert error[0] is InfeasibleDirectionError
-        assert outcome(lambda: _step_scale(domain, points, flipped)) == error
-
-    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
-    def test_richardson(self, seed):
-        rng = np.random.default_rng(seed)
-        qa, qb = rng.normal(size=(2, 50)) * 10.0 ** rng.integers(-300, 300, size=(2, 50))
-        qa[:5], qb[3:8] = [0.0, -0.0, np.inf, -np.inf, np.nan], 0.0
-        qb[8:10] = -0.0
-        scale = rng.uniform(1e-3, 1.0, size=50)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = reference_richardson(qa, qb, 1e-3 * scale, 1e-4 * scale)
-            assert same_bits(_richardson(qa, qb, 1e-3 * scale, 1e-4 * scale), expected)
-
-    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
-    def test_numeric_route(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 1 + seed % 4
-        domain, points, dirs = kernel_block(rng, n)
-        trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
-        f = numeric_ivf(to_source(trees[0]), to_source(trees[1]), domain)
-        # the whole block, which raises if any row does, and the block of
-        # the rows that do not raise on their own
-        fine = [
-            i
-            for i, (x, d) in enumerate(zip(points[:, None], dirs[:, None]))
-            if not failed(outcome(lambda: reference_dir_derivatives(f, x, d)))
-        ]
-        assert len(fine) >= len(points) // 2
-        for rows in (slice(None), fine):
-            block = points[rows], dirs[rows]
-            expected = outcome(lambda: reference_dir_derivatives(f, *block))
-            assert same_outcome(outcome(lambda: dir_derivatives(f, *block)), expected)
-            scale = reference_step_scale(domain, *block)
-            for g in (f.lower.rows, f.upper.rows):
-                expected = outcome(lambda: reference_one_sided_rows(g, *block, scale))
-                assert same_outcome(outcome(lambda: _one_sided_rows(g, *block, scale)), expected)
-
-    @pytest.mark.parametrize(
-        "lower, upper, point, direction, error",
-        [
-            # the direction heads out of the domain at once
-            ("abs(x1)", "2*abs(x1)", [2.0, 0.5], [1.0, -1.0], InfeasibleDirectionError),
-            # a kink 5e-4 ahead
-            ("abs(x1 - 5e-4)", "2*abs(x1 - 5e-4)", [0.0, 1.0], [1.0, 0.0],
-             NonsmoothUncertainError),
-            # every difference quotient overflows
-            ("x1*1e308*x2", "x1*1e308*x2 + 1", [0.0, 2.0], [1.0, 0.0], ValueError),
-        ],
-        ids=["infeasible", "nonsmooth", "not-finite"],
-    )
-    def test_numeric_errors_name_the_first_failing_row(
-        self, lower, upper, point, direction, error
-    ):
-        f = numeric_ivf(lower, upper, cube(2, -2, 2))
-        points, dirs = [[0.5, 0.0], point, point], [[1.0, 0.0], direction, direction]
-        expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
-        assert expected[0] is error and str(point) in expected[1]
-        assert outcome(lambda: dir_derivatives(f, points, dirs)) == expected
-
-    def test_a_lower_endpoint_error_wins_over_an_earlier_upper_one(self):
-        # upper has a kink ahead of the first row, lower ahead of the
-        # second: lower is differentiated first, so its error is raised
-        f = numeric_ivf("abs(x1 - 0.5005)", "2*abs(x1 + 0.5005)", cube(1, -2, 2))
-        points, dirs = [[-0.5], [0.5]], [[-1.0], [1.0]]
-        expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
-        assert expected[0] is NonsmoothUncertainError and "x=[0.5]" in expected[1]
-        assert outcome(lambda: dir_derivatives(f, points, dirs)) == expected
+    """The analytic loop against its reference on derandomized blocks in 1
+    to 4 dimensions."""
 
     @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     def test_analytic_route(self, seed):
@@ -1465,43 +1249,6 @@ class TestKernelMatchesTheReference:
         expected = outcome(lambda: reference_dir_derivatives(f, points, dirs))
         assert expected == (ValueError, "no derivative at [0.5]")
         assert outcome(lambda: dir_derivatives(f, points, dirs)) == expected
-
-    def test_the_agreement_test_near_its_threshold(self):
-        # rows whose extrapolations differ by about AGREEMENT_RTOL times the
-        # larger of 1, |e1| and |e2|, e1 or e2 the larger, so the nonsmooth
-        # test is decided within rounding of its threshold
-        t0, t1, _ = STEP_SCHEDULE
-        ends = []
-        for a in (1e4, -1e4, 3.0, 0.5):
-            for k in np.linspace(0.999, 1.001, 21):
-                gap = np.sign(a) * AGREEMENT_RTOL * max(abs(a), 1.0) * k
-                ends += [(a, a - gap), (a - gap, a)]
-        e1, e2 = np.array(ends).T
-        # quotients c0, c1 = c2 = e2 give the extrapolations e1 and e2
-        quotients = [(t0 * e2 - e1 * (t0 - t1)) / t1, e2, e2]
-
-        def g(points):
-            # called at the points, then at each step in turn: the rise over
-            # the points is the quotient times the step
-            call = next(calls)
-            if call == 0:
-                return np.zeros(len(points))
-            return quotients[call - 1][rows] * STEP_SCHEDULE[call - 1]
-
-        rows = np.arange(len(e1))
-        raised = 0
-        while len(rows):
-            block = rows[:, None].astype(float), np.ones((len(rows), 1)), np.ones(len(rows))
-            calls = iter(range(4))
-            expected = outcome(lambda: reference_one_sided_rows(g, *block))
-            calls = iter(range(4))
-            assert same_outcome(outcome(lambda: _one_sided_rows(g, *block)), expected)
-            if not failed(expected):
-                break
-            raised += 1
-            first = int(re.search(r"at x=\[(\d+)\.0\]", expected[1]).group(1))
-            rows = rows[rows > first]
-        assert 10 < raised < len(e1) - 10
 
 
 def reference_require_feasible(domain: BoxSet, points: np.ndarray, dirs: np.ndarray) -> None:
@@ -1557,7 +1304,7 @@ class TestFeasibilityScreen:
             assert error[0] is InfeasibleDirectionError and format_point(moved) in error[1]
             assert outcome(lambda: _require_feasible(domain, blocked, dirs)) == error
 
-    @pytest.mark.parametrize("make", ROUTES, ids=["exact", "numeric", "analytic"])
+    @pytest.mark.parametrize("make", ROUTES, ids=["exact", "analytic"])
     def test_points_on_a_bound_heading_inward_pass_on_every_route(self, make):
         f = make(self.LOWER, self.UPPER, cube(2, -1, 1))
         points = [[1.0, 0.25], [-1.0, 1.0], [0.5, -1.0], [0.25, 0.5]]
@@ -1567,7 +1314,7 @@ class TestFeasibilityScreen:
         assert lo == pytest.approx([-3.75, -6.0, -2.0, 1.5])
         assert hi == pytest.approx([-1.75, -4.0, -2.0, 2.0])
 
-    @pytest.mark.parametrize("make", ROUTES, ids=["exact", "numeric", "analytic"])
+    @pytest.mark.parametrize("make", ROUTES, ids=["exact", "analytic"])
     @pytest.mark.parametrize(
         "point, direction",
         [([2.0, 0.5], [1.0, 0.0]), ([2.5, 0.5], [1.0, 0.0]), ([0.5, -2.5], [0.5, -1.0]),

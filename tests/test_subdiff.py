@@ -24,7 +24,7 @@ from ivwsm import (
 )
 from ivwsm.intervals import is_finite, PLUS_INF
 from ivwsm.expr import EvalError
-from ivwsm.ivf import DomainError, NonsmoothUncertainError
+from ivwsm.ivf import DomainError
 from ivwsm.subdiff import DIRECTIONAL_SLACK, _gh_diff_rows
 
 from conftest import (
@@ -99,7 +99,7 @@ class TestSubdiff1d:
         assert rep.members[0].his[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_constant_gives_zero(self):
-        f = make_ivf(1, lambda x: 3.0, lambda x: 4.0, -1, 1)
+        f = Ivf.from_expressions("3", "4", cube(1, -1, 1))
         rep = subdiff_1d(f, 0.3)
         assert isinstance(rep, FiniteIVecSet)
         assert rep.members == (IVector.zeros(1),)
@@ -115,8 +115,9 @@ class TestSubdiff1d:
         )
 
     def test_a_supplied_analytic_derivative_is_read(self):
-        # kinks at 0 and 1e-4 both sit inside the numeric probe range, but
-        # the analytic derivative is exact: F'(0; +1) = [0, 0], F'(0; -1) = [2, 4]
+        # opaque endpoints with kinks at 0 and 1e-4: the supplied derivative
+        # gives F'(0; +1) = [0, 0], F'(0; -1) = [2, 4], and without it F
+        # has no derivative
         def lower(x):
             return abs(x[0]) + abs(x[0] - 1e-4)
 
@@ -130,9 +131,10 @@ class TestSubdiff1d:
         assert isinstance(rep, IntervalBoxSet)
         assert (list(rep.lower.los), list(rep.lower.his)) == ([-4.0], [-2.0])
         assert (list(rep.upper.los), list(rep.upper.his)) == ([0.0], [0.0])
-        numeric = Ivf(1, f.lower, f.upper, f.domain)
-        with pytest.raises(NonsmoothUncertainError):
-            subdiff_1d(numeric, 0.0)
+        opaque = Ivf(1, f.lower, f.upper, f.domain)
+        with pytest.raises(ValueError, match=r"^derivatives need analytic_dir_deriv or "
+                                             r"endpoints with tangent_rows \(lower has none\)$"):
+            subdiff_1d(opaque, 0.0)
 
     def test_boundary_point_rejected(self):
         with pytest.raises(ValueError):
@@ -170,7 +172,7 @@ class TestSupportIdentity:
         # at a gH-differentiable point the subgradient set is the one
         # interval gradient G, so the support along e_i is G_i and the
         # support along -e_i is -G_i; at a kink the set is wider
-        f = make_ivf(2, lambda x: x[0] + x[1], lambda x: 2 * x[0] + 3 * x[1], -2, 2)
+        f = Ivf.from_expressions("x1 + x2", "2*x1 + 3*x2", cube(2, -2, 2))
         oracle = subdiff_support(f, [0.2, -0.3])
         for e, component in zip(np.eye(2), (Interval(1.0, 2.0), Interval(1.0, 3.0))):
             along = oracle.support(e)
@@ -178,7 +180,7 @@ class TestSupportIdentity:
             for got in (along, against):
                 assert got.lo == pytest.approx(component.lo, abs=1e-5)
                 assert got.hi == pytest.approx(component.hi, abs=1e-5)
-        kink = subdiff_support(vee_ivf(analytic=False), [0.0])
+        kink = subdiff_support(vee_ivf(), [0.0])
         assert kink.support([1.0]).lo == pytest.approx(0.25, abs=1e-5)
         assert scalar_mul(-1.0, kink.support([-1.0])).lo == pytest.approx(-1.0, abs=1e-5)
 

@@ -24,7 +24,7 @@ from ivwsm import (
 )
 from ivwsm.ivf import endpoint_rows
 
-from conftest import cube, vee_ivf
+from conftest import _one_sided_abs, cube, make_ivf, vee_ivf
 
 NAN, INF = float("nan"), float("inf")
 
@@ -34,7 +34,14 @@ def ivec(*pairs) -> IVector:
 
 
 F2 = Ivf.from_expressions("abs(x1) + abs(x2)", "2*abs(x1) + abs(x2) + 1", cube(2, -1, 1))
-OPAQUE2 = Ivf(2, lambda x: abs(x[0]), lambda x: abs(x[0]) + 1, cube(2, -1, 1))
+
+
+def _slope(x, d):  # the one-sided derivative of |x1| and of |x1| + 1
+    return _one_sided_abs(x[0], d[0])
+
+
+#: Opaque endpoints, and the analytic derivative that their derivatives need.
+OPAQUE2 = make_ivf(2, lambda x: abs(x[0]), lambda x: abs(x[0]) + 1, -1, 1, _slope, _slope)
 
 
 ERRORS = {
@@ -59,12 +66,25 @@ ERRORS = {
                                   "corner dimension mismatch"),
     "box-set-crossed-corners": (lambda: IntervalBoxSet(ivec((0, 2)), ivec((1, 1))),
                                 "lower corner must dominate the upper corner"),
+    # a support function takes one direction of the set's dimension
     "box-set-support-length": (
         lambda: IntervalBoxSet(ivec((0, 1)), ivec((1, 2))).support([1.0, 0.0]),
-        "direction dimension mismatch"),
+        "d of shape (2,) is not a direction of 1 entries"),
+    "box-set-support-two-directions": (
+        lambda: IntervalBoxSet(ivec((0, 1), (0, 1)), ivec((1, 2), (1, 2))).support(np.eye(2)),
+        "d of shape (2, 2) is not a direction of 2 entries"),
     "oracle-support-length": (
         lambda: OracleIVecSet(2, lambda d: Interval(0, 0)).support([1.0]),
-        "direction has length 1, set dimension 2"),
+        "d of shape (1,) is not a direction of 2 entries"),
+    "oracle-support-two-directions": (
+        lambda: OracleIVecSet(2, lambda d: Interval(0, 0)).support(np.eye(2)),
+        "d of shape (2, 2) is not a direction of 2 entries"),
+    "finite-set-support-length": (
+        lambda: FiniteIVecSet((ivec((0, 1), (2, 3)),)).support([1.0]),
+        "d of shape (1,) is not a direction of 2 entries"),
+    "finite-set-support-two-directions": (
+        lambda: FiniteIVecSet((ivec((0, 1), (2, 3)),)).support(np.eye(2)),
+        "d of shape (2, 2) is not a direction of 2 entries"),
     "ivector-2d-endpoints": (lambda: IVector(np.zeros((1, 2)), np.ones((1, 2))),
                              "expected a 1-d array, got shape (1, 2)"),
     "subgradient-xbar-outside": (
@@ -101,6 +121,12 @@ ERRORS = {
                                    "points of shape (1, 3) are not rows of 2 entries"),
     "endpoint-rows-three-axes": (lambda: endpoint_rows(OPAQUE2, np.zeros((1, 1, 2))),
                                  "points of shape (1, 1, 2) are not rows of 2 entries"),
+    "endpoint-rows-grid-of-three-dimensions": (
+        lambda: endpoint_rows(OPAQUE2, cube(3, -1, 1).grid_axes(3)),
+        "a grid of dimension 3 has no points of 2 entries"),
+    "endpoint-rows-expr-grid-of-one-dimension": (
+        lambda: endpoint_rows(F2, cube(1, -1, 1).grid_axes(3)),
+        "a grid of dimension 1 has no points of 2 entries"),
 }
 
 

@@ -101,6 +101,15 @@ class TestDefinition:
                 WsmProblem(f=vee_ivf(), s=cube(1, -3, 3), sbar=point_box(0.0), alpha=0.1)
             )
 
+    @pytest.mark.parametrize("field, label", [("s", "S"), ("sbar", "Sbar")])
+    def test_a_set_of_another_dimension_is_named(self, field, label):
+        f = Ivf.from_expressions("abs(x1) + abs(x2)", "2*abs(x1) + abs(x2)", cube(2, -1, 1))
+        sets = {"s": cube(2, -1, 1), "sbar": cube(2, 0, 0), field: cube(3, 0, 0)}
+        with pytest.raises(GuardError) as info:
+            WsmProblem(f=f, alpha=1.0, grid=5, **sets)
+        assert (info.value.field, str(info.value)) == (
+            field, f"{label} has dimension 3, the objective 2")
+
     def test_nonconvex_declared_objective_is_noted_not_fatal(self):
         f = make_ivf(1, lambda x: -x[0] ** 2, lambda x: 1.0, -2, 2)
         p = WsmProblem(f=f, s=cube(1, -1, 1), sbar=point_box(0.0), alpha=0.1)
@@ -146,7 +155,7 @@ class TestDefinition:
     def test_everything_a_single_point_is_concordantly_sharp(self):
         # S = Sbar = {p}: the definition is vacuous, restricted derivatives
         # are infinite in every direction, cone intersections collapse
-        f = make_ivf(2, lambda x: x[0] ** 2, lambda x: x[0] ** 2 + 1, -1, 1)
+        f = Ivf.from_expressions("x1^2", "x1^2 + 1", cube(2, -1, 1))
         point = point_box(0.25, -0.5)
         p = WsmProblem(f=f, s=point, sbar=point, alpha=3.0, grid=5)
         reports = check_all(p)
@@ -160,7 +169,7 @@ class TestPrimal:
         assert not check_primal(vee_problem(0.3)).holds
 
     def test_whole_set_candidate_with_flat_objective(self):
-        f = make_ivf(1, lambda x: 1.0, lambda x: 2.0, -2, 2)
+        f = Ivf.from_expressions("1", "2", cube(1, -2, 2))
         s = cube(1, -1, 1)
         p = WsmProblem(f=f, s=s, sbar=s, alpha=5.0, grid=9)
         assert check_primal(p).holds
@@ -184,7 +193,7 @@ class TestDualNormalCone:
 
     def test_interior_candidate_point_is_trivial(self):
         # Sbar = S: every normal cone along the candidate grid is {0}
-        f = make_ivf(1, lambda x: 1.0, lambda x: 1.5, -2, 2)
+        f = Ivf.from_expressions("1", "1.5", cube(1, -2, 2))
         s = cube(1, -1, 1)
         p = WsmProblem(f=f, s=s, sbar=s, alpha=3.0, grid=7)
         assert check_dual_normal_cone(p).holds
