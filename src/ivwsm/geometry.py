@@ -54,6 +54,14 @@ def _cone_bounds(tags: tuple[Tag, ...]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return lo, hi, codes == Tag.ZERO
 
 
+def require_vector(a, n: int, name: str, kind: str) -> np.ndarray:
+    """a as an (n,) float array, once ValueError has rejected another shape."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"{name} of shape {a.shape} is not a {kind} of {n} entries")
+    return a
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (m, n) array, or of one vector.
 

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .expr import format_point, parse
-from .geometry import BoxSet, GridAxes, row_norms
+from .geometry import BoxSet, GridAxes, require_vector, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 
 Endpoint = Callable[[np.ndarray], float]
@@ -150,7 +150,7 @@ class Ivf:
         """Interval directional derivative: the analytic one when supplied,
         else the span of the endpoint derivatives (a one-row call of
         :meth:`dir_derivs`)."""
-        lo, hi = self.dir_derivs(x, _vector(d, self.dimension, "d", "direction"))
+        lo, hi = self.dir_derivs(x, require_vector(d, self.dimension, "d", "direction"))
         return Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,14 +180,14 @@ class RestrictedIvf:
         return self.base.domain
 
     def value(self, x: Sequence[float]) -> ExtInterval:
-        x = _vector(x, self.dimension, "x", "point")
+        x = require_vector(x, self.dimension, "x", "point")
         return self.base.value(x) if self.feasible.contains(x) else PLUS_INF
 
     def dir_deriv(self, x: Sequence[float], d: Sequence[float]) -> ExtInterval:
         """Directional derivative of the restriction at a feasible point:
         the PLUS_INF marker along a direction leaving the feasible box (a
         one-row call of :meth:`dir_derivs`)."""
-        lo, hi = self.dir_derivs(x, _vector(d, self.dimension, "d", "direction"))
+        lo, hi = self.dir_derivs(x, require_vector(d, self.dimension, "d", "direction"))
         return PLUS_INF if lo[0] == np.inf else Interval(lo[0], hi[0])
 
     def dir_derivs(self, x: Sequence[float], dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,19 +204,12 @@ class RestrictedIvf:
 
 
 def _point_in(box: BoxSet, x, where: str) -> np.ndarray:
-    """x by :func:`_vector`, once DomainError has rejected it outside box."""
-    x = _vector(x, box.dimension, "x", "point")
+    """x by :func:`~ivwsm.geometry.require_vector`, once DomainError has
+    rejected it outside box."""
+    x = require_vector(x, box.dimension, "x", "point")
     if not box.contains(x):
         raise DomainError(f"{format_point(x)} is outside the {where}")
     return x
-
-
-def _vector(a, n: int, name: str, kind: str) -> np.ndarray:
-    """a as an (n,) float array, once ValueError has rejected another shape."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"{name} of shape {a.shape} is not a {kind} of {n} entries")
-    return a
 
 
 def _require_rows(a, n: int, what: str) -> np.ndarray:

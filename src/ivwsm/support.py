@@ -21,16 +21,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .geometry import require_vector
 from .intervals import ExtInterval, Interval, is_finite, sup_family
 from .ivectors import IVector, special_product, vnorm
-
-
-def _direction(x: Sequence[float], n: int) -> np.ndarray:
-    """x as an (n,) float array, once ValueError has rejected another shape."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"d of shape {x.shape} is not a direction of {n} entries")
-    return x
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class FiniteIVecSet:
         return self.members[0].dimension
 
     def support(self, x: Sequence[float]) -> Interval:
-        x = _direction(x, self.dimension)
+        x = require_vector(x, self.dimension, "d", "direction")
         return sup_family([special_product(x, m) for m in self.members])
 
 
@@ -80,7 +73,7 @@ class IntervalBoxSet:
         sums are attained by one feasible member, so reassembling them as
         an interval gives the exact least upper bound.
         """
-        x = _direction(x, self.dimension)
+        x = require_vector(x, self.dimension, "d", "direction")
         pos = x > 0
         s_lo = float(x @ np.where(pos, self.upper.los, self.lower.los))
         s_hi = float(x @ np.where(pos, self.upper.his, self.lower.his))
@@ -94,7 +87,7 @@ class OracleIVecSet:
 
     def support(self, x: Sequence[float]) -> ExtInterval:
         """Support value along x; PLUS_INF is possible."""
-        return self.support_fn(_direction(x, self.dimension))
+        return self.support_fn(require_vector(x, self.dimension, "d", "direction"))
 
 
 IVecSet = Union[FiniteIVecSet, IntervalBoxSet, OracleIVecSet]
