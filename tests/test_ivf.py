@@ -322,6 +322,10 @@ def convex_sources(rng: np.random.Generator, n: int) -> tuple[str, str, Callable
 #: analytic.
 ROUTES = (Ivf.from_expressions, analytic_ivf)
 
+#: Seeds of the derandomized blocks the kernels are tested on, in 1 to 4
+#: dimensions.
+KERNEL_SEEDS = range(32)
+
 
 class TestExactDerivatives:
     """Expression endpoints take the exact route: one tangent pass over
@@ -644,6 +648,37 @@ class TestRowBlocks:
         expected = _message(lambda: dir_derivatives(f, points[first], dirs[first]))
         assert expected[0] is error
         assert _message(lambda: dir_derivatives(f, points, dirs)) == expected
+
+    @pytest.mark.parametrize("make", ROUTES, ids=["exact", "analytic"])
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_seeded_pairs_give_each_points_own_rows_or_error(self, seed, make):
+        # points between the ramps' kinks, where every derivative is finite,
+        # some on a kink (the derivative overflows along some directions) or
+        # on a bound of x2 (some directions exit the domain), in blocks of
+        # one, a few or all of the pairs
+        ramp = "max(x1 - 0.5, 0)*1e308*1e308"
+        f = make(ramp, f"{ramp} + max(-x1 - 0.5, 0)*1e308*1e308", cube(2, -2, 2))
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(int(rng.integers(1, 12))):
+            x = rng.uniform([-0.5, -2.0], [0.5, 2.0])
+            kind = int(rng.integers(0, 8))
+            if kind == 1:
+                x[0] = rng.choice([-0.5, 0.5])
+            elif kind == 2:
+                x[1] = rng.choice([-2.0, 2.0])
+            pairs.append((x, rng.normal(size=(int(rng.integers(1, 5)), 2))))
+        with mock.patch.object(ivf_module, "ROW_BLOCK", int(rng.choice([1, 4, ROW_BLOCK]))):
+            own = [outcome(lambda: dir_derivatives(f, x, dirs)) for x, dirs in pairs]
+            blocks = outcome(lambda: list(point_block_derivatives(f, pairs)))
+        first = next((result for result in own if failed(result)), None)
+        if first is not None:
+            assert blocks == first
+            return
+        assert sum(count for count, *_ in blocks) == len(pairs)
+        for k, end in ((3, 0), (4, 1)):
+            assert same_bits(np.concatenate([block[k] for block in blocks]),
+                             np.concatenate([result[end] for result in own]))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1180,6 +1215,28 @@ def reference_dir_derivatives(f: Ivf, points, dirs):
     return lo, hi
 
 
+def reference_exact_dir_derivatives(trees, domain: BoxSet, points, dirs):
+    """One block of dir_derivatives of an objective whose endpoints are the
+    expressions of two syntax trees, through the reference rules: the scan
+    of every entry for a direction that exits the domain; then, lower before
+    upper, the errors of the values (the tape's own, which test_expr pins
+    against its reference), each row's derivative by
+    test_expr.tangent_node_reference and the first that is not finite; then
+    the span of the two, the first winning ties."""
+    reference_require_feasible(domain, points, dirs)
+    ends = []
+    for tree in trees:
+        parse(to_source(tree), points.shape[1]).rows(points)
+        derivs = [tangent_node_reference(tree, x, d)[1] for x, d in zip(points, dirs)]
+        for x, d, t in zip(points, dirs, derivs):
+            if not math.isfinite(t):
+                raise ValueError(f"directional derivative {t} at x={format_point(x)} "
+                                 f"along d={format_point(d)} is not finite")
+        ends.append(derivs)
+    return tuple(np.array([pick(a, b) for a, b in zip(*ends)], dtype=float)
+                 for pick in (min, max))
+
+
 def kernel_block(rng: np.random.Generator, n: int, rows: int = 64):
     """The box [-2, 2]^n and a block of points and directions in it: about
     a fifth of the coordinates on a bound, and a tenth within 2e-3 of one
@@ -1222,12 +1279,84 @@ def same_outcome(actual, expected) -> bool:
     return len(actual) == len(expected) and all(map(same_bits, actual, expected))
 
 
-KERNEL_SEEDS = range(32)
-
 
 class TestKernelMatchesTheReference:
-    """The analytic loop against its reference on derandomized blocks in 1
-    to 4 dimensions."""
+    """The exact route and the analytic loop against their references on
+    derandomized blocks in 1 to 4 dimensions, and the rows their errors
+    name."""
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_exact_route(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 4
+        domain, points, dirs = kernel_block(rng, n)
+        trees = [random_tree(rng, n, int(rng.integers(1, 4))) for _ in range(2)]
+        f = Ivf.from_expressions(to_source(trees[0]), to_source(trees[1]), domain)
+        # exact zeros reach kinks, zero denominators and min/max ties
+        points[rng.random(points.shape) < 0.1] = 0.0
+        # the whole block, which raises if any row does, and the block of
+        # the rows that do not raise on their own
+        fine = [
+            i
+            for i, (x, d) in enumerate(zip(points[:, None], dirs[:, None]))
+            if not failed(outcome(lambda: reference_exact_dir_derivatives(trees, domain, x, d)))
+        ]
+        assert len(fine) >= len(points) // 2
+        for rows in (slice(None), fine):
+            block = points[rows], dirs[rows]
+            expected = outcome(lambda: reference_exact_dir_derivatives(trees, domain, *block))
+            actual = outcome(lambda: dir_derivatives(f, *block))
+            if failed(actual) or failed(expected):
+                assert actual == expected
+            else:  # equal values, counting the two zeros as equal
+                assert all(map(np.array_equal, actual, expected))
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_exact_route_equals_the_hand_written_derivative(self, seed):
+        # one objective as expression text and with its hand-written
+        # derivative, at points on its domain's bounds and along signed zeros
+        n = 1 + seed % 4
+        exact, analytic = random_convex_expr_ivf(seed, n), random_convex_ivf(seed, n)
+        _, points, dirs = kernel_block(np.random.default_rng(seed), n)
+        points *= 0.75  # inside the objective's domain [-1.5, 1.5]^n
+        expected = reference_dir_derivatives(analytic, points, dirs)
+        for actual, wanted in zip(dir_derivatives(exact, points, dirs), expected):
+            np.testing.assert_allclose(actual, wanted, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "lower, upper, point, direction, error",
+        [
+            # the direction heads out of the domain at once
+            ("abs(x1)", "2*abs(x1)", [2.0, 0.5], [1.0, -1.0], InfeasibleDirectionError),
+            # the endpoint has no value there
+            ("1 / x1", "1 / x1 + 1", [0.0, 0.5], [1.0, 0.0], EvalError),
+            # the derivative overflows
+            ("x1*1e308*x2", "x1*1e308*x2 + 1", [0.0, 2.0], [1.0, 0.0], ValueError),
+        ],
+        ids=["infeasible", "no-value", "not-finite"],
+    )
+    def test_exact_errors_name_the_first_failing_row(
+        self, lower, upper, point, direction, error
+    ):
+        f = Ivf.from_expressions(lower, upper, cube(2, -2, 2))
+        # the third row fails too, at another point
+        later = [point[0], -point[1]]
+        points, dirs = [[0.5, 0.0], point, later], [[1.0, 0.0], direction, direction]
+        expected = outcome(lambda: dir_derivatives(f, [point], [direction]))
+        assert expected[0] is error and format_point(point) in expected[1]
+        assert failed(outcome(lambda: dir_derivatives(f, [later], [direction])))
+        assert outcome(lambda: dir_derivatives(f, points, dirs)) == expected
+
+    def test_a_lower_endpoint_error_wins_over_an_earlier_upper_one(self):
+        # upper's derivative overflows at the first row, lower's at the
+        # second: lower is differentiated first, so its row is named
+        ramp = "max(x1 - 0.5, 0)*1e308*1e308"
+        f = Ivf.from_expressions(ramp, f"{ramp} + max(-x1 - 0.5, 0)*1e308*1e308", cube(1, -2, 2))
+        points, dirs = [[-0.5], [0.5]], [[-1.0], [1.0]]
+        assert outcome(lambda: dir_derivatives(f, points[:1], dirs[:1])) == (
+            ValueError, "directional derivative inf at x=[-0.5] along d=[-1.0] is not finite")
+        assert outcome(lambda: dir_derivatives(f, points, dirs)) == (
+            ValueError, "directional derivative inf at x=[0.5] along d=[1.0] is not finite")
 
     @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     def test_analytic_route(self, seed):
