@@ -43,6 +43,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .geometry import require_vector
+
 #: One instruction: the opcode and its argument, which is the float64
 #: constant of ``const``, the 0-based column of ``var``, the exponent of
 #: ``^`` and the arity of ``min``/``max`` (None for the other operators).
@@ -381,13 +383,5 @@ _TANGENTS = {
 
 
 def evaluate(ast: ExprAst, point: Sequence[float]) -> float:
-    """Evaluate the expression at ``point`` (length must match the dimension).
-
-    A one-row call of :meth:`ExprAst.rows`.
-    """
-    x = np.asarray(point, dtype=float)
-    if x.shape != (ast.dimension,):
-        raise ValueError(
-            f"point has length {len(point)}, expression dimension is {ast.dimension}"
-        )
-    return float(ast.rows(x[None, :])[0])
+    """The expression at one (n,) point: a one-row call of :meth:`ExprAst.rows`."""
+    return float(ast.rows(require_vector(point, ast.dimension, "x", "point")[None, :])[0])

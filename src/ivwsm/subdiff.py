@@ -111,6 +111,12 @@ def _membership(margins: np.ndarray, rows: np.ndarray, slack: float) -> Membersh
     return MembershipResult(False, margin, rows[worst])
 
 
+def _candidate_point(f: IvfLike, xbar: Sequence[float], g: IVector) -> np.ndarray:
+    if g.dimension != f.dimension:
+        raise ValueError(f"g has dimension {g.dimension}, F has dimension {f.dimension}")
+    return np.asarray(xbar, dtype=float)
+
+
 def is_subgradient(
     f: IvfLike,
     xbar: Sequence[float],
@@ -120,7 +126,7 @@ def is_subgradient(
 ) -> MembershipResult:
     """Defining membership test at every probe point; probes where F is
     infinite pass automatically."""
-    xbar = np.asarray(xbar, dtype=float)
+    xbar = _candidate_point(f, xbar, g)
     probes = np.asarray(probe_points, dtype=float)
     if probes.ndim == 1:
         probes = probes[:, None]
@@ -136,7 +142,7 @@ def is_subgradient_directional(
 ) -> MembershipResult:
     """Directional membership test: pairing with h versus the derivative;
     directions leaving the feasible set pass automatically."""
-    xbar = np.asarray(xbar, dtype=float)
+    xbar = _candidate_point(f, xbar, g)
     directions = np.asarray(directions, dtype=float)
     deriv_lo, deriv_hi = f.dir_derivs(xbar, directions)
     margins = subgradient_margins(directions, g.los, g.his, deriv_lo, deriv_hi)

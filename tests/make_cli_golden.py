@@ -1,12 +1,12 @@
-"""Rewrite ``cli_golden.json``: the data lines, stderr and exit code of
+"""Rewrite ``cli_golden.json``: the exit code, full stdout and stderr of
 every run of the CLI corpus, as the verifier at the current commit
-produces them.
+produces them.  It is the one golden file of the CLI under ``tests/``.
 
 The corpus is every file in ``problems/`` and ``tests/regressions/`` under
 ``check --mode all``, ``modulus`` and ``subdiff --at v`` (v in
 :data:`AT_VALUES` on every axis, alone and with each of :data:`PROBES` on
-every axis), each with the flag sets of :data:`FLAG_SETS`.  Runs go
-through ``cli.main`` in process.
+every axis), each with the flag sets of :data:`FLAG_SETS`, plus the
+:data:`EXTRA_RUNS`.  Runs go through ``cli.main`` in process.
 
 Run from the repository root only when the CLI output is meant to change::
 
@@ -38,13 +38,19 @@ FILES = sorted(
 FLAG_SETS = ([], ["--grid", "9"], ["--seed", "11", "--grid", "13"])
 AT_VALUES = ("0.5", "-0.5", "0", "0.25", "1e-5")
 PROBES = ("0.2 0.3", "0 0", "1 2")
-DATA = ("#DATA", "support along")
+#: Runs outside the pattern above, without flags: a point off AT_VALUES, a
+#: degenerate probe, and a probe whose axes differ.
+EXTRA_RUNS = (
+    ["subdiff", "problems/vee1d.txt", "--at", "0.7"],
+    ["subdiff", "problems/vee1d.txt", "--at", "0", "--probe", "0.2 0.2"],
+    ["subdiff", "problems/l1cone2d.txt", "--at", "0.3,-0.2", "--probe", "0.5,1.5,-2,-1"],
+)
 
 
 def corpus() -> dict[str, list[str]]:
     """Each run's name, mapped to its argument list (paths relative to the
     repository root)."""
-    runs = {}
+    runs = []
     for name in FILES:
         n = load_problem_file(ROOT / name).dimension
         commands = [["check", name, "--mode", "all"], ["modulus", name]]
@@ -52,23 +58,20 @@ def corpus() -> dict[str, list[str]]:
             at = ["subdiff", name, "--at", " ".join([v] * n)]
             commands.append(at)
             commands += [[*at, "--probe", " ".join([probe] * n)] for probe in PROBES]
-        for flags in FLAG_SETS:
-            for command in commands:
-                argv = [*flags, *command]
-                runs[" ".join(repr(a) if " " in a else a for a in argv)] = argv
-    return runs
+        runs += [[*flags, *command] for flags in FLAG_SETS for command in commands]
+    return {
+        " ".join(repr(a) if " " in a else a for a in argv): argv
+        for argv in [*runs, *EXTRA_RUNS]
+    }
 
 
 def outcome(argv: list[str]) -> dict:
-    """The exit code, stderr and data lines of one in-process run, with
-    file names taken relative to the repository root.  The data lines are
-    the ``#DATA`` lines and, for ``subdiff`` in more than one dimension,
-    the support values."""
+    """The exit code, stdout lines and stderr of one in-process run, with
+    file names taken relative to the repository root."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli_main([str(ROOT / a) if a in FILES else a for a in argv])
-    data = [line for line in out.getvalue().splitlines() if line.startswith(DATA)]
-    return {"exit": code, "data": data, "stderr": err.getvalue()}
+    return {"exit": code, "stdout": out.getvalue().splitlines(), "stderr": err.getvalue()}
 
 
 def main() -> None:

@@ -1,27 +1,28 @@
-"""The CLI corpus of ``make_cli_golden.py``: every run's ``#DATA`` lines,
-support values, stderr and exit code equal the committed golden file.
+"""The CLI corpus of ``make_cli_golden.py``: every run's exit code, full
+stdout and stderr equal the committed golden file.
 
-Any change to parsing, evaluation, derivatives or the checkers that moves
-one printed digit of one run shows up here, named by run.  A change that
-moves output on purpose regenerates the file with that script and lists
-the moved runs.
+Any change to parsing, evaluation, derivatives, the checkers or the report
+that moves one printed character of one run shows up here, under the test
+id of the run's problem file and named by run.  A change that moves output
+on purpose regenerates the file with that script and lists the moved runs.
 """
 
 import json
 
-from make_cli_golden import GOLDEN, corpus, outcome
+import pytest
+
+from make_cli_golden import FILES, GOLDEN, corpus, outcome
 
 EXPECTED = json.loads(GOLDEN.read_text())
+RUNS = corpus()
 
 
 def test_the_golden_file_covers_the_corpus():
-    assert sorted(EXPECTED) == sorted(corpus())
+    assert sorted(EXPECTED) == sorted(RUNS)
 
 
-def test_every_run_matches_the_golden_file():
-    differing = [
-        name
-        for name, argv in corpus().items()
-        if name in EXPECTED and outcome(argv) != EXPECTED[name]
-    ]
-    assert differing[:5] == [], f"{len(differing)} of {len(EXPECTED)} runs differ"
+@pytest.mark.parametrize("name", FILES)
+def test_every_run_matches_the_golden_file(name):
+    runs = {key: argv for key, argv in RUNS.items() if name in argv}
+    differing = [key for key, argv in runs.items() if outcome(argv) != EXPECTED.get(key)]
+    assert not differing, f"{len(differing)} of {len(runs)} runs differ: {'; '.join(differing)}"

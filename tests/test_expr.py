@@ -232,7 +232,7 @@ class TestFlatChains:
 class TestEval:
     def test_dimension_mismatch(self):
         ast = parse("x1 + 1", 2)
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=r"^x of shape \(1,\) is not a point of 2 entries$"):
             evaluate(ast, [1.0])
 
     def test_division_by_zero(self):

@@ -18,7 +18,9 @@ from ivwsm import (
     Tag,
     cone_ball_support,
     dir_derivatives,
+    evaluate,
     is_subgradient,
+    is_subgradient_directional,
     parse,
     subdiff_support,
 )
@@ -87,6 +89,13 @@ ERRORS = {
         "d of shape (2, 2) is not a direction of 2 entries"),
     "ivector-2d-endpoints": (lambda: IVector(np.zeros((1, 2)), np.ones((1, 2))),
                              "expected a 1-d array, got shape (1, 2)"),
+    # a candidate subgradient of another dimension than F, before any evaluation
+    "subgradient-dimension": (
+        lambda: is_subgradient(F2, [0, 0], IVector.zeros(3), np.zeros((3, 2))),
+        "g has dimension 3, F has dimension 2"),
+    "subgradient-directional-dimension": (
+        lambda: is_subgradient_directional(F2, [0, 0], IVector.zeros(3), np.zeros((3, 2))),
+        "g has dimension 3, F has dimension 2"),
     "subgradient-xbar-outside": (
         lambda: is_subgradient(RestrictedIvf(vee_ivf(), cube(1, 0, 1)), [-0.5],
                                IVector.zeros(1), [[0.5]]),
@@ -111,6 +120,10 @@ ERRORS = {
                                       "x of shape (1,) is not a point of 2 entries"),
     "opaque-value-point-length": (lambda: OPAQUE2.value([0.5]),
                                   "x of shape (1,) is not a point of 2 entries"),
+    "evaluate-scalar-point": (lambda: evaluate(parse("x1", 1), 5.0),
+                              "x of shape () is not a point of 1 entries"),
+    "evaluate-point-of-one-row": (lambda: evaluate(parse("x1", 1), [[1.0]]),
+                                  "x of shape (1, 1) is not a point of 1 entries"),
     "expr-value-point-length": (lambda: F2.value([0.5]),
                                 "x of shape (1,) is not a point of 2 entries"),
     "value-three-vector": (lambda: F2.value([0.5, 0.5, 0.5]),
