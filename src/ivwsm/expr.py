@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .geometry import require_vector
+from .geometry import IEEE, require_vector
 
 #: One instruction: the opcode and its argument, which is the float64
 #: constant of ``const``, the 0-based column of ``var``, the exponent of
@@ -75,17 +75,17 @@ class ExprAst:
         the grid, with the bits and errors of :meth:`rows` on its points."""
         return grid.fill(self._run(grid.columns))
 
+    @IEEE
     def _run(self, columns) -> np.ndarray:
         """The tape's value, variable k read as ``columns[k]`` (a scalar
         for a tape of constants only)."""
         stack = []
-        # inf and NaN propagate silently, as in Python float arithmetic
-        with np.errstate(all="ignore"):
-            for opcode, arg in self.tape:
-                _RULES[opcode](stack, arg, columns)
+        for opcode, arg in self.tape:
+            _RULES[opcode](stack, arg, columns)
         (value,) = stack
         return value
 
+    @IEEE
     def tangent_rows(self, points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The m values of the expression at the rows of an (m, n) array of
         points, and its exact one-sided derivatives along the matching rows
@@ -93,15 +93,12 @@ class ExprAst:
         and then its tangent rule (:data:`_TANGENTS`) on the operands' values."""
         stack, tangents = [], []
         columns = points.T
-        with np.errstate(all="ignore"):
-            for opcode, arg in self.tape:
-                first = len(stack) - _ARITY.get(opcode, arg)
-                operands, operand_tangents = stack[first:], tangents[first:]
-                del tangents[first:]
-                _RULES[opcode](stack, arg, columns)
-                tangents.append(
-                    _TANGENTS[opcode](arg, operands, stack[-1], operand_tangents, dirs)
-                )
+        for opcode, arg in self.tape:
+            first = len(stack) - _ARITY.get(opcode, arg)
+            operands, operand_tangents = stack[first:], tangents[first:]
+            del tangents[first:]
+            _RULES[opcode](stack, arg, columns)
+            tangents.append(_TANGENTS[opcode](arg, operands, stack[-1], operand_tangents, dirs))
         (value,), (tangent,) = stack, tangents
         m = len(points)
         return (

@@ -23,6 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
+#: The floating-point policy of every kernel that computes on the user's
+#: magnitudes: a result past the float range is inf, an invalid one NaN,
+#: and no warning is printed; a margin so made reads as a failure.  It is
+#: applied only as a decorator, since one ``np.errstate`` cannot be entered
+#: twice by ``with``.
+IEEE = np.errstate(all="ignore")
+
 #: Per-axis tolerance for box membership.  Grid points generated from box
 #: bounds must test as members despite float rounding.
 MEMBER_TOL = 1e-12

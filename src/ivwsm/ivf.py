@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .expr import format_point, parse
-from .geometry import BoxSet, GridAxes, require_vector, row_norms
+from .geometry import IEEE, BoxSet, GridAxes, require_vector, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 
 Endpoint = Callable[[np.ndarray], float]
@@ -507,6 +507,7 @@ def convexity_check(f: Ivf, samples: int, seed: int) -> Optional[ConvexityCounte
     )
 
 
+@IEEE
 def lipschitz_estimate(f: Ivf, samples: int, seed: int) -> float:
     """Max sampled ratio ||F(x) gh- F(y)|| / ||x - y||.
 
@@ -524,6 +525,5 @@ def lipschitz_estimate(f: Ivf, samples: int, seed: int) -> float:
     lo_vals, hi_vals = endpoint_rows(f, pairs.reshape(-1, n))
     d_lo = lo_vals[0::2] - lo_vals[1::2]
     d_hi = hi_vals[0::2] - hi_vals[1::2]
-    with np.errstate(over="ignore"):  # a ratio past the float range reads inf
-        ratios = np.maximum(np.abs(d_lo), np.abs(d_hi)) / gaps
+    ratios = np.maximum(np.abs(d_lo), np.abs(d_hi)) / gaps
     return float(ratios.max(initial=0.0))

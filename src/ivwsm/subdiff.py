@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .geometry import IEEE
 from .intervals import is_finite
 from .ivectors import IVector
 from .ivf import GRAD_MATCH_RTOL, Ivf, RestrictedIvf, endpoint_rows
@@ -73,6 +74,7 @@ def _gh_diff_rows(
     return lo, hi
 
 
+@IEEE
 def subgradient_margins(
     h: np.ndarray,
     g_los: np.ndarray,
@@ -92,14 +94,13 @@ def subgradient_margins(
     pass ``rhs_lo <= rhs_hi``, and subtracting the same s keeps that order
     after rounding, so this equals ``min(rhs_lo - s, rhs_hi - s)`` bit for
     bit.  Products that overflow give -inf or NaN margins, which read as
-    failures, so they pass silently.
+    failures.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1 = h @ g_los
-        if g_los is g_his or np.array_equal(g_los, g_his):
-            return rhs_lo - s1
-        s2 = h @ g_his
-        return np.minimum(rhs_lo - np.minimum(s1, s2), rhs_hi - np.maximum(s1, s2))
+    s1 = h @ g_los
+    if g_los is g_his or np.array_equal(g_los, g_his):
+        return rhs_lo - s1
+    s2 = h @ g_his
+    return np.minimum(rhs_lo - np.minimum(s1, s2), rhs_hi - np.maximum(s1, s2))
 
 
 def _membership(margins: np.ndarray, rows: np.ndarray, slack: float) -> MembershipResult:

@@ -33,11 +33,12 @@ Dual-e's directions repeat within a face, and dual-b's point-route pairs
 repeat across the grid (a pair reads its point only through F there and
 the coordinates its member does not zero); each distinct row or pair is
 tested once, in first-occurrence order, and every repeat still counts as
-a sample.  The definition checker and the modulus
-bisection read the same per-point margins
-(``_Context.definition_margins``), and they and dual-f read the same
-distances to Sbar (``_Context.dists``).  A NaN margin is never skipped: it
-is reported as the worst margin and fails.
+a sample.  Every margin but those of dual-b's point route is a - alpha * b
+for arrays a and b that do not depend on alpha, computed by ``_margins``:
+the definition checker and the modulus bisection read the same pair
+(``_Context.gaps`` and ``_Context.dists``), and dual-f the same distances
+to Sbar.  A NaN margin is never skipped: it is reported as the worst
+margin and fails, and a margin past the float range is -inf.
 
 The context holds the feasible grid by its axes (``_Context.s_axes``):
 its endpoint values and distances to Sbar are elementwise work on the
@@ -57,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import BoxSet, GridAxes, OrthantCone, dist_to_cone, group_rows, row_norms
+from .geometry import IEEE, BoxSet, GridAxes, OrthantCone, dist_to_cone, group_rows, row_norms
 from .ivf import (
     Ivf,
     convexity_check,
@@ -291,8 +292,7 @@ class _Context:
         builds it again."""
         if self._primal_worst[0] != alpha:
             table = self.tangent_dists[self.faces[0]]
-            table *= alpha
-            np.subtract(self.deriv_lo, table, out=table)
+            _margins(self.deriv_lo, table, alpha, out=table)
             i, j = divmod(int(np.argmin(table)), table.shape[1])
             self._primal_worst = alpha, (float(table[i, j]), i, j)
         return self._primal_worst[1]
@@ -300,17 +300,11 @@ class _Context:
     @cached_property
     def gaps(self) -> np.ndarray:
         """The smaller endpoint gap g(x) - max of g over the candidate grid,
-        g either endpoint, at each feasible grid point."""
+        g either endpoint, at each feasible grid point.  As rounding is
+        monotone, ``_margins(gaps, dists, alpha)`` is the smaller of the two
+        endpoint margins of the defining inequality bit for bit."""
         gaps = np.subtract(self.flo_s, self.flo_sbar.max())
         return np.minimum(gaps, self.fhi_s - self.fhi_sbar.max(), out=gaps)
-
-    def definition_margins(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Margin of the defining inequality at each feasible grid point,
-        gap - alpha * dist(x, Sbar), written into ``out`` when given.  As
-        rounding is monotone, this is the smaller of the two endpoint
-        margins bit for bit."""
-        out = np.multiply(self.dists, alpha, out=out)
-        return np.subtract(self.gaps, out, out=out)
 
     def report(self, checker, margin, witness, labels, samples) -> WsmReport:
         tol = self.margin_tol
@@ -327,6 +321,13 @@ class _Context:
         )
 
 
+@IEEE
+def _margins(a, b, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a - alpha * b, written into ``out`` when given (which may be b)."""
+    return np.subtract(a, np.multiply(b, alpha, out=out), out=out)
+
+
+@IEEE
 def _distances(grid: GridAxes, box: BoxSet) -> np.ndarray:
     """dist(x, box) at each point of the grid, from its columns' offsets to
     their clamps into the box: the bits of ``np.linalg.norm(points -
@@ -387,12 +388,10 @@ def check_definition(p: WsmProblem) -> WsmReport:
     the candidate point where that endpoint attains M.
     """
     ctx = p.context()
-    with np.errstate(over="ignore"):  # an overflow gives a -inf margin, a failure
-        margins = ctx.definition_margins(p.alpha)
-        i = int(np.argmin(margins))
-        t = p.alpha * ctx.dists[i]
-    margin_lo = ctx.flo_s[i] - ctx.flo_sbar.max() - t
-    margin_hi = ctx.fhi_s[i] - ctx.fhi_sbar.max() - t
+    margins = _margins(ctx.gaps, ctx.dists, p.alpha)
+    i = int(np.argmin(margins))
+    margin_lo = _margins(ctx.flo_s[i] - ctx.flo_sbar.max(), ctx.dists[i], p.alpha)
+    margin_hi = _margins(ctx.fhi_s[i] - ctx.fhi_sbar.max(), ctx.dists[i], p.alpha)
     j = int(np.argmax(ctx.flo_sbar if margin_lo <= margin_hi else ctx.fhi_sbar))
     witness = (ctx.sbar_grid[j].copy(), ctx.s_axes.point(i))
     samples = len(ctx.dists) * len(ctx.sbar_grid)
@@ -528,7 +527,7 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
     worst = _Worst()
     pairs = ((x, distinct[f]) for x, f in zip(ctx.sbar_grid, face_of) if len(distinct[f]))
     for _, points, dirs, deriv_lo, _ in point_block_derivatives(p.f, pairs):
-        worst.update_rows(deriv_lo - p.alpha * row_norms(dirs), points, dirs)
+        worst.update_rows(_margins(deriv_lo, row_norms(dirs), p.alpha), points, dirs)
     return ctx.report("dual-e", worst.margin, worst.witness, ("x", "d"), samples)
 
 
@@ -541,8 +540,7 @@ def check_dual_f(p: WsmProblem) -> WsmReport:
     q = ctx.proj
     far = ctx.dists > 1e-12
     deriv_lo, _ = dir_derivatives(p.f, q[far], ctx.s_grid[far] - q[far])
-    with np.errstate(over="ignore"):  # an overflow gives a -inf margin, a failure
-        worst.update_rows(deriv_lo - p.alpha * ctx.dists[far], ctx.s_grid[far], q[far])
+    worst.update_rows(_margins(deriv_lo, ctx.dists[far], p.alpha), ctx.s_grid[far], q[far])
     samples = len(ctx.s_grid)
     return ctx.report("dual-f", worst.margin, worst.witness, ("y", "p"), samples)
 
@@ -578,24 +576,22 @@ def estimate_modulus(p: WsmProblem) -> float:
     margins = np.empty_like(ctx.dists)
 
     def passes(alpha: float) -> bool:
-        return bool(ctx.definition_margins(alpha, margins).min() >= -p.margin_tol)
+        return bool(_margins(ctx.gaps, ctx.dists, alpha, margins).min() >= -p.margin_tol)
 
-    # an overflow of alpha * dist gives a -inf margin, a failure
-    with np.errstate(over="ignore"):
-        if not passes(1e-6):
-            return 0.0
-        lip = lipschitz_estimate(p.f, 400, p.seed)
-        hi = min(max(1.25 * lip, 1e-2), sys.float_info.max)
-        if passes(hi):
-            return hi
-        lo = 1e-6
-        while hi - lo > 1e-3:
-            # 0.5 * (lo + hi) bit for bit, without overflowing past 1e308
-            mid = 0.5 * lo + 0.5 * hi
-            if not lo < mid < hi:
-                break  # adjacent floats, which are more than 1e-3 apart past 4.5e12
-            if passes(mid):
-                lo = mid
-            else:
-                hi = mid
+    if not passes(1e-6):
+        return 0.0
+    lip = lipschitz_estimate(p.f, 400, p.seed)
+    hi = min(max(1.25 * lip, 1e-2), sys.float_info.max)
+    if passes(hi):
+        return hi
+    lo = 1e-6
+    while hi - lo > 1e-3:
+        # 0.5 * (lo + hi) bit for bit, without overflowing past 1e308
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break  # adjacent floats, which are more than 1e-3 apart past 4.5e12
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
     return lo
