@@ -239,7 +239,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # "--at V" as "--at=V": argparse reads a V that starts with '-' and is
+    # not a plain decimal (-1e-5) as an option
+    joined = []
+    for a in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--at", "--probe"):
+            joined[-1] += f"={a}"
+        else:
+            joined.append(a)
+    args = _parser().parse_args(joined)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

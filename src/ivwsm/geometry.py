@@ -69,15 +69,24 @@ def require_vector(a, n: int, name: str, kind: str) -> np.ndarray:
     return a
 
 
+@IEEE
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (m, n) array, or of one vector.
 
     Each row is one dot product, so the result equals ``np.linalg.norm`` of
     that row bit for bit (``np.linalg.norm(rows, axis=1)`` sums in another
-    order and can differ in the last bit).
+    order and can differ in the last bit).  A row of finite entries whose
+    square overflows is first divided by its largest magnitude (Blue, ACM
+    TOMS 4(1), 1978), so its norm is inf only past the float range.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
-    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+    norms = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+    over = np.isinf(norms)
+    if over.any():
+        over &= np.isfinite(rows).all(axis=-1)
+        scale = np.abs(rows).max(axis=-1)
+        norms = np.where(over, scale * row_norms(rows / scale[..., None]), norms)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,7 @@ class BoxSet:
     lo: np.ndarray
     hi: np.ndarray
 
+    @IEEE
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).copy()
         hi = np.asarray(self.hi, dtype=float).copy()
@@ -160,6 +170,8 @@ class BoxSet:
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box has lo > hi on some axis")
+        if not np.isfinite(hi - lo).all():
+            raise ValueError("box width hi - lo is past the float range on some axis")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)

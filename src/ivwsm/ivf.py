@@ -19,8 +19,8 @@ same InfeasibleDirectionError where a direction leaves the domain at once
 smallest upper or the largest lower bound, or a direction is infinite),
 and both raise ValueError naming the point and direction of a derivative
 that is not finite.  An analytic callback's result without real ``lo``
-and ``hi`` raises ValueError naming them too, and an error raised inside
-the callback gains a note naming them.
+and ``hi``, or with ``lo`` above ``hi``, raises ValueError naming them too,
+and an error raised inside the callback gains a note naming them.
 
 The kernels work on ``(m, n)`` arrays of points and directions:
 :func:`endpoint_rows` evaluates every row in one call when the endpoints
@@ -398,7 +398,12 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
                         lambda i: f"analytic_dir_deriv at x={format_point(points[i])} "
                                   f"along d={format_point(dirs[i])}",
                         ("lo", "hi"), "an interval with real lo and hi")
-        return tuple(_finite(end, points, dirs) for end in ends)
+        lo, hi = (_finite(end, points, dirs) for end in ends)
+        i = _first(lo > hi)
+        if i is not None:
+            raise ValueError(f"analytic_dir_deriv at x={format_point(points[i])} along "
+                             f"d={format_point(dirs[i])} returned lo={lo[i]} > hi={hi[i]}")
+        return lo, hi
     d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in tangents)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)

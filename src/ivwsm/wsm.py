@@ -331,9 +331,15 @@ def _margins(a, b, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray
 def _distances(grid: GridAxes, box: BoxSet) -> np.ndarray:
     """dist(x, box) at each point of the grid, from its columns' offsets to
     their clamps into the box: the bits of ``np.linalg.norm(points -
-    box.project(points), axis=1)``."""
+    box.project(points), axis=1)``, except at a point whose squared
+    distance overflows, which ``row_norms`` rescales."""
     offsets = [c - c.clip(lo, hi) for c, lo, hi in zip(grid.columns, box.lo, box.hi)]
-    return grid.fill(np.sqrt(_row_sum_order([offset * offset for offset in offsets])))
+    dists = grid.fill(np.sqrt(_row_sum_order([offset * offset for offset in offsets])))
+    over = np.isinf(dists)
+    if over.any():
+        points = grid.points()[over]
+        dists[over] = row_norms(points - box.project(points))
+    return dists
 
 
 def _row_sum_order(terms: list):

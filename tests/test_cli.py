@@ -324,6 +324,17 @@ class TestFileValueRules:
         problem = build_problem(parse_problem_text(_wide_problem(15)))
         assert grid_density(problem.s, problem.grid) == 2
 
+    @pytest.mark.parametrize("command", [["check"], ["modulus"], ["subdiff", "--at", "0"]])
+    def test_a_domain_wider_than_the_float_range_reports_its_line(self, tmp_path, capsys,
+                                                                  command):
+        path = tmp_path / "huge.txt"
+        path.write_text(VEE.format(alpha=0.2).replace("domain: -2 2", "domain: -1.5e308 1.5e308"))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: line 5: box width hi - lo is past the float range on some axis\n")
+        assert captured.out == ""
+
     def test_flag_overrides_a_bad_file_value(self, tmp_path, capsys):
         path = tmp_path / "grid1.txt"
         path.write_text(VEE.format(alpha=0.2) + "grid: 1\n")
@@ -631,6 +642,21 @@ class TestSubdiffCommand:
         assert "violated at x=" in out
         assert "violated along d=" in out
         assert "criteria agree: yes" in out
+
+    @pytest.mark.parametrize(
+        "at, probe", [("-1e-5", "-1e-1 1"), ("-1e-5,-5e-1", "-1e-1,1,-2,-1e-3")], ids=["1-d", "2-d"]
+    )
+    def test_a_negative_value_in_exponent_form(self, vee_file, poly_file, capsys, at, probe):
+        # argparse reads such a value as an option unless it follows "="
+        path = vee_file() if "," not in at else poly_file()
+        runs = [["--at", at, "--probe", probe], [f"--at={at}", f"--probe={probe}"]]
+        outcomes = []
+        for argv in runs:
+            code = main(["subdiff", path, *argv])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] in (0, 1) and outcomes[0][2] == ""
+        assert "#DATA probe_member=" in outcomes[0][1]
 
     def test_smooth_point_prints_singleton(self, vee_file, capsys):
         assert main(["subdiff", vee_file(), "--at", "0.7"]) == 0

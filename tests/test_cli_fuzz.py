@@ -6,9 +6,11 @@ exit 2 leaves stdout empty and prints one ``error:`` line; and no Python
 warning is emitted.  The files are 1-3 dimensional, with endpoints built
 from ``abs``, ``max`` and ``^`` of affine forms or from a weighted
 distance to Sbar (so that some problems are sharp), and they sample the
-extremes on purpose: alpha at 1e-300 and 1e308, degenerate boxes, Sbar on
-a face of S, ``--at`` on a face of S, and the flags ``--tol 0``, ``--tol
-nan``, ``--tol inf`` and ``--dirs 0``.  A second run of the fuzzer adds
+extremes on purpose: alpha at 1e-300 and 1e308, boxes scaled by 1e160 or
+1e300 (where squared distances overflow, and ``--at`` takes negative
+numbers in exponent form), degenerate boxes, Sbar on a face of S, ``--at``
+on a face of S, and the flags ``--tol 0``, ``--tol nan``, ``--tol inf``
+and ``--dirs 0``.  A second run of the fuzzer adds
 coefficients of 1e150 to 1e308.
 One mutation of a valid file may be drawn: an unknown key, a duplicate
 key, a stray character in an expression, or a non-number in a number key.
@@ -28,6 +30,8 @@ COEFFICIENTS = (-2, -1, -0.5, 0, 0.5, 1, 3)
 #: differences and derivatives overflow.
 MAGNITUDES = (1e150, -3e200, 1e250, -1e300, 4e307, 1.7e308)
 ALPHAS = ("1e-300", "0.001", "0.1", "0.5", "2", "1e308")
+#: Factors of every box: at 1e160 and 1e300 a squared distance overflows.
+SCALES = (1, 1e160, 1e300)
 #: Fractions of an enclosing box's width at which a sub-box's ends sit:
 #: 0 and 1 put them on its faces, equal draws make them degenerate.
 FRACTIONS = (0, 0.25, 0.5, 1)
@@ -73,10 +77,11 @@ def runs(draw, coefficients):
     """The text of one problem file, its affine forms' coefficients drawn
     from ``coefficients``, and the argument lists to run on it."""
     n = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from(SCALES))
     domain, s, sbar = [], [], []
     for _ in range(n):
-        lo = draw(st.sampled_from((-2, -1, 0)))
-        hi = lo + draw(st.sampled_from((1, 2, 4)))
+        lo = scale * draw(st.sampled_from((-2, -1, 0)))
+        hi = lo + scale * draw(st.sampled_from((1, 2, 4)))
         domain.append((lo, hi))
         s.append(sub_box(draw, lo, hi))
         sbar.append(sub_box(draw, *s[-1]))

@@ -14,7 +14,8 @@ the paper notion it reproduces; an entry that is read, or gone, is stale.
 Every public method or property of a package class must be read as an
 attribute by the package, its scripts, the tests or the benchmark harness,
 and every defaulted parameter of a package function or method must be set
-by some call there.
+by some call there.  The package builds one ``np.errstate``, its
+floating-point policy.
 """
 
 import ast
@@ -401,3 +402,29 @@ def test_the_check_finds_an_unset_parameter():
         "Box.grow.limit",
         "Box.empty.size",
     ]
+
+
+def errstate_calls(source: str) -> int:
+    """How many calls of ``errstate`` the source makes, as ``np.errstate``
+    or by the imported name."""
+    return sum(
+        isinstance(node, ast.Call)
+        and "errstate" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_the_floating_point_policy_has_one_home():
+    assert sum(errstate_calls(p.read_text()) for p in PACKAGE) == 1
+
+
+def test_the_check_counts_every_errstate():
+    source = (
+        "import numpy as np\n"
+        "from numpy import errstate\n"
+        "POLICY = np.errstate(all='ignore')\n"
+        "def f(x):\n"
+        "    with errstate(over='ignore'):\n"
+        "        return np.float64(x).errstate\n"
+    )
+    assert errstate_calls(source) == 2

@@ -908,6 +908,19 @@ class TestAnalyticContract:
             error = _message(lambda: checker(p))
             assert error[0] is ValueError and "is not finite" in error[1]
 
+    def test_a_lower_end_above_the_upper_names_its_row(self):
+        f = replace(vee_ivf(1.0, 2.0),
+                    analytic_dir_deriv=lambda x, d: SimpleNamespace(lo=5.0, hi=1.0))
+        assert _message(lambda: dir_derivatives(f, [[0.5]], [[-1.0]])) == (
+            ValueError, "analytic_dir_deriv at x=[0.5] along d=[-1.0] returned lo=5.0 > hi=1.0")
+        # every checker that reads the callback raises; primal, dual-e and
+        # dual-f read "holds" at margin 2 while the crossed ends passed
+        p = WsmProblem(f=f, s=cube(1, -1, 1), sbar=cube(1, 0, 0), alpha=3.0, grid=9)
+        for checker in (wsm.check_primal, wsm.check_dual_normal_cone, wsm.check_dual_e,
+                        wsm.check_dual_f):
+            error = _message(lambda: checker(p))
+            assert error[0] is ValueError and error[1].endswith("returned lo=5.0 > hi=1.0")
+
     @pytest.mark.parametrize("result, name", [((0.0, 1.0), "tuple"), (None, "NoneType"),
                                               (SimpleNamespace(lo="a", hi=1.0), "SimpleNamespace"),
                                               (SimpleNamespace(lo=0.0, hi=10**400),

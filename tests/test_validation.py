@@ -53,6 +53,9 @@ ERRORS = {
                   "box bounds must be equal-length nonempty vectors"),
     "box-inf": (lambda: BoxSet(np.zeros(1), np.array([INF])), "box bounds must be finite"),
     "box-nan": (lambda: BoxSet(np.array([NAN]), np.ones(1)), "box bounds must be finite"),
+    "box-wider-than-the-float-range": (
+        lambda: BoxSet(np.array([-1.5e308]), np.array([1.5e308])),
+        "box width hi - lo is past the float range on some axis"),
     "ivf-dimension": (lambda: Ivf(2, abs, abs, cube(1, -1, 1)),
                       "domain dimension does not match the declared dimension"),
     "parse-dimension-0": (lambda: parse("1", 0), "dimension must be >= 1"),

@@ -275,7 +275,11 @@ def materialized_context(p: WsmProblem) -> dict:
     flo, fhi = ivf.endpoint_rows(p.f, grid)
     ivf.endpoint_rows(p.f, p.sbar.grid(k))
     proj = p.sbar.project(grid)
-    dists = np.linalg.norm(grid - proj, axis=1)
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(grid - proj, axis=1)
+    # a squared distance past the float range is rescaled, as row_norms does
+    over = np.isinf(dists)
+    dists[over] = row_norms((grid - proj)[over])
     wsm.convexity_note(p.f, p.seed)
     return {"s_grid": grid, "flo_s": flo, "fhi_s": fhi, "proj": proj, "dists": dists}
 
