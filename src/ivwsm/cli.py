@@ -241,13 +241,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # "--at V" as "--at=V": argparse reads a V that starts with '-' and is
     # not a plain decimal (-1e-5) as an option
-    joined = []
-    for a in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] in ("--at", "--probe"):
-            joined[-1] += f"={a}"
-        else:
-            joined.append(a)
-    args = _parser().parse_args(joined)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--at", "--probe"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

@@ -252,6 +252,17 @@ class TestConeRows:
         rows = np.random.default_rng(n).normal(size=(500, n))
         assert [float(v) for v in row_norms(rows)] == [np.linalg.norm(r) for r in rows]
 
+    def test_a_row_whose_square_overflows_is_rescaled(self):
+        # the other rows keep their bits; a row past the float range, or
+        # with an infinite entry, is inf, and a NaN entry gives NaN
+        big = 2.0**600  # squared past the float range, and a power of 2
+        rows = np.array([[3 * big, -4 * big], [0.6, 0.8], [1.5e308, 1.5e308],
+                         [np.inf, 1.0], [np.nan, 1e200], [0.0, 0.0]])
+        norms = row_norms(rows)
+        assert norms[0] == 5 * big and norms[1] == np.linalg.norm(rows[1])
+        assert norms[2] == norms[3] == np.inf and np.isnan(norms[4]) and norms[5] == 0.0
+        assert row_norms(rows[0]) == 5 * big and row_norms(np.array([-1e300])) == 1e300
+
 
 class TestBoxColumnKernels:
     """Grid and projection, built one column at a time, equal the
