@@ -1,9 +1,11 @@
 """Command-line front end: run checkers on problem files, print reports.
 
 Exit codes: 0 when every checker run holds, 1 when any fails, 2 on input
-errors and on objectives that cannot be evaluated or differentiated at
-some point (division by zero, overflow, a non-finite value or derivative,
-a direction that leaves the domain at once); the message names the point.
+errors (a malformed command line among them, with one ``error:`` line and
+no usage block) and on objectives that cannot be evaluated or
+differentiated at some point (division by zero, overflow, a non-finite
+value or derivative, a direction that leaves the domain at once); the
+message names the point.
 Derivatives of problem files are exact, so a kink never makes them
 uncertain.  Besides the human-readable blocks, each checker emits one
 machine-readable line::
@@ -202,11 +204,20 @@ def _cmd_subdiff(args) -> int:
     return status
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser, and the parser of each subcommand, whose errors
+    raise ValueError, which ``main`` prints as one ``error:`` line before it
+    returns 2, instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The ``ivwsm`` argument parser, built on the first ``main`` call and
     kept for the process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ivwsm",
         description="verify weak sharp minima of interval-valued objectives",
     )
@@ -245,8 +256,8 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):
         if argv[i] in ("--at", "--probe"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

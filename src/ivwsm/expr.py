@@ -27,11 +27,14 @@ The parser emits a flat post-order tape of ``(opcode, arg)`` instructions
 :func:`evaluate` is a one-row call of it.  :meth:`ExprAst.on_grid` runs the
 same rules on a grid's broadcast axes, with the bits and errors of ``rows``
 on the grid's points; an objective's values come from ``ivf.endpoint_rows``
-by either route.  :meth:`ExprAst.tangent_rows` runs the same rules and,
-after each, a tangent rule (:data:`_TANGENTS`), which gives the exact
-one-sided directional derivative along a row of directions: every
-operation here is smooth or piecewise linear, so the derivative needs no
-difference quotient and no step.
+by either route.  :meth:`ExprAst.tangents` runs the same rules and, after
+each, a tangent rule (:data:`_TANGENTS`), which gives the exact one-sided
+directional derivative: every operation here is smooth or piecewise
+linear, so the derivative needs no difference quotient and no step.  It
+reads variable k and its direction from two lists of columns that
+broadcast together, such as a grid's axes and a trailing axis of
+directions; :meth:`ExprAst.tangent_rows` calls it on the columns of
+``(m, n)`` rows of points and directions.
 """
 
 from __future__ import annotations
@@ -85,26 +88,34 @@ class ExprAst:
         (value,) = stack
         return value
 
-    @IEEE
     def tangent_rows(self, points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The m values of the expression at the rows of an (m, n) array of
         points, and its exact one-sided derivatives along the matching rows
-        of dirs: one pass that runs each instruction's rule (:data:`_RULES`)
-        and then its tangent rule (:data:`_TANGENTS`) on the operands' values."""
-        stack, tangents = [], []
-        columns = points.T
-        for opcode, arg in self.tape:
-            first = len(stack) - _ARITY.get(opcode, arg)
-            operands, operand_tangents = stack[first:], tangents[first:]
-            del tangents[first:]
-            _RULES[opcode](stack, arg, columns)
-            tangents.append(_TANGENTS[opcode](arg, operands, stack[-1], operand_tangents, dirs))
-        (value,), (tangent,) = stack, tangents
+        of dirs: :meth:`tangents` on their columns."""
+        value, tangent = self.tangents(points.T, dirs.T)
         m = len(points)
         return (
             value if np.ndim(value) else np.full(m, value),
             tangent if np.ndim(tangent) else np.full(m, tangent),
         )
+
+    @IEEE
+    def tangents(self, columns, dir_columns) -> tuple[np.ndarray, np.ndarray]:
+        """The tape's value and its exact one-sided derivative, variable k
+        read as ``columns[k]`` and its direction as ``dir_columns[k]`` (scalars
+        for a tape of constants only): one pass that runs each instruction's
+        rule (:data:`_RULES`) and then its tangent rule (:data:`_TANGENTS`)
+        on the operands' values."""
+        stack, tangents = [], []
+        for opcode, arg in self.tape:
+            first = len(stack) - _ARITY.get(opcode, arg)
+            operands, operand_tangents = stack[first:], tangents[first:]
+            del tangents[first:]
+            _RULES[opcode](stack, arg, columns)
+            tangents.append(_TANGENTS[opcode](arg, operands, stack[-1], operand_tangents,
+                                              dir_columns))
+        (value,), (tangent,) = stack, tangents
+        return value, tangent
 
 
 def format_point(x) -> str:
@@ -352,7 +363,7 @@ _RULES = {
 # the extremum of the derivatives of the arguments tied with the result.  A
 # constant's derivative is the scalar 0.0.  A rule's arguments (k, v, r, t,
 # d) are the instruction's arg, the operands' values, the result, the
-# operands' derivatives and the direction rows.
+# operands' derivatives and the direction columns.
 
 
 def _extremum_tangent(pick, untied):
@@ -366,7 +377,7 @@ _ARITY = {"const": 0, "var": 0, "neg": 1, "abs": 1, "^": 1, "+": 2, "-": 2, "*":
 
 _TANGENTS = {
     "const": lambda k, v, r, t, d: 0.0,
-    "var": lambda k, v, r, t, d: d[:, k].copy(),
+    "var": lambda k, v, r, t, d: d[k].copy(),
     "neg": lambda k, v, r, t, d: -t[0],
     "abs": lambda k, v, r, t, d: np.where(v[0] == 0.0, abs(t[0]), np.sign(v[0]) * t[0]),
     "+": lambda k, v, r, t, d: t[0] + t[1],

@@ -30,6 +30,8 @@ import numpy as np
 #: twice by ``with``.
 IEEE = np.errstate(all="ignore")
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 #: Per-axis tolerance for box membership.  Grid points generated from box
 #: bounds must test as members despite float rounding.
 MEMBER_TOL = 1e-12
@@ -61,15 +63,19 @@ def _cone_bounds(tags: tuple[Tag, ...]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return lo, hi, codes == Tag.ZERO
 
 
+def entries(n: int) -> str:
+    """"n entries", singular for one, as shape errors count them."""
+    return "1 entry" if n == 1 else f"{n} entries"
+
+
 def require_vector(a, n: int, name: str, kind: str) -> np.ndarray:
     """a as an (n,) float array, once ValueError has rejected another shape."""
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
-        raise ValueError(f"{name} of shape {a.shape} is not a {kind} of {n} entries")
+        raise ValueError(f"{name} of shape {a.shape} is not a {kind} of {entries(n)}")
     return a
 
 
-@IEEE
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (m, n) array, or of one vector.
 
@@ -77,15 +83,36 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     that row bit for bit (``np.linalg.norm(rows, axis=1)`` sums in another
     order and can differ in the last bit).  A row of finite entries whose
     square overflows is first divided by its largest magnitude (Blue, ACM
-    TOMS 4(1), 1978), so its norm is inf only past the float range.
+    TOMS 4(1), 1978), so its norm is inf only past the float range.  Rows
+    whose largest magnitude squared, times n, stays below half the float
+    range cannot overflow: they skip the floating-point policy, whose
+    entry costs as much as the norm of one short vector (a NaN row's norm
+    is NaN on either path).
     """
     rows = np.ascontiguousarray(rows, dtype=float)
-    norms = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+    flat = rows.ravel()
+    # Python's max scans a short vector faster than a NumPy reduction
+    short = len(flat) <= 8
+    top = max(map(abs, flat.tolist()), default=0.0) if short else float(np.abs(flat).max())
+    if top * top * rows.shape[-1] < _FLOAT_MAX / 2:
+        return _dot_norms(rows)
+    return _rescued_norms(rows)
+
+
+def _dot_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+
+
+@IEEE
+def _rescued_norms(rows: np.ndarray) -> np.ndarray:
+    """:func:`row_norms` under the floating-point policy, rescaling the
+    rows whose square overflows."""
+    norms = _dot_norms(rows)
     over = np.isinf(norms)
     if over.any():
         over &= np.isfinite(rows).all(axis=-1)
         scale = np.abs(rows).max(axis=-1)
-        norms = np.where(over, scale * row_norms(rows / scale[..., None]), norms)
+        norms = np.where(over, scale * _dot_norms(rows / scale[..., None]), norms)
     return norms
 
 
@@ -204,11 +231,17 @@ class BoxSet:
         """
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
-        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            column = out[..., j]
-            np.clip(x[..., j], lo, hi, out=column)
-            if hi == 0 or lo == 0:
-                column[column == 0] = hi if hi == 0 else lo
+        for j in range(self.dimension):
+            self.clip_axis(j, x[..., j], out[..., j])
+        return out
+
+    def clip_axis(self, j: int, x: np.ndarray, out=None) -> np.ndarray:
+        """Coordinate j of :meth:`project`: the array x clipped into the
+        box's bounds on axis j, written into ``out`` when given."""
+        lo, hi = self.lo[j], self.hi[j]
+        out = np.clip(x, lo, hi, out=np.empty_like(x) if out is None else out)
+        if hi == 0 or lo == 0:
+            out[out == 0] = hi if hi == 0 else lo
         return out
 
     def face_codes(self, x: Sequence[float]) -> np.ndarray:

@@ -7,7 +7,7 @@ check probes.  One-sided directional derivatives of the endpoints exist
 everywhere for convex endpoints; the interval-valued directional
 derivative is the interval spanned by the two endpoint derivatives.
 
-One function (``_block_kernel``) chooses each derivative's route, of two:
+One function (``_block_kernel``) chooses the route of each block of rows:
 a supplied analytic derivative, called per row, or exact one-sided
 derivatives from one pass over the tapes, kinks included, for endpoints
 that both carry a tangent form (a parsed expression's
@@ -31,8 +31,12 @@ endpoints once per row.  It also takes a grid by its axes
 :func:`endpoint_rows`, the one home of the rules that make it an interval
 (finite endpoints no larger than :data:`ENDPOINT_MAX`, lower not above
 upper), and every derivative from :func:`dir_derivatives` or, for (point,
-directions) pairs, :func:`point_block_derivatives`, which the checkers'
-derivative table and dual-e read.  These kernels take rows of n entries
+directions) pairs, :func:`point_block_derivatives`, which dual-e and,
+on the analytic route, the checkers' derivative table read; on the exact
+route, that table and dual-f read :func:`grid_derivatives`, one tape pass
+per endpoint and block of directions over a grid's broadcast columns,
+and fall back to the row kernels, which give the same bits and every
+error, where it gives None.  The row kernels take rows of n entries
 and points as given, since the checkers pass points of S.  The one-point
 methods :meth:`Ivf.value` and :meth:`Ivf.dir_deriv` take (n,) arrays,
 raise DomainError outside the domain and are otherwise one-row calls, and
@@ -40,7 +44,8 @@ raise DomainError outside the domain and are otherwise one-row calls, and
 :meth:`RestrictedIvf.dir_derivs`, which gives +inf along directions that
 leave the feasible set; the checkers' table ``wsm._Context.deriv_lo``
 applies that rule once per face of the candidate grid.  Blocks of at most
-:data:`ROW_BLOCK` rows keep the temporary arrays of one call bounded.
+:data:`ROW_BLOCK` rows, or of directions whose columns broadcast to at most
+that many entries, keep the temporary arrays of one call bounded.
 
 A block costs a fixed number of NumPy calls, so their per-call and per-row
 overheads are its cost: the exact route makes one tape pass per endpoint.
@@ -54,6 +59,7 @@ lists once per block and direction array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
@@ -61,8 +67,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .expr import format_point, parse
-from .geometry import IEEE, BoxSet, GridAxes, require_vector, row_norms
+from .expr import ExprAst, format_point, parse
+from .geometry import IEEE, BoxSet, GridAxes, entries, require_vector, row_norms
 from .intervals import PLUS_INF, ExtInterval, Interval
 
 Endpoint = Callable[[np.ndarray], float]
@@ -82,7 +88,9 @@ ENDPOINT_MAX = np.finfo(float).max / 2
 #: size of the chord's terms (and absolute below size 1).
 CONVEXITY_TOL = 1e-9
 #: Most (point, direction) rows one batched derivative kernel call takes;
-#: longer calls run block by block.
+#: longer calls run block by block.  :func:`grid_derivatives` takes as many
+#: directions per tape pass as keep the columns it reads within this many
+#: entries, and one direction where the points alone exceed it.
 ROW_BLOCK = 2048
 
 
@@ -216,7 +224,7 @@ def _require_rows(a, n: int, what: str) -> np.ndarray:
     """a as (m, n) float rows, (n,) as one, once ValueError has rejected another shape."""
     a = np.asarray(a, dtype=float)
     if a.ndim > 2 or a.shape[-1:] != (n,):
-        raise ValueError(f"{what} of shape {a.shape} are not rows of {n} entries")
+        raise ValueError(f"{what} of shape {a.shape} are not rows of {entries(n)}")
     return a.reshape(-1, n)
 
 
@@ -307,7 +315,7 @@ def endpoint_rows(f: Ivf, points) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(points, GridAxes):
         if len(points.axes) != f.dimension:
             raise ValueError(f"a grid of dimension {len(points.axes)} has no points of "
-                             f"{f.dimension} entries")
+                             f"{entries(f.dimension)}")
         # expression endpoints run on the axes, others on the points
         point = points.point
         lo, hi = (
@@ -407,6 +415,46 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
     d_lo, d_hi = (_finite(g(points, dirs)[1], points, dirs) for g in tangents)
     # min/max(d_lo, d_hi) with Python's first-wins semantics
     return np.where(d_hi < d_lo, d_hi, d_lo), np.where(d_hi > d_lo, d_hi, d_lo)
+
+
+def grid_derivatives(f: Ivf, columns: list, dir_columns: list) -> Optional[np.ndarray]:
+    """The lower end of the interval derivative at each entry of the
+    broadcast of the point columns and the direction columns, variable k
+    read as ``columns[k]`` and its direction as ``dir_columns[k]``, whose
+    last axis numbers the directions: the exact route's bits on the rows
+    the entries stand for, from one pass of each endpoint's tape
+    (:meth:`~ivwsm.expr.ExprAst.tangents`) per block of directions.  A
+    block is as wide as keeps the broadcast of the columns the tapes read
+    within :data:`ROW_BLOCK` entries, and one direction at least.
+
+    None where the rows need the row route, which then gives their result
+    or error: for an analytic derivative or an endpoint that is not a
+    parsed expression, a point not strictly inside the domain or an
+    infinite direction (rows ``_require_feasible`` would scan), a tape that
+    raises, and a tangent of either endpoint that is not finite."""
+    ends = (f.lower, f.upper)
+    if f.analytic_dir_deriv is not None or not all(isinstance(g, ExprAst) for g in ends):
+        return None
+    lo, hi = f.domain.lo.max(), f.domain.hi.min()
+    if not all(lo < c.min() and c.max() < hi for c in columns) or any(
+            np.isinf(d).any() for d in dir_columns):
+        return None
+    read = {k for g in ends for opcode, k in g.tape if opcode == "var"}
+    read_points = np.broadcast_shapes(*(np.shape(c[k])[:-1] for c in (columns, dir_columns)
+                                        for k in read))
+    width = max(1, ROW_BLOCK // math.prod(read_points))
+    table = np.empty(np.broadcast_shapes(*map(np.shape, columns), *map(np.shape, dir_columns)))
+    try:
+        for j in range(0, table.shape[-1], width):
+            block = [d[..., j : j + width] for d in dir_columns]
+            d_lo, d_hi = (g.tangents(columns, block)[1] for g in ends)
+            if not (np.isfinite(d_lo).all() and np.isfinite(d_hi).all()):
+                return None
+            # min(d_lo, d_hi) with Python's first-wins semantics
+            table[..., j : j + width] = np.where(d_hi < d_lo, d_hi, d_lo)
+    except ArithmeticError:  # the tapes' EvalError and OverflowError
+        return None
+    return table
 
 
 def dir_derivatives(

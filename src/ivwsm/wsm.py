@@ -21,8 +21,13 @@ so the reports equal a pair-by-pair scan.  The primal and dual-b checkers
 share one table of restricted directional derivatives, built on first use,
 and one table of margins (dual-b's support route is primal's table, by
 Moreau's decomposition), whose worst entry at one alpha both read from
-one build; dual-e takes its derivatives in blocks of candidate points,
-dual-f in one call.  The cones of S and Sbar at a candidate point depend
+one build.  On the exact route that table comes from tangent-tape passes
+over the broadcast axes of Sbar's grid with a trailing direction axis,
+and dual-f's derivatives from one pass over S's axes and their clips into
+Sbar (``ivf.grid_derivatives``); otherwise the table is built in blocks of
+candidate points and dual-f's derivatives in one call, the row route,
+which also gives every error.  Dual-e takes its derivatives in blocks of
+candidate points.  The cones of S and Sbar at a candidate point depend
 on it only through its face codes, from which ``_Context.faces`` builds
 them once per face; so are the feasible directions, cone distances and
 dual-b's members (from ``_unit_members``).  Dual-e's directions depend on
@@ -44,7 +49,8 @@ The context holds the feasible grid by its axes (``_Context.s_axes``):
 its endpoint values and distances to Sbar are elementwise work on the
 broadcast axes, with the bits of that work on the grid's rows.  The
 ``(N, n)`` grid and its projection onto Sbar are built only for dual-b and
-dual-f, never for the definition checker or the modulus bisection.
+for dual-f's row route, never for the definition checker or the modulus
+bisection.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from .ivf import (
     convexity_check,
     dir_derivatives,
     endpoint_rows,
+    grid_derivatives,
     lipschitz_estimate,
     point_block_derivatives,
 )
@@ -213,7 +220,8 @@ class _Context:
             notes.append(f"grid density reduced to {k} points per axis (cap {GRID_CAP})")
         self.grid_per_axis = k
         self.s_axes = p.s.grid_axes(k)
-        self.sbar_grid = p.sbar.grid(k)
+        self.sbar_axes = p.sbar.grid_axes(k)
+        self.sbar_grid = self.sbar_axes.points()
         self.flo_s, self.fhi_s = endpoint_rows(p.f, self.s_axes)
         self.flo_sbar, self.fhi_sbar = endpoint_rows(p.f, self.sbar_grid)
         self.dists = _distances(self.s_axes, p.sbar)
@@ -263,9 +271,18 @@ class _Context:
         """Lower endpoint of the restricted directional derivative, one row
         per candidate grid point and one column per direction; +inf where
         the direction leaves S (found once per face).  Built on first use,
-        block by block into this one array: the upper end is never kept."""
+        block by block into this one array: the upper end is never kept.
+        The exact route runs on Sbar's grid axes with a trailing direction
+        axis; the row route takes each point's feasible directions."""
         face_of, cones = self.faces
         inside = np.array([t_s.contains(self.dirs) for t_s, _ in cones])
+        ones = (1,) * len(self.sbar_axes.shape)
+        lo = grid_derivatives(self.f, [c[..., None] for c in self.sbar_axes.columns],
+                              [d.reshape(*ones, -1) for d in self.dirs.T])
+        if lo is not None:
+            lo = lo.reshape(len(face_of), -1)
+            lo[~inside[face_of]] = np.inf
+            return lo
         face_dirs = [self.dirs[mask] for mask in inside]
         lo = np.full((len(face_of), len(self.dirs)), np.inf)
         pairs = ((x, face_dirs[f]) for x, f in zip(self.sbar_grid, face_of))
@@ -540,15 +557,28 @@ def check_dual_e(p: WsmProblem) -> WsmReport:
 def check_dual_f(p: WsmProblem) -> WsmReport:
     """Growth along projection rays: for each feasible grid point y with
     projection q onto the candidate set, alpha*dist(y, Sbar) must be
-    dominated by the directional derivative at q along y - q."""
+    dominated by the directional derivative at q along y - q.  The exact
+    route runs on the columns of S's grid and their clips into Sbar, which
+    are the projections' columns; the row route takes the rows with
+    dist(y, Sbar) > 1e-12."""
     ctx = p.context()
-    worst = _Worst()
-    q = ctx.proj
     far = ctx.dists > 1e-12
-    deriv_lo, _ = dir_derivatives(p.f, q[far], ctx.s_grid[far] - q[far])
-    worst.update_rows(_margins(deriv_lo, ctx.dists[far], p.alpha), ctx.s_grid[far], q[far])
-    samples = len(ctx.s_grid)
-    return ctx.report("dual-f", worst.margin, worst.witness, ("y", "p"), samples)
+    columns = ctx.s_axes.columns
+    clips = [p.sbar.clip_axis(k, c) for k, c in enumerate(columns)]
+    deriv_lo = grid_derivatives(p.f, [q[..., None] for q in clips],
+                                [(c - q)[..., None] for c, q in zip(columns, clips)])
+    if deriv_lo is None:
+        q = ctx.proj[far]
+        deriv_lo, _ = dir_derivatives(p.f, q, ctx.s_grid[far] - q)
+    else:
+        deriv_lo = deriv_lo.reshape(-1)[far]
+    margins = _margins(deriv_lo, ctx.dists[far], p.alpha)
+    margin, witness = math.inf, None
+    if len(margins):
+        i = int(np.argmin(margins))  # the first minimum, or the first NaN
+        y = ctx.s_axes.point(int(np.flatnonzero(far)[i]))
+        margin, witness = float(margins[i]), (y, p.sbar.project(y))
+    return ctx.report("dual-f", margin, witness, ("y", "p"), len(ctx.dists))
 
 
 #: The five checkers by name, in report order.

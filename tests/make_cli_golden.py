@@ -38,12 +38,19 @@ FILES = sorted(
 FLAG_SETS = ([], ["--grid", "9"], ["--seed", "11", "--grid", "13"])
 AT_VALUES = ("0.5", "-0.5", "0", "0.25", "1e-5")
 PROBES = ("0.2 0.3", "0 0", "1 2")
-#: Runs outside the pattern above, without flags: a point off AT_VALUES, a
-#: degenerate probe, and a probe whose axes differ.
+#: Runs outside the pattern above: a point off AT_VALUES, a degenerate
+#: probe, and a probe whose axes differ, without flags; then malformed
+#: command lines (no file named, a non-number flag, a dropped value, an
+#: unknown choice and an unknown option).
 EXTRA_RUNS = (
     ["subdiff", "problems/vee1d.txt", "--at", "0.7"],
     ["subdiff", "problems/vee1d.txt", "--at", "0", "--probe", "0.2 0.2"],
     ["subdiff", "problems/l1cone2d.txt", "--at", "0.3,-0.2", "--probe", "0.5,1.5,-2,-1"],
+    ["check"],
+    ["--grid", "x", "check", "problems/vee1d.txt"],
+    ["subdiff", "problems/vee1d.txt", "--at"],
+    ["check", "problems/vee1d.txt", "--mode", "bogus"],
+    ["--bogus", "modulus", "problems/vee1d.txt"],
 )
 
 

@@ -889,13 +889,29 @@ class TestParserReuse:
         ivwsm.cli._parser.cache_clear()
         assert main(["check", path]) == 0
         first = capsys.readouterr()
-        with pytest.raises(SystemExit) as rejected:
-            main(["check", path, "--mode", "bogus"])
-        assert rejected.value.code == 2
+        assert main(["check", path, "--mode", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("error: argument --mode: invalid choice")
         assert main(["--grid", "9", "check", path]) == 0
         capsys.readouterr()
         assert main(["check", path]) == 0
         assert capsys.readouterr() == first
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check"], "the following arguments are required: file"),
+            (["--grid", "x", "check", "VEE"], "argument --grid: invalid int value: 'x'"),
+            (["subdiff", "VEE", "--at"], "argument --at: expected one argument"),
+            (["--bogus", "modulus", "VEE"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_a_malformed_command_line_returns_two_with_one_error_line(
+        self, vee_file, capsys, argv, message
+    ):
+        path = vee_file()
+        assert main([path if a == "VEE" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_help_text_is_the_same_on_every_call(self, capsys):
         texts = []

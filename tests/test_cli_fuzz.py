@@ -14,6 +14,10 @@ and ``--dirs 0``.  A second run of the fuzzer adds
 coefficients of 1e150 to 1e308.
 One mutation of a valid file may be drawn: an unknown key, a duplicate
 key, a stray character in an expression, or a non-number in a number key.
+A third test mutates each command line of a run instead: it drops an
+option's value, gives a global flag a non-number, adds an unknown option,
+or names a missing file, and every such run exits 2 with one ``error:``
+line and raises nothing, as ``argparse`` would by default.
 """
 
 import io
@@ -159,6 +163,44 @@ def test_every_run_keeps_the_exit_code_contract(tmp_path_factory, case):
 @given(runs(COEFFICIENTS + MAGNITUDES))
 def test_near_the_top_of_the_float_range(tmp_path_factory, case):
     check_contract(tmp_path_factory, case)
+
+
+#: Global flags that take a number, and values none of them reads as one.
+NUMBER_FLAGS = ("--grid", "--dirs", "--tol", "--seed")
+NOT_NUMBERS = ("fast", "", "1e", "0x10")
+ARGV_MUTATIONS = ("drop-value", "non-number", "unknown-option", "missing-file")
+
+
+@st.composite
+def malformed(draw, argv):
+    """argv with one mutation that makes it a malformed command line."""
+    argv = list(argv)
+    # every option of the runs takes a value
+    options = [i for i, a in enumerate(argv) if a.startswith("--")]
+    mutation = draw(st.sampled_from(ARGV_MUTATIONS[0 if options else 1:]))
+    if mutation == "drop-value":
+        del argv[draw(st.sampled_from(options)) + 1]
+    elif mutation == "non-number":
+        argv[:0] = [draw(st.sampled_from(NUMBER_FLAGS)), draw(st.sampled_from(NOT_NUMBERS))]
+    elif mutation == "unknown-option":
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    else:
+        argv[argv.index("FILE")] = "MISSING"
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_a_malformed_command_line_exits_2_with_one_error_line(tmp_path_factory, data):
+    text, argvs = data.draw(runs(COEFFICIENTS))
+    path = tmp_path_factory.mktemp("fuzz") / "problem.txt"
+    path.write_text(text)
+    names = {"FILE": str(path), "MISSING": str(path.with_name("missing.txt"))}
+    for argv in argvs:
+        argv = [names.get(a, a) for a in data.draw(malformed(argv))]
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), (argv, text)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, text, err)
 
 
 def check_contract(tmp_path_factory, case):

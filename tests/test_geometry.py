@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ivwsm import BoxSet, OrthantCone, Tag, cone_ball_support
 from ivwsm import dist_to_cone
-from ivwsm.geometry import MEMBER_TOL, _cone_bounds, row_norms
+from ivwsm.geometry import MEMBER_TOL, _cone_bounds, _rescued_norms, row_norms
 
 from conftest import box_dist, point_box
 from test_expr import same_bits
@@ -262,6 +262,21 @@ class TestConeRows:
         assert norms[0] == 5 * big and norms[1] == np.linalg.norm(rows[1])
         assert norms[2] == norms[3] == np.inf and np.isnan(norms[4]) and norms[5] == 0.0
         assert row_norms(rows[0]) == 5 * big and row_norms(np.array([-1e300])) == 1e300
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_the_overflow_screen_keeps_the_bits_of_the_rescue(self, n):
+        # magnitudes around sqrt(float_max / n), where the screen hands rows
+        # to the rescue, scanned in Python (one vector of up to 8 entries)
+        # and in NumPy (a batch, or a longer vector); NaN rows included
+        rng = np.random.default_rng(n)
+        rows = rng.uniform(-1, 1, size=(64, n))
+        top = np.sqrt(np.finfo(float).max / (2 * n)) * rng.uniform(0.5, 1.5, size=(64, 1))
+        rows *= top / np.abs(rows).max(axis=1, keepdims=True)
+        rows[::7, 0] = np.nan
+        expected = _rescued_norms(rows)
+        assert row_norms(rows).tobytes() == expected.tobytes()
+        for row, norm in zip(rows, expected):
+            assert row_norms(row).tobytes() == norm.tobytes()
 
 
 class TestBoxColumnKernels:

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/``, run as a user runs them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +40,26 @@ def test_modulus_sweep_output_is_unchanged():
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == VEE_SWEEP
 
+
+
+def test_bench_writes_an_a_b_file(tmp_path):
+    # an A/A run of the working tree on one short desk pair; no timing is
+    # asserted, only the file's layout
+    out = tmp_path / "bench.json"
+    result = run_script("bench.py", "--a", str(ROOT), "--b", str(ROOT), "--workloads", "desk",
+                        "--pairs", "1", "--seconds", "0.2", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    assert set(report) == {"machine", "a", "b", "command", "pairs", "seeds", "workloads",
+                           "controls"}
+    assert report["machine"].startswith("nproc=") and report["seeds"] == [501]
+    assert report["controls"] == {}
+    desk = report["workloads"]["desk"]
+    assert set(desk) == {"machine", "metrics", "failed"}
+    assert set(desk["metrics"]) == {"setup_s", "check_s", "modulus_s", "peak_rss_mb"}
+    for metric in desk["metrics"].values():
+        assert set(metric) == {"a", "b", "change"}
+        for side in ("a", "b"):
+            assert set(metric[side]) == {"median", "q1", "q3", "runs"}
+            assert len(metric[side]["runs"]) == 1
+    assert desk["failed"] == {"a": [], "b": []}

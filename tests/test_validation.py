@@ -74,7 +74,7 @@ ERRORS = {
     # a support function takes one direction of the set's dimension
     "box-set-support-length": (
         lambda: IntervalBoxSet(ivec((0, 1)), ivec((1, 2))).support([1.0, 0.0]),
-        "d of shape (2,) is not a direction of 1 entries"),
+        "d of shape (2,) is not a direction of 1 entry"),
     "box-set-support-two-directions": (
         lambda: IntervalBoxSet(ivec((0, 1), (0, 1)), ivec((1, 2), (1, 2))).support(np.eye(2)),
         "d of shape (2, 2) is not a direction of 2 entries"),
@@ -124,9 +124,9 @@ ERRORS = {
     "opaque-value-point-length": (lambda: OPAQUE2.value([0.5]),
                                   "x of shape (1,) is not a point of 2 entries"),
     "evaluate-scalar-point": (lambda: evaluate(parse("x1", 1), 5.0),
-                              "x of shape () is not a point of 1 entries"),
+                              "x of shape () is not a point of 1 entry"),
     "evaluate-point-of-one-row": (lambda: evaluate(parse("x1", 1), [[1.0]]),
-                                  "x of shape (1, 1) is not a point of 1 entries"),
+                                  "x of shape (1, 1) is not a point of 1 entry"),
     "expr-value-point-length": (lambda: F2.value([0.5]),
                                 "x of shape (1,) is not a point of 2 entries"),
     "value-three-vector": (lambda: F2.value([0.5, 0.5, 0.5]),
@@ -143,6 +143,13 @@ ERRORS = {
     "endpoint-rows-expr-grid-of-one-dimension": (
         lambda: endpoint_rows(F2, cube(1, -1, 1).grid_axes(3)),
         "a grid of dimension 1 has no points of 2 entries"),
+    # one entry is counted in the singular
+    "dir-derivatives-rows-of-one-entry": (
+        lambda: dir_derivatives(vee_ivf(), [[0.1, 0.2]], [[1.0]]),
+        "points of shape (1, 2) are not rows of 1 entry"),
+    "endpoint-rows-grid-of-one-entry": (
+        lambda: endpoint_rows(vee_ivf(), cube(2, -1, 1).grid_axes(3)),
+        "a grid of dimension 2 has no points of 1 entry"),
 }
 
 

@@ -32,12 +32,22 @@ from ivwsm import (
 from pathlib import Path
 
 from ivwsm import build_problem, cli, cone_ball_support, dist_to_cone, ivf, load_problem_file, wsm
-from ivwsm.expr import parse
+from ivwsm.expr import EvalError, ExprAst, parse
 from ivwsm.geometry import GridAxes, Tag, row_norms
+from ivwsm.ivf import InfeasibleDirectionError
 from ivwsm.problems import parse_problem_text
 from ivwsm.wsm import _Worst
 
-from conftest import box_dist, cube, l1_ivf, make_ivf, point_box, vee_ivf, wsm_battery
+from conftest import (
+    box_dist,
+    cube,
+    l1_ivf,
+    make_ivf,
+    point_box,
+    random_convex_expr_ivf,
+    vee_ivf,
+    wsm_battery,
+)
 from make_cli_golden import FILES, ROOT
 from test_cli_fuzz import COEFFICIENTS, MAGNITUDES, runs
 from test_expr import same_bits
@@ -979,6 +989,183 @@ class TestDerivativeTableMemory:
             tracemalloc.stop()
         assert table.shape == (729, len(ctx.dirs))
         assert peak < 1.5 * table.nbytes
+
+
+class _RowForms:
+    """An expression endpoint seen only through its row forms (``rows`` and
+    ``tangent_rows``), so that its derivatives take the row route."""
+
+    def __init__(self, ast: ExprAst):
+        self.rows, self.tangent_rows = ast.rows, ast.tangent_rows
+
+
+def row_route(p: WsmProblem) -> WsmProblem:
+    """p afresh, its expression endpoints seen only through their row forms."""
+    f = p.f
+    if isinstance(f.lower, ExprAst) and isinstance(f.upper, ExprAst):
+        f = dataclasses.replace(f, lower=_RowForms(f.lower), upper=_RowForms(f.upper))
+    return dataclasses.replace(p, f=f, _ctx=None)
+
+
+def table_and_dual_f(p: WsmProblem) -> tuple:
+    """Primal's table and dual-f's report as bytes, or the type and message
+    of the error each raises."""
+
+    def outcome(call):
+        try:
+            return call()
+        except Exception as exc:  # the error is the outcome compared
+            return type(exc), str(exc)
+
+    def dual_f():
+        r = check_dual_f(p)
+        witness = [a.tobytes() for a in r.witness or ()]
+        return r.verdict, np.float64(r.worst_margin).tobytes(), witness, r.samples_evaluated
+
+    table = outcome(lambda: p.context().deriv_lo)
+    if isinstance(table, np.ndarray):
+        table = table.shape, table.tobytes()
+    return table, outcome(dual_f)
+
+
+def _grid_route_cases():
+    for name in FILES:
+        yield pytest.param(lambda name=name: build_problem(load_problem_file(ROOT / name)),
+                           id=name)
+    for case in wsm_battery():
+        yield pytest.param(lambda case=case: case.problem(case.nominal_alpha, grid=9),
+                           id=f"battery-{case.name}")
+    yield from FACE_CASES
+    for seed, n in itertools.product(range(3), (1, 2, 3)):
+        yield pytest.param(
+            lambda seed=seed, n=n: WsmProblem(
+                f=random_convex_expr_ivf(seed, n), s=cube(n, -1, 1),
+                sbar=BoxSet(np.full(n, -0.25), np.linspace(0.0, 0.5, n)), alpha=1.0,
+                grid=7, seed=seed, n_dirs=9),
+            id=f"random-expr-{seed}-{n}d")
+
+
+class TestGridDerivatives:
+    """On the exact route, primal's table and dual-f's derivatives come
+    from tangent-tape passes over grid columns (``ivf.grid_derivatives``):
+    they equal the row route's bit for bit, in blocks of any width, and
+    where that route raises, they raise its error."""
+
+    @pytest.mark.parametrize("make", list(_grid_route_cases()))
+    def test_the_table_and_dual_f_equal_the_row_route(self, make, monkeypatch):
+        expected = table_and_dual_f(row_route(make()))
+        for block in (1, 7, ivf.ROW_BLOCK):
+            monkeypatch.setattr(ivf, "ROW_BLOCK", block)
+            assert table_and_dual_f(make()) == expected
+
+    def test_a_point_on_the_domain_takes_the_row_routes_error(self):
+        path = ROOT / "tests" / "regressions" / "s_past_domain_within_tolerance.txt"
+        p = build_problem(load_problem_file(path))
+        (_, dual_f) = table_and_dual_f(p)
+        assert dual_f[0] is InfeasibleDirectionError
+        assert table_and_dual_f(p) == table_and_dual_f(row_route(p))
+
+    def test_an_infinite_tangent_of_the_upper_endpoint_alone_raises(self):
+        # at the kink x1 = 0.03, Sbar's one point, the upper tangent is
+        # +inf along both d = 1 and d = -1, while the smaller of the two
+        # ends, the lower one, is finite; dual-f's short directions keep
+        # every tangent finite
+        f = Ivf.from_expressions("abs(x1)", "abs(x1) + abs(1e300*(2e8*(x1 - 0.03)))",
+                                 cube(1, -0.06, 0.06))
+        p = WsmProblem(f=f, s=cube(1, -0.05, 0.05), sbar=cube(1, 0.03, 0.03), alpha=0.5,
+                       grid=5)
+        expected = table_and_dual_f(row_route(p))
+        assert expected[0] == (ValueError, "directional derivative inf at x=[0.03] along "
+                                           "d=[1.0] is not finite")
+        assert expected[1][0] == "fails"
+        assert table_and_dual_f(p) == expected
+
+    def test_a_value_error_where_dual_f_reads_no_derivative_is_not_raised(self):
+        # y = (0.5, 0.5) lies 1e-13 past Sbar, so dual-f skips its row; its
+        # projection (0.5 - 1e-13, 0.5), a point of neither grid and of no
+        # other row, is where 1/(x1 + x2 - c) fails, and the grid route
+        # differentiates it too
+        hi = 0.5 - 1e-13
+        c = repr(hi + 0.5)
+        f = Ivf.from_expressions(f"abs(x1) + 1/(x1 + x2 - {c})",
+                                 f"2*abs(x1) + 1/(x1 + x2 - {c})", cube(2, -2, 2))
+        p = WsmProblem(f=f, s=BoxSet(np.array([-1.0, -1.0]), np.array([0.5, 1.0])),
+                       sbar=BoxSet(np.array([0.1, -0.6]), np.array([hi, 0.9])),
+                       alpha=0.5, grid=5)
+        expected = table_and_dual_f(row_route(p))
+        assert expected[1][0] == "fails"
+        assert table_and_dual_f(p) == expected
+
+    def test_a_value_error_at_a_projection_raises_the_row_routes(self):
+        # the projection (0.25, 0.5) of S's grid points (0.5, 0.5) and
+        # (1, 0.5) is a point of neither grid, where 1/(x1 + x2 - 0.75) fails
+        f = Ivf.from_expressions("abs(x1) + 1/(x1 + x2 - 0.75)",
+                                 "2*abs(x1) + 1/(x1 + x2 - 0.75)", cube(2, -2, 2))
+        p = WsmProblem(f=f, s=cube(2, -1, 1),
+                       sbar=BoxSet(np.array([0.125, -0.6]), np.array([0.25, 0.9])),
+                       alpha=0.5, grid=5)
+        table, dual_f = expected = table_and_dual_f(row_route(p))
+        assert isinstance(table, tuple) and table[0] == (25, len(p.context().dirs))
+        assert dual_f == (EvalError, "division by zero at x=[0.25, 0.5]")
+        assert table_and_dual_f(p) == expected
+
+    def test_strip3d_makes_one_tape_pass_per_endpoint(self, monkeypatch):
+        # the strip's tapes read only x1, a point axis of Sbar, so one block
+        # holds all 134 directions of the 289 candidate points
+        p = build_problem(load_problem_file(PROBLEMS / "strip3d.txt"))
+        ctx = p.context()
+        passes = []
+        tangents = ExprAst.tangents
+        monkeypatch.setattr(ExprAst, "tangents",
+                            lambda ast, *args: passes.append(ast) or tangents(ast, *args))
+        monkeypatch.setattr(ExprAst, "tangent_rows",
+                            lambda *args: pytest.fail("the row route ran"))
+        assert ctx.deriv_lo.shape == (289, 134)
+        assert passes == [p.f.lower, p.f.upper]
+        passes.clear()
+        check_dual_f(p)
+        assert passes == [p.f.lower, p.f.upper]
+
+    @pytest.mark.parametrize("block", [100, ivf.ROW_BLOCK])
+    def test_a_tape_that_reads_every_axis_keeps_blocks_within_the_bound(
+        self, block, monkeypatch
+    ):
+        # 729 candidate points, all read: blocks of ROW_BLOCK // 729
+        # directions, or of one where the points alone exceed ROW_BLOCK
+        f = Ivf.from_expressions("abs(x1) + abs(x2) + abs(x3)",
+                                 "2*abs(x1) + abs(x2) + abs(x3) + x3^2", cube(3, -2, 2))
+        ctx = WsmProblem(f=f, s=cube(3, -1, 1), sbar=cube(3, -0.5, 0.5), alpha=0.5,
+                         grid=9).context()
+        monkeypatch.setattr(ivf, "ROW_BLOCK", block)
+        sizes = []
+        tangents = ExprAst.tangents
+
+        def measured(ast, *args):
+            value, tangent = tangents(ast, *args)
+            sizes.append(np.size(tangent))
+            return value, tangent
+
+        monkeypatch.setattr(ExprAst, "tangents", measured)
+        width = max(1, block // 729)
+        assert ctx.deriv_lo.shape == (729, len(ctx.dirs))
+        assert len(sizes) == 2 * -(-len(ctx.dirs) // width)
+        assert max(sizes) == 729 * width
+
+    @pytest.mark.parametrize(
+        "name", [name for name in FILES
+                 if ("problems/" in name or "weighted_l1" in name) and "poly2d" not in name]
+    )
+    def test_dual_f_never_builds_the_grid_of_s(self, name, monkeypatch):
+        # poly2d's S is its domain, so dual-f takes the row route there
+        name = str(ROOT / name)
+        p = build_problem(load_problem_file(name))
+        check_dual_f(p)
+        assert "s_grid" not in vars(p.context()) and "proj" not in vars(p.context())
+        refuse = property(lambda ctx: pytest.fail("the grid of S was built"))
+        monkeypatch.setattr(wsm._Context, "s_grid", refuse)
+        monkeypatch.setattr(wsm._Context, "proj", refuse)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["check", name, "--mode", "dual-f"]) in (0, 1)
 
 
 class _Gathers:
