@@ -3,7 +3,7 @@
 
 Runs ``python3 <dir>/perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` for two source trees A and B, in pairs: pair i runs both trees
-on seed ``--seed + i``, A first in even pairs and B first in odd ones, so
+on seed ``FIRST_SEED + i``, A first in even pairs and B first in odd ones, so
 that a drift of the host's speed falls on both sides alike.  Each run is a
 fresh process with bytecode writing off, so every run compiles the
 package, as a clean checkout does.  Pass two clean copies of the trees
@@ -33,6 +33,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+#: The seed of the first pair; pair i runs on ``FIRST_SEED + i``.
+FIRST_SEED = 501
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -69,7 +72,7 @@ def compare(a: Path, b: Path, workload: str, args) -> dict:
     runs = {"a": [], "b": []}
     for i in range(args.pairs):
         for side in ("ab" if i % 2 == 0 else "ba"):
-            result = run((a if side == "a" else b).resolve(), workload, args.seed + i,
+            result = run((a if side == "a" else b).resolve(), workload, FIRST_SEED + i,
                          args.seconds)
             runs[side].append(result)
             print(f"{workload} pair {i} {side}: {result['metrics'] or result['stderr']}",
@@ -98,7 +101,6 @@ def main(argv=None) -> int:
                         help="workloads also run with B against itself")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--seed", type=int, default=501, help="the first pair's seed")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     workloads = {w: compare(args.a, args.b, w, args) for w in args.workloads}
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
         "pairs": args.pairs,
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "seeds": [FIRST_SEED + i for i in range(args.pairs)],
         "workloads": workloads,
         "controls": controls,
     }

@@ -205,9 +205,8 @@ def _cmd_subdiff(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """An argument parser, and the parser of each subcommand, whose errors
-    raise ValueError, which ``main`` prints as one ``error:`` line before it
-    returns 2, instead of printing the usage and exiting."""
+    """A parser whose errors raise ValueError, for ``main`` to print as one
+    ``error:`` line, instead of printing the usage and exiting."""
 
     def error(self, message):
         raise ValueError(message)

@@ -84,14 +84,13 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     order and can differ in the last bit).  A row of finite entries whose
     square overflows is first divided by its largest magnitude (Blue, ACM
     TOMS 4(1), 1978), so its norm is inf only past the float range.  Rows
-    whose largest magnitude squared, times n, stays below half the float
-    range cannot overflow: they skip the floating-point policy, whose
-    entry costs as much as the norm of one short vector (a NaN row's norm
-    is NaN on either path).
+    that cannot overflow skip the floating-point policy, whose entry costs
+    as much as the norm of one short vector.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     flat = rows.ravel()
-    # Python's max scans a short vector faster than a NumPy reduction
+    # Python's max scans a vector faster than a NumPy reduction below about
+    # 16 entries; one-vector calls pass the problem's dimension
     short = len(flat) <= 8
     top = max(map(abs, flat.tolist()), default=0.0) if short else float(np.abs(flat).max())
     if top * top * rows.shape[-1] < _FLOAT_MAX / 2:

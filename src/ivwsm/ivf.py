@@ -418,20 +418,15 @@ def _block_kernel(f: Ivf, points: np.ndarray, dirs: np.ndarray, calls: Callable)
 
 
 def grid_derivatives(f: Ivf, columns: list, dir_columns: list) -> Optional[np.ndarray]:
-    """The lower end of the interval derivative at each entry of the
-    broadcast of the point columns and the direction columns, variable k
-    read as ``columns[k]`` and its direction as ``dir_columns[k]``, whose
-    last axis numbers the directions: the exact route's bits on the rows
-    the entries stand for, from one pass of each endpoint's tape
-    (:meth:`~ivwsm.expr.ExprAst.tangents`) per block of directions.  A
-    block is as wide as keeps the broadcast of the columns the tapes read
-    within :data:`ROW_BLOCK` entries, and one direction at least.
-
-    None where the rows need the row route, which then gives their result
-    or error: for an analytic derivative or an endpoint that is not a
-    parsed expression, a point not strictly inside the domain or an
-    infinite direction (rows ``_require_feasible`` would scan), a tape that
-    raises, and a tangent of either endpoint that is not finite."""
+    """The exact route's lower derivative, bit for bit, at each entry of the
+    broadcast of ``columns`` (variable k's points) and ``dir_columns`` (its
+    directions, numbered by the last axis): one pass of each endpoint's
+    tape (:meth:`~ivwsm.expr.ExprAst.tangents`) per block of directions, as
+    many as keep the columns the tapes read within :data:`ROW_BLOCK`
+    entries.  None where the row route must give the result or the error:
+    an analytic derivative or an endpoint that is not an expression, a
+    point not strictly inside the domain, an infinite direction, a tape
+    that raises, a tangent of either endpoint that is not finite."""
     ends = (f.lower, f.upper)
     if f.analytic_dir_deriv is not None or not all(isinstance(g, ExprAst) for g in ends):
         return None

@@ -393,13 +393,17 @@ class _Worst:
             self.margin = margin
             self.witness = (np.array(a, dtype=float), np.array(b, dtype=float))
 
+    @staticmethod
+    def first(margins: np.ndarray) -> Optional[int]:
+        """Index of the first smallest (or first NaN) of a batch of margins,
+        None for an empty batch."""
+        return int(np.argmin(margins)) if len(margins) else None
+
     def update_rows(self, margins: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """Update with the first smallest (or first NaN) of a batch of
-        margins; ``a`` and ``b`` hold one witness row per margin."""
-        if len(margins) == 0:
-            return
-        i = int(np.argmin(margins))  # the first minimum, or the first NaN
-        self.update(float(margins[i]), a[i], b[i])
+        """Update with the :meth:`first` of a batch of margins; ``a`` and
+        ``b`` hold one witness row per margin."""
+        if (i := self.first(margins)) is not None:
+            self.update(float(margins[i]), a[i], b[i])
 
 
 def check_definition(p: WsmProblem) -> WsmReport:
@@ -573,12 +577,11 @@ def check_dual_f(p: WsmProblem) -> WsmReport:
     else:
         deriv_lo = deriv_lo.reshape(-1)[far]
     margins = _margins(deriv_lo, ctx.dists[far], p.alpha)
-    margin, witness = math.inf, None
-    if len(margins):
-        i = int(np.argmin(margins))  # the first minimum, or the first NaN
+    worst = _Worst()
+    if (i := worst.first(margins)) is not None:
         y = ctx.s_axes.point(int(np.flatnonzero(far)[i]))
-        margin, witness = float(margins[i]), (y, p.sbar.project(y))
-    return ctx.report("dual-f", margin, witness, ("y", "p"), len(ctx.dists))
+        worst.update(float(margins[i]), y, p.sbar.project(y))
+    return ctx.report("dual-f", worst.margin, worst.witness, ("y", "p"), len(ctx.dists))
 
 
 #: The five checkers by name, in report order.
